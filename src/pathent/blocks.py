@@ -27,13 +27,14 @@ from .fock import (
     FourModeState,
     TwoModeDensity,
     TwoModeState,
+    _basis,
     apply_creation,
     basis_state,
     beam_splitter,
     beam_splitter_pair_exact,
     dim2,
+    dim4,
     phase_shift,
-    project_outcome_cd,
     project_vacuum_cd,
     tensor,
     vacuum,
@@ -108,20 +109,23 @@ def ancilla_double(phi: float) -> TwoModeState:
     return phase_shift(s, phi, mode="b")
 
 
+def _joint_after_splitters(state: TwoModeState, ancilla: TwoModeState,
+                           kappa: float) -> FourModeState:
+    """Signal (x) ancilla after the pair of identical beam splitters."""
+    return beam_splitter_pair_exact(tensor(state, ancilla), kappa)
+
+
 def run_block_single(state: TwoModeState, params: BlockParams) -> BlockOutcome:
-    joint = tensor(state, ancilla_single(params.theta, params.phi))
-    joint = beam_splitter_pair_exact(joint, params.kappa)
-    reduced, prob = project_vacuum_cd(joint)
-    return BlockOutcome(reduced, prob)
+    anc = ancilla_single(params.theta, params.phi)
+    return BlockOutcome(*project_vacuum_cd(
+        _joint_after_splitters(state, anc, params.kappa)))
 
 
 def run_block_double(state: TwoModeState, phi: float,
                      transmittance: float) -> BlockOutcome:
     params = BlockParams(math.pi / 4.0, phi, transmittance)
-    joint = tensor(state, ancilla_double(phi))
-    joint = beam_splitter_pair_exact(joint, params.kappa)
-    reduced, prob = project_vacuum_cd(joint)
-    return BlockOutcome(reduced, prob)
+    return BlockOutcome(*project_vacuum_cd(
+        _joint_after_splitters(state, ancilla_double(phi), params.kappa)))
 
 
 def amplitude_factor_single(k: int, transmittance: float) -> float:
@@ -173,6 +177,27 @@ def _schedule(n_blocks: int, transmittances) -> list[float]:
     return ts
 
 
+def _run_chain(run_block, block_args, transmittances,
+               n_photons: int) -> SchemeResult:
+    """Chain ``run_block(state, *args, T_k)`` from vacuum, once per args.
+
+    Owns the schedule, the renormalization of each heralded state and the
+    short-circuit to an ``impossible`` result.
+    """
+    n_blocks = len(block_args)
+    ts = _schedule(n_blocks, transmittances)
+    state = vacuum(0)
+    probs: list[float] = []
+    for k, (args, t) in enumerate(zip(block_args, ts), start=1):
+        out = run_block(state, *args, t)
+        probs.append(out.probability)
+        if out.probability == 0.0:
+            probs.extend([0.0] * (n_blocks - k))
+            return SchemeResult(zero_state(n_photons), tuple(probs), 0.0, True)
+        state = out.state / math.sqrt(out.probability)
+    return SchemeResult(state, tuple(probs), math.prod(probs), False)
+
+
 def run_scheme(factors, transmittances=None) -> SchemeResult:
     """Chain one single-photon block per factor, starting from vacuum.
 
@@ -182,20 +207,12 @@ def run_scheme(factors, transmittances=None) -> SchemeResult:
     ``impossible`` result.
     """
     angles = _factor_angles(factors)
-    n = len(angles)
-    if n == 0:
+    if not angles:
         raise ValueError("need at least one factor")
-    ts = _schedule(n, transmittances)
-    state = vacuum(0)
-    probs: list[float] = []
-    for k, ((theta, phi), t) in enumerate(zip(angles, ts), start=1):
-        out = run_block_single(state, BlockParams(theta, phi, t))
-        probs.append(out.probability)
-        if out.probability == 0.0:
-            probs.extend([0.0] * (n - k))
-            return SchemeResult(zero_state(n), tuple(probs), 0.0, True)
-        state = out.state / math.sqrt(out.probability)
-    return SchemeResult(state, tuple(probs), math.prod(probs), False)
+    return _run_chain(
+        lambda state, theta, phi, t: run_block_single(
+            state, BlockParams(theta, phi, t)),
+        angles, transmittances, len(angles))
 
 
 def noon_double_phases(n_photons: int) -> list[float]:
@@ -225,17 +242,8 @@ def run_scheme_double(n_photons: int, phis=None,
     phis = [float(p) for p in phis]
     if len(phis) != half:
         raise ValueError(f"need {half} phases, got {len(phis)}")
-    ts = _schedule(half, transmittances)
-    state = vacuum(0)
-    probs: list[float] = []
-    for k, (phi, t) in enumerate(zip(phis, ts), start=1):
-        out = run_block_double(state, phi, t)
-        probs.append(out.probability)
-        if out.probability == 0.0:
-            probs.extend([0.0] * (half - k))
-            return SchemeResult(zero_state(n_photons), tuple(probs), 0.0, True)
-        state = out.state / math.sqrt(out.probability)
-    return SchemeResult(state, tuple(probs), math.prod(probs), False)
+    return _run_chain(run_block_double, [(p,) for p in phis], transmittances,
+                      n_photons)
 
 
 def _block_kraus(cutoff_in: int, params: BlockParams) -> list[np.ndarray]:
@@ -249,23 +257,20 @@ def _block_kraus(cutoff_in: int, params: BlockParams) -> list[np.ndarray]:
     anc = ancilla_single(params.theta, params.phi)
     d_in = dim2(cutoff_in)
     cutoff_out = cutoff_in + 1
-    columns = []
+    # Column i is the joint state grown from input basis ket i.
+    columns = np.empty((dim4(cutoff_out), d_in), dtype=complex)
     for i in range(d_in):
-        amps = np.zeros(d_in, dtype=complex)
-        amps[i] = 1.0
-        joint = tensor(TwoModeState(cutoff_in, amps), anc)
-        joint = beam_splitter_pair_exact(joint, params.kappa)
-        columns.append(joint)
-    kraus = []
-    for nc in range(cutoff_out + 1):
-        for nd in range(cutoff_out + 1 - nc):
-            m = np.zeros((dim2(cutoff_out), d_in), dtype=complex)
-            for i, joint in enumerate(columns):
-                piece, _ = project_outcome_cd(joint, nc, nd)
-                m[:, i] = piece.amps
-            if np.any(m):
-                kraus.append(m)
-    return kraus
+        ket = np.zeros(d_in, dtype=complex)
+        ket[i] = 1.0
+        columns[:, i] = _joint_after_splitters(
+            TwoModeState(cutoff_in, ket), anc, params.kappa).amps
+    # Row (n_a, n_b, n_c, n_d) of the columns lands in row (n_a, n_b) of the
+    # operator of outcome (n_c, n_d); outcomes are ordered like two-mode kets.
+    (na, nb, nc, nd), _ = _basis(4, cutoff_out)
+    table2 = _basis(2, cutoff_out)[1]
+    kraus = np.zeros((dim2(cutoff_out), dim2(cutoff_out), d_in), dtype=complex)
+    kraus[table2[nc, nd], table2[na, nb]] = columns
+    return [m for m in kraus if m.any()]
 
 
 def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:

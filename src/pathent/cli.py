@@ -20,6 +20,7 @@ Conventions shared by all commands:
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -37,6 +38,7 @@ from .blocks import (
 from .factorize import (
     TargetSpec,
     _wrap_angle,
+    _coeff_norm,
     factorize_target,
     noon_factor_angles,
     reconstruct,
@@ -44,7 +46,7 @@ from .factorize import (
 )
 from .fock import (
     TwoModeState,
-    _basis2,
+    _basis,
     apply_linear_factor,
     beam_splitter_pair_exact,
     beam_splitter_pair_oracle,
@@ -175,9 +177,14 @@ def _load_target(path: str) -> TargetSpec:
                 f"target file: field 'coeffs[{i}]' must be a [re, im] pair "
                 "of numbers"
             )
-        coeffs.append(complex(entry[0], entry[1]))
-    vec = np.asarray(coeffs)
-    norm = float(np.linalg.norm(vec))
+        try:
+            c = complex(entry[0], entry[1])
+        except OverflowError:  # an integer beyond the float range
+            c = complex(math.inf)
+        if not cmath.isfinite(c):
+            raise InputError(f"target file: field 'coeffs[{i}]' must be finite")
+        coeffs.append(c)
+    norm = _coeff_norm(np.asarray(coeffs))
     if norm == 0.0:
         raise InputError("target file: field 'coeffs' is all zeros")
     if abs(norm - 1.0) > _NORM_WARN_TOL:
@@ -405,8 +412,9 @@ def _random_four_mode_state(rng: np.random.Generator,
 
 
 def _random_eigenstate(rng: np.random.Generator, total: int) -> TwoModeState:
+    """Normalized state with every populated ket at the given total."""
     amps = np.zeros(dim2(total), dtype=complex)
-    _, _, table = _basis2(total)
+    table = _basis(2, total)[1]
     kets = [table[na, total - na] for na in range(total + 1)]
     v = rng.standard_normal(len(kets)) + 1j * rng.standard_normal(len(kets))
     amps[kets] = v / np.linalg.norm(v)

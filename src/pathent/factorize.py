@@ -24,6 +24,21 @@ def _wrap_angle(x: float) -> float:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
+def _coeff_norm(vec: np.ndarray) -> float:
+    """Euclidean norm of a finite coefficient vector.
+
+    The plain norm is kept whenever it is finite, so ordinary inputs keep
+    their bits.  When the sum of squares overflows, the norm is taken as
+    m |vec / m|, with m the largest real or imaginary part.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vec))
+    if math.isinf(norm):
+        m = float(np.abs(np.concatenate([vec.real, vec.imag])).max())
+        norm = m * float(np.linalg.norm(vec / m))
+    return norm
+
+
 @dataclass(frozen=True)
 class TargetSpec:
     """A normalized two-mode target sum_k c_k |k, n_photons - k>.
@@ -44,9 +59,15 @@ class TargetSpec:
                 f"need {n_photons + 1} coefficients for {n_photons} photons, "
                 f"got {vec.size}"
             )
-        norm = np.linalg.norm(vec)
+        finite = np.isfinite(vec)
+        if not finite.all():
+            raise ValueError(
+                f"coefficient coeffs[{int(np.argmin(finite))}] is not finite")
+        norm = _coeff_norm(vec)
         if norm == 0.0:
             raise ValueError("coefficient vector is zero")
+        if math.isinf(norm):
+            raise ValueError("coefficient norm exceeds the float range")
         vec = vec / norm
         object.__setattr__(self, "n_photons", n_photons)
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in vec))

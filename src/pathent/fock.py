@@ -6,6 +6,13 @@ operations, so states with equal cutoffs can be compared entry by entry.
 Everything is complex double precision and every operation is pure: inputs
 are never mutated.
 
+One mode-generic core serves every mode count: ``_basis(modes, cutoff)``
+enumerates the simplex, and ``_mix`` applies identical beam splitters to
+any list of disjoint mode pairs through terminating hop series.  The
+two-mode ``beam_splitter`` and the four-mode ``beam_splitter_pair_exact``
+are its two instances.  Only the dense-``expm`` oracle uses scipy, which it
+imports on first use.
+
 Beam-splitter convention: a mixing angle ``kappa`` generates
 ``exp(kappa (x† y - x y†))`` on the mode pair (x, y), whose single-photon
 block is ``[[cos k, sin k], [-sin k, cos k]]`` in the basis (|1,0>, |0,1>).
@@ -20,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 # The factored beam-splitter product divides by cos(kappa); below this the
 # splitter is taken to be the exact mode swap instead.
@@ -40,30 +46,25 @@ class CutoffOverflowError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _basis2(cutoff: int):
-    """Occupation arrays (n_a, n_b) and index lookup table for two modes."""
-    pairs = [(a, b) for a in range(cutoff + 1) for b in range(cutoff + 1 - a)]
-    na = np.array([p[0] for p in pairs], dtype=np.intp)
-    nb = np.array([p[1] for p in pairs], dtype=np.intp)
-    table = np.full((cutoff + 1, cutoff + 1), -1, dtype=np.intp)
-    table[na, nb] = np.arange(len(pairs))
-    return na, nb, table
+def _basis(modes: int, cutoff: int):
+    """Occupation columns and index lookup table for ``modes`` modes.
+
+    Kets are enumerated lexicographically, first mode outermost.  Returns a
+    tuple of one 1-D occupation array per mode and the table mapping an
+    occupation tuple to its index (-1 beyond the cutoff).
+    """
+    kets = [()]
+    for _ in range(modes):
+        kets = [k + (n,) for k in kets for n in range(cutoff + 1 - sum(k))]
+    occ = tuple(np.array(kets, dtype=np.intp).reshape(len(kets), modes).T.copy())
+    table = np.full((cutoff + 1,) * modes, -1, dtype=np.intp)
+    table[occ] = np.arange(len(kets))
+    return occ, table
 
 
-@lru_cache(maxsize=None)
-def _basis4(cutoff: int):
-    """Occupation arrays and index lookup table for four modes."""
-    quads = [
-        (a, b, c, d)
-        for a in range(cutoff + 1)
-        for b in range(cutoff + 1 - a)
-        for c in range(cutoff + 1 - a - b)
-        for d in range(cutoff + 1 - a - b - c)
-    ]
-    occ = np.array(quads, dtype=np.intp).reshape(len(quads), 4)
-    table = np.full((cutoff + 1,) * 4, -1, dtype=np.intp)
-    table[occ[:, 0], occ[:, 1], occ[:, 2], occ[:, 3]] = np.arange(len(quads))
-    return occ[:, 0], occ[:, 1], occ[:, 2], occ[:, 3], table
+# perfbench/tracing.py reads the build count through this name.  The one
+# cache holds the bases of every mode count, so all of them are counted.
+_basis4 = _basis
 
 
 def dim2(cutoff: int) -> int:
@@ -79,23 +80,22 @@ def dim4(cutoff: int) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class TwoModeState:
-    """Two-mode Fock state: one complex amplitude per ket |n_a, n_b>.
-
-    States may be unnormalized; conditional states carry their success
-    probability in the squared norm.
-    """
+class _FockState:
+    """One complex amplitude per ket of a ``_modes``-mode simplex."""
 
     cutoff: int
     amps: np.ndarray
+
+    _modes = 0
 
     def __post_init__(self):
         if self.cutoff < 0:
             raise ValueError("cutoff must be non-negative")
         amps = np.asarray(self.amps, dtype=complex)
-        if amps.shape != (dim2(self.cutoff),):
+        d = math.comb(self.cutoff + self._modes, self._modes)
+        if amps.shape != (d,):
             raise ValueError(
-                f"expected {dim2(self.cutoff)} amplitudes for cutoff "
+                f"expected {d} amplitudes for cutoff "
                 f"{self.cutoff}, got shape {amps.shape}"
             )
         object.__setattr__(self, "amps", amps)
@@ -106,22 +106,31 @@ class TwoModeState:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
+    def amplitude(self, *ket: int) -> complex:
+        idx = _basis(self._modes, self.cutoff)[1][ket]
+        if idx < 0:
+            raise ValueError(f"ket {ket} exceeds cutoff {self.cutoff}")
+        return complex(self.amps[idx])
+
+
+class TwoModeState(_FockState):
+    """Two-mode Fock state: one complex amplitude per ket |n_a, n_b>.
+
+    States may be unnormalized; conditional states carry their success
+    probability in the squared norm.
+    """
+
+    _modes = 2
+
     def normalized(self) -> "TwoModeState":
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
         return TwoModeState(self.cutoff, self.amps / n)
 
-    def amplitude(self, na: int, nb: int) -> complex:
-        _, _, table = _basis2(self.cutoff)
-        idx = table[na, nb]
-        if idx < 0:
-            raise ValueError(f"ket ({na}, {nb}) exceeds cutoff {self.cutoff}")
-        return complex(self.amps[idx])
-
     def nonzero_amplitudes(self, tol: float = 1e-12):
         """Sorted list of (n_a, n_b, amplitude) with |amplitude| > tol."""
-        na, nb, _ = _basis2(self.cutoff)
+        (na, nb), _ = _basis(2, self.cutoff)
         out = []
         for i in np.flatnonzero(np.abs(self.amps) > tol):
             out.append((int(na[i]), int(nb[i]), complex(self.amps[i])))
@@ -150,38 +159,10 @@ class TwoModeState:
         return TwoModeState(self.cutoff, self.amps / complex(scalar))
 
 
-@dataclass(frozen=True, eq=False)
-class FourModeState:
+class FourModeState(_FockState):
     """Joint Fock state of signal modes (a, b) and ancilla modes (c, d)."""
 
-    cutoff: int
-    amps: np.ndarray
-
-    def __post_init__(self):
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be non-negative")
-        amps = np.asarray(self.amps, dtype=complex)
-        if amps.shape != (dim4(self.cutoff),):
-            raise ValueError(
-                f"expected {dim4(self.cutoff)} amplitudes for cutoff "
-                f"{self.cutoff}, got shape {amps.shape}"
-            )
-        object.__setattr__(self, "amps", amps)
-
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    def amplitude(self, na: int, nb: int, nc: int, nd: int) -> complex:
-        *_, table = _basis4(self.cutoff)
-        idx = table[na, nb, nc, nd]
-        if idx < 0:
-            raise ValueError(
-                f"ket ({na}, {nb}, {nc}, {nd}) exceeds cutoff {self.cutoff}"
-            )
-        return complex(self.amps[idx])
+    _modes = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,14 +188,14 @@ class TwoModeDensity:
 
     def sector(self, n: int) -> np.ndarray:
         """Matrix restricted to the total-photon-number-n subspace."""
-        na, nb, _ = _basis2(self.cutoff)
+        (na, nb), _ = _basis(2, self.cutoff)
         mask = (na + nb) == n
         out = np.zeros_like(self.mat)
         out[np.ix_(mask, mask)] = self.mat[np.ix_(mask, mask)]
         return out
 
     def sector_weight(self, n: int) -> float:
-        na, nb, _ = _basis2(self.cutoff)
+        (na, nb), _ = _basis(2, self.cutoff)
         mask = (na + nb) == n
         return float(np.trace(self.mat[np.ix_(mask, mask)]).real)
 
@@ -238,7 +219,7 @@ class TwoModeDensity:
 def vacuum(cutoff: int) -> TwoModeState:
     """The two-mode vacuum |0, 0>."""
     amps = np.zeros(dim2(cutoff), dtype=complex)
-    amps[_basis2(cutoff)[2][0, 0]] = 1.0
+    amps[_basis(2, cutoff)[1][0, 0]] = 1.0
     return TwoModeState(cutoff, amps)
 
 
@@ -250,7 +231,7 @@ def basis_state(cutoff: int, na: int, nb: int) -> TwoModeState:
     if na < 0 or nb < 0 or na + nb > cutoff:
         raise ValueError(f"ket ({na}, {nb}) exceeds cutoff {cutoff}")
     amps = np.zeros(dim2(cutoff), dtype=complex)
-    amps[_basis2(cutoff)[2][na, nb]] = 1.0
+    amps[_basis(2, cutoff)[1][na, nb]] = 1.0
     return TwoModeState(cutoff, amps)
 
 
@@ -268,7 +249,7 @@ def basis_state4(cutoff: int, na: int, nb: int, nc: int, nd: int) -> FourModeSta
     if min(na, nb, nc, nd) < 0 or na + nb + nc + nd > cutoff:
         raise ValueError(f"ket ({na}, {nb}, {nc}, {nd}) exceeds cutoff {cutoff}")
     amps = np.zeros(dim4(cutoff), dtype=complex)
-    amps[_basis4(cutoff)[4][na, nb, nc, nd]] = 1.0
+    amps[_basis(4, cutoff)[1][na, nb, nc, nd]] = 1.0
     return FourModeState(cutoff, amps)
 
 
@@ -277,9 +258,9 @@ def tensor(ab: TwoModeState, cd: TwoModeState,
     """Embed ab (x) cd into a four-mode state."""
     if cutoff is None:
         cutoff = ab.cutoff + cd.cutoff
-    na1, nb1, _ = _basis2(ab.cutoff)
-    na2, nb2, _ = _basis2(cd.cutoff)
-    *_, table4 = _basis4(cutoff)
+    (na1, nb1), _ = _basis(2, ab.cutoff)
+    (na2, nb2), _ = _basis(2, cd.cutoff)
+    table4 = _basis(4, cutoff)[1]
     amps = np.zeros(dim4(cutoff), dtype=complex)
     for j in np.flatnonzero(cd.amps):
         room = cutoff - int(na2[j] + nb2[j])
@@ -297,11 +278,11 @@ def with_cutoff(s: TwoModeState, cutoff: int) -> TwoModeState:
     """Re-embed a state at a different cutoff (lossless, or raise)."""
     if cutoff == s.cutoff:
         return s
-    na, nb, _ = _basis2(s.cutoff)
+    (na, nb), _ = _basis(2, s.cutoff)
     keep = (na + nb) <= cutoff
     if np.any(s.amps[~keep] != 0):
         raise CutoffOverflowError("state does not fit in the requested cutoff")
-    _, _, table = _basis2(cutoff)
+    table = _basis(2, cutoff)[1]
     amps = np.zeros(dim2(cutoff), dtype=complex)
     amps[table[na[keep], nb[keep]]] = s.amps[keep]
     return TwoModeState(cutoff, amps)
@@ -313,7 +294,7 @@ def with_cutoff(s: TwoModeState, cutoff: int) -> TwoModeState:
 
 def apply_creation(s: TwoModeState, mode: str) -> TwoModeState:
     """Apply the creation operator of the chosen mode ("a" or "b")."""
-    na, nb, table = _basis2(s.cutoff)
+    (na, nb), table = _basis(2, s.cutoff)
     top = (na + nb) == s.cutoff
     if np.any(s.amps[top] != 0):
         raise CutoffOverflowError(
@@ -332,7 +313,7 @@ def apply_creation(s: TwoModeState, mode: str) -> TwoModeState:
 
 def apply_annihilation(s: TwoModeState, mode: str) -> TwoModeState:
     """Apply the annihilation operator of the chosen mode ("a" or "b")."""
-    na, nb, table = _basis2(s.cutoff)
+    (na, nb), table = _basis(2, s.cutoff)
     out = np.zeros_like(s.amps)
     if mode == "a":
         keep = na >= 1
@@ -355,7 +336,7 @@ def apply_linear_factor(s: TwoModeState, theta: float, phi: float) -> TwoModeSta
 
 def phase_shift(s: TwoModeState, phi: float, mode: str = "b") -> TwoModeState:
     """Apply the phase shifter exp(i phi n_mode)."""
-    na, nb, _ = _basis2(s.cutoff)
+    (na, nb), _ = _basis(2, s.cutoff)
     n = na if mode == "a" else nb
     if mode not in ("a", "b"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -387,7 +368,7 @@ def is_photon_number_eigenstate(s: TwoModeState) -> int | None:
     top = mags.max()
     if top == 0.0:
         raise ValueError("zero state has no photon-number eigenvalue")
-    na, nb, _ = _basis2(s.cutoff)
+    (na, nb), _ = _basis(2, s.cutoff)
     totals = np.unique((na + nb)[mags > 1e-12 * top])
     return int(totals[0]) if totals.size == 1 else None
 
@@ -400,119 +381,71 @@ def is_photon_number_eigenstate(s: TwoModeState) -> int | None:
 # photon number, so repeated application terminates within cutoff steps.
 
 
-def _hop2(amps: np.ndarray, cutoff: int, create: str, lower: str) -> np.ndarray:
-    na, nb, table = _basis2(cutoff)
+def _hop(amps: np.ndarray, occ, table: np.ndarray, x: int, y: int) -> np.ndarray:
+    keep = occ[y] >= 1
+    new = [n[keep] for n in occ]
+    w = np.sqrt((new[x] + 1.0) * new[y])
+    new[x] = new[x] + 1
+    new[y] = new[y] - 1
     out = np.zeros_like(amps)
-    if (create, lower) == ("a", "b"):
-        keep = nb >= 1
-        w = np.sqrt((na[keep] + 1.0) * nb[keep])
-        out[table[na[keep] + 1, nb[keep] - 1]] = amps[keep] * w
-    elif (create, lower) == ("b", "a"):
-        keep = na >= 1
-        w = np.sqrt((nb[keep] + 1.0) * na[keep])
-        out[table[na[keep] - 1, nb[keep] + 1]] = amps[keep] * w
-    else:
-        raise ValueError(f"bad mode pair {(create, lower)}")
+    out[table[tuple(new)]] = amps[keep] * w
     return out
 
 
-def _exp_hop2(amps: np.ndarray, cutoff: int, coef: complex,
-              create: str, lower: str) -> np.ndarray:
+def _exp_hop(amps: np.ndarray, occ, table: np.ndarray, coef: float,
+             x: int, y: int) -> np.ndarray:
+    """exp(coef x† y) as its series, which ends within cutoff terms."""
     result = amps.copy()
     term = amps
-    for m in range(1, cutoff + 1):
-        term = (coef / m) * _hop2(term, cutoff, create, lower)
+    for m in range(1, len(table)):
+        term = (coef / m) * _hop(term, occ, table, x, y)
         if not term.any():
             break
         result = result + term
     return result
 
 
-def _bs2_core(amps: np.ndarray, cutoff: int, kappa: float) -> np.ndarray:
-    # exp(kappa (a†b - a b†)) = e^{-K a b†} cos(kappa)^{n_a - n_b} e^{K a†b},
-    # K = tan(kappa); each exponential is an exactly terminating series.
-    ck, K = math.cos(kappa), math.tan(kappa)
-    na, nb, _ = _basis2(cutoff)
-    v = _exp_hop2(amps, cutoff, K, "a", "b")
-    v = v * ck ** (na - nb)
-    return _exp_hop2(v, cutoff, -K, "b", "a")
+def _mix(amps: np.ndarray, cutoff: int, modes: int, pairs,
+         kappa: float) -> np.ndarray:
+    """Identical beam splitters of angle kappa on each (x, y) in ``pairs``.
 
-
-def _swap2(amps: np.ndarray, cutoff: int, sgn: int) -> np.ndarray:
-    # kappa -> +-pi/2 limit: a† -> -s b†, b† -> s a†  (s = sign of sin kappa)
-    na, nb, table = _basis2(cutoff)
-    out = np.zeros_like(amps)
-    signs = np.where(na % 2 == 1, -1.0, 1.0)
-    if sgn < 0:
-        signs = signs * np.where((na + nb) % 2 == 1, -1.0, 1.0)
-    out[table[nb, na]] = amps * signs
-    return out
+    With K = tan(kappa) and the pairs disjoint, the product of
+    exp(kappa (x† y - x y†)) equals the factored form
+        prod e^{-K x y†} * cos(kappa)^{n_x - n_y} * prod e^{K x† y},
+    each exponential an exactly terminating series.  Near |cos kappa| = 0,
+    where the form divides by cos(kappa), the splitters are the exact mode
+    swap they converge to; above pi/4 the angle is halved until |K| <= 1.
+    """
+    occ, table = _basis(modes, cutoff)
+    n_x = sum(occ[x] for x, _ in pairs)
+    n_y = sum(occ[y] for _, y in pairs)
+    if abs(math.cos(kappa)) < _SWAP_EPS:
+        # kappa = +-pi/2: x† -> -s y†, y† -> s x†, with s = sign(sin kappa).
+        swapped = list(occ)
+        for x, y in pairs:
+            swapped[x], swapped[y] = occ[y], occ[x]
+        odd = n_x if math.sin(kappa) > 0 else n_y
+        out = np.zeros_like(amps)
+        out[table[tuple(swapped)]] = amps * np.where(odd % 2 == 1, -1.0, 1.0)
+        return out
+    halvings = 0
+    while abs(kappa) / 2 ** halvings > _HALF_ANGLE_LIMIT:
+        halvings += 1
+    step = kappa / 2 ** halvings
+    K = math.tan(step)
+    scale = math.cos(step) ** (n_x - n_y)
+    for _ in range(2 ** halvings):
+        for x, y in pairs:
+            amps = _exp_hop(amps, occ, table, K, x, y)
+        amps = amps * scale
+        for x, y in pairs:
+            amps = _exp_hop(amps, occ, table, -K, y, x)
+    return amps
 
 
 def beam_splitter(s: TwoModeState, kappa: float) -> TwoModeState:
     """Mix the two modes: |1,0> -> cos(kappa)|1,0> - sin(kappa)|0,1>."""
-    ck = math.cos(kappa)
-    if abs(ck) < _SWAP_EPS:
-        sgn = 1 if math.sin(kappa) > 0 else -1
-        return TwoModeState(s.cutoff, _swap2(s.amps, s.cutoff, sgn))
-    halvings = 0
-    while abs(kappa) / 2 ** halvings > _HALF_ANGLE_LIMIT:
-        halvings += 1
-    amps = s.amps
-    step = kappa / 2 ** halvings
-    for _ in range(2 ** halvings):
-        amps = _bs2_core(amps, s.cutoff, step)
-    return TwoModeState(s.cutoff, amps)
-
-
-def _hop4(amps: np.ndarray, cutoff: int, create: str, lower: str) -> np.ndarray:
-    na, nb, nc, nd, table = _basis4(cutoff)
-    occ = {"a": na, "b": nb, "c": nc, "d": nd}
-    n_cr, n_lo = occ[create], occ[lower]
-    keep = n_lo >= 1
-    w = np.sqrt((n_cr[keep] + 1.0) * n_lo[keep])
-    new = {m: occ[m][keep].copy() for m in "abcd"}
-    new[create] = new[create] + 1
-    new[lower] = new[lower] - 1
-    out = np.zeros_like(amps)
-    out[table[new["a"], new["b"], new["c"], new["d"]]] = amps[keep] * w
-    return out
-
-
-def _exp_hop4(amps: np.ndarray, cutoff: int, coef: complex,
-              create: str, lower: str) -> np.ndarray:
-    result = amps.copy()
-    term = amps
-    for m in range(1, cutoff + 1):
-        term = (coef / m) * _hop4(term, cutoff, create, lower)
-        if not term.any():
-            break
-        result = result + term
-    return result
-
-
-def _bs_pair_core(amps: np.ndarray, cutoff: int, kappa: float) -> np.ndarray:
-    # Factored product form of exp(kappa(a†c - ac†)) exp(kappa(b†d - bd†)):
-    #   e^{-K a c†} e^{-K b d†} cos(kappa)^{n_ab - n_cd} e^{K a†c} e^{K b†d}
-    ck, K = math.cos(kappa), math.tan(kappa)
-    na, nb, nc, nd, _ = _basis4(cutoff)
-    v = _exp_hop4(amps, cutoff, K, "b", "d")
-    v = _exp_hop4(v, cutoff, K, "a", "c")
-    v = v * ck ** ((na + nb) - (nc + nd))
-    v = _exp_hop4(v, cutoff, -K, "d", "b")
-    return _exp_hop4(v, cutoff, -K, "c", "a")
-
-
-def _swap4(amps: np.ndarray, cutoff: int, sgn: int) -> np.ndarray:
-    # kappa -> +-pi/2 limit: a† -> -s c†, c† -> s a†, likewise (b, d).
-    na, nb, nc, nd, table = _basis4(cutoff)
-    out = np.zeros_like(amps)
-    signs = np.where((na + nb) % 2 == 1, -1.0, 1.0)
-    if sgn < 0:
-        total = na + nb + nc + nd
-        signs = signs * np.where(total % 2 == 1, -1.0, 1.0)
-    out[table[nc, nd, na, nb]] = amps * signs
-    return out
+    return TwoModeState(s.cutoff, _mix(s.amps, s.cutoff, 2, ((0, 1),), kappa))
 
 
 def beam_splitter_pair_exact(s: FourModeState, kappa: float) -> FourModeState:
@@ -522,43 +455,35 @@ def beam_splitter_pair_exact(s: FourModeState, kappa: float) -> FourModeState:
     the kappa = pi/2 singularity of the factored form is handled as the
     exact mode swap it converges to.
     """
-    ck = math.cos(kappa)
-    if abs(ck) < _SWAP_EPS:
-        sgn = 1 if math.sin(kappa) > 0 else -1
-        return FourModeState(s.cutoff, _swap4(s.amps, s.cutoff, sgn))
-    halvings = 0
-    while abs(kappa) / 2 ** halvings > _HALF_ANGLE_LIMIT:
-        halvings += 1
-    amps = s.amps
-    step = kappa / 2 ** halvings
-    for _ in range(2 ** halvings):
-        amps = _bs_pair_core(amps, s.cutoff, step)
-    return FourModeState(s.cutoff, amps)
+    # Pair (b, d) goes first: the order of the series fixes the rounding.
+    return FourModeState(s.cutoff,
+                         _mix(s.amps, s.cutoff, 4, ((1, 3), (0, 2)), kappa))
 
 
 @lru_cache(maxsize=None)
 def _pair_generator(cutoff: int) -> np.ndarray:
     """Dense matrix of a†c - ac† + b†d - bd† over the four-mode basis."""
-    na, nb, nc, nd, table = _basis4(cutoff)
+    occ, table = _basis(4, cutoff)
     d = dim4(cutoff)
     gen = np.zeros((d, d), dtype=complex)
-    hops = [("a", "c"), ("c", "a"), ("b", "d"), ("d", "b")]
-    signs = [1.0, -1.0, 1.0, -1.0]
-    occ = {"a": na, "b": nb, "c": nc, "d": nd}
-    for (create, lower), sign in zip(hops, signs):
-        n_cr, n_lo = occ[create], occ[lower]
-        keep = np.flatnonzero(n_lo >= 1)
-        new = {m: occ[m][keep].copy() for m in "abcd"}
-        new[create] = new[create] + 1
-        new[lower] = new[lower] - 1
-        rows = table[new["a"], new["b"], new["c"], new["d"]]
-        w = sign * np.sqrt((n_cr[keep] + 1.0) * n_lo[keep])
-        gen[rows, keep] += w
+    # (created mode, lowered mode, sign) of each term, modes as a=0 .. d=3
+    for create, lower, sign in ((0, 2, 1.0), (2, 0, -1.0),
+                                (1, 3, 1.0), (3, 1, -1.0)):
+        keep = np.flatnonzero(occ[lower] >= 1)
+        new = [n[keep] for n in occ]
+        w = sign * np.sqrt((new[create] + 1.0) * new[lower])
+        new[create] += 1
+        new[lower] -= 1
+        gen[table[tuple(new)], keep] += w
     return gen
 
 
-@lru_cache(maxsize=None)
+# Bounded: a dense unitary is about 3.9 MB at cutoff 8, and oracle-check
+# uses three angles per run.
+@lru_cache(maxsize=8)
 def _pair_unitary(cutoff: int, kappa: float) -> np.ndarray:
+    import scipy.linalg  # only the oracle needs scipy; keep it off import
+
     return scipy.linalg.expm(kappa * _pair_generator(cutoff))
 
 
@@ -578,9 +503,9 @@ def project_outcome_cd(s: FourModeState, nc_out: int,
     Returns the unnormalized reduced two-mode state and the outcome
     probability (its squared norm).
     """
-    na, nb, nc, nd, _ = _basis4(s.cutoff)
+    (na, nb, nc, nd), _ = _basis(4, s.cutoff)
     rows = (nc == nc_out) & (nd == nd_out)
-    _, _, table2 = _basis2(s.cutoff)
+    table2 = _basis(2, s.cutoff)[1]
     amps = np.zeros(dim2(s.cutoff), dtype=complex)
     amps[table2[na[rows], nb[rows]]] = s.amps[rows]
     reduced = TwoModeState(s.cutoff, amps)

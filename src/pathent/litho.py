@@ -17,7 +17,7 @@ import numpy as np
 from .fock import (
     TwoModeDensity,
     TwoModeState,
-    _basis2,
+    _basis,
     apply_annihilation,
     dim2,
     phase_shift,
@@ -40,7 +40,7 @@ def absorption_rate_pure(state: TwoModeState, n_absorb: int) -> float:
 @lru_cache(maxsize=None)
 def _absorb_matrix(cutoff: int, n_absorb: int) -> np.ndarray:
     """Dense matrix of (a + b)^N over the two-mode basis."""
-    na, nb, table = _basis2(cutoff)
+    (na, nb), table = _basis(2, cutoff)
     d = dim2(cutoff)
     m = np.zeros((d, d), dtype=complex)
     keep_a = np.flatnonzero(na >= 1)

@@ -5,27 +5,14 @@ import math
 import numpy as np
 
 from pathent.factorize import TargetSpec, _wrap_angle
-from pathent.fock import FourModeState, TwoModeState, _basis2, dim2, dim4
+from pathent.cli import _random_eigenstate as random_eigenstate
+from pathent.cli import _random_four_mode_state as random_four_mode_state
+from pathent.fock import TwoModeState, dim2
 
 
 def random_two_mode_state(rng, cutoff):
     v = rng.standard_normal(dim2(cutoff)) + 1j * rng.standard_normal(dim2(cutoff))
     return TwoModeState(cutoff, v / np.linalg.norm(v))
-
-
-def random_four_mode_state(rng, cutoff):
-    v = rng.standard_normal(dim4(cutoff)) + 1j * rng.standard_normal(dim4(cutoff))
-    return FourModeState(cutoff, v / np.linalg.norm(v))
-
-
-def random_eigenstate(rng, total):
-    """Normalized state with every populated ket at the given total."""
-    amps = np.zeros(dim2(total), dtype=complex)
-    _, _, table = _basis2(total)
-    idx = [table[na, total - na] for na in range(total + 1)]
-    v = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
-    amps[idx] = v / np.linalg.norm(v)
-    return TwoModeState(total, amps)
 
 
 def random_target(rng, n):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,10 @@ def test_factorize_single_mode_target(tmp_path, capsys):
         ('{"N": 1, "coeffs": [[1, 0], [0]]}', "coeffs[1]"),
         ('{"N": 1, "coeffs": [[1, 0], ["x", 0]]}', "coeffs[1]"),
         ('{"N": 1, "coeffs": [[0, 0], [0, 0]]}', "all zeros"),
+        ('{"N": 1, "coeffs": [[1, 0], [NaN, 0]]}', "'coeffs[1]' must be finite"),
+        ('{"N": 1, "coeffs": [[1, -Infinity], [0, 0]]}',
+         "'coeffs[0]' must be finite"),
+        ('{"N": 1, "coeffs": [[1, 0], [1e400, 0]]}', "'coeffs[1]' must be finite"),
         ("not json at all", "not valid JSON"),
         ("[1, 2, 3]", "JSON object"),
     ],
@@ -95,6 +100,28 @@ def test_unnormalized_target_warns_and_renormalizes(tmp_path, capsys):
     report = json.loads(captured.out)
     coeffs = [complex(*pair) for pair in report["target"]["coeffs"]]
     np.testing.assert_allclose([c.real for c in coeffs], [SQ2, SQ2], rtol=1e-12)
+
+
+def test_integer_coefficient_beyond_float_range_is_rejected(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"N": 1, "coeffs": [[1, 0], [1%s, 0]]}' % ("0" * 400))
+    assert cli.main(["factorize", str(path)]) == 1
+    assert "'coeffs[1]' must be finite" in capsys.readouterr().err
+
+
+def test_target_whose_plain_norm_overflows_is_renormalized(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"N": 2, "coeffs": [[1e308, 0], [1e308, 0], [0, 0]]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["factorize", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "norm 1.41421356237309" in captured.err
+    assert "e+308; re-normalizing" in captured.err
+    coeffs = json.loads(captured.out)["target"]["coeffs"]
+    np.testing.assert_allclose(coeffs, [[SQ2, 0.0], [SQ2, 0.0], [0.0, 0.0]],
+                               rtol=1e-15)
 
 
 def test_simulate_noon4_optimal(tmp_path, capsys):

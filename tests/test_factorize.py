@@ -37,6 +37,20 @@ def test_target_spec_rejects_bad_input():
         TargetSpec(0, [1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_target_spec_rejects_non_finite_naming_the_index(bad):
+    with pytest.raises(ValueError, match=r"coeffs\[1\]"):
+        TargetSpec(2, [1.0, bad, 0.0])
+
+
+def test_target_spec_normalizes_when_the_plain_norm_overflows():
+    t = TargetSpec(2, [1e308, 1e308, 0.0])
+    np.testing.assert_allclose(t.coeffs, [1 / math.sqrt(2.0)] * 2 + [0.0],
+                               rtol=1e-15)
+    with pytest.raises(ValueError, match="float range"):
+        TargetSpec(1, [1.5e308, complex(1.5e308, 1.5e308)])
+
+
 def test_monomial_coeffs_values():
     d = monomial_coeffs(TargetSpec(2, [0.0, 1.0, 0.0]))
     np.testing.assert_allclose(d, [0.0, 1.0, 0.0])

@@ -1,12 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import pathent
+from pathent.cli import _ORACLE_KAPPAS
 from pathent.fock import (
     CutoffOverflowError,
     FourModeState,
-    _basis4,
+    _basis,
+    _pair_unitary,
     TwoModeDensity,
     TwoModeState,
     apply_annihilation,
@@ -35,6 +42,13 @@ from pathent.fock import (
 from helpers import random_four_mode_state, random_two_mode_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# One angle per branch of the beam-splitter core: identity, one factored
+# step, one and two half-angle splits, the swap threshold from both sides,
+# the exact swap at +-pi/2, and negative angles.
+MIX_KAPPAS = [0.0, 0.1, 0.7, math.pi / 4 + 1e-6, 1.3,
+              math.pi / 2 - 3 * math.ulp(math.pi / 2), math.pi / 2,
+              -math.pi / 2, -1.0, 2.5, 3.0]
 
 
 def test_vacuum_definition():
@@ -175,6 +189,26 @@ def test_two_mode_beam_splitter_unitary(kappa):
     np.testing.assert_allclose(out.norm_sq(), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("kappa", MIX_KAPPAS)
+def test_two_mode_beam_splitter_matches_dense_exponential(kappa):
+    # Independent route: expm of a†b - a b† over a locally enumerated basis.
+    cutoff = 5
+    kets = [(na, nb) for na in range(cutoff + 1)
+            for nb in range(cutoff + 1 - na)]
+    index = {ket: i for i, ket in enumerate(kets)}
+    gen = np.zeros((len(kets), len(kets)))
+    for (na, nb), i in index.items():
+        if nb >= 1:
+            gen[index[na + 1, nb - 1], i] += math.sqrt((na + 1) * nb)
+        if na >= 1:
+            gen[index[na - 1, nb + 1], i] -= math.sqrt(na * (nb + 1))
+    s = random_two_mode_state(np.random.default_rng(13), cutoff)
+    expected = scipy.linalg.expm(kappa * gen) @ [s.amplitude(*k) for k in kets]
+    out = beam_splitter(s, kappa)
+    got = np.array([out.amplitude(*k) for k in kets])
+    assert np.abs(got - expected).max() < 1e-9
+
+
 def test_pair_splitter_identity_at_zero():
     rng = np.random.default_rng(3)
     s = random_four_mode_state(rng, 4)
@@ -200,8 +234,7 @@ def test_pair_splitter_single_photon_blocks():
 @pytest.mark.parametrize("kappa", [0.1, 0.7, 1.3, 1.55])
 def test_pair_splitter_unitarity_and_number_conservation(kappa):
     rng = np.random.default_rng(int(kappa * 100))
-    na, nb, nc, nd, _ = _basis4(6)
-    totals = na + nb + nc + nd
+    totals = sum(_basis(4, 6)[0])
     for _ in range(5):
         s = random_four_mode_state(rng, 6)
         out = beam_splitter_pair_exact(s, kappa)
@@ -234,7 +267,7 @@ def test_pair_splitter_oracle_swaps_populations():
     np.testing.assert_allclose(abs(out.amplitude(0, 0, 1, 1)), 1.0, atol=1e-9)
 
 
-@pytest.mark.parametrize("kappa", [0.1, 0.7, 1.3])
+@pytest.mark.parametrize("kappa", MIX_KAPPAS)
 def test_pair_splitter_routes_agree(kappa):
     rng = np.random.default_rng(77)
     for _ in range(10):
@@ -242,6 +275,24 @@ def test_pair_splitter_routes_agree(kappa):
         fast = beam_splitter_pair_exact(s, kappa)
         slow = beam_splitter_pair_oracle(s, kappa)
         assert np.abs(fast.amps - slow.amps).max() < 1e-9
+
+
+def test_pair_unitary_cache_stays_bounded():
+    s = basis_state4(1, 1, 0, 0, 0)
+    for i in range(40):
+        beam_splitter_pair_oracle(s, 0.01 * (i + 1))
+    info = _pair_unitary.cache_info()
+    assert len(_ORACLE_KAPPAS) <= info.maxsize
+    assert info.currsize <= info.maxsize
+
+
+def test_importing_the_cli_leaves_scipy_linalg_unloaded():
+    src = os.path.dirname(os.path.dirname(pathent.__file__))
+    code = "import sys, pathent.cli; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.strip() == "False", proc.stderr
 
 
 def test_project_vacuum_cases():
