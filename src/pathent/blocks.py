@@ -24,23 +24,23 @@ import numpy as np
 
 from .factorize import FactorSet, _wrap_angle
 from .fock import (
-    FourModeState,
     TwoModeDensity,
     TwoModeState,
-    _basis,
+    _mix_pair,
+    _split_cd,
+    _tensor_amps,
     apply_creation,
     basis_state,
     beam_splitter,
     beam_splitter_pair_exact,
     dim2,
-    dim4,
     phase_shift,
     project_vacuum_cd,
     tensor,
     vacuum,
     zero_state,
 )
-from .yields import optimal_transmittance
+from .yields import optimal_schedule
 
 
 @dataclass(frozen=True)
@@ -109,23 +109,22 @@ def ancilla_double(phi: float) -> TwoModeState:
     return phase_shift(s, phi, mode="b")
 
 
-def _joint_after_splitters(state: TwoModeState, ancilla: TwoModeState,
-                           kappa: float) -> FourModeState:
-    """Signal (x) ancilla after the pair of identical beam splitters."""
-    return beam_splitter_pair_exact(tensor(state, ancilla), kappa)
+def _herald(state: TwoModeState, ancilla: TwoModeState,
+            kappa: float) -> BlockOutcome:
+    """Mix signal (x) ancilla on the splitter pair; keep the dark branch."""
+    return BlockOutcome(*project_vacuum_cd(
+        beam_splitter_pair_exact(tensor(state, ancilla), kappa)))
 
 
 def run_block_single(state: TwoModeState, params: BlockParams) -> BlockOutcome:
-    anc = ancilla_single(params.theta, params.phi)
-    return BlockOutcome(*project_vacuum_cd(
-        _joint_after_splitters(state, anc, params.kappa)))
+    return _herald(state, ancilla_single(params.theta, params.phi),
+                   params.kappa)
 
 
 def run_block_double(state: TwoModeState, phi: float,
                      transmittance: float) -> BlockOutcome:
     params = BlockParams(math.pi / 4.0, phi, transmittance)
-    return BlockOutcome(*project_vacuum_cd(
-        _joint_after_splitters(state, ancilla_double(phi), params.kappa)))
+    return _herald(state, ancilla_double(phi), params.kappa)
 
 
 def amplitude_factor_single(k: int, transmittance: float) -> float:
@@ -162,13 +161,16 @@ def apply_double_factor(state: TwoModeState, phi: float) -> TwoModeState:
 
 def _factor_angles(factors) -> list[tuple[float, float]]:
     if isinstance(factors, FactorSet):
-        return list(factors.factors)
-    return [(float(t), float(p)) for t, p in factors]
+        factors = factors.factors
+    angles = [(float(t), float(p)) for t, p in factors]
+    if not angles:
+        raise ValueError("need at least one factor")
+    return angles
 
 
 def _schedule(n_blocks: int, transmittances) -> list[float]:
     if transmittances is None:
-        return [optimal_transmittance(k) for k in range(1, n_blocks + 1)]
+        return optimal_schedule(n_blocks)
     ts = [float(t) for t in transmittances]
     if len(ts) != n_blocks:
         raise ValueError(
@@ -207,8 +209,6 @@ def run_scheme(factors, transmittances=None) -> SchemeResult:
     ``impossible`` result.
     """
     angles = _factor_angles(factors)
-    if not angles:
-        raise ValueError("need at least one factor")
     return _run_chain(
         lambda state, theta, phi, t: run_block_single(
             state, BlockParams(theta, phi, t)),
@@ -255,21 +255,11 @@ def _block_kraus(cutoff_in: int, params: BlockParams) -> list[np.ndarray]:
     photon-number conserving.
     """
     anc = ancilla_single(params.theta, params.phi)
-    d_in = dim2(cutoff_in)
     cutoff_out = cutoff_in + 1
-    # Column i is the joint state grown from input basis ket i.
-    columns = np.empty((dim4(cutoff_out), d_in), dtype=complex)
-    for i in range(d_in):
-        ket = np.zeros(d_in, dtype=complex)
-        ket[i] = 1.0
-        columns[:, i] = _joint_after_splitters(
-            TwoModeState(cutoff_in, ket), anc, params.kappa).amps
-    # Row (n_a, n_b, n_c, n_d) of the columns lands in row (n_a, n_b) of the
-    # operator of outcome (n_c, n_d); outcomes are ordered like two-mode kets.
-    (na, nb, nc, nd), _ = _basis(4, cutoff_out)
-    table2 = _basis(2, cutoff_out)[1]
-    kraus = np.zeros((dim2(cutoff_out), dim2(cutoff_out), d_in), dtype=complex)
-    kraus[table2[nc, nd], table2[na, nb]] = columns
+    # Column i is input basis ket i (x) ancilla, all pushed through at once.
+    joint = _tensor_amps(np.eye(dim2(cutoff_in), dtype=complex), cutoff_in,
+                         anc, cutoff_out)
+    kraus = _split_cd(_mix_pair(joint, cutoff_out, params.kappa), cutoff_out)
     return [m for m in kraus if m.any()]
 
 
@@ -281,12 +271,9 @@ def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:
     equal to the scheme yield, and all failed branches hold fewer photons.
     """
     angles = _factor_angles(factors)
-    n = len(angles)
-    if n == 0:
-        raise ValueError("need at least one factor")
-    ts = _schedule(n, transmittances)
+    ts = _schedule(len(angles), transmittances)
     rho = np.ones((1, 1), dtype=complex)
-    for k, ((theta, phi), t) in enumerate(zip(angles, ts), start=1):
-        kraus = _block_kraus(k - 1, BlockParams(theta, phi, t))
+    for n_in, ((theta, phi), t) in enumerate(zip(angles, ts)):
+        kraus = _block_kraus(n_in, BlockParams(theta, phi, t))
         rho = sum(m @ rho @ m.conj().T for m in kraus)
-    return TwoModeDensity(n, rho)
+    return TwoModeDensity(len(angles), rho)

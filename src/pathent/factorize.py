@@ -27,15 +27,15 @@ def _wrap_angle(x: float) -> float:
 def _coeff_norm(vec: np.ndarray) -> float:
     """Euclidean norm of a finite coefficient vector.
 
-    The plain norm is kept whenever it is finite, so ordinary inputs keep
-    their bits.  When the sum of squares overflows, the norm is taken as
-    m |vec / m|, with m the largest real or imaginary part.
+    The plain norm is kept unless the sum of squares overflows, or falls
+    below the smallest normal float on a nonzero vector and so loses digits,
+    so ordinary inputs keep their bits.  Then ``math.hypot``, which rescales
+    internally, takes the norm of the real and imaginary parts.
     """
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(vec))
-    if math.isinf(norm):
-        m = float(np.abs(np.concatenate([vec.real, vec.imag])).max())
-        norm = m * float(np.linalg.norm(vec / m))
+    if math.isinf(norm) or (norm < math.sqrt(np.finfo(float).tiny) and vec.any()):
+        norm = math.hypot(*np.concatenate([vec.real, vec.imag]))
     return norm
 
 
@@ -66,8 +66,9 @@ class TargetSpec:
         norm = _coeff_norm(vec)
         if norm == 0.0:
             raise ValueError("coefficient vector is zero")
-        if math.isinf(norm):
-            raise ValueError("coefficient norm exceeds the float range")
+        # complex division by a subnormal norm overflows and gives NaN
+        if math.isinf(norm) or norm < np.finfo(float).tiny:
+            raise ValueError("coefficient norm is outside the float range")
         vec = vec / norm
         object.__setattr__(self, "n_photons", n_photons)
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in vec))

@@ -10,8 +10,11 @@ One mode-generic core serves every mode count: ``_basis(modes, cutoff)``
 enumerates the simplex, and ``_mix`` applies identical beam splitters to
 any list of disjoint mode pairs through terminating hop series.  The
 two-mode ``beam_splitter`` and the four-mode ``beam_splitter_pair_exact``
-are its two instances.  Only the dense-``expm`` oracle uses scipy, which it
-imports on first use.
+are its two instances.  The core also takes a stack of states, one per
+column, each coming out bit-identical to a single-state call.  ``_split_cd``
+is the one map from four-mode amplitudes to ancilla outcomes (n_c, n_d)
+and signal kets (n_a, n_b).  Only the dense-``expm`` oracle uses scipy,
+which it imports on first use.
 
 Beam-splitter convention: a mixing angle ``kappa`` generates
 ``exp(kappa (x† y - x y†))`` on the mode pair (x, y), whose single-photon
@@ -62,6 +65,14 @@ def _basis(modes: int, cutoff: int):
     return occ, table
 
 
+def _ket_index(modes: int, cutoff: int, ket) -> int:
+    """Index of an occupation tuple; ValueError if it is not in the basis."""
+    if len(ket) != modes or min(ket) < 0 or sum(ket) > cutoff:
+        raise ValueError(
+            f"ket {ket} is not in the {modes}-mode basis at cutoff {cutoff}")
+    return _basis(modes, cutoff)[1][ket]
+
+
 # perfbench/tracing.py reads the build count through this name.  The one
 # cache holds the bases of every mode count, so all of them are counted.
 _basis4 = _basis
@@ -107,10 +118,7 @@ class _FockState:
         return math.sqrt(self.norm_sq())
 
     def amplitude(self, *ket: int) -> complex:
-        idx = _basis(self._modes, self.cutoff)[1][ket]
-        if idx < 0:
-            raise ValueError(f"ket {ket} exceeds cutoff {self.cutoff}")
-        return complex(self.amps[idx])
+        return complex(self.amps[_ket_index(self._modes, self.cutoff, ket)])
 
 
 class TwoModeState(_FockState):
@@ -218,9 +226,7 @@ class TwoModeDensity:
 
 def vacuum(cutoff: int) -> TwoModeState:
     """The two-mode vacuum |0, 0>."""
-    amps = np.zeros(dim2(cutoff), dtype=complex)
-    amps[_basis(2, cutoff)[1][0, 0]] = 1.0
-    return TwoModeState(cutoff, amps)
+    return basis_state(cutoff, 0, 0)
 
 
 def zero_state(cutoff: int) -> TwoModeState:
@@ -228,10 +234,8 @@ def zero_state(cutoff: int) -> TwoModeState:
 
 
 def basis_state(cutoff: int, na: int, nb: int) -> TwoModeState:
-    if na < 0 or nb < 0 or na + nb > cutoff:
-        raise ValueError(f"ket ({na}, {nb}) exceeds cutoff {cutoff}")
     amps = np.zeros(dim2(cutoff), dtype=complex)
-    amps[_basis(2, cutoff)[1][na, nb]] = 1.0
+    amps[_ket_index(2, cutoff, (na, nb))] = 1.0
     return TwoModeState(cutoff, amps)
 
 
@@ -246,32 +250,35 @@ def noon_state(n: int, cutoff: int | None = None) -> TwoModeState:
 
 
 def basis_state4(cutoff: int, na: int, nb: int, nc: int, nd: int) -> FourModeState:
-    if min(na, nb, nc, nd) < 0 or na + nb + nc + nd > cutoff:
-        raise ValueError(f"ket ({na}, {nb}, {nc}, {nd}) exceeds cutoff {cutoff}")
     amps = np.zeros(dim4(cutoff), dtype=complex)
-    amps[_basis(4, cutoff)[1][na, nb, nc, nd]] = 1.0
+    amps[_ket_index(4, cutoff, (na, nb, nc, nd))] = 1.0
     return FourModeState(cutoff, amps)
+
+
+def _tensor_amps(ab: np.ndarray, ab_cutoff: int, cd: TwoModeState,
+                 cutoff: int) -> np.ndarray:
+    """Four-mode amplitudes of ab (x) cd, for ``ab`` a stack of columns."""
+    (na1, nb1), _ = _basis(2, ab_cutoff)
+    (na2, nb2), _ = _basis(2, cd.cutoff)
+    table4 = _basis(4, cutoff)[1]
+    amps = np.zeros((dim4(cutoff),) + ab.shape[1:], dtype=complex)
+    for j in np.flatnonzero(cd.amps):
+        room = cutoff - int(na2[j] + nb2[j])
+        ok = (na1 + nb1) <= room
+        if np.any(ab[~ok] != 0):
+            raise CutoffOverflowError("tensor product exceeds cutoff")
+        if room < 0:
+            continue
+        idx = table4[na1[ok], nb1[ok], na2[j], nb2[j]]
+        amps[idx] += ab[ok] * cd.amps[j]
+    return amps
 
 
 def tensor(ab: TwoModeState, cd: TwoModeState,
            cutoff: int | None = None) -> FourModeState:
     """Embed ab (x) cd into a four-mode state."""
-    if cutoff is None:
-        cutoff = ab.cutoff + cd.cutoff
-    (na1, nb1), _ = _basis(2, ab.cutoff)
-    (na2, nb2), _ = _basis(2, cd.cutoff)
-    table4 = _basis(4, cutoff)[1]
-    amps = np.zeros(dim4(cutoff), dtype=complex)
-    for j in np.flatnonzero(cd.amps):
-        room = cutoff - int(na2[j] + nb2[j])
-        ok = (na1 + nb1) <= room
-        if np.any(ab.amps[~ok] != 0):
-            raise CutoffOverflowError("tensor product exceeds cutoff")
-        if room < 0:
-            continue
-        idx = table4[na1[ok], nb1[ok], na2[j], nb2[j]]
-        amps[idx] += ab.amps[ok] * cd.amps[j]
-    return FourModeState(cutoff, amps)
+    cutoff = ab.cutoff + cd.cutoff if cutoff is None else cutoff
+    return FourModeState(cutoff, _tensor_amps(ab.amps, ab.cutoff, cd, cutoff))
 
 
 def with_cutoff(s: TwoModeState, cutoff: int) -> TwoModeState:
@@ -379,6 +386,8 @@ def is_photon_number_eigenstate(s: TwoModeState) -> int | None:
 # A pair-hopping step x† y maps |.., n_x, .., n_y, ..> to
 # sqrt((n_x + 1) n_y) |.., n_x + 1, .., n_y - 1, ..> and conserves the total
 # photon number, so repeated application terminates within cutoff steps.
+# Amplitudes carry the basis on axis 0 and optionally one state per column;
+# per-ket factors multiply the transpose to broadcast over the columns.
 
 
 def _hop(amps: np.ndarray, occ, table: np.ndarray, x: int, y: int) -> np.ndarray:
@@ -388,7 +397,9 @@ def _hop(amps: np.ndarray, occ, table: np.ndarray, x: int, y: int) -> np.ndarray
     new[x] = new[x] + 1
     new[y] = new[y] - 1
     out = np.zeros_like(amps)
-    out[table[tuple(new)]] = amps[keep] * w
+    moved = amps[keep]
+    # in place, so a hop allocates no second array of the moved amplitudes
+    out[table[tuple(new)]] = np.multiply(moved.T, w, out=moved.T).T
     return out
 
 
@@ -426,7 +437,7 @@ def _mix(amps: np.ndarray, cutoff: int, modes: int, pairs,
             swapped[x], swapped[y] = occ[y], occ[x]
         odd = n_x if math.sin(kappa) > 0 else n_y
         out = np.zeros_like(amps)
-        out[table[tuple(swapped)]] = amps * np.where(odd % 2 == 1, -1.0, 1.0)
+        out[table[tuple(swapped)]] = (amps.T * np.where(odd % 2 == 1, -1.0, 1.0)).T
         return out
     halvings = 0
     while abs(kappa) / 2 ** halvings > _HALF_ANGLE_LIMIT:
@@ -437,7 +448,7 @@ def _mix(amps: np.ndarray, cutoff: int, modes: int, pairs,
     for _ in range(2 ** halvings):
         for x, y in pairs:
             amps = _exp_hop(amps, occ, table, K, x, y)
-        amps = amps * scale
+        amps = (amps.T * scale).T
         for x, y in pairs:
             amps = _exp_hop(amps, occ, table, -K, y, x)
     return amps
@@ -448,6 +459,12 @@ def beam_splitter(s: TwoModeState, kappa: float) -> TwoModeState:
     return TwoModeState(s.cutoff, _mix(s.amps, s.cutoff, 2, ((0, 1),), kappa))
 
 
+def _mix_pair(amps: np.ndarray, cutoff: int, kappa: float) -> np.ndarray:
+    """Identical beam splitters on (a, c) and (b, d) of four-mode amplitudes."""
+    # Pair (b, d) goes first: the order of the series fixes the rounding.
+    return _mix(amps, cutoff, 4, ((1, 3), (0, 2)), kappa)
+
+
 def beam_splitter_pair_exact(s: FourModeState, kappa: float) -> FourModeState:
     """Identical beam splitters on (a, c) and (b, d), via the factored form.
 
@@ -455,9 +472,7 @@ def beam_splitter_pair_exact(s: FourModeState, kappa: float) -> FourModeState:
     the kappa = pi/2 singularity of the factored form is handled as the
     exact mode swap it converges to.
     """
-    # Pair (b, d) goes first: the order of the series fixes the rounding.
-    return FourModeState(s.cutoff,
-                         _mix(s.amps, s.cutoff, 4, ((1, 3), (0, 2)), kappa))
+    return FourModeState(s.cutoff, _mix_pair(s.amps, s.cutoff, kappa))
 
 
 @lru_cache(maxsize=None)
@@ -517,13 +532,16 @@ def project_vacuum_cd(s: FourModeState) -> tuple[TwoModeState, float]:
     return project_outcome_cd(s, 0, 0)
 
 
+def _split_cd(amps: np.ndarray, cutoff: int) -> np.ndarray:
+    """Amplitudes as [outcome (n_c, n_d), signal (n_a, n_b), ...], two-mode kets."""
+    (na, nb, nc, nd), _ = _basis(4, cutoff)
+    table2 = _basis(2, cutoff)[1]
+    out = np.zeros((dim2(cutoff),) * 2 + amps.shape[1:], dtype=complex)
+    out[table2[nc, nd], table2[na, nb]] = amps
+    return out
+
+
 def trace_out_cd(s: FourModeState) -> TwoModeDensity:
     """Partial trace over modes (c, d); the trace equals |s|^2."""
-    d = dim2(s.cutoff)
-    rho = np.zeros((d, d), dtype=complex)
-    for nc_out in range(s.cutoff + 1):
-        for nd_out in range(s.cutoff + 1 - nc_out):
-            piece, p = project_outcome_cd(s, nc_out, nd_out)
-            if p > 0.0:
-                rho += np.outer(piece.amps, piece.amps.conj())
-    return TwoModeDensity(s.cutoff, rho)
+    pieces = _split_cd(s.amps, s.cutoff)
+    return TwoModeDensity(s.cutoff, pieces.T @ pieces.conj())

@@ -5,6 +5,7 @@ import pytest
 
 from pathent.blocks import (
     BlockParams,
+    _block_kraus,
     amplitude_factor_double,
     amplitude_factor_single,
     ancilla_double,
@@ -24,6 +25,7 @@ from pathent.factorize import (
     state_of_target,
 )
 from pathent.fock import (
+    TwoModeState,
     apply_linear_factor,
     basis_state,
     is_photon_number_eigenstate,
@@ -32,6 +34,7 @@ from pathent.fock import (
     project_outcome_cd,
     tensor,
     beam_splitter_pair_exact,
+    dim2,
     vacuum,
     with_cutoff,
 )
@@ -323,6 +326,44 @@ def test_unconditional_density_noon3_weights():
     weights = [rho.sector_weight(m) for m in range(4)]
     np.testing.assert_allclose(sum(weights), 1.0, atol=1e-12)
     np.testing.assert_allclose(weights[3], 1.0 / 18.0, rtol=1e-9)
+
+
+# T = 1 takes the splitter's swap path, T = 0.8 its half-angle path and
+# T = 0.2 a single factored step.
+@pytest.mark.parametrize("transmittance", [1.0, 0.8, 0.2])
+def test_block_kraus_matches_ket_by_ket_route(transmittance):
+    params = BlockParams(0.7, -1.1, transmittance)
+    anc = ancilla_single(params.theta, params.phi)
+    for cutoff_in in range(7):
+        d_in, cutoff_out = dim2(cutoff_in), cutoff_in + 1
+        outcomes = [(nc, nd) for nc in range(cutoff_out + 1)
+                    for nd in range(cutoff_out + 1 - nc)]
+        expected = {o: np.zeros((dim2(cutoff_out), d_in), dtype=complex)
+                    for o in outcomes}
+        for i in range(d_in):
+            ket = TwoModeState(cutoff_in, np.eye(d_in)[i])
+            joint = beam_splitter_pair_exact(tensor(ket, anc), params.kappa)
+            for nc, nd in outcomes:
+                expected[nc, nd][:, i] = project_outcome_cd(joint, nc, nd)[0].amps
+        expected = [m for m in expected.values() if m.any()]
+
+        kraus = _block_kraus(cutoff_in, params)
+        assert len(kraus) == len(expected)
+        for got, want in zip(kraus, expected):
+            assert np.array_equal(got, want)
+        completeness = sum(m.conj().T @ m for m in kraus)
+        assert np.abs(completeness - np.eye(d_in)).max() < 1e-12
+
+
+def test_unconditional_density_off_optimal_schedule():
+    # T > 1/2 beyond the first block sends the splitter down its
+    # half-angle path, which the optimal schedule T_k = 1/k never takes.
+    fs = factorize_target(random_target(np.random.default_rng(7), 4))
+    ts = [0.9, 0.8, 0.7, 0.6]
+    rho = run_scheme_unconditional(fs, ts)
+    rho.validate()
+    assert abs(rho.trace() - 1.0) < 1e-12
+    assert abs(rho.sector_weight(4) - run_scheme(fs, ts).total_yield) < 1e-9
 
 
 def test_double_factor_matches_two_singles():

@@ -124,6 +124,21 @@ def test_target_whose_plain_norm_overflows_is_renormalized(tmp_path, capsys):
                                rtol=1e-15)
 
 
+def test_target_whose_plain_norm_underflows_is_renormalized(tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text('{"N": 1, "coeffs": [[1e-200, 0], [1e-200, 0]]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["factorize", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "e-200; re-normalizing" in captured.err
+    report = json.loads(captured.out)
+    np.testing.assert_allclose(report["target"]["coeffs"],
+                               [[SQ2, 0.0], [SQ2, 0.0]], rtol=1e-15)
+    assert report["round_trip_fidelity"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_simulate_noon4_optimal(tmp_path, capsys):
     code, report = run_json(capsys, ["simulate", noon_file(tmp_path, 4)])
     assert code == 0

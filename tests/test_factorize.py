@@ -51,6 +51,17 @@ def test_target_spec_normalizes_when_the_plain_norm_overflows():
         TargetSpec(1, [1.5e308, complex(1.5e308, 1.5e308)])
 
 
+@pytest.mark.parametrize("tiny", [1e-160, 1e-200])
+def test_target_spec_normalizes_when_the_plain_norm_underflows(tiny):
+    # 1e-160 squares to a subnormal that keeps only a few digits
+    t = TargetSpec(1, [tiny, tiny])
+    np.testing.assert_allclose(t.coeffs, [1 / math.sqrt(2.0)] * 2, rtol=1e-15)
+    with pytest.raises(ValueError, match="zero"):
+        TargetSpec(1, [0.0, 0.0])
+    with pytest.raises(ValueError, match="float range"):
+        TargetSpec(1, [5e-324, 0.0])
+
+
 def test_monomial_coeffs_values():
     d = monomial_coeffs(TargetSpec(2, [0.0, 1.0, 0.0]))
     np.testing.assert_allclose(d, [0.0, 1.0, 0.0])

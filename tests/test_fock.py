@@ -13,6 +13,7 @@ from pathent.fock import (
     CutoffOverflowError,
     FourModeState,
     _basis,
+    _mix_pair,
     _pair_unitary,
     TwoModeDensity,
     TwoModeState,
@@ -71,6 +72,20 @@ def test_basis_state_bounds():
         basis_state(3, 2, 2)
     with pytest.raises(ValueError):
         basis_state(3, -1, 0)
+
+
+@pytest.mark.parametrize("state,ket", [
+    (basis_state(2, 2, 0), (-1, 0)),
+    (basis_state(2, 2, 0), (1,)),
+    (basis_state(2, 2, 0), (1, 0, 0, 0)),
+    (basis_state(2, 2, 0), (2, 1)),
+    (basis_state4(1, 0, 0, 0, 1), (0, 0, 0, -1)),
+    (basis_state4(1, 0, 0, 0, 1), (0, 0, 1)),
+    (basis_state4(1, 0, 0, 0, 1), (1, 0, 0, 1)),
+])
+def test_amplitude_rejects_kets_outside_the_basis(state, ket):
+    with pytest.raises(ValueError, match="ket"):
+        state.amplitude(*ket)
 
 
 def test_creation_ladder():
@@ -275,6 +290,13 @@ def test_pair_splitter_routes_agree(kappa):
         fast = beam_splitter_pair_exact(s, kappa)
         slow = beam_splitter_pair_oracle(s, kappa)
         assert np.abs(fast.amps - slow.amps).max() < 1e-9
+
+    # a stack of states, one per column, gives each column's 1-D result
+    states = [random_four_mode_state(rng, 6) for _ in range(3)]
+    stacked = _mix_pair(np.stack([t.amps for t in states], axis=1), 6, kappa)
+    for i, t in enumerate(states):
+        assert np.array_equal(stacked[:, i],
+                              beam_splitter_pair_exact(t, kappa).amps)
 
 
 def test_pair_unitary_cache_stays_bounded():
