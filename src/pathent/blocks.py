@@ -27,16 +27,17 @@ from .fock import (
     TwoModeDensity,
     TwoModeState,
     _mix_pair,
+    _project_cd,
+    _sector,
+    _simplex,
     _split_cd,
     _tensor_amps,
+    _totals,
     apply_creation,
     basis_state,
     beam_splitter,
-    beam_splitter_pair_exact,
     dim2,
     phase_shift,
-    project_vacuum_cd,
-    tensor,
     vacuum,
     zero_state,
 )
@@ -111,9 +112,21 @@ def ancilla_double(phi: float) -> TwoModeState:
 
 def _herald(state: TwoModeState, ancilla: TwoModeState,
             kappa: float) -> BlockOutcome:
-    """Mix signal (x) ancilla on the splitter pair; keep the dark branch."""
-    return BlockOutcome(*project_vacuum_cd(
-        beam_splitter_pair_exact(tensor(state, ancilla), kappa)))
+    """Mix signal (x) ancilla on the splitter pair; keep the dark branch.
+
+    The splitters conserve photon number, so each total n of signal plus
+    ancilla runs in its own four-mode sector; the chain's states fill one.
+    The result equals the whole-simplex route (tensor, splitter pair,
+    vacuum projection) bit for bit.
+    """
+    cutoff = state.cutoff + ancilla.cutoff
+    dark = np.zeros(dim2(cutoff), dtype=complex)
+    for n in np.unique(np.add.outer(_totals(state), _totals(ancilla))):
+        kets = _sector(4, int(n))
+        joint = _tensor_amps(state.amps, state.cutoff, ancilla, kets)
+        _project_cd(dark, cutoff, _mix_pair(joint, kets, kappa), kets, 0, 0)
+    out = TwoModeState(cutoff, dark)
+    return BlockOutcome(out, out.norm_sq())
 
 
 def run_block_single(state: TwoModeState, params: BlockParams) -> BlockOutcome:
@@ -256,10 +269,11 @@ def _block_kraus(cutoff_in: int, params: BlockParams) -> list[np.ndarray]:
     """
     anc = ancilla_single(params.theta, params.phi)
     cutoff_out = cutoff_in + 1
+    kets = _simplex(4, cutoff_out)
     # Column i is input basis ket i (x) ancilla, all pushed through at once.
     joint = _tensor_amps(np.eye(dim2(cutoff_in), dtype=complex), cutoff_in,
-                         anc, cutoff_out)
-    kraus = _split_cd(_mix_pair(joint, cutoff_out, params.kappa), cutoff_out)
+                         anc, kets)
+    kraus = _split_cd(_mix_pair(joint, kets, params.kappa), cutoff_out)
     return [m for m in kraus if m.any()]
 
 

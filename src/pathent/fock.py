@@ -6,15 +6,22 @@ operations, so states with equal cutoffs can be compared entry by entry.
 Everything is complex double precision and every operation is pure: inputs
 are never mutated.
 
-One mode-generic core serves every mode count: ``_basis(modes, cutoff)``
-enumerates the simplex, and ``_mix`` applies identical beam splitters to
-any list of disjoint mode pairs through terminating hop series.  The
+One mode-generic core serves every mode count.  It runs over an index set
+(``_IndexSet``): a whole simplex, ``_simplex(modes, cutoff)``, or the one
+sector of fixed total photon number, ``_sector(modes, total)``, both in
+the same lexicographic order.  An index set keeps the gather/scatter map of
+every hop it has applied, so ``_mix``, which applies identical beam
+splitters to disjoint mode pairs through terminating hop series, only
+gathers, multiplies and scatters.  Beam splitters conserve photon number,
+so a sector run gives bit for bit the simplex result on its kets.  The
 two-mode ``beam_splitter`` and the four-mode ``beam_splitter_pair_exact``
-are its two instances.  The core also takes a stack of states, one per
-column, each coming out bit-identical to a single-state call.  ``_split_cd``
-is the one map from four-mode amplitudes to ancilla outcomes (n_c, n_d)
-and signal kets (n_a, n_b).  Only the dense-``expm`` oracle uses scipy,
-which it imports on first use.
+run on a simplex; the heralded blocks embed signal (x) ancilla straight
+into four-mode sectors, with no four-mode simplex at all.  The core also
+takes a stack of states, one per column, each coming out bit-identical to
+a single-state call.  ``_split_cd`` is the one map from four-mode
+amplitudes to ancilla outcomes (n_c, n_d) and signal kets (n_a, n_b).  The
+dense-``expm`` oracle builds its generator from ``_basis`` and its own hop
+loop, and it alone uses scipy, which it imports on first use.
 
 Beam-splitter convention: a mixing angle ``kappa`` generates
 ``exp(kappa (x† y - x y†))`` on the mode pair (x, y), whose single-photon
@@ -48,20 +55,91 @@ class CutoffOverflowError(ValueError):
 # basis bookkeeping
 
 
+def _occupations(modes: int, top: int, sector: bool) -> tuple:
+    """Occupation columns, one 1-D array per mode, of a simplex or sector.
+
+    The kets have total photon number <= top, or == top for a ``sector``,
+    and are enumerated lexicographically, first mode outermost.
+    """
+    occ = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(modes - 1 if sector else modes):
+        counts = top + 1 - occ.sum(axis=1)
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        occ = np.column_stack([np.repeat(occ, counts, axis=0),
+                               np.arange(first.size) - first])
+    if sector:
+        occ = np.column_stack([occ, top - occ.sum(axis=1)])
+    return tuple(occ.T.copy())
+
+
+class _IndexSet:
+    """The kets one amplitude array runs over, with its hop maps.
+
+    An index set is a whole simplex (every total photon number up to
+    ``top``) or one sector (total exactly ``top``).  Each hop map and swap
+    permutation is built on first use and kept, so a splitter call only
+    gathers and scatters.
+    """
+
+    def __init__(self, modes: int, top: int, sector: bool):
+        self.top = top
+        self.sector = sector
+        self.occ = _occupations(modes, top, sector)
+        self.size = len(self.occ[0])
+        self._keys = self._key(self.occ)  # ascending, as the enumeration
+        self._hops = {}
+        self._swaps = {}
+
+    def _key(self, occ):
+        key = 0
+        for n in occ:
+            key = key * (self.top + 1) + n
+        return key
+
+    def index(self, occ):
+        """Positions of the kets with these occupations (arrays or ints)."""
+        return np.searchsorted(self._keys, self._key(occ))
+
+    def hop(self, x: int, y: int):
+        """x† y as (src, dst, w): amplitude src moves to dst, times w."""
+        if (x, y) not in self._hops:
+            src = np.flatnonzero(self.occ[y] >= 1)
+            new = [n[src] for n in self.occ]
+            w = np.sqrt((new[x] + 1.0) * new[y])
+            new[x] = new[x] + 1
+            new[y] = new[y] - 1
+            self._hops[x, y] = src, self.index(new), w
+        return self._hops[x, y]
+
+    def swap(self, pairs):
+        """Position of each ket once the modes of every pair trade places."""
+        if pairs not in self._swaps:
+            swapped = list(self.occ)
+            for x, y in pairs:
+                swapped[x], swapped[y] = self.occ[y], self.occ[x]
+            self._swaps[pairs] = self.index(swapped)
+        return self._swaps[pairs]
+
+
+@lru_cache(maxsize=None)
+def _simplex(modes: int, cutoff: int) -> _IndexSet:
+    return _IndexSet(modes, cutoff, False)
+
+
+@lru_cache(maxsize=None)
+def _sector(modes: int, total: int) -> _IndexSet:
+    return _IndexSet(modes, total, True)
+
+
 @lru_cache(maxsize=None)
 def _basis(modes: int, cutoff: int):
-    """Occupation columns and index lookup table for ``modes`` modes.
+    """Occupation columns of the ``modes``-mode simplex and its lookup table.
 
-    Kets are enumerated lexicographically, first mode outermost.  Returns a
-    tuple of one 1-D occupation array per mode and the table mapping an
-    occupation tuple to its index (-1 beyond the cutoff).
+    The table maps an occupation tuple to its index (-1 beyond the cutoff).
     """
-    kets = [()]
-    for _ in range(modes):
-        kets = [k + (n,) for k in kets for n in range(cutoff + 1 - sum(k))]
-    occ = tuple(np.array(kets, dtype=np.intp).reshape(len(kets), modes).T.copy())
+    occ = _simplex(modes, cutoff).occ
     table = np.full((cutoff + 1,) * modes, -1, dtype=np.intp)
-    table[occ] = np.arange(len(kets))
+    table[occ] = np.arange(len(occ[0]))
     return occ, table
 
 
@@ -70,11 +148,11 @@ def _ket_index(modes: int, cutoff: int, ket) -> int:
     if len(ket) != modes or min(ket) < 0 or sum(ket) > cutoff:
         raise ValueError(
             f"ket {ket} is not in the {modes}-mode basis at cutoff {cutoff}")
-    return _basis(modes, cutoff)[1][ket]
+    return int(_simplex(modes, cutoff).index(ket))
 
 
 # perfbench/tracing.py reads the build count through this name.  The one
-# cache holds the bases of every mode count, so all of them are counted.
+# cache holds the tables of every mode count, so all of them are counted.
 _basis4 = _basis
 
 
@@ -256,20 +334,26 @@ def basis_state4(cutoff: int, na: int, nb: int, nc: int, nd: int) -> FourModeSta
 
 
 def _tensor_amps(ab: np.ndarray, ab_cutoff: int, cd: TwoModeState,
-                 cutoff: int) -> np.ndarray:
-    """Four-mode amplitudes of ab (x) cd, for ``ab`` a stack of columns."""
+                 kets: _IndexSet) -> np.ndarray:
+    """Four-mode amplitudes of ab (x) cd over ``kets``; ``ab`` may be a stack.
+
+    Over a simplex every product must fit under its cutoff; over a sector
+    only the products with its photon number are kept.
+    """
     (na1, nb1), _ = _basis(2, ab_cutoff)
     (na2, nb2), _ = _basis(2, cd.cutoff)
-    table4 = _basis(4, cutoff)[1]
-    amps = np.zeros((dim4(cutoff),) + ab.shape[1:], dtype=complex)
+    amps = np.zeros((kets.size,) + ab.shape[1:], dtype=complex)
     for j in np.flatnonzero(cd.amps):
-        room = cutoff - int(na2[j] + nb2[j])
-        ok = (na1 + nb1) <= room
-        if np.any(ab[~ok] != 0):
-            raise CutoffOverflowError("tensor product exceeds cutoff")
+        room = kets.top - int(na2[j] + nb2[j])
+        if kets.sector:
+            ok = (na1 + nb1) == room
+        else:
+            ok = (na1 + nb1) <= room
+            if np.any(ab[~ok] != 0):
+                raise CutoffOverflowError("tensor product exceeds cutoff")
         if room < 0:
             continue
-        idx = table4[na1[ok], nb1[ok], na2[j], nb2[j]]
+        idx = kets.index((na1[ok], nb1[ok], na2[j], nb2[j]))
         amps[idx] += ab[ok] * cd.amps[j]
     return amps
 
@@ -278,7 +362,8 @@ def tensor(ab: TwoModeState, cd: TwoModeState,
            cutoff: int | None = None) -> FourModeState:
     """Embed ab (x) cd into a four-mode state."""
     cutoff = ab.cutoff + cd.cutoff if cutoff is None else cutoff
-    return FourModeState(cutoff, _tensor_amps(ab.amps, ab.cutoff, cd, cutoff))
+    return FourModeState(cutoff, _tensor_amps(ab.amps, ab.cutoff, cd,
+                                              _simplex(4, cutoff)))
 
 
 def with_cutoff(s: TwoModeState, cutoff: int) -> TwoModeState:
@@ -380,44 +465,46 @@ def is_photon_number_eigenstate(s: TwoModeState) -> int | None:
     return int(totals[0]) if totals.size == 1 else None
 
 
+def _totals(s: TwoModeState) -> np.ndarray:
+    """The photon numbers at which ``s`` has a nonzero amplitude."""
+    (na, nb), _ = _basis(2, s.cutoff)
+    return np.unique((na + nb)[s.amps != 0])
+
+
 # ---------------------------------------------------------------------------
 # beam splitters
 
 # A pair-hopping step x† y maps |.., n_x, .., n_y, ..> to
 # sqrt((n_x + 1) n_y) |.., n_x + 1, .., n_y - 1, ..> and conserves the total
-# photon number, so repeated application terminates within cutoff steps.
-# Amplitudes carry the basis on axis 0 and optionally one state per column;
-# per-ket factors multiply the transpose to broadcast over the columns.
+# photon number, so repeated application terminates within top steps and
+# runs on a simplex or on one sector alike.  Amplitudes carry the index set
+# on axis 0 and optionally one state per column; per-ket factors multiply
+# the transpose to broadcast over the columns.
 
 
-def _hop(amps: np.ndarray, occ, table: np.ndarray, x: int, y: int) -> np.ndarray:
-    keep = occ[y] >= 1
-    new = [n[keep] for n in occ]
-    w = np.sqrt((new[x] + 1.0) * new[y])
-    new[x] = new[x] + 1
-    new[y] = new[y] - 1
+def _hop(amps: np.ndarray, kets: _IndexSet, x: int, y: int) -> np.ndarray:
+    src, dst, w = kets.hop(x, y)
     out = np.zeros_like(amps)
-    moved = amps[keep]
+    moved = amps[src]
     # in place, so a hop allocates no second array of the moved amplitudes
-    out[table[tuple(new)]] = np.multiply(moved.T, w, out=moved.T).T
+    out[dst] = np.multiply(moved.T, w, out=moved.T).T
     return out
 
 
-def _exp_hop(amps: np.ndarray, occ, table: np.ndarray, coef: float,
+def _exp_hop(amps: np.ndarray, kets: _IndexSet, coef: float,
              x: int, y: int) -> np.ndarray:
-    """exp(coef x† y) as its series, which ends within cutoff terms."""
+    """exp(coef x† y) as its series, which ends within top terms."""
     result = amps.copy()
     term = amps
-    for m in range(1, len(table)):
-        term = (coef / m) * _hop(term, occ, table, x, y)
+    for m in range(1, kets.top + 1):
+        term = (coef / m) * _hop(term, kets, x, y)
         if not term.any():
             break
         result = result + term
     return result
 
 
-def _mix(amps: np.ndarray, cutoff: int, modes: int, pairs,
-         kappa: float) -> np.ndarray:
+def _mix(amps: np.ndarray, kets: _IndexSet, pairs, kappa: float) -> np.ndarray:
     """Identical beam splitters of angle kappa on each (x, y) in ``pairs``.
 
     With K = tan(kappa) and the pairs disjoint, the product of
@@ -427,17 +514,14 @@ def _mix(amps: np.ndarray, cutoff: int, modes: int, pairs,
     where the form divides by cos(kappa), the splitters are the exact mode
     swap they converge to; above pi/4 the angle is halved until |K| <= 1.
     """
-    occ, table = _basis(modes, cutoff)
+    occ = kets.occ
     n_x = sum(occ[x] for x, _ in pairs)
     n_y = sum(occ[y] for _, y in pairs)
     if abs(math.cos(kappa)) < _SWAP_EPS:
         # kappa = +-pi/2: x† -> -s y†, y† -> s x†, with s = sign(sin kappa).
-        swapped = list(occ)
-        for x, y in pairs:
-            swapped[x], swapped[y] = occ[y], occ[x]
         odd = n_x if math.sin(kappa) > 0 else n_y
         out = np.zeros_like(amps)
-        out[table[tuple(swapped)]] = (amps.T * np.where(odd % 2 == 1, -1.0, 1.0)).T
+        out[kets.swap(pairs)] = (amps.T * np.where(odd % 2 == 1, -1.0, 1.0)).T
         return out
     halvings = 0
     while abs(kappa) / 2 ** halvings > _HALF_ANGLE_LIMIT:
@@ -447,22 +531,23 @@ def _mix(amps: np.ndarray, cutoff: int, modes: int, pairs,
     scale = math.cos(step) ** (n_x - n_y)
     for _ in range(2 ** halvings):
         for x, y in pairs:
-            amps = _exp_hop(amps, occ, table, K, x, y)
+            amps = _exp_hop(amps, kets, K, x, y)
         amps = (amps.T * scale).T
         for x, y in pairs:
-            amps = _exp_hop(amps, occ, table, -K, y, x)
+            amps = _exp_hop(amps, kets, -K, y, x)
     return amps
 
 
 def beam_splitter(s: TwoModeState, kappa: float) -> TwoModeState:
     """Mix the two modes: |1,0> -> cos(kappa)|1,0> - sin(kappa)|0,1>."""
-    return TwoModeState(s.cutoff, _mix(s.amps, s.cutoff, 2, ((0, 1),), kappa))
+    return TwoModeState(s.cutoff,
+                        _mix(s.amps, _simplex(2, s.cutoff), ((0, 1),), kappa))
 
 
-def _mix_pair(amps: np.ndarray, cutoff: int, kappa: float) -> np.ndarray:
+def _mix_pair(amps: np.ndarray, kets: _IndexSet, kappa: float) -> np.ndarray:
     """Identical beam splitters on (a, c) and (b, d) of four-mode amplitudes."""
     # Pair (b, d) goes first: the order of the series fixes the rounding.
-    return _mix(amps, cutoff, 4, ((1, 3), (0, 2)), kappa)
+    return _mix(amps, kets, ((1, 3), (0, 2)), kappa)
 
 
 def beam_splitter_pair_exact(s: FourModeState, kappa: float) -> FourModeState:
@@ -472,7 +557,8 @@ def beam_splitter_pair_exact(s: FourModeState, kappa: float) -> FourModeState:
     the kappa = pi/2 singularity of the factored form is handled as the
     exact mode swap it converges to.
     """
-    return FourModeState(s.cutoff, _mix_pair(s.amps, s.cutoff, kappa))
+    return FourModeState(s.cutoff,
+                         _mix_pair(s.amps, _simplex(4, s.cutoff), kappa))
 
 
 @lru_cache(maxsize=None)
@@ -518,13 +604,21 @@ def project_outcome_cd(s: FourModeState, nc_out: int,
     Returns the unnormalized reduced two-mode state and the outcome
     probability (its squared norm).
     """
-    (na, nb, nc, nd), _ = _basis(4, s.cutoff)
-    rows = (nc == nc_out) & (nd == nd_out)
-    table2 = _basis(2, s.cutoff)[1]
     amps = np.zeros(dim2(s.cutoff), dtype=complex)
-    amps[table2[na[rows], nb[rows]]] = s.amps[rows]
+    _project_cd(amps, s.cutoff, s.amps, _simplex(4, s.cutoff), nc_out, nd_out)
     reduced = TwoModeState(s.cutoff, amps)
     return reduced, reduced.norm_sq()
+
+
+def _project_cd(out: np.ndarray, cutoff: int, amps: np.ndarray,
+                kets: _IndexSet, nc_out: int, nd_out: int) -> None:
+    """Copy the kets with ancilla (nc_out, nd_out) into two-mode ``out``.
+
+    ``out`` holds the amplitudes of the two-mode simplex at ``cutoff``.
+    """
+    na, nb, nc, nd = kets.occ
+    rows = (nc == nc_out) & (nd == nd_out)
+    out[_basis(2, cutoff)[1][na[rows], nb[rows]]] = amps[rows]
 
 
 def project_vacuum_cd(s: FourModeState) -> tuple[TwoModeState, float]:
@@ -534,7 +628,7 @@ def project_vacuum_cd(s: FourModeState) -> tuple[TwoModeState, float]:
 
 def _split_cd(amps: np.ndarray, cutoff: int) -> np.ndarray:
     """Amplitudes as [outcome (n_c, n_d), signal (n_a, n_b), ...], two-mode kets."""
-    (na, nb, nc, nd), _ = _basis(4, cutoff)
+    na, nb, nc, nd = _simplex(4, cutoff).occ
     table2 = _basis(2, cutoff)[1]
     out = np.zeros((dim2(cutoff),) * 2 + amps.shape[1:], dtype=complex)
     out[table2[nc, nd], table2[na, nb]] = amps

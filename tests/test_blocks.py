@@ -32,6 +32,7 @@ from pathent.fock import (
     noon_state,
     overlap_fidelity,
     project_outcome_cd,
+    project_vacuum_cd,
     tensor,
     beam_splitter_pair_exact,
     dim2,
@@ -39,7 +40,7 @@ from pathent.fock import (
     with_cutoff,
 )
 from pathent.yields import qk_squared, yield_generic
-from helpers import random_eigenstate, random_target
+from helpers import random_eigenstate, random_target, random_two_mode_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -353,6 +354,26 @@ def test_block_kraus_matches_ket_by_ket_route(transmittance):
             assert np.array_equal(got, want)
         completeness = sum(m.conj().T @ m for m in kraus)
         assert np.abs(completeness - np.eye(d_in)).max() < 1e-12
+
+
+@pytest.mark.parametrize("transmittance", [1.0, 0.8, 0.2])
+def test_heralded_blocks_match_the_simplex_route(transmittance):
+    # Signals spread over several photon numbers herald one four-mode
+    # sector per total; the result must equal the whole-simplex route.
+    rng = np.random.default_rng(41)
+    kappa = BlockParams(0.0, 0.0, transmittance).kappa
+    for cutoff in (0, 1, 3, 5):
+        s = random_two_mode_state(rng, cutoff)
+        for anc, out in (
+            (ancilla_single(0.4, 1.1),
+             run_block_single(s, BlockParams(0.4, 1.1, transmittance))),
+            (ancilla_double(0.3), run_block_double(s, 0.3, transmittance)),
+        ):
+            state, p = project_vacuum_cd(
+                beam_splitter_pair_exact(tensor(s, anc), kappa))
+            assert out.state.cutoff == state.cutoff
+            assert np.array_equal(out.state.amps, state.amps)
+            assert out.probability == p
 
 
 def test_unconditional_density_off_optimal_schedule():

@@ -201,6 +201,19 @@ def test_simulate_double_rejects_odd_and_non_noon(tmp_path, capsys):
     assert "path-entangled" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--double"]])
+def test_simulate_rejects_photon_numbers_above_the_bound(tmp_path, capsys,
+                                                         extra):
+    # the benchmark and the golden reports run simulate up to N = 48
+    assert cli._SIMULATE_N_MAX >= 48
+    n = cli._SIMULATE_N_MAX + 1
+    too_big = noon_file(tmp_path, n + n % 2)
+    assert cli.main(["simulate", too_big] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "field 'N' must be at most" in captured.err
+
+
 @pytest.mark.parametrize(
     "schedule",
     ["abc", "0.5,0.5", "1,0.5,0.25,0.125,0.1", "0,0.5,0.5,0.5", "1,2,0.5,0.5"],

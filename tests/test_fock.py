@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -13,8 +14,11 @@ from pathent.fock import (
     CutoffOverflowError,
     FourModeState,
     _basis,
+    _mix,
     _mix_pair,
     _pair_unitary,
+    _sector,
+    _simplex,
     TwoModeDensity,
     TwoModeState,
     apply_annihilation,
@@ -293,10 +297,67 @@ def test_pair_splitter_routes_agree(kappa):
 
     # a stack of states, one per column, gives each column's 1-D result
     states = [random_four_mode_state(rng, 6) for _ in range(3)]
-    stacked = _mix_pair(np.stack([t.amps for t in states], axis=1), 6, kappa)
+    stacked = _mix_pair(np.stack([t.amps for t in states], axis=1),
+                        _simplex(4, 6), kappa)
     for i, t in enumerate(states):
         assert np.array_equal(stacked[:, i],
                               beam_splitter_pair_exact(t, kappa).amps)
+
+
+@pytest.mark.parametrize("kappa", MIX_KAPPAS)
+@pytest.mark.parametrize("modes,pairs", [(2, ((0, 1),)),
+                                         (4, ((1, 3), (0, 2)))])
+def test_simplex_and_sector_maps_agree(kappa, modes, pairs):
+    # A state on every sector of the simplex: each sector, run alone through
+    # its own hop maps, gives exactly the simplex result on its kets.
+    cutoff = 6
+    simplex = _simplex(modes, cutoff)
+    rng = np.random.default_rng(31)
+    amps = rng.standard_normal((simplex.size, 2)) \
+        + 1j * rng.standard_normal((simplex.size, 2))
+    whole = _mix(amps, simplex, pairs, kappa)
+    covered = []
+    for n in range(cutoff + 1):
+        sector = _sector(modes, n)
+        rows = simplex.index(sector.occ)
+        assert np.array_equal(sum(simplex.occ)[rows], np.full(sector.size, n))
+        assert np.array_equal(_mix(amps[rows], sector, pairs, kappa),
+                              whole[rows])
+        covered.extend(rows)
+    assert sorted(covered) == list(range(simplex.size))
+
+
+def test_heralded_chain_stays_in_its_sectors():
+    # A fresh interpreter, so caches filled by other tests do not count.
+    src = os.path.dirname(os.path.dirname(pathent.__file__))
+    code = """
+import json, tracemalloc
+import pathent, pathent.cli
+from pathent import fock
+
+basis, modes = fock._basis, set()
+
+def spy(m, cutoff):
+    modes.add(m)
+    return basis(m, cutoff)
+
+for module in (fock, pathent.litho, pathent.cli):
+    module._basis = spy
+angles = pathent.noon_factor_angles(32)
+tracemalloc.start()
+result = pathent.run_scheme(angles)
+print(json.dumps([tracemalloc.get_traced_memory()[1], sorted(modes),
+                  result.impossible]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peak, modes, impossible = json.loads(proc.stdout)
+    # The whole-simplex route peaked near 92 MB here, the sector route
+    # near 10 MB, most of it the kept hop maps.
+    assert peak < 30e6
+    assert modes == [2] and not impossible
 
 
 def test_pair_unitary_cache_stays_bounded():

@@ -1,8 +1,10 @@
 """Byte-exact CLI reports, pinned by the SHA-256 of their stdout.
 
-The hashes were recorded before the mode-generic Fock core replaced the
-separate two- and four-mode beam-splitter code; a refactor of the numerics
-must leave every printed digit unchanged.  They hold for the numpy/scipy
+The N <= 8 hashes were recorded before the mode-generic Fock core replaced
+the separate two- and four-mode beam-splitter code, the N = 32 ones before
+the heralded blocks moved from the whole four-mode simplex to one photon-
+number sector; a refactor of the numerics must leave every printed digit
+unchanged.  They hold for the numpy/scipy
 builds the suite runs on (numpy 2.4, scipy 1.17, x86-64); another BLAS or
 libm may move the last printed digit and needs the hashes re-recorded.
 """
@@ -21,9 +23,15 @@ TARGET6 = [[0.248241, 0.122856], [0.39616, 0.436783], [0.276679, 0.181162],
            [0.207825, 0.358155]]
 
 
-def _noon8():
-    coeffs = [[0.0, 0.0] for _ in range(9)]
-    coeffs[0][0] = coeffs[8][0] = 1.0 / math.sqrt(2.0)
+# A fixed, generic 32-photon target with exact decimal entries; simulate
+# re-normalizes it (norm 2.835...).
+TARGET32 = [[((7 * k) % 11 - 5) / 10, ((5 * k) % 13 - 6) / 10]
+            for k in range(33)]
+
+
+def _noon(n):
+    coeffs = [[0.0, 0.0] for _ in range(n + 1)]
+    coeffs[0][0] = coeffs[n][0] = 1.0 / math.sqrt(2.0)
     return coeffs
 
 
@@ -42,13 +50,20 @@ GOLDEN = {
         "dd89021afc9aaba32506e32a85054c2ac06e9f0d2e5731a71ab5b4ad1051733a"),
     "fringe_4_16": (["fringe", "4", "16"],
         "8cf0644fbd2f2d0d6874c4f14ccf9a3f96646c8996566116bdde42e73cdf35b0"),
+    "simulate_noon32": (["simulate", "{noon32}"],
+        "d7314268de5f00a60f2e024943ae607212e33985de88b2c1c84c6ab78d736cbb"),
+    "simulate_noon32_double": (["simulate", "{noon32}", "--double"],
+        "86549831444c43ac2564dcdb2be7c54001f461fb101bdc3a408cb9a60ed11b59"),
+    "simulate_target32": (["simulate", "{target32}"],
+        "369197a45875451135bcc7960387aaaf2f10f394d72160f7177150a1cc84b5a5"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_stdout_is_byte_identical(name, tmp_path, capsys):
     files = {}
-    for key, coeffs in (("noon8", _noon8()), ("target6", TARGET6)):
+    for key, coeffs in (("noon8", _noon(8)), ("target6", TARGET6),
+                        ("noon32", _noon(32)), ("target32", TARGET32)):
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps({"N": len(coeffs) - 1, "coeffs": coeffs}))
         files[key] = str(path)
