@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -388,3 +391,40 @@ def test_top_level_dispatch(capsys):
     capsys.readouterr()
     assert cli.main(["--help"]) == 0
     assert "factorize" in capsys.readouterr().out
+
+
+def _run_python(*args):
+    """Run the interpreter on ``args`` with this checkout's pathent importable."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run([sys.executable, *args],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["pathent", "pathent.cli"])
+def test_python_dash_m_runs_the_cli(module, capsys):
+    proc = _run_python("-m", module, "yield-table", "3")
+    assert cli.main(["yield-table", "3"]) == 0
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == capsys.readouterr().out.encode()
+    proc = _run_python("-m", module, "oracle-check", "--trials", "0")
+    assert proc.returncode == 1
+    assert b"--trials" in proc.stderr
+
+
+def test_oracle_check_memory_at_the_largest_cutoff():
+    # A fresh interpreter, so caches filled by other tests do not count.
+    code = """
+import os, tracemalloc
+from pathent import cli
+tracemalloc.start()
+code = cli.main(["oracle-check", "--trials", "1", "--cutoff", "10",
+                 "--out", os.devnull])
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    code, peak = map(int, proc.stdout.split())
+    # The whole-basis expm peaked near 208 MB here, the per-block one
+    # near 17 MB.
+    assert code == 0 and peak < 60e6

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from pathent.fock import (
     _basis,
     _mix,
     _mix_pair,
+    _pair_blocks,
     _pair_unitary,
     _sector,
     _simplex,
@@ -302,6 +304,48 @@ def test_pair_splitter_routes_agree(kappa):
     for i, t in enumerate(states):
         assert np.array_equal(stacked[:, i],
                               beam_splitter_pair_exact(t, kappa).amps)
+
+
+@pytest.mark.parametrize("cutoff", range(9))
+def test_pair_oracle_blocks_tile_the_basis(cutoff):
+    na, nb, nc, nd = _basis(4, cutoff)[0]
+    blocks = _pair_blocks(cutoff)
+    for idx, gen in blocks:
+        # one block per (n_a + n_c, n_b + n_d), holding all of its kets
+        p, q = na[idx[0]] + nc[idx[0]], nb[idx[0]] + nd[idx[0]]
+        assert np.all(na[idx] + nc[idx] == p) and np.all(nb[idx] + nd[idx] == q)
+        assert idx.size == (p + 1) * (q + 1) and gen.shape == (idx.size,) * 2
+        assert gen.dtype == complex
+    assert len(blocks) == (cutoff + 1) * (cutoff + 2) // 2
+    every = np.concatenate([idx for idx, _ in blocks])
+    assert np.array_equal(np.sort(every), np.arange(dim4(cutoff)))
+
+
+@pytest.mark.parametrize("kappa", MIX_KAPPAS)
+def test_pair_oracle_matches_full_dense_exponential(kappa):
+    # Reference: expm of a†c - ac† + b†d - bd† over the whole four-mode
+    # basis, enumerated and filled here, so no code is shared with fock.
+    rng = np.random.default_rng(41)
+    for cutoff in range(1, 6):
+        kets = [k for k in itertools.product(range(cutoff + 1), repeat=4)
+                if sum(k) <= cutoff]
+        index = {ket: i for i, ket in enumerate(kets)}
+        gen = np.zeros((len(kets), len(kets)), dtype=complex)
+        for ket, i in index.items():
+            for x, y in ((0, 2), (1, 3)):
+                for up, down, sign in ((x, y, 1.0), (y, x, -1.0)):
+                    if ket[down] >= 1:
+                        new = list(ket)
+                        new[up] += 1
+                        new[down] -= 1
+                        gen[index[tuple(new)], i] += sign * math.sqrt(
+                            (ket[up] + 1) * ket[down])
+        s = random_four_mode_state(rng, cutoff)
+        expected = scipy.linalg.expm(kappa * gen) @ [s.amplitude(*k)
+                                                    for k in kets]
+        out = beam_splitter_pair_oracle(s, kappa)
+        got = np.array([out.amplitude(*k) for k in kets])
+        assert np.abs(got - expected).max() < 1e-13
 
 
 @pytest.mark.parametrize("kappa", MIX_KAPPAS)
