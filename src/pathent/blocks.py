@@ -26,13 +26,11 @@ from .factorize import FactorSet, _wrap_angle
 from .fock import (
     TwoModeDensity,
     TwoModeState,
-    _mix_pair,
-    _project_cd,
-    _sector,
-    _simplex,
+    _basis,
+    _mix,
+    _pair_layout,
     _split_cd,
-    _tensor_amps,
-    _totals,
+    _splitter_matrix,
     apply_creation,
     basis_state,
     beam_splitter,
@@ -59,6 +57,8 @@ class BlockParams:
     def __post_init__(self):
         if not 0.0 <= self.theta <= math.pi / 2.0 + 1e-12:
             raise ValueError(f"theta {self.theta} outside [0, pi/2]")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi {self.phi} is not finite")
         if not 0.0 < self.transmittance <= 1.0:
             raise ValueError(
                 f"transmittance {self.transmittance} outside (0, 1]"
@@ -114,17 +114,30 @@ def _herald(state: TwoModeState, ancilla: TwoModeState,
             kappa: float) -> BlockOutcome:
     """Mix signal (x) ancilla on the splitter pair; keep the dark branch.
 
-    The splitters conserve photon number, so each total n of signal plus
-    ancilla runs in its own four-mode sector; the chain's states fill one.
-    The result equals the whole-simplex route (tensor, splitter pair,
-    vacuum projection) bit for bit.
+    The pair is U (x) U on (a, c) and (b, d), so the dark amplitude of
+    |p, q> is the sum over ancilla kets |j, l> of
+        U[(p,0), (p-j,j)] * U[(q,0), (q-l,l)] * s(p-j, q-l) * anc(j, l).
+    Those entries of U come from one stacked call of the splitter: column j
+    is the sum over p of |p-j, j>, and U does not mix photon numbers.
     """
     cutoff = state.cutoff + ancilla.cutoff
+    (na, nb), table = _basis(2, cutoff)
+    counts = np.arange(cutoff + 1)
+    cols = np.zeros((dim2(cutoff), ancilla.cutoff + 1))
+    for j in range(ancilla.cutoff + 1):
+        cols[table[counts[j:] - j, j], j] = 1.0
+    # u[p, j] = U[(p,0), (p-j,j)]
+    u = _mix(cols, cutoff, kappa)[table[counts, 0]]
+    (nc, nd), _ = _basis(2, ancilla.cutoff)
+    signal = _basis(2, state.cutoff)[1]
     dark = np.zeros(dim2(cutoff), dtype=complex)
-    for n in np.unique(np.add.outer(_totals(state), _totals(ancilla))):
-        kets = _sector(4, int(n))
-        joint = _tensor_amps(state.amps, state.cutoff, ancilla, kets)
-        _project_cd(dark, cutoff, _mix_pair(joint, kets, kappa), kets, 0, 0)
+    for k in np.flatnonzero(ancilla.amps):
+        j, l = nc[k], nd[k]
+        ok = np.flatnonzero((na >= j) & (nb >= l)
+                            & (na + nb - j - l <= state.cutoff))
+        p, q = na[ok], nb[ok]
+        dark[ok] += (u[p, j] * u[q, l] * ancilla.amps[k]
+                     * state.amps[signal[p - j, q - l]])
     out = TwoModeState(cutoff, dark)
     return BlockOutcome(out, out.norm_sq())
 
@@ -269,11 +282,20 @@ def _block_kraus(cutoff_in: int, params: BlockParams) -> list[np.ndarray]:
     """
     anc = ancilla_single(params.theta, params.phi)
     cutoff_out = cutoff_in + 1
-    kets = _simplex(4, cutoff_out)
-    # Column i is input basis ket i (x) ancilla, all pushed through at once.
-    joint = _tensor_amps(np.eye(dim2(cutoff_in), dtype=complex), cutoff_in,
-                         anc, kets)
-    kraus = _split_cd(_mix_pair(joint, kets, params.kappa), cutoff_out)
+    d_in, d_out = dim2(cutoff_in), dim2(cutoff_out)
+    (na, nb), _ = _basis(2, cutoff_in)
+    (nc, nd), _ = _basis(2, anc.cutoff)
+    table = _basis(2, cutoff_out)[1]
+    # x[i] is input basis ket i (x) ancilla in the X[(n_a, n_c), (n_b, n_d)]
+    # layout of beam_splitter_pair_exact; all of them go through at once.
+    x = np.zeros((d_in, d_out, d_out), dtype=complex)
+    for k in np.flatnonzero(anc.amps):
+        x[np.arange(d_in), table[na, nc[k]], table[nb, nd[k]]] = anc.amps[k]
+    u = _splitter_matrix(cutoff_out, params.kappa)
+    rows, cols = _pair_layout(cutoff_out)
+    # u @ x @ u.T, with the result written over x: two stacks live, not three
+    x = np.matmul(u @ x, u.T, out=x)
+    kraus = _split_cd(x[:, rows, cols].T, cutoff_out)
     return [m for m in kraus if m.any()]
 
 

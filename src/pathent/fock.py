@@ -6,25 +6,21 @@ operations, so states with equal cutoffs can be compared entry by entry.
 Everything is complex double precision and every operation is pure: inputs
 are never mutated.
 
-One mode-generic core serves every mode count.  It runs over an index set
-(``_IndexSet``): a whole simplex, ``_simplex(modes, cutoff)``, or the one
-sector of fixed total photon number, ``_sector(modes, total)``, both in
-the same lexicographic order.  An index set keeps the gather/scatter map of
-every hop it has applied, so ``_mix``, which applies identical beam
-splitters to disjoint mode pairs through terminating hop series, only
-gathers, multiplies and scatters.  Beam splitters conserve photon number,
-so a sector run gives bit for bit the simplex result on its kets.  The
-two-mode ``beam_splitter`` and the four-mode ``beam_splitter_pair_exact``
-run on a simplex; the heralded blocks embed signal (x) ancilla straight
-into four-mode sectors, with no four-mode simplex at all.  The core also
-takes a stack of states, one per column, each coming out bit-identical to
-a single-state call.  ``_split_cd`` is the one map from four-mode
-amplitudes to ancilla outcomes (n_c, n_d) and signal kets (n_a, n_b).  The
-dense-``expm`` oracle shares no hop or series code with that core.  Its
-generator conserves n_a + n_c and n_b + n_d, so the oracle builds it, from
-``_basis`` and its own hop loop, as one dense complex block per conserved
-pair and exponentiates each block alone.  It alone uses scipy, which it
-imports on first use.
+There is one splitter core, the two-mode ``_mix``: a terminating hop
+series over a two-mode simplex (``_IndexSet``, which keeps the
+gather/scatter map of each hop it has applied).  It takes a stack of
+states, one per column, each coming out bit-identical to a single-state
+call.  The four-mode splitter pair on (a, c) and (b, d) is U (x) U, with U
+the two-mode splitter: ``beam_splitter_pair_exact`` lays four-mode
+amplitudes out as a matrix X[(n_a, n_c), (n_b, n_d)] over the two-mode
+simplex and returns U X U^T.  U conserves photon number, so the output
+keeps the p + q <= cutoff support.  ``_split_cd`` is the one map from
+four-mode amplitudes to ancilla outcomes (n_c, n_d) and signal kets
+(n_a, n_b).  The dense-``expm`` oracle shares no hop or series code with
+that core.  Its generator conserves n_a + n_c and n_b + n_d, so the oracle
+builds it, from ``_basis`` and its own hop loop, as one dense complex block
+per conserved pair and exponentiates each block alone.  It alone uses
+scipy, which it imports on first use.
 
 Beam-splitter convention: a mixing angle ``kappa`` generates
 ``exp(kappa (x† y - x y†))`` on the mode pair (x, y), whose single-photon
@@ -58,45 +54,39 @@ class CutoffOverflowError(ValueError):
 # basis bookkeeping
 
 
-def _occupations(modes: int, top: int, sector: bool) -> tuple:
-    """Occupation columns, one 1-D array per mode, of a simplex or sector.
+def _occupations(modes: int, cutoff: int) -> tuple:
+    """Occupation columns, one 1-D array per mode, of the simplex.
 
-    The kets have total photon number <= top, or == top for a ``sector``,
-    and are enumerated lexicographically, first mode outermost.
+    The kets have total photon number <= cutoff and are enumerated
+    lexicographically, first mode outermost.
     """
     occ = np.zeros((1, 0), dtype=np.intp)
-    for _ in range(modes - 1 if sector else modes):
-        counts = top + 1 - occ.sum(axis=1)
+    for _ in range(modes):
+        counts = cutoff + 1 - occ.sum(axis=1)
         first = np.repeat(np.cumsum(counts) - counts, counts)
         occ = np.column_stack([np.repeat(occ, counts, axis=0),
                                np.arange(first.size) - first])
-    if sector:
-        occ = np.column_stack([occ, top - occ.sum(axis=1)])
     return tuple(occ.T.copy())
 
 
 class _IndexSet:
-    """The kets one amplitude array runs over, with its hop maps.
+    """The kets of one simplex, with the hop maps built on it so far.
 
-    An index set is a whole simplex (every total photon number up to
-    ``top``) or one sector (total exactly ``top``).  Each hop map and swap
-    permutation is built on first use and kept, so a splitter call only
+    Each hop map is built on first use and kept, so a splitter call only
     gathers and scatters.
     """
 
-    def __init__(self, modes: int, top: int, sector: bool):
-        self.top = top
-        self.sector = sector
-        self.occ = _occupations(modes, top, sector)
+    def __init__(self, modes: int, cutoff: int):
+        self.cutoff = cutoff
+        self.occ = _occupations(modes, cutoff)
         self.size = len(self.occ[0])
         self._keys = self._key(self.occ)  # ascending, as the enumeration
         self._hops = {}
-        self._swaps = {}
 
     def _key(self, occ):
         key = 0
         for n in occ:
-            key = key * (self.top + 1) + n
+            key = key * (self.cutoff + 1) + n
         return key
 
     def index(self, occ):
@@ -114,24 +104,10 @@ class _IndexSet:
             self._hops[x, y] = src, self.index(new), w
         return self._hops[x, y]
 
-    def swap(self, pairs):
-        """Position of each ket once the modes of every pair trade places."""
-        if pairs not in self._swaps:
-            swapped = list(self.occ)
-            for x, y in pairs:
-                swapped[x], swapped[y] = self.occ[y], self.occ[x]
-            self._swaps[pairs] = self.index(swapped)
-        return self._swaps[pairs]
-
 
 @lru_cache(maxsize=None)
 def _simplex(modes: int, cutoff: int) -> _IndexSet:
-    return _IndexSet(modes, cutoff, False)
-
-
-@lru_cache(maxsize=None)
-def _sector(modes: int, total: int) -> _IndexSet:
-    return _IndexSet(modes, total, True)
+    return _IndexSet(modes, cutoff)
 
 
 @lru_cache(maxsize=None)
@@ -336,37 +312,21 @@ def basis_state4(cutoff: int, na: int, nb: int, nc: int, nd: int) -> FourModeSta
     return FourModeState(cutoff, amps)
 
 
-def _tensor_amps(ab: np.ndarray, ab_cutoff: int, cd: TwoModeState,
-                 kets: _IndexSet) -> np.ndarray:
-    """Four-mode amplitudes of ab (x) cd over ``kets``; ``ab`` may be a stack.
-
-    Over a simplex every product must fit under its cutoff; over a sector
-    only the products with its photon number are kept.
-    """
-    (na1, nb1), _ = _basis(2, ab_cutoff)
-    (na2, nb2), _ = _basis(2, cd.cutoff)
-    amps = np.zeros((kets.size,) + ab.shape[1:], dtype=complex)
-    for j in np.flatnonzero(cd.amps):
-        room = kets.top - int(na2[j] + nb2[j])
-        if kets.sector:
-            ok = (na1 + nb1) == room
-        else:
-            ok = (na1 + nb1) <= room
-            if np.any(ab[~ok] != 0):
-                raise CutoffOverflowError("tensor product exceeds cutoff")
-        if room < 0:
-            continue
-        idx = kets.index((na1[ok], nb1[ok], na2[j], nb2[j]))
-        amps[idx] += ab[ok] * cd.amps[j]
-    return amps
-
-
 def tensor(ab: TwoModeState, cd: TwoModeState,
            cutoff: int | None = None) -> FourModeState:
     """Embed ab (x) cd into a four-mode state."""
     cutoff = ab.cutoff + cd.cutoff if cutoff is None else cutoff
-    return FourModeState(cutoff, _tensor_amps(ab.amps, ab.cutoff, cd,
-                                              _simplex(4, cutoff)))
+    (na1, nb1), _ = _basis(2, ab.cutoff)
+    (na2, nb2), _ = _basis(2, cd.cutoff)
+    kets = _simplex(4, cutoff)
+    amps = np.zeros(kets.size, dtype=complex)
+    for j in np.flatnonzero(cd.amps):
+        ok = (na1 + nb1) <= cutoff - int(na2[j] + nb2[j])
+        if np.any(ab.amps[~ok] != 0):
+            raise CutoffOverflowError("tensor product exceeds cutoff")
+        idx = kets.index((na1[ok], nb1[ok], na2[j], nb2[j]))
+        amps[idx] += ab.amps[ok] * cd.amps[j]
+    return FourModeState(cutoff, amps)
 
 
 def with_cutoff(s: TwoModeState, cutoff: int) -> TwoModeState:
@@ -468,21 +428,14 @@ def is_photon_number_eigenstate(s: TwoModeState) -> int | None:
     return int(totals[0]) if totals.size == 1 else None
 
 
-def _totals(s: TwoModeState) -> np.ndarray:
-    """The photon numbers at which ``s`` has a nonzero amplitude."""
-    (na, nb), _ = _basis(2, s.cutoff)
-    return np.unique((na + nb)[s.amps != 0])
-
-
 # ---------------------------------------------------------------------------
 # beam splitters
 
-# A pair-hopping step x† y maps |.., n_x, .., n_y, ..> to
-# sqrt((n_x + 1) n_y) |.., n_x + 1, .., n_y - 1, ..> and conserves the total
-# photon number, so repeated application terminates within top steps and
-# runs on a simplex or on one sector alike.  Amplitudes carry the index set
-# on axis 0 and optionally one state per column; per-ket factors multiply
-# the transpose to broadcast over the columns.
+# A hopping step x† y maps |n_x, n_y> to sqrt((n_x + 1) n_y) |n_x + 1, n_y - 1>
+# and conserves the total photon number, so repeated application terminates
+# within cutoff steps.  Amplitudes carry the simplex on axis 0 and optionally
+# one state per column; per-ket factors multiply the transpose to broadcast
+# over the columns.
 
 
 def _hop(amps: np.ndarray, kets: _IndexSet, x: int, y: int) -> np.ndarray:
@@ -496,10 +449,10 @@ def _hop(amps: np.ndarray, kets: _IndexSet, x: int, y: int) -> np.ndarray:
 
 def _exp_hop(amps: np.ndarray, kets: _IndexSet, coef: float,
              x: int, y: int) -> np.ndarray:
-    """exp(coef x† y) as its series, which ends within top terms."""
+    """exp(coef x† y) as its series, which ends within cutoff terms."""
     result = amps.copy()
     term = amps
-    for m in range(1, kets.top + 1):
+    for m in range(1, kets.cutoff + 1):
         term = (coef / m) * _hop(term, kets, x, y)
         if not term.any():
             break
@@ -507,61 +460,72 @@ def _exp_hop(amps: np.ndarray, kets: _IndexSet, coef: float,
     return result
 
 
-def _mix(amps: np.ndarray, kets: _IndexSet, pairs, kappa: float) -> np.ndarray:
-    """Identical beam splitters of angle kappa on each (x, y) in ``pairs``.
+def _mix(amps: np.ndarray, cutoff: int, kappa: float) -> np.ndarray:
+    """Beam splitter of angle kappa on two-mode amplitudes at ``cutoff``.
 
-    With K = tan(kappa) and the pairs disjoint, the product of
-    exp(kappa (x† y - x y†)) equals the factored form
-        prod e^{-K x y†} * cos(kappa)^{n_x - n_y} * prod e^{K x† y},
+    With K = tan(kappa), exp(kappa (a† b - a b†)) equals the factored form
+        e^{-K a b†} * cos(kappa)^{n_a - n_b} * e^{K a† b},
     each exponential an exactly terminating series.  Near |cos kappa| = 0,
-    where the form divides by cos(kappa), the splitters are the exact mode
-    swap they converge to; above pi/4 the angle is halved until |K| <= 1.
+    where the form divides by cos(kappa), the splitter is the exact mode
+    swap it converges to; above pi/4 the angle is halved until |K| <= 1.
     """
-    occ = kets.occ
-    n_x = sum(occ[x] for x, _ in pairs)
-    n_y = sum(occ[y] for _, y in pairs)
+    kets = _simplex(2, cutoff)
+    n_a, n_b = kets.occ
     if abs(math.cos(kappa)) < _SWAP_EPS:
-        # kappa = +-pi/2: x† -> -s y†, y† -> s x†, with s = sign(sin kappa).
-        odd = n_x if math.sin(kappa) > 0 else n_y
+        # kappa = +-pi/2: a† -> -s b†, b† -> s a†, with s = sign(sin kappa).
+        odd = n_a if math.sin(kappa) > 0 else n_b
+        sign = np.where(odd % 2 == 1, -1.0, 1.0)
         out = np.zeros_like(amps)
-        out[kets.swap(pairs)] = (amps.T * np.where(odd % 2 == 1, -1.0, 1.0)).T
+        out[kets.index((n_b, n_a))] = (amps.T * sign).T
         return out
     halvings = 0
     while abs(kappa) / 2 ** halvings > _HALF_ANGLE_LIMIT:
         halvings += 1
     step = kappa / 2 ** halvings
     K = math.tan(step)
-    scale = math.cos(step) ** (n_x - n_y)
+    scale = math.cos(step) ** (n_a - n_b)
     for _ in range(2 ** halvings):
-        for x, y in pairs:
-            amps = _exp_hop(amps, kets, K, x, y)
+        amps = _exp_hop(amps, kets, K, 0, 1)
         amps = (amps.T * scale).T
-        for x, y in pairs:
-            amps = _exp_hop(amps, kets, -K, y, x)
+        amps = _exp_hop(amps, kets, -K, 1, 0)
     return amps
 
 
 def beam_splitter(s: TwoModeState, kappa: float) -> TwoModeState:
     """Mix the two modes: |1,0> -> cos(kappa)|1,0> - sin(kappa)|0,1>."""
-    return TwoModeState(s.cutoff,
-                        _mix(s.amps, _simplex(2, s.cutoff), ((0, 1),), kappa))
+    return TwoModeState(s.cutoff, _mix(s.amps, s.cutoff, kappa))
 
 
-def _mix_pair(amps: np.ndarray, kets: _IndexSet, kappa: float) -> np.ndarray:
-    """Identical beam splitters on (a, c) and (b, d) of four-mode amplitudes."""
-    # Pair (b, d) goes first: the order of the series fixes the rounding.
-    return _mix(amps, kets, ((1, 3), (0, 2)), kappa)
+def _splitter_matrix(cutoff: int, kappa: float) -> np.ndarray:
+    """U, the real two-mode splitter as a matrix over the simplex at cutoff."""
+    return _mix(np.eye(dim2(cutoff)), cutoff, kappa)
+
+
+def _pair_layout(cutoff: int) -> tuple:
+    """Row (n_a, n_c) and column (n_b, n_d) of each four-mode ket.
+
+    Both index the two-mode simplex at ``cutoff``, so the amplitudes of a
+    four-mode state fill the matrix X[(n_a, n_c), (n_b, n_d)].
+    """
+    na, nb, nc, nd = _simplex(4, cutoff).occ
+    table = _basis(2, cutoff)[1]
+    return table[na, nc], table[nb, nd]
 
 
 def beam_splitter_pair_exact(s: FourModeState, kappa: float) -> FourModeState:
-    """Identical beam splitters on (a, c) and (b, d), via the factored form.
+    """Identical beam splitters on (a, c) and (b, d): U X U^T.
 
-    Photon number is conserved, the terminating series never truncate, and
-    the kappa = pi/2 singularity of the factored form is handled as the
-    exact mode swap it converges to.
+    The pair is U (x) U, with U the two-mode splitter; U conserves photon
+    number, so X keeps its p + q <= cutoff support.  The series never
+    truncate, and the kappa = pi/2 singularity of the factored form is
+    handled as the exact mode swap it converges to.
     """
-    return FourModeState(s.cutoff,
-                         _mix_pair(s.amps, _simplex(4, s.cutoff), kappa))
+    rows, cols = _pair_layout(s.cutoff)
+    d = dim2(s.cutoff)
+    x = np.zeros((d, d), dtype=complex)
+    x[rows, cols] = s.amps
+    u = _splitter_matrix(s.cutoff, kappa)
+    return FourModeState(s.cutoff, (u @ x @ u.T)[rows, cols])
 
 
 @lru_cache(maxsize=None)
@@ -629,21 +593,12 @@ def project_outcome_cd(s: FourModeState, nc_out: int,
     Returns the unnormalized reduced two-mode state and the outcome
     probability (its squared norm).
     """
-    amps = np.zeros(dim2(s.cutoff), dtype=complex)
-    _project_cd(amps, s.cutoff, s.amps, _simplex(4, s.cutoff), nc_out, nd_out)
-    reduced = TwoModeState(s.cutoff, amps)
+    if min(nc_out, nd_out) < 0 or nc_out + nd_out > s.cutoff:
+        reduced = zero_state(s.cutoff)
+    else:
+        outcome = _ket_index(2, s.cutoff, (nc_out, nd_out))
+        reduced = TwoModeState(s.cutoff, _split_cd(s.amps, s.cutoff)[outcome])
     return reduced, reduced.norm_sq()
-
-
-def _project_cd(out: np.ndarray, cutoff: int, amps: np.ndarray,
-                kets: _IndexSet, nc_out: int, nd_out: int) -> None:
-    """Copy the kets with ancilla (nc_out, nd_out) into two-mode ``out``.
-
-    ``out`` holds the amplitudes of the two-mode simplex at ``cutoff``.
-    """
-    na, nb, nc, nd = kets.occ
-    rows = (nc == nc_out) & (nd == nd_out)
-    out[_basis(2, cutoff)[1][na[rows], nb[rows]]] = amps[rows]
 
 
 def project_vacuum_cd(s: FourModeState) -> tuple[TwoModeState, float]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,7 +36,6 @@ def absorption_rate_pure(state: TwoModeState, n_absorb: int) -> float:
     return v.norm_sq() / math.factorial(n_absorb)
 
 
-@lru_cache(maxsize=None)
 def _absorb_matrix(cutoff: int, n_absorb: int) -> np.ndarray:
     """Dense matrix of (a + b)^N over the two-mode basis."""
     (na, nb), table = _basis(2, cutoff)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pathent import cli
+from pathent.fock import FourModeState
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -365,6 +366,31 @@ def test_oracle_check_detects_perturbation(capsys):
     assert report["status"] == "fail"
     bs, block = report["sections"]
     assert bs["pass"] is False and bs["max_deviation"] > 1e-9
+    assert block["pass"] is True
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_oracle_check_rejects_non_finite_perturbation(value, capsys):
+    assert cli.main(["oracle-check", "--trials", "1", "--perturb", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--perturb" in captured.err
+
+
+def test_oracle_check_fails_a_nan_deviation(monkeypatch, capsys):
+    def nan_route(state, kappa):
+        return FourModeState(state.cutoff, np.full(state.amps.shape, np.nan))
+
+    monkeypatch.setattr(cli, "beam_splitter_pair_exact", nan_route)
+    code = cli.main(["oracle-check", "--trials", "2", "--cutoff", "3"])
+    out = capsys.readouterr().out
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    report = json.loads(out, parse_constant=reject)
+    assert code == 2 and report["status"] == "fail"
+    bs, block = report["sections"]
+    assert bs["pass"] is False and bs["max_deviation"] is None
     assert block["pass"] is True
 
 

@@ -16,11 +16,8 @@ from pathent.fock import (
     FourModeState,
     _basis,
     _mix,
-    _mix_pair,
     _pair_blocks,
     _pair_unitary,
-    _sector,
-    _simplex,
     TwoModeDensity,
     TwoModeState,
     apply_annihilation,
@@ -298,12 +295,10 @@ def test_pair_splitter_routes_agree(kappa):
         assert np.abs(fast.amps - slow.amps).max() < 1e-9
 
     # a stack of states, one per column, gives each column's 1-D result
-    states = [random_four_mode_state(rng, 6) for _ in range(3)]
-    stacked = _mix_pair(np.stack([t.amps for t in states], axis=1),
-                        _simplex(4, 6), kappa)
+    states = [random_two_mode_state(rng, 6) for _ in range(3)]
+    stacked = _mix(np.stack([t.amps for t in states], axis=1), 6, kappa)
     for i, t in enumerate(states):
-        assert np.array_equal(stacked[:, i],
-                              beam_splitter_pair_exact(t, kappa).amps)
+        assert np.array_equal(stacked[:, i], beam_splitter(t, kappa).amps)
 
 
 @pytest.mark.parametrize("cutoff", range(9))
@@ -352,23 +347,29 @@ def test_pair_oracle_matches_full_dense_exponential(kappa):
 @pytest.mark.parametrize("modes,pairs", [(2, ((0, 1),)),
                                          (4, ((1, 3), (0, 2)))])
 def test_simplex_and_sector_maps_agree(kappa, modes, pairs):
-    # A state on every sector of the simplex: each sector, run alone through
-    # its own hop maps, gives exactly the simplex result on its kets.
+    # Each mixed pair (x, y) conserves n_x + n_y.  A state on every such
+    # sector of the simplex: each sector, run alone through the splitter,
+    # gives exactly the whole-simplex result on its kets and nothing else.
     cutoff = 6
-    simplex = _simplex(modes, cutoff)
+    occ = _basis(modes, cutoff)[0]
+    totals = np.stack([occ[x] + occ[y] for x, y in pairs], axis=1)
     rng = np.random.default_rng(31)
-    amps = rng.standard_normal((simplex.size, 2)) \
-        + 1j * rng.standard_normal((simplex.size, 2))
-    whole = _mix(amps, simplex, pairs, kappa)
-    covered = []
-    for n in range(cutoff + 1):
-        sector = _sector(modes, n)
-        rows = simplex.index(sector.occ)
-        assert np.array_equal(sum(simplex.occ)[rows], np.full(sector.size, n))
-        assert np.array_equal(_mix(amps[rows], sector, pairs, kappa),
-                              whole[rows])
-        covered.extend(rows)
-    assert sorted(covered) == list(range(simplex.size))
+    amps = rng.standard_normal(len(occ[0])) \
+        + 1j * rng.standard_normal(len(occ[0]))
+
+    def split(a):
+        if modes == 2:
+            return beam_splitter(TwoModeState(cutoff, a), kappa).amps
+        return beam_splitter_pair_exact(FourModeState(cutoff, a), kappa).amps
+
+    whole = split(amps)
+    sectors = np.unique(totals, axis=0)
+    assert len(sectors) == math.comb(cutoff + len(pairs), len(pairs))
+    for sector in sectors:
+        rows = np.all(totals == sector, axis=1)
+        alone = split(np.where(rows, amps, 0.0))
+        assert np.array_equal(alone[rows], whole[rows])
+        assert not alone[~rows].any()
 
 
 def test_heralded_chain_stays_in_its_sectors():
@@ -398,9 +399,9 @@ print(json.dumps([tracemalloc.get_traced_memory()[1], sorted(modes),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     peak, modes, impossible = json.loads(proc.stdout)
-    # The whole-simplex route peaked near 92 MB here, the sector route
-    # near 10 MB, most of it the kept hop maps.
-    assert peak < 30e6
+    # The whole four-mode simplex route peaked near 92 MB here, a four-mode
+    # sector route near 10 MB; two-mode splitters only need about 0.7 MB.
+    assert peak < 2e6
     assert modes == [2] and not impossible
 
 
