@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,9 +29,6 @@ from .fock import (
     TwoModeState,
     _basis,
     _mix,
-    _pair_layout,
-    _split_cd,
-    _splitter_matrix,
     apply_creation,
     basis_state,
     beam_splitter,
@@ -110,6 +108,19 @@ def ancilla_double(phi: float) -> TwoModeState:
     return phase_shift(s, phi, mode="b")
 
 
+def _splitter_entries(cutoff: int, kappa: float, j_max: int) -> np.ndarray:
+    """v[j, o, n] = U[(o, n), (o + n - j, j)] of the two-mode splitter U.
+
+    One stacked splitter call: column j is the sum of every ket |p - j, j>,
+    and U does not mix photon numbers.
+    """
+    (na, nb), _ = _basis(2, cutoff)
+    v = np.zeros((j_max + 1, cutoff + 1, cutoff + 1))
+    v[:, na, nb] = _mix((nb[:, None] == np.arange(j_max + 1)) * 1.0,
+                        cutoff, kappa).T
+    return v
+
+
 def _herald(state: TwoModeState, ancilla: TwoModeState,
             kappa: float) -> BlockOutcome:
     """Mix signal (x) ancilla on the splitter pair; keep the dark branch.
@@ -117,17 +128,10 @@ def _herald(state: TwoModeState, ancilla: TwoModeState,
     The pair is U (x) U on (a, c) and (b, d), so the dark amplitude of
     |p, q> is the sum over ancilla kets |j, l> of
         U[(p,0), (p-j,j)] * U[(q,0), (q-l,l)] * s(p-j, q-l) * anc(j, l).
-    Those entries of U come from one stacked call of the splitter: column j
-    is the sum over p of |p-j, j>, and U does not mix photon numbers.
     """
     cutoff = state.cutoff + ancilla.cutoff
-    (na, nb), table = _basis(2, cutoff)
-    counts = np.arange(cutoff + 1)
-    cols = np.zeros((dim2(cutoff), ancilla.cutoff + 1))
-    for j in range(ancilla.cutoff + 1):
-        cols[table[counts[j:] - j, j], j] = 1.0
-    # u[p, j] = U[(p,0), (p-j,j)]
-    u = _mix(cols, cutoff, kappa)[table[counts, 0]]
+    (na, nb), _ = _basis(2, cutoff)
+    v = _splitter_entries(cutoff, kappa, ancilla.cutoff)
     (nc, nd), _ = _basis(2, ancilla.cutoff)
     signal = _basis(2, state.cutoff)[1]
     dark = np.zeros(dim2(cutoff), dtype=complex)
@@ -136,7 +140,7 @@ def _herald(state: TwoModeState, ancilla: TwoModeState,
         ok = np.flatnonzero((na >= j) & (nb >= l)
                             & (na + nb - j - l <= state.cutoff))
         p, q = na[ok], nb[ok]
-        dark[ok] += (u[p, j] * u[q, l] * ancilla.amps[k]
+        dark[ok] += (v[j, p, 0] * v[l, q, 0] * ancilla.amps[k]
                      * state.amps[signal[p - j, q - l]])
     out = TwoModeState(cutoff, dark)
     return BlockOutcome(out, out.norm_sq())
@@ -272,31 +276,41 @@ def run_scheme_double(n_photons: int, phis=None,
                       n_photons)
 
 
-def _block_kraus(cutoff_in: int, params: BlockParams) -> list[np.ndarray]:
-    """Kraus matrices of one block with the heralding detectors ignored.
+@lru_cache(maxsize=None)
+def _sector_map(m: int) -> tuple:
+    """(outcomes, starts, pos, first, second) of input sector m.
 
-    Every ancilla detection pattern (n_c, n_d) contributes one operator
-    mapping the two-mode space at ``cutoff_in`` to ``cutoff_in + 1``; their
-    completeness relation sum(M† M) = 1 holds because the block unitary is
-    photon-number conserving.
+    Outcomes (n_c, n_d) run by output sector m' = m + 1 - n_c - n_d, m' from
+    ``starts[m']``.  With j ancilla photons leaving c and 1 - j leaving d,
+    |s_a, m - s_a> goes to |o_a, o_b> = |s_a + j - n_c, m - s_a + 1 - j - n_d>
+    with amplitude anc[j] v[j, o_a, n_c] v[1 - j, o_b, n_d]: flat ``pos`` of
+    the Kraus stack, ``first`` and ``second`` of v[:, :m + 2, :m + 2].
     """
-    anc = ancilla_single(params.theta, params.phi)
-    cutoff_out = cutoff_in + 1
-    d_in, d_out = dim2(cutoff_in), dim2(cutoff_out)
-    (na, nb), _ = _basis(2, cutoff_in)
-    (nc, nd), _ = _basis(2, anc.cutoff)
-    table = _basis(2, cutoff_out)[1]
-    # x[i] is input basis ket i (x) ancilla in the X[(n_a, n_c), (n_b, n_d)]
-    # layout of beam_splitter_pair_exact; all of them go through at once.
-    x = np.zeros((d_in, d_out, d_out), dtype=complex)
-    for k in np.flatnonzero(anc.amps):
-        x[np.arange(d_in), table[na, nc[k]], table[nb, nd[k]]] = anc.amps[k]
-    u = _splitter_matrix(cutoff_out, params.kappa)
-    rows, cols = _pair_layout(cutoff_out)
-    # u @ x @ u.T, with the result written over x: two stacks live, not three
-    x = np.matmul(u @ x, u.T, out=x)
-    kraus = _split_cd(x[:, rows, cols].T, cutoff_out)
-    return [m for m in kraus if m.any()]
+    outcomes = np.array([(nc, m + 1 - mo - nc) for mo in range(m + 2)
+                         for nc in range(m + 2 - mo)])
+    k, j, s_a = np.indices((len(outcomes), 2, m + 1)).reshape(3, -1)
+    nc, nd = outcomes[k].T
+    o_a, o_b = s_a + j - nc, m - s_a + 1 - j - nd
+    ok = (o_a >= 0) & (o_b >= 0)
+    flat = ((k * (m + 2) + o_a) * (m + 1) + s_a,
+            (j * (m + 2) + o_a) * (m + 2) + nc,
+            ((1 - j) * (m + 2) + o_b) * (m + 2) + nd)
+    starts = np.flatnonzero(np.diff(outcomes.sum(axis=1), prepend=m + 2))
+    return (outcomes, starts) + tuple(x[ok] for x in flat)
+
+
+def _sector_kraus(m: int, v: np.ndarray, anc: np.ndarray) -> np.ndarray:
+    """Kraus stack [outcome, o_a, s_a] of one block on input sector m.
+
+    ``v`` is ``_splitter_entries`` at cutoff >= m + 1, ``anc`` the ancilla
+    amplitudes of |0,1> and |1,0>.
+    """
+    outcomes, _, pos, first, second = _sector_map(m)
+    v = v[:, :m + 2, :m + 2]
+    kraus = np.zeros((len(outcomes), m + 2, m + 1), dtype=complex)
+    kraus.ravel()[pos] = ((anc[:, None, None] * v).ravel()[first]
+                          * v.ravel()[second])
+    return kraus
 
 
 def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:
@@ -305,11 +319,27 @@ def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:
     Returns the mixed signal state after all blocks: the heralded
     generation branch sits in the top photon-number sector with weight
     equal to the scheme yield, and all failed branches hold fewer photons.
+
+    From vacuum, rho is block-diagonal in signal photon number m and kept
+    so, one block per sector; outcome (n_c, n_d) sends sector m to
+    m + 1 - n_c - n_d, with Kraus elements from ``_sector_kraus``.
     """
     angles = _factor_angles(factors)
     ts = _schedule(len(angles), transmittances)
-    rho = np.ones((1, 1), dtype=complex)
+    n = len(angles)
+    # rho[m, i, i'] = <i, m - i| rho |i', m - i'>, zero past i, i' = m
+    rho = np.zeros((n + 1,) * 3, dtype=complex)
+    rho[0, 0, 0] = 1.0
     for n_in, ((theta, phi), t) in enumerate(zip(angles, ts)):
-        kraus = _block_kraus(n_in, BlockParams(theta, phi, t))
-        rho = sum(m @ rho @ m.conj().T for m in kraus)
-    return TwoModeDensity(len(angles), rho)
+        v = _splitter_entries(n_in + 1, BlockParams(theta, phi, t).kappa, 1)
+        anc = ancilla_single(theta, phi)
+        anc = np.array([anc.amplitude(0, 1), anc.amplitude(1, 0)])
+        out = np.zeros_like(rho)
+        for m in range(n_in + 1):
+            kraus = _sector_kraus(m, v, anc)
+            mixed = kraus @ rho[m, :m + 1, :m + 1] @ kraus.conj().transpose(0, 2, 1)
+            out[:m + 2, :m + 2, :m + 2] += np.add.reduceat(mixed, _sector_map(m)[1])
+        rho = out
+    (na, nb), _ = _basis(2, n)
+    m = (na + nb)[:, None]
+    return TwoModeDensity(n, np.where(m == m.T, rho[m, na[:, None], na], 0))

@@ -496,35 +496,22 @@ def beam_splitter(s: TwoModeState, kappa: float) -> TwoModeState:
     return TwoModeState(s.cutoff, _mix(s.amps, s.cutoff, kappa))
 
 
-def _splitter_matrix(cutoff: int, kappa: float) -> np.ndarray:
-    """U, the real two-mode splitter as a matrix over the simplex at cutoff."""
-    return _mix(np.eye(dim2(cutoff)), cutoff, kappa)
-
-
-def _pair_layout(cutoff: int) -> tuple:
-    """Row (n_a, n_c) and column (n_b, n_d) of each four-mode ket.
-
-    Both index the two-mode simplex at ``cutoff``, so the amplitudes of a
-    four-mode state fill the matrix X[(n_a, n_c), (n_b, n_d)].
-    """
-    na, nb, nc, nd = _simplex(4, cutoff).occ
-    table = _basis(2, cutoff)[1]
-    return table[na, nc], table[nb, nd]
-
-
 def beam_splitter_pair_exact(s: FourModeState, kappa: float) -> FourModeState:
     """Identical beam splitters on (a, c) and (b, d): U X U^T.
 
-    The pair is U (x) U, with U the two-mode splitter; U conserves photon
-    number, so X keeps its p + q <= cutoff support.  The series never
-    truncate, and the kappa = pi/2 singularity of the factored form is
-    handled as the exact mode swap it converges to.
+    The pair is U (x) U, with U the two-mode splitter as a matrix over the
+    two-mode simplex; X[(n_a, n_c), (n_b, n_d)] holds the amplitudes.  U
+    conserves photon number, so X keeps its p + q <= cutoff support.  The
+    series never truncate, and the kappa = pi/2 singularity of the factored
+    form is handled as the exact mode swap it converges to.
     """
-    rows, cols = _pair_layout(s.cutoff)
+    na, nb, nc, nd = _simplex(4, s.cutoff).occ
+    table = _basis(2, s.cutoff)[1]
+    rows, cols = table[na, nc], table[nb, nd]
     d = dim2(s.cutoff)
     x = np.zeros((d, d), dtype=complex)
     x[rows, cols] = s.amps
-    u = _splitter_matrix(s.cutoff, kappa)
+    u = _mix(np.eye(d), s.cutoff, kappa)
     return FourModeState(s.cutoff, (u @ x @ u.T)[rows, cols])
 
 

@@ -53,7 +53,8 @@ def absorption_rate_mixed(rho: TwoModeDensity, n_absorb: int) -> float:
     if n_absorb < 1:
         raise ValueError("n_absorb must be >= 1")
     e_n = _absorb_matrix(rho.cutoff, n_absorb)
-    return float(np.trace(e_n @ rho.mat @ e_n.conj().T).real) / math.factorial(n_absorb)
+    # Tr(E rho E†) as the Frobenius product of E with E rho
+    return float(np.vdot(e_n, e_n @ rho.mat).real) / math.factorial(n_absorb)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,11 +1,18 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pathent
 from pathent.blocks import (
     BlockParams,
-    _block_kraus,
+    _sector_kraus,
+    _sector_map,
+    _splitter_entries,
     amplitude_factor_double,
     amplitude_factor_single,
     ancilla_double,
@@ -25,6 +32,7 @@ from pathent.factorize import (
     state_of_target,
 )
 from pathent.fock import (
+    TwoModeDensity,
     TwoModeState,
     apply_linear_factor,
     basis_state,
@@ -36,8 +44,10 @@ from pathent.fock import (
     tensor,
     beam_splitter_pair_exact,
     dim2,
+    trace_out_cd,
     vacuum,
     with_cutoff,
+    zero_state,
 )
 from pathent.yields import qk_squared, yield_generic
 from helpers import random_eigenstate, random_target, random_two_mode_state
@@ -338,27 +348,94 @@ def test_unconditional_density_noon3_weights():
 # T = 0.2 a single factored step.
 @pytest.mark.parametrize("transmittance", [1.0, 0.8, 0.2])
 def test_block_kraus_matches_ket_by_ket_route(transmittance):
+    # Each per-sector Kraus element, a product of two entries of the
+    # two-mode splitter, against the public route through the four-mode
+    # state; the entries come at the block's cutoff, above most sectors.
     params = BlockParams(0.7, -1.1, transmittance)
     anc = ancilla_single(params.theta, params.phi)
+    amps = np.array([anc.amplitude(0, 1), anc.amplitude(1, 0)])
     for cutoff_in in range(7):
-        d_in, cutoff_out = dim2(cutoff_in), cutoff_in + 1
-        outcomes = [(nc, nd) for nc in range(cutoff_out + 1)
-                    for nd in range(cutoff_out + 1 - nc)]
-        expected = {o: np.zeros((dim2(cutoff_out), d_in), dtype=complex)
-                    for o in outcomes}
-        for i in range(d_in):
-            ket = TwoModeState(cutoff_in, np.eye(d_in)[i])
-            joint = beam_splitter_pair_exact(tensor(ket, anc), params.kappa)
-            for nc, nd in outcomes:
-                expected[nc, nd][:, i] = project_outcome_cd(joint, nc, nd)[0].amps
-        expected = [m for m in expected.values() if m.any()]
+        cutoff_out = cutoff_in + 1
+        v = _splitter_entries(cutoff_out, params.kappa, 1)
+        for m in range(cutoff_in + 1):
+            kraus = _sector_kraus(m, v, amps)
+            outcomes = _sector_map(m)[0]
+            assert kraus.shape == (dim2(m + 1), m + 2, m + 1)
+            assert sorted(map(tuple, outcomes)) == [
+                (nc, nd) for nc in range(m + 2) for nd in range(m + 2 - nc)]
+            for s_a in range(m + 1):
+                joint = beam_splitter_pair_exact(
+                    tensor(basis_state(cutoff_in, s_a, m - s_a), anc),
+                    params.kappa)
+                for (nc, nd), column in zip(outcomes, kraus[:, :, s_a]):
+                    m_out = m + 1 - nc - nd
+                    assert not column[m_out + 1:].any()
+                    got = zero_state(cutoff_out)
+                    for o_a in range(m_out + 1):
+                        got += column[o_a] * basis_state(
+                            cutoff_out, o_a, m_out - o_a)
+                    want = project_outcome_cd(joint, nc, nd)[0]
+                    assert np.abs(got.amps - want.amps).max() < 1e-14
+            completeness = sum(k.conj().T @ k for k in kraus)
+            assert np.abs(completeness - np.eye(m + 1)).max() < 1e-12
 
-        kraus = _block_kraus(cutoff_in, params)
-        assert len(kraus) == len(expected)
-        for got, want in zip(kraus, expected):
-            assert np.array_equal(got, want)
-        completeness = sum(m.conj().T @ m for m in kraus)
-        assert np.abs(completeness - np.eye(d_in)).max() < 1e-12
+
+def _reference_channel(factors, transmittances) -> TwoModeDensity:
+    """The unconditioned chain from public calls only, eigenvector by eigenvector."""
+    rho = TwoModeDensity(0, np.ones((1, 1)))
+    for n_in, ((theta, phi), t) in enumerate(zip(factors, transmittances)):
+        anc = ancilla_single(theta, phi)
+        kappa = BlockParams(theta, phi, t).kappa
+        weights, vecs = np.linalg.eigh(rho.mat)
+        mat = np.zeros((dim2(n_in + 1),) * 2, dtype=complex)
+        for w, vec in zip(weights, vecs.T):
+            joint = beam_splitter_pair_exact(
+                tensor(TwoModeState(n_in, vec), anc), kappa)
+            mat += w * trace_out_cd(joint).mat
+        rho = TwoModeDensity(n_in + 1, mat)
+    return rho
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_unconditional_density_matches_reference_channel(n):
+    rng = np.random.default_rng(60 + n)
+    fs = factorize_target(random_target(rng, n))
+    for ts in ([1.0 / k for k in range(1, n + 1)],
+               list(rng.uniform(0.05, 1.0, size=n)), [1.0] * n):
+        got = run_scheme_unconditional(fs, ts)
+        want = _reference_channel(fs.factors, ts)
+        assert got.cutoff == want.cutoff == n
+        assert np.abs(got.mat - want.mat).max() < 1e-13
+
+
+def test_unconditional_density_memory_at_n17():
+    # A fresh interpreter, so caches filled by other tests do not count.
+    src = os.path.dirname(os.path.dirname(pathent.__file__))
+    code = """
+import json, tracemalloc
+import pathent
+angles = pathent.noon_factor_angles(17)
+tracemalloc.start()
+rho = pathent.run_scheme_unconditional(angles)
+print(json.dumps([tracemalloc.get_traced_memory()[1], rho.trace()]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peak, trace = json.loads(proc.stdout)
+    # The dense Kraus stack of every outcome peaked near 210 MB here; one
+    # sector at a time needs about 4 MB.
+    assert peak < 20e6
+    assert abs(trace - 1.0) < 1e-12
+
+
+def test_unconditional_density_at_n24():
+    fs = factorize_target(random_target(np.random.default_rng(24), 24))
+    rho = run_scheme_unconditional(fs)
+    y = run_scheme(fs).total_yield
+    assert abs(rho.sector_weight(24) - y) <= 1e-9 * y
+    assert abs(rho.trace() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("transmittance", [1.0, 0.8, 0.2])

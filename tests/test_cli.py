@@ -318,6 +318,9 @@ def test_fringe_validation(capsys):
     capsys.readouterr()
     assert cli.main(["fringe", "0", "16"]) == 1
     capsys.readouterr()
+    assert cli.main(["fringe", "3", "100000000000"]) == 1
+    err = capsys.readouterr().err
+    assert "points" in err and "65536" in err
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
