@@ -443,15 +443,20 @@ def _cmd_oracle_check(args) -> int:
         raise InputError(f"--perturb must be finite, got {args.perturb}")
     rng = np.random.default_rng(args.seed)
 
-    bs_max = 0.0
-    for _ in range(args.trials):
+    # (deviation, trial, kappa, ket index) of the largest deviation; the
+    # first NaN outranks every number and then stays, failing the section
+    worst = None
+    for trial in range(args.trials):
         state = _random_four_mode_state(rng, args.cutoff)
         for kappa in _ORACLE_KAPPAS:
             fast = beam_splitter_pair_exact(state, kappa + args.perturb)
             slow = beam_splitter_pair_oracle(state, kappa)
-            # np.maximum keeps a NaN deviation, which then fails the section
-            bs_max = float(np.maximum(bs_max,
-                                      np.abs(fast.amps - slow.amps).max()))
+            dev = np.abs(fast.amps - slow.amps)
+            i = int(np.argmax(dev))  # the first NaN, if there is one
+            if worst is None or (not dev[i] <= worst[0]
+                                 and not math.isnan(worst[0])):
+                worst = (float(dev[i]), trial, kappa, i)
+    bs_max, trial, kappa, i = worst
 
     block_max = 0.0
     for _ in range(args.trials):
@@ -467,13 +472,20 @@ def _cmd_oracle_check(args) -> int:
         block_max = float(np.maximum(
             block_max, np.abs(outcome.state.amps - expected.amps).max()))
 
+    pair_section = {
+        "name": "beam_splitter_pair_vs_matrix_exponential",
+        "trials": args.trials * len(_ORACLE_KAPPAS),
+        "max_deviation": bs_max,
+        "pass": bs_max <= _ORACLE_TOL,
+    }
+    if not pair_section["pass"]:
+        pair_section["worst"] = {
+            "trial": trial,
+            "kappa": kappa,
+            "ket": [int(n[i]) for n in _basis(4, args.cutoff)[0]],
+        }
     sections = [
-        {
-            "name": "beam_splitter_pair_vs_matrix_exponential",
-            "trials": args.trials * len(_ORACLE_KAPPAS),
-            "max_deviation": bs_max,
-            "pass": bs_max <= _ORACLE_TOL,
-        },
+        pair_section,
         {
             "name": "block_vs_closed_form_amplitude",
             "trials": args.trials,
@@ -567,7 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total-photon cutoff for random states (default: 8)")
     p.add_argument("--perturb", type=float, default=0.0, metavar="EPS",
                    help="test hook: offset the mixing angle in the fast "
-                        "route only, forcing a located mismatch")
+                        "route only, forcing a mismatch; a failing section "
+                        "names the trial, angle and [n_a, n_b, n_c, n_d] "
+                        "ket of its largest deviation")
     _add_out(p)
     p.set_defaults(func=_cmd_oracle_check)
 

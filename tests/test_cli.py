@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pathent import cli
-from pathent.fock import FourModeState
+from pathent.fock import FourModeState, _ket_index
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -357,6 +357,7 @@ def test_oracle_check_passes(capsys):
     for section in report["sections"]:
         assert section["pass"] is True
         assert section["max_deviation"] <= 1e-9
+        assert "worst" not in section
 
 
 def test_oracle_check_detects_perturbation(capsys):
@@ -369,7 +370,36 @@ def test_oracle_check_detects_perturbation(capsys):
     assert report["status"] == "fail"
     bs, block = report["sections"]
     assert bs["pass"] is False and bs["max_deviation"] > 1e-9
-    assert block["pass"] is True
+    assert block["pass"] is True and "worst" not in block
+    worst = bs["worst"]
+    assert worst["trial"] in range(3) and worst["kappa"] in report["kappas"]
+    ket = worst["ket"]
+    assert len(ket) == 4 and min(ket) >= 0 and sum(ket) <= report["cutoff"]
+
+
+def test_oracle_check_locates_the_largest_deviation(monkeypatch, capsys):
+    # The fast route is exact except on one trial, angle and ket, where it
+    # is off by 1e-6; a second, smaller error elsewhere must not win.
+    cutoff, ket, calls = 4, (1, 2, 0, 1), []
+    spikes = {4: (_ket_index(4, cutoff, ket), 1e-6),
+              7: (_ket_index(4, cutoff, (0, 0, 4, 0)), 1e-7)}
+
+    def spiked_route(state, kappa):
+        amps = cli.beam_splitter_pair_oracle(state, kappa).amps
+        if len(calls) in spikes:
+            i, size = spikes[len(calls)]
+            amps[i] += size
+        calls.append(kappa)
+        return FourModeState(state.cutoff, amps)
+
+    monkeypatch.setattr(cli, "beam_splitter_pair_exact", spiked_route)
+    code, report = run_json(
+        capsys, ["oracle-check", "--trials", "3", "--cutoff", str(cutoff)])
+    assert code == 2
+    kappas = report["kappas"]
+    assert report["sections"][0]["worst"] == {
+        "trial": 4 // len(kappas), "kappa": kappas[4 % len(kappas)],
+        "ket": list(ket)}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -394,6 +424,9 @@ def test_oracle_check_fails_a_nan_deviation(monkeypatch, capsys):
     assert code == 2 and report["status"] == "fail"
     bs, block = report["sections"]
     assert bs["pass"] is False and bs["max_deviation"] is None
+    # the first NaN is the one located
+    assert bs["worst"] == {"trial": 0, "kappa": report["kappas"][0],
+                           "ket": [0, 0, 0, 0]}
     assert block["pass"] is True
 
 

@@ -10,7 +10,6 @@ import pytest
 import scipy.linalg
 
 import pathent
-from pathent.cli import _ORACLE_KAPPAS
 from pathent.fock import (
     CutoffOverflowError,
     FourModeState,
@@ -343,6 +342,19 @@ def test_pair_oracle_matches_full_dense_exponential(kappa):
         assert np.abs(got - expected).max() < 1e-13
 
 
+def test_pair_oracle_matches_blockwise_expm_at_the_largest_cli_cutoff():
+    # oracle-check accepts cutoffs up to 10; scipy's expm of each block is
+    # a third route, independent of the oracle's eigendecomposition.
+    cutoff = 10
+    s = random_four_mode_state(np.random.default_rng(43), cutoff)
+    for kappa in MIX_KAPPAS:
+        expected = np.zeros_like(s.amps)
+        for idx, gen in _pair_blocks(cutoff):
+            expected[idx] = scipy.linalg.expm(kappa * gen) @ s.amps[idx]
+        got = beam_splitter_pair_oracle(s, kappa).amps
+        assert np.abs(got - expected).max() < 1e-13, kappa
+
+
 @pytest.mark.parametrize("kappa", MIX_KAPPAS)
 @pytest.mark.parametrize("modes,pairs", [(2, ((0, 1),)),
                                          (4, ((1, 3), (0, 2)))])
@@ -406,21 +418,29 @@ print(json.dumps([tracemalloc.get_traced_memory()[1], sorted(modes),
 
 
 def test_pair_unitary_cache_stays_bounded():
-    s = basis_state4(1, 1, 0, 0, 0)
+    # One entry per cutoff: fresh angles add none.
+    s = basis_state4(3, 1, 0, 1, 0)
+    beam_splitter_pair_oracle(s, 0.5)
+    before = _pair_unitary.cache_info().currsize
     for i in range(40):
         beam_splitter_pair_oracle(s, 0.01 * (i + 1))
-    info = _pair_unitary.cache_info()
-    assert len(_ORACLE_KAPPAS) <= info.maxsize
-    assert info.currsize <= info.maxsize
+    assert _pair_unitary.cache_info().currsize == before
 
 
 def test_importing_the_cli_leaves_scipy_linalg_unloaded():
+    # Neither importing the CLI nor running the oracle via oracle-check
+    # loads scipy.linalg.
     src = os.path.dirname(os.path.dirname(pathent.__file__))
-    code = "import sys, pathent.cli; print('scipy.linalg' in sys.modules)"
+    code = """
+import os, sys, pathent.cli
+loaded = 'scipy.linalg' in sys.modules
+code = pathent.cli.main(["oracle-check", "--trials", "1", "--out", os.devnull])
+print(code, loaded, 'scipy.linalg' in sys.modules)
+"""
     proc = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
-    assert proc.stdout.strip() == "False", proc.stderr
+    assert proc.stdout.split() == ["0", "False", "False"], proc.stderr
 
 
 def test_project_vacuum_cases():
