@@ -6,14 +6,16 @@ operations, so states with equal cutoffs can be compared entry by entry.
 Everything is complex double precision and every operation is pure: inputs
 are never mutated.
 
-There is one splitter core, the two-mode ``_mix``: a terminating hop
-series over a two-mode simplex (``_IndexSet``, which keeps the
-gather/scatter map of each hop it has applied).  It takes a stack of
-states, one per column, each coming out bit-identical to a single-state
-call.  The four-mode splitter pair on (a, c) and (b, d) is U (x) U, with U
-the two-mode splitter: ``beam_splitter_pair_exact`` lays four-mode
-amplitudes out as a matrix X[(n_a, n_c), (n_b, n_d)] over the two-mode
-simplex and returns U X U^T.  U conserves photon number, so the output
+One table per (modes, cutoff), ``_basis``, holds the kets' occupations
+and maps each ket to its index.  Every ladder product, a creation or
+annihilation operator or a hop x† y, is an occupation shift: one cached
+gather/scatter map, ``_shift_map``, applied by ``_shift``.  There is one
+splitter core, the two-mode ``_mix``: a terminating series of hops.  It
+takes a stack of states, one per column, each coming out bit-identical to
+a single-state call.  The four-mode splitter pair on (a, c) and (b, d) is
+U (x) U, with U the two-mode splitter: ``beam_splitter_pair_exact`` lays
+four-mode amplitudes out as a matrix X[(n_a, n_c), (n_b, n_d)] over the
+two-mode simplex and returns U X U^T.  U conserves photon number, so the output
 keeps the p + q <= cutoff support.  ``_split_cd`` is the one map from
 four-mode amplitudes to ancilla outcomes (n_c, n_d) and signal kets
 (n_a, n_b).  The dense-exponential oracle shares no hop or series code
@@ -55,11 +57,13 @@ class CutoffOverflowError(ValueError):
 # basis bookkeeping
 
 
-def _occupations(modes: int, cutoff: int) -> tuple:
-    """Occupation columns, one 1-D array per mode, of the simplex.
+@lru_cache(maxsize=None)
+def _basis(modes: int, cutoff: int):
+    """Occupation columns of the ``modes``-mode simplex and its lookup table.
 
     The kets have total photon number <= cutoff and are enumerated
-    lexicographically, first mode outermost.
+    lexicographically, first mode outermost: one 1-D array per mode.  The
+    table maps an occupation tuple to its index (-1 beyond the cutoff).
     """
     occ = np.zeros((1, 0), dtype=np.intp)
     for _ in range(modes):
@@ -67,57 +71,7 @@ def _occupations(modes: int, cutoff: int) -> tuple:
         first = np.repeat(np.cumsum(counts) - counts, counts)
         occ = np.column_stack([np.repeat(occ, counts, axis=0),
                                np.arange(first.size) - first])
-    return tuple(occ.T.copy())
-
-
-class _IndexSet:
-    """The kets of one simplex, with the hop maps built on it so far.
-
-    Each hop map is built on first use and kept, so a splitter call only
-    gathers and scatters.
-    """
-
-    def __init__(self, modes: int, cutoff: int):
-        self.cutoff = cutoff
-        self.occ = _occupations(modes, cutoff)
-        self.size = len(self.occ[0])
-        self._keys = self._key(self.occ)  # ascending, as the enumeration
-        self._hops = {}
-
-    def _key(self, occ):
-        key = 0
-        for n in occ:
-            key = key * (self.cutoff + 1) + n
-        return key
-
-    def index(self, occ):
-        """Positions of the kets with these occupations (arrays or ints)."""
-        return np.searchsorted(self._keys, self._key(occ))
-
-    def hop(self, x: int, y: int):
-        """x† y as (src, dst, w): amplitude src moves to dst, times w."""
-        if (x, y) not in self._hops:
-            src = np.flatnonzero(self.occ[y] >= 1)
-            new = [n[src] for n in self.occ]
-            w = np.sqrt((new[x] + 1.0) * new[y])
-            new[x] = new[x] + 1
-            new[y] = new[y] - 1
-            self._hops[x, y] = src, self.index(new), w
-        return self._hops[x, y]
-
-
-@lru_cache(maxsize=None)
-def _simplex(modes: int, cutoff: int) -> _IndexSet:
-    return _IndexSet(modes, cutoff)
-
-
-@lru_cache(maxsize=None)
-def _basis(modes: int, cutoff: int):
-    """Occupation columns of the ``modes``-mode simplex and its lookup table.
-
-    The table maps an occupation tuple to its index (-1 beyond the cutoff).
-    """
-    occ = _simplex(modes, cutoff).occ
+    occ = tuple(occ.T.copy())
     table = np.full((cutoff + 1,) * modes, -1, dtype=np.intp)
     table[occ] = np.arange(len(occ[0]))
     return occ, table
@@ -125,10 +79,45 @@ def _basis(modes: int, cutoff: int):
 
 def _ket_index(modes: int, cutoff: int, ket) -> int:
     """Index of an occupation tuple; ValueError if it is not in the basis."""
-    if len(ket) != modes or min(ket) < 0 or sum(ket) > cutoff:
+    if (len(ket) != modes
+            or not all(isinstance(n, (int, np.integer)) for n in ket)
+            or min(ket) < 0 or sum(ket) > cutoff):
         raise ValueError(
             f"ket {ket} is not in the {modes}-mode basis at cutoff {cutoff}")
-    return int(_simplex(modes, cutoff).index(ket))
+    return int(_basis(modes, cutoff)[1][ket])
+
+
+@lru_cache(maxsize=None)
+def _shift_map(cutoff: int, shift: tuple) -> tuple:
+    """The occupation shift n -> n + shift as (src, dst, w).
+
+    Amplitude at ket src moves to ket dst, times w; kets whose image leaves
+    the simplex are not in src.  Each entry of ``shift`` is 1 (a creation
+    operator), -1 (an annihilation operator) or 0, so w is the square root
+    of the product of max(n, n + d) over the shifted modes.
+    """
+    occ, table = _basis(len(shift), cutoff)
+    new = [n + d for n, d in zip(occ, shift)]
+    src = np.flatnonzero((np.min(new, axis=0) >= 0) & (sum(new) <= cutoff))
+    dst = table[tuple(n[src] for n in new)]
+    w = np.prod([np.maximum(n, m)[src]
+                 for n, m, d in zip(occ, new, shift) if d], axis=0)
+    return src, dst, np.sqrt(w.astype(float))
+
+
+def _shift(amps: np.ndarray, cutoff: int, shift: tuple) -> np.ndarray:
+    """The ladder product of ``_shift_map(cutoff, shift)`` on amplitudes.
+
+    Amplitudes carry the simplex on axis 0 and optionally one state per
+    column; the per-ket weights multiply the transpose to broadcast over
+    the columns.
+    """
+    src, dst, w = _shift_map(cutoff, shift)
+    out = np.zeros_like(amps)
+    moved = amps[src]
+    # in place, so a shift allocates no second array of the moved amplitudes
+    out[dst] = np.multiply(moved.T, w, out=moved.T).T
+    return out
 
 
 # perfbench/tracing.py reads the build count through this name.  The one
@@ -319,13 +308,13 @@ def tensor(ab: TwoModeState, cd: TwoModeState,
     cutoff = ab.cutoff + cd.cutoff if cutoff is None else cutoff
     (na1, nb1), _ = _basis(2, ab.cutoff)
     (na2, nb2), _ = _basis(2, cd.cutoff)
-    kets = _simplex(4, cutoff)
-    amps = np.zeros(kets.size, dtype=complex)
+    occ, table = _basis(4, cutoff)
+    amps = np.zeros(len(occ[0]), dtype=complex)
     for j in np.flatnonzero(cd.amps):
         ok = (na1 + nb1) <= cutoff - int(na2[j] + nb2[j])
         if np.any(ab.amps[~ok] != 0):
             raise CutoffOverflowError("tensor product exceeds cutoff")
-        idx = kets.index((na1[ok], nb1[ok], na2[j], nb2[j]))
+        idx = table[na1[ok], nb1[ok], na2[j], nb2[j]]
         amps[idx] += ab.amps[ok] * cd.amps[j]
     return FourModeState(cutoff, amps)
 
@@ -348,38 +337,28 @@ def with_cutoff(s: TwoModeState, cutoff: int) -> TwoModeState:
 # ladder operators and friends
 
 
+def _mode_shift(mode: str, d: int) -> tuple:
+    """The two-mode occupation shift that moves ``mode`` ("a" or "b") by d."""
+    if mode not in ("a", "b"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return (d, 0) if mode == "a" else (0, d)
+
+
 def apply_creation(s: TwoModeState, mode: str) -> TwoModeState:
     """Apply the creation operator of the chosen mode ("a" or "b")."""
-    (na, nb), table = _basis(2, s.cutoff)
-    top = (na + nb) == s.cutoff
-    if np.any(s.amps[top] != 0):
+    (na, nb), _ = _basis(2, s.cutoff)
+    if np.any(s.amps[(na + nb) == s.cutoff] != 0):
         raise CutoffOverflowError(
             f"creation on mode {mode} would exceed cutoff {s.cutoff}"
         )
-    keep = ~top
-    out = np.zeros_like(s.amps)
-    if mode == "a":
-        out[table[na[keep] + 1, nb[keep]]] = s.amps[keep] * np.sqrt(na[keep] + 1.0)
-    elif mode == "b":
-        out[table[na[keep], nb[keep] + 1]] = s.amps[keep] * np.sqrt(nb[keep] + 1.0)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return TwoModeState(s.cutoff, out)
+    shift = _mode_shift(mode, 1)
+    return TwoModeState(s.cutoff, _shift(s.amps, s.cutoff, shift))
 
 
 def apply_annihilation(s: TwoModeState, mode: str) -> TwoModeState:
     """Apply the annihilation operator of the chosen mode ("a" or "b")."""
-    (na, nb), table = _basis(2, s.cutoff)
-    out = np.zeros_like(s.amps)
-    if mode == "a":
-        keep = na >= 1
-        out[table[na[keep] - 1, nb[keep]]] = s.amps[keep] * np.sqrt(na[keep].astype(float))
-    elif mode == "b":
-        keep = nb >= 1
-        out[table[na[keep], nb[keep] - 1]] = s.amps[keep] * np.sqrt(nb[keep].astype(float))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return TwoModeState(s.cutoff, out)
+    shift = _mode_shift(mode, -1)
+    return TwoModeState(s.cutoff, _shift(s.amps, s.cutoff, shift))
 
 
 def apply_linear_factor(s: TwoModeState, theta: float, phi: float) -> TwoModeState:
@@ -432,29 +411,18 @@ def is_photon_number_eigenstate(s: TwoModeState) -> int | None:
 # ---------------------------------------------------------------------------
 # beam splitters
 
-# A hopping step x† y maps |n_x, n_y> to sqrt((n_x + 1) n_y) |n_x + 1, n_y - 1>
-# and conserves the total photon number, so repeated application terminates
-# within cutoff steps.  Amplitudes carry the simplex on axis 0 and optionally
-# one state per column; per-ket factors multiply the transpose to broadcast
-# over the columns.
+# A hopping step x† y, the shift (1, -1) or (-1, 1), maps |n_x, n_y> to
+# sqrt((n_x + 1) n_y) |n_x + 1, n_y - 1> and conserves the total photon
+# number, so repeated application terminates within cutoff steps.
 
 
-def _hop(amps: np.ndarray, kets: _IndexSet, x: int, y: int) -> np.ndarray:
-    src, dst, w = kets.hop(x, y)
-    out = np.zeros_like(amps)
-    moved = amps[src]
-    # in place, so a hop allocates no second array of the moved amplitudes
-    out[dst] = np.multiply(moved.T, w, out=moved.T).T
-    return out
-
-
-def _exp_hop(amps: np.ndarray, kets: _IndexSet, coef: float,
-             x: int, y: int) -> np.ndarray:
+def _exp_hop(amps: np.ndarray, cutoff: int, coef: float,
+             shift: tuple) -> np.ndarray:
     """exp(coef x† y) as its series, which ends within cutoff terms."""
     result = amps.copy()
     term = amps
-    for m in range(1, kets.cutoff + 1):
-        term = (coef / m) * _hop(term, kets, x, y)
+    for m in range(1, cutoff + 1):
+        term = (coef / m) * _shift(term, cutoff, shift)
         if not term.any():
             break
         result = result + term
@@ -466,18 +434,21 @@ def _mix(amps: np.ndarray, cutoff: int, kappa: float) -> np.ndarray:
 
     With K = tan(kappa), exp(kappa (a† b - a b†)) equals the factored form
         e^{-K a b†} * cos(kappa)^{n_a - n_b} * e^{K a† b},
-    each exponential an exactly terminating series.  Near |cos kappa| = 0,
-    where the form divides by cos(kappa), the splitter is the exact mode
-    swap it converges to; above pi/4 the angle is halved until |K| <= 1.
+    each exponential an exactly terminating series.  The splitter is
+    2 pi-periodic in kappa, so an angle beyond pi is reduced into [-pi, pi].
+    Near |cos kappa| = 0, where the form divides by cos(kappa), the splitter
+    is the exact mode swap it converges to; above pi/4 the angle is halved
+    until |K| <= 1.
     """
-    kets = _simplex(2, cutoff)
-    n_a, n_b = kets.occ
+    (n_a, n_b), table = _basis(2, cutoff)
+    if abs(kappa) > math.pi:  # so angles in [-pi, pi] keep their bits
+        kappa = math.remainder(kappa, 2 * math.pi)
     if abs(math.cos(kappa)) < _SWAP_EPS:
         # kappa = +-pi/2: a† -> -s b†, b† -> s a†, with s = sign(sin kappa).
         odd = n_a if math.sin(kappa) > 0 else n_b
         sign = np.where(odd % 2 == 1, -1.0, 1.0)
         out = np.zeros_like(amps)
-        out[kets.index((n_b, n_a))] = (amps.T * sign).T
+        out[table[n_b, n_a]] = (amps.T * sign).T
         return out
     halvings = 0
     while abs(kappa) / 2 ** halvings > _HALF_ANGLE_LIMIT:
@@ -486,9 +457,9 @@ def _mix(amps: np.ndarray, cutoff: int, kappa: float) -> np.ndarray:
     K = math.tan(step)
     scale = math.cos(step) ** (n_a - n_b)
     for _ in range(2 ** halvings):
-        amps = _exp_hop(amps, kets, K, 0, 1)
+        amps = _exp_hop(amps, cutoff, K, (1, -1))
         amps = (amps.T * scale).T
-        amps = _exp_hop(amps, kets, -K, 1, 0)
+        amps = _exp_hop(amps, cutoff, -K, (-1, 1))
     return amps
 
 
@@ -506,7 +477,7 @@ def beam_splitter_pair_exact(s: FourModeState, kappa: float) -> FourModeState:
     series never truncate, and the kappa = pi/2 singularity of the factored
     form is handled as the exact mode swap it converges to.
     """
-    na, nb, nc, nd = _simplex(4, s.cutoff).occ
+    (na, nb, nc, nd), _ = _basis(4, s.cutoff)
     table = _basis(2, s.cutoff)[1]
     rows, cols = table[na, nc], table[nb, nd]
     d = dim2(s.cutoff)
@@ -595,7 +566,7 @@ def project_vacuum_cd(s: FourModeState) -> tuple[TwoModeState, float]:
 
 def _split_cd(amps: np.ndarray, cutoff: int) -> np.ndarray:
     """Amplitudes as [outcome (n_c, n_d), signal (n_a, n_b), ...], two-mode kets."""
-    na, nb, nc, nd = _simplex(4, cutoff).occ
+    (na, nb, nc, nd), _ = _basis(4, cutoff)
     table2 = _basis(2, cutoff)[1]
     out = np.zeros((dim2(cutoff),) * 2 + amps.shape[1:], dtype=complex)
     out[table2[nc, nd], table2[na, nb]] = amps

@@ -16,7 +16,7 @@ import numpy as np
 from .fock import (
     TwoModeDensity,
     TwoModeState,
-    _basis,
+    _shift,
     apply_annihilation,
     dim2,
     phase_shift,
@@ -38,13 +38,8 @@ def absorption_rate_pure(state: TwoModeState, n_absorb: int) -> float:
 
 def _absorb_matrix(cutoff: int, n_absorb: int) -> np.ndarray:
     """Dense matrix of (a + b)^N over the two-mode basis."""
-    (na, nb), table = _basis(2, cutoff)
-    d = dim2(cutoff)
-    m = np.zeros((d, d), dtype=complex)
-    keep_a = np.flatnonzero(na >= 1)
-    m[table[na[keep_a] - 1, nb[keep_a]], keep_a] += np.sqrt(na[keep_a].astype(float))
-    keep_b = np.flatnonzero(nb >= 1)
-    m[table[na[keep_b], nb[keep_b] - 1], keep_b] += np.sqrt(nb[keep_b].astype(float))
+    eye = np.eye(dim2(cutoff), dtype=complex)
+    m = _shift(eye, cutoff, (-1, 0)) + _shift(eye, cutoff, (0, -1))
     return np.linalg.matrix_power(m, n_absorb)
 
 

@@ -377,6 +377,18 @@ def test_oracle_check_detects_perturbation(capsys):
     assert len(ket) == 4 and min(ket) >= 0 and sum(ket) <= report["cutoff"]
 
 
+def test_oracle_check_detects_a_perturbation_of_many_turns(capsys):
+    # The splitter reduces its angle modulo 2 pi, so 1e300 costs no more
+    # than a small angle.
+    code, report = run_json(
+        capsys,
+        ["oracle-check", "--trials", "1", "--cutoff", "2",
+         "--perturb", "1e300"],
+    )
+    assert code == 2
+    assert 1e-9 < report["sections"][0]["max_deviation"] <= 2.0
+
+
 def test_oracle_check_locates_the_largest_deviation(monkeypatch, capsys):
     # The fast route is exact except on one trial, angle and ket, where it
     # is off by 1e-6; a second, smaller error elsewhere must not win.

@@ -74,6 +74,9 @@ def test_basis_state_bounds():
         basis_state(3, 2, 2)
     with pytest.raises(ValueError):
         basis_state(3, -1, 0)
+    with pytest.raises(ValueError, match="ket"):
+        basis_state(3, 0.5, 0)
+    assert basis_state(3, np.int64(2), 1).amplitude(np.intp(2), 1) == 1.0
 
 
 @pytest.mark.parametrize("state,ket", [
@@ -84,6 +87,8 @@ def test_basis_state_bounds():
     (basis_state4(1, 0, 0, 0, 1), (0, 0, 0, -1)),
     (basis_state4(1, 0, 0, 0, 1), (0, 0, 1)),
     (basis_state4(1, 0, 0, 0, 1), (1, 0, 0, 1)),
+    (basis_state(2, 2, 0), (0.5, 0)),
+    (basis_state(2, 2, 0), (1.5, 0.5)),
 ])
 def test_amplitude_rejects_kets_outside_the_basis(state, ket):
     with pytest.raises(ValueError, match="ket"):
@@ -300,6 +305,15 @@ def test_pair_splitter_routes_agree(kappa):
         assert np.array_equal(stacked[:, i], beam_splitter(t, kappa).amps)
 
 
+@pytest.mark.parametrize("kappa", MIX_KAPPAS)
+def test_splitter_is_2pi_periodic_in_the_angle(kappa):
+    s = random_two_mode_state(np.random.default_rng(5), 6)
+    expected = beam_splitter(s, kappa).amps
+    for k in (-3, -1, 1, 2, 5):
+        got = beam_splitter(s, kappa + 2 * math.pi * k).amps
+        assert np.abs(got - expected).max() < 1e-12, k
+
+
 @pytest.mark.parametrize("cutoff", range(9))
 def test_pair_oracle_blocks_tile_the_basis(cutoff):
     na, nb, nc, nd = _basis(4, cutoff)[0]
@@ -388,7 +402,7 @@ def test_heralded_chain_stays_in_its_sectors():
     # A fresh interpreter, so caches filled by other tests do not count.
     src = os.path.dirname(os.path.dirname(pathent.__file__))
     code = """
-import json, tracemalloc
+import json, sys, tracemalloc
 import pathent, pathent.cli
 from pathent import fock
 
@@ -398,8 +412,11 @@ def spy(m, cutoff):
     modes.add(m)
     return basis(m, cutoff)
 
-for module in (fock, pathent.litho, pathent.cli):
-    module._basis = spy
+# every module that binds the table by name, pathent.blocks among them
+for name, module in list(sys.modules.items()):
+    if name.startswith("pathent.") and getattr(module, "_basis", None) is basis:
+        module._basis = spy
+assert pathent.blocks._basis is spy
 angles = pathent.noon_factor_angles(32)
 tracemalloc.start()
 result = pathent.run_scheme(angles)
