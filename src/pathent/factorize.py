@@ -147,18 +147,16 @@ def find_factor_angles(d) -> list[tuple[float, float]]:
     return angles
 
 
-def apply_factors(angles, cutoff: int | None = None) -> TwoModeState:
-    """Raw product of the photon-adding factors on vacuum (unnormalized)."""
+def apply_factors(angles) -> TwoModeState:
+    """Raw factor product on vacuum at cutoff len(angles), unnormalized."""
     angles = list(angles)
-    if cutoff is None:
-        cutoff = len(angles)
-    s = vacuum(cutoff)
+    s = vacuum(len(angles))
     for theta, phi in angles:
         s = apply_linear_factor(s, theta, phi)
     return s
 
 
-def normalization(angles, cutoff: int | None = None,
+def normalization(angles,
                   target: TargetSpec | None = None) -> tuple[float, complex]:
     """Squared norm of the raw factor product, and its phase against a target.
 
@@ -166,13 +164,13 @@ def normalization(angles, cutoff: int | None = None,
     product / (sqrt(N) g) matching the target's phase; g = 1 when no target
     is given.
     """
-    raw = apply_factors(angles, cutoff)
+    raw = apply_factors(angles)
     n_sq = raw.norm_sq()
     if n_sq == 0.0:
         raise ValueError("factor product annihilates the vacuum")
     g = 1.0 + 0.0j
     if target is not None:
-        t = state_of_target(target, cutoff=raw.cutoff)
+        t = state_of_target(target)
         ov = inner_product(t, raw)
         if abs(ov) == 0.0:
             raise ValueError("factor product is orthogonal to the target")
@@ -187,19 +185,18 @@ def factorize_target(target: TargetSpec) -> FactorSet:
     return FactorSet(tuple(angles), n_sq, g)
 
 
-def reconstruct(fs: FactorSet, cutoff: int | None = None) -> TwoModeState:
+def reconstruct(fs: FactorSet) -> TwoModeState:
     """Normalized, phase-aligned state produced by a factor set."""
-    raw = apply_factors(fs.factors, cutoff)
+    raw = apply_factors(fs.factors)
     return raw / (math.sqrt(fs.normalization) * fs.global_phase)
 
 
-def state_of_target(target: TargetSpec, cutoff: int | None = None) -> TwoModeState:
+def state_of_target(target: TargetSpec) -> TwoModeState:
+    """The target as a two-mode state at cutoff n_photons."""
     n = target.n_photons
-    if cutoff is None:
-        cutoff = n
-    s = basis_state(cutoff, 0, n) * target.coeffs[0]
+    s = basis_state(n, 0, n) * target.coeffs[0]
     for k in range(1, n + 1):
-        s = s + basis_state(cutoff, k, n - k) * target.coeffs[k]
+        s = s + basis_state(n, k, n - k) * target.coeffs[k]
     return s
 
 

@@ -7,9 +7,11 @@ Everything is complex double precision and every operation is pure: inputs
 are never mutated.
 
 One table per (modes, cutoff), ``_basis``, holds the kets' occupations
-and maps each ket to its index.  Every ladder product, a creation or
-annihilation operator or a hop x† y, is an occupation shift: one cached
-gather/scatter map, ``_shift_map``, applied by ``_shift``.  There is one
+and maps each ket to its index.  Constructors build a state at its photon
+number, a tensor product at the sum of its factors' cutoffs, and only
+``with_cutoff`` re-embeds.  Every ladder product, a creation or
+annihilation operator, a hop x† y or the absorber a + b, is an occupation
+shift: one cached gather/scatter map, ``_shift_map``, applied by ``_shift``.  There is one
 splitter core, the two-mode ``_mix``: a terminating series of hops.  It
 takes a stack of states, one per column, each coming out bit-identical to
 a single-state call.  The four-mode splitter pair on (a, c) and (b, d) is
@@ -183,11 +185,11 @@ class TwoModeState(_FockState):
             raise ValueError("cannot normalize the zero state")
         return TwoModeState(self.cutoff, self.amps / n)
 
-    def nonzero_amplitudes(self, tol: float = 1e-12):
-        """Sorted list of (n_a, n_b, amplitude) with |amplitude| > tol."""
+    def nonzero_amplitudes(self):
+        """Sorted list of (n_a, n_b, amplitude) with |amplitude| > 1e-12."""
         (na, nb), _ = _basis(2, self.cutoff)
         out = []
-        for i in np.flatnonzero(np.abs(self.amps) > tol):
+        for i in np.flatnonzero(np.abs(self.amps) > 1e-12):
             out.append((int(na[i]), int(nb[i]), complex(self.amps[i])))
         return out
 
@@ -254,16 +256,15 @@ class TwoModeDensity:
         mask = (na + nb) == n
         return float(np.trace(self.mat[np.ix_(mask, mask)]).real)
 
-    def validate(self, herm_tol: float = 1e-12, eig_floor: float = -1e-9,
-                 trace_tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         """Raise ValueError unless Hermitian, trace in [0, 1], and PSD."""
-        if np.abs(self.mat - self.mat.conj().T).max() > herm_tol:
+        if np.abs(self.mat - self.mat.conj().T).max() > 1e-12:
             raise ValueError("density matrix is not Hermitian")
         tr = self.trace()
-        if not (-trace_tol <= tr <= 1.0 + trace_tol):
+        if not (-1e-12 <= tr <= 1.0 + 1e-12):
             raise ValueError(f"trace {tr} outside [0, 1]")
         eigs = np.linalg.eigvalsh(self.mat)
-        if eigs.min() < eig_floor:
+        if eigs.min() < -1e-9:
             raise ValueError(f"negative eigenvalue {eigs.min()}")
 
 
@@ -286,14 +287,12 @@ def basis_state(cutoff: int, na: int, nb: int) -> TwoModeState:
     return TwoModeState(cutoff, amps)
 
 
-def noon_state(n: int, cutoff: int | None = None) -> TwoModeState:
-    """The maximally path-entangled state (|n,0> + |0,n>)/sqrt(2)."""
+def noon_state(n: int) -> TwoModeState:
+    """The maximally path-entangled state (|n,0> + |0,n>)/sqrt(2), cutoff n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    cutoff = n if cutoff is None else cutoff
     inv = 1.0 / math.sqrt(2.0)
-    s = basis_state(cutoff, n, 0) * inv + basis_state(cutoff, 0, n) * inv
-    return s
+    return basis_state(n, n, 0) * inv + basis_state(n, 0, n) * inv
 
 
 def basis_state4(cutoff: int, na: int, nb: int, nc: int, nd: int) -> FourModeState:
@@ -302,21 +301,13 @@ def basis_state4(cutoff: int, na: int, nb: int, nc: int, nd: int) -> FourModeSta
     return FourModeState(cutoff, amps)
 
 
-def tensor(ab: TwoModeState, cd: TwoModeState,
-           cutoff: int | None = None) -> FourModeState:
-    """Embed ab (x) cd into a four-mode state."""
-    cutoff = ab.cutoff + cd.cutoff if cutoff is None else cutoff
-    (na1, nb1), _ = _basis(2, ab.cutoff)
-    (na2, nb2), _ = _basis(2, cd.cutoff)
-    occ, table = _basis(4, cutoff)
-    amps = np.zeros(len(occ[0]), dtype=complex)
-    for j in np.flatnonzero(cd.amps):
-        ok = (na1 + nb1) <= cutoff - int(na2[j] + nb2[j])
-        if np.any(ab.amps[~ok] != 0):
-            raise CutoffOverflowError("tensor product exceeds cutoff")
-        idx = table[na1[ok], nb1[ok], na2[j], nb2[j]]
-        amps[idx] += ab.amps[ok] * cd.amps[j]
-    return FourModeState(cutoff, amps)
+def tensor(ab: TwoModeState, cd: TwoModeState) -> FourModeState:
+    """Embed ab (x) cd into a four-mode state at cutoff ab.cutoff + cd.cutoff."""
+    c = ab.cutoff + cd.cutoff
+    (na, nb, nc, nd), _ = _basis(4, c)
+    table = _basis(2, c)[1]
+    return FourModeState(c, with_cutoff(ab, c).amps[table[na, nb]]
+                         * with_cutoff(cd, c).amps[table[nc, nd]])
 
 
 def with_cutoff(s: TwoModeState, cutoff: int) -> TwoModeState:
@@ -440,6 +431,8 @@ def _mix(amps: np.ndarray, cutoff: int, kappa: float) -> np.ndarray:
     is the exact mode swap it converges to; above pi/4 the angle is halved
     until |K| <= 1.
     """
+    if not math.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa}")
     (n_a, n_b), table = _basis(2, cutoff)
     if abs(kappa) > math.pi:  # so angles in [-pi, pi] keep their bits
         kappa = math.remainder(kappa, 2 * math.pi)
@@ -532,6 +525,8 @@ def _pair_unitary(cutoff: int) -> tuple:
 
 def beam_splitter_pair_oracle(s: FourModeState, kappa: float) -> FourModeState:
     """Brute-force route: dense exponential of each generator block."""
+    if not math.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa}")
     out = np.zeros_like(s.amps)
     for (idx, _), (lam, vec) in zip(_pair_blocks(s.cutoff),
                                     _pair_unitary(s.cutoff)):

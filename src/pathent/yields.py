@@ -32,8 +32,9 @@ def yield_generic(normalization: float, n_photons: int) -> float:
     """Total yield A N^{-N} for a target with factor normalization A."""
     if n_photons < 1:
         raise ValueError("n_photons must be >= 1")
-    if normalization <= 0.0:
-        raise ValueError("normalization must be positive")
+    if not 0.0 < normalization < math.inf:
+        raise ValueError(
+            f"normalization must be positive and finite, got {normalization}")
     return normalization * float(n_photons) ** (-n_photons)
 
 
@@ -41,15 +42,13 @@ def yield_noon_single(n_photons: int) -> float:
     """NOON-state yield (N-1)! (2N)^{1-N} of the single-photon scheme.
 
     The NOON normalization constant is 2^{1-N} N!, so this is the generic
-    A N^{-N} specialized.  Evaluated in log space for large N to dodge
-    factorial overflow.
+    A N^{-N} specialized.  Python's int / int division is correctly rounded
+    at any size, so the ratio is exact to the last bit with no overflow.
     """
     n = n_photons
     if n < 1:
         raise ValueError("n_photons must be >= 1")
-    if n <= 16:
-        return math.factorial(n - 1) / float((2 * n) ** (n - 1))
-    return math.exp(math.lgamma(n) + (1.0 - n) * math.log(2.0 * n))
+    return math.factorial(n - 1) / (2 * n) ** (n - 1)
 
 
 def yield_noon_double(n_photons: int) -> float:

@@ -43,6 +43,8 @@ def test_rate_low_sectors_vanish_exactly():
 def test_rate_validation():
     with pytest.raises(ValueError):
         absorption_rate_pure(vacuum(2), 0)
+    with pytest.raises(ValueError):
+        absorption_rate_mixed(TwoModeDensity.from_state(vacuum(2)), 0)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -129,9 +131,20 @@ def test_balanced_single_photon_oscillates_once():
     assert dominant_fringe_frequency(sweep) == 1
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fringe_sweep_matches_per_phase_rates_bit_for_bit(n):
+    state = random_two_mode_state(np.random.default_rng(n), 8)
+    sweep = fringe_sweep(state, n, 33)
+    per_phase = [absorption_rate_pure(phase_shift(state, float(phi), mode="b"), n)
+                 for phi in sweep.phases]
+    assert np.array_equal(sweep.rates, per_phase)
+
+
 def test_fringe_sweep_validation():
     with pytest.raises(ValueError):
         fringe_sweep(noon_state(2), 2, 1)
+    with pytest.raises(ValueError):
+        fringe_sweep(noon_state(2), 0, 16)
 
 
 def test_dominant_frequency_of_constant_is_zero():

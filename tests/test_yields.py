@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,8 +61,9 @@ def test_optimal_transmittance_is_argmax_on_grid(k):
 def test_yield_generic():
     assert yield_generic(1.0, 1) == 1.0
     np.testing.assert_allclose(yield_generic(3.0, 4), 3.0 / 256.0, rtol=1e-12)
-    with pytest.raises(ValueError):
-        yield_generic(-1.0, 2)
+    for bad in (-1.0, 0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="normalization"):
+            yield_generic(bad, 2)
     with pytest.raises(ValueError):
         yield_generic(1.0, 0)
 
@@ -88,6 +90,14 @@ def test_yield_noon_single_matches_simulation(n):
     res = run_scheme(noon_factor_angles(n))
     np.testing.assert_allclose(res.total_yield, yield_noon_single(n),
                                rtol=1e-9)
+
+
+def test_yield_noon_single_is_correctly_rounded():
+    # (N-1)! / (2N)^(N-1) to the last bit, beyond where a float factorial
+    # is exact
+    for n in range(1, 65):
+        exact = Fraction(math.factorial(n - 1), (2 * n) ** (n - 1))
+        assert yield_noon_single(n) == float(exact), n
 
 
 def test_yield_noon_single_closed_form():
