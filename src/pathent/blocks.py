@@ -28,7 +28,6 @@ from .fock import (
     TwoModeDensity,
     TwoModeState,
     _basis,
-    _mix,
     apply_creation,
     basis_state,
     beam_splitter,
@@ -65,6 +64,15 @@ class BlockParams:
     @property
     def kappa(self) -> float:
         return math.asin(math.sqrt(self.transmittance))
+
+    @property
+    def cos_sin(self) -> tuple[float, float]:
+        """cos and sin of the mixing angle, sqrt(1 - T) and sqrt(T).
+
+        Taken from T itself, so T = 1 gives the exact swap, cos = 0.
+        """
+        t = self.transmittance
+        return math.sqrt(1.0 - t), math.sqrt(t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,21 +116,42 @@ def ancilla_double(phi: float) -> TwoModeState:
     return phase_shift(s, phi, mode="b")
 
 
-def _splitter_entries(cutoff: int, kappa: float, j_max: int) -> np.ndarray:
+def _splitter_entries(cutoff: int, c: float, s: float, j_max: int,
+                      n_max: int | None = None) -> np.ndarray:
     """v[j, o, n] = U[(o, n), (o + n - j, j)] of the two-mode splitter U.
 
-    One stacked splitter call: column j is the sum of every ket |p - j, j>,
-    and U does not mix photon numbers.
+    U sends a† to A† = c a† - s b† and b† to B† = s a† + c b†, with
+    c = cos(kappa) and s = sin(kappa) of its angle.  v[0] is a closed
+    form: U|m, 0> = A†^m |0> / sqrt(m!) has the |o, n> entry
+    c^o (-s)^n sqrt(C(m, n)).  Each further b-photon applies B† once,
+    U|m - j, j> = B† U|m - j, j - 1> / sqrt(j), so
+        v[j, o, n] = (s sqrt(o) v[j-1, o-1, n] + c sqrt(n) v[j-1, o, n-1])
+                     / sqrt(j),
+    which unrolls to the j + 1 terms of the binomial expansion of B†^j.
+    Every power is non-negative and nothing divides by c, so no angle needs
+    a special case.  Only the columns n <= n_max (default: all) are built,
+    since the recursion never reads a higher one; the heralded blocks need
+    n = 0 alone, c^{o-j} s^j sqrt(C(o, j)).  Entries with o + n > cutoff or
+    o + n < j are zero.
     """
-    (na, nb), _ = _basis(2, cutoff)
-    v = np.zeros((j_max + 1, cutoff + 1, cutoff + 1))
-    v[:, na, nb] = _mix((nb[:, None] == np.arange(j_max + 1)) * 1.0,
-                        cutoff, kappa).T
+    n_max = cutoff if n_max is None else n_max
+    o = np.arange(cutoff + 1.0)[:, None]
+    n = np.arange(n_max + 1.0)
+    inside = o + n <= cutoff
+    # sqrt(C(o + n, n)) as the running product of sqrt((o + t) / t), t <= n
+    step = np.sqrt((o + n) / np.maximum(n, 1.0))
+    step[:, 0] = 1.0
+    v = np.zeros((j_max + 1, cutoff + 1, n_max + 1))
+    v[0] = np.where(inside, c ** o * (-s) ** n * np.cumprod(step, axis=1), 0.0)
+    for j in range(1, j_max + 1):
+        v[j, 1:] = s * np.sqrt(o[1:]) * v[j - 1, :-1]
+        v[j, :, 1:] += c * np.sqrt(n[1:]) * v[j - 1, :, :-1]
+        v[j] = np.where(inside, v[j] / math.sqrt(j), 0.0)
     return v
 
 
 def _herald(state: TwoModeState, ancilla: TwoModeState,
-            kappa: float) -> BlockOutcome:
+            params: BlockParams) -> BlockOutcome:
     """Mix signal (x) ancilla on the splitter pair; keep the dark branch.
 
     The pair is U (x) U on (a, c) and (b, d), so the dark amplitude of
@@ -131,7 +160,7 @@ def _herald(state: TwoModeState, ancilla: TwoModeState,
     """
     cutoff = state.cutoff + ancilla.cutoff
     (na, nb), _ = _basis(2, cutoff)
-    v = _splitter_entries(cutoff, kappa, ancilla.cutoff)
+    v = _splitter_entries(cutoff, *params.cos_sin, ancilla.cutoff, 0)[:, :, 0]
     (nc, nd), _ = _basis(2, ancilla.cutoff)
     signal = _basis(2, state.cutoff)[1]
     dark = np.zeros(dim2(cutoff), dtype=complex)
@@ -140,21 +169,20 @@ def _herald(state: TwoModeState, ancilla: TwoModeState,
         ok = np.flatnonzero((na >= j) & (nb >= l)
                             & (na + nb - j - l <= state.cutoff))
         p, q = na[ok], nb[ok]
-        dark[ok] += (v[j, p, 0] * v[l, q, 0] * ancilla.amps[k]
+        dark[ok] += (v[j, p] * v[l, q] * ancilla.amps[k]
                      * state.amps[signal[p - j, q - l]])
     out = TwoModeState(cutoff, dark)
     return BlockOutcome(out, out.norm_sq())
 
 
 def run_block_single(state: TwoModeState, params: BlockParams) -> BlockOutcome:
-    return _herald(state, ancilla_single(params.theta, params.phi),
-                   params.kappa)
+    return _herald(state, ancilla_single(params.theta, params.phi), params)
 
 
 def run_block_double(state: TwoModeState, phi: float,
                      transmittance: float) -> BlockOutcome:
-    params = BlockParams(math.pi / 4.0, phi, transmittance)
-    return _herald(state, ancilla_double(phi), params.kappa)
+    return _herald(state, ancilla_double(phi),
+                   BlockParams(math.pi / 4.0, phi, transmittance))
 
 
 def amplitude_factor_single(k: int, transmittance: float) -> float:
@@ -331,7 +359,7 @@ def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:
     rho = np.zeros((n + 1,) * 3, dtype=complex)
     rho[0, 0, 0] = 1.0
     for n_in, ((theta, phi), t) in enumerate(zip(angles, ts)):
-        v = _splitter_entries(n_in + 1, BlockParams(theta, phi, t).kappa, 1)
+        v = _splitter_entries(n_in + 1, *BlockParams(theta, phi, t).cos_sin, 1)
         anc = ancilla_single(theta, phi)
         anc = np.array([anc.amplitude(0, 1), anc.amplitude(1, 0)])
         out = np.zeros_like(rho)

@@ -11,14 +11,17 @@ and maps each ket to its index.  Constructors build a state at its photon
 number, a tensor product at the sum of its factors' cutoffs, and only
 ``with_cutoff`` re-embeds.  Every ladder product, a creation or
 annihilation operator, a hop x† y or the absorber a + b, is an occupation
-shift: one cached gather/scatter map, ``_shift_map``, applied by ``_shift``.  There is one
-splitter core, the two-mode ``_mix``: a terminating series of hops.  It
-takes a stack of states, one per column, each coming out bit-identical to
-a single-state call.  The four-mode splitter pair on (a, c) and (b, d) is
-U (x) U, with U the two-mode splitter: ``beam_splitter_pair_exact`` lays
-four-mode amplitudes out as a matrix X[(n_a, n_c), (n_b, n_d)] over the
-two-mode simplex and returns U X U^T.  U conserves photon number, so the output
-keeps the p + q <= cutoff support.  ``_split_cd`` is the one map from
+shift: one cached gather/scatter map, ``_shift_map``, applied by
+``_shift``.  The public splitters run on one core, the two-mode ``_mix``:
+a terminating series of hops.  It takes a stack of states, one per
+column, each coming out bit-identical to a single-state call.  The
+heralded blocks do not call it; ``blocks`` reads their few entries of the
+splitter from its closed form.  The four-mode splitter pair on (a, c) and
+(b, d) is U (x) U, with U the two-mode splitter:
+``beam_splitter_pair_exact`` lays four-mode amplitudes out as a matrix
+X[(n_a, n_c), (n_b, n_d)] over the two-mode simplex and returns U X U^T.
+U conserves photon number, so the output keeps the p + q <= cutoff
+support.  ``_split_cd`` is the one map from
 four-mode amplitudes to ancilla outcomes (n_c, n_d) and signal kets
 (n_a, n_b).  The dense-exponential oracle shares no hop or series code
 with that core.  Its generator G conserves n_a + n_c and n_b + n_d, so the

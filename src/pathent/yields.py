@@ -56,12 +56,13 @@ def yield_noon_double(n_photons: int) -> float:
 
     This is the factorial reading of the doubled-yield formula; it is the
     one consistent with the block amplitudes (see yield_noon_double_linear
-    for the rejected alternative).
+    for the rejected alternative).  One int / int division, correctly
+    rounded at any N, so it does not inherit the single yield's underflow.
     """
     n = n_photons
     if n < 2 or n % 2 != 0:
         raise ValueError("doubled scheme needs an even photon number >= 2")
-    return 2.0 ** n * yield_noon_single(n)
+    return 2 * math.factorial(n - 1) / n ** (n - 1)
 
 
 def yield_noon_double_linear(n_photons: int) -> float:

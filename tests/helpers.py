@@ -9,6 +9,13 @@ from pathent.cli import _random_eigenstate as random_eigenstate
 from pathent.cli import _random_four_mode_state as random_four_mode_state
 from pathent.fock import TwoModeState, dim2
 
+# One angle per branch of the beam-splitter core: identity, one factored
+# step, one and two half-angle splits, the swap threshold from both sides,
+# the exact swap at +-pi/2, and negative angles.
+MIX_KAPPAS = [0.0, 0.1, 0.7, math.pi / 4 + 1e-6, 1.3,
+              math.pi / 2 - 3 * math.ulp(math.pi / 2), math.pi / 2,
+              -math.pi / 2, -1.0, 2.5, 3.0]
+
 
 def random_two_mode_state(rng, cutoff):
     v = rng.standard_normal(dim2(cutoff)) + 1j * rng.standard_normal(dim2(cutoff))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -50,7 +51,13 @@ from pathent.fock import (
     zero_state,
 )
 from pathent.yields import qk_squared, yield_generic
-from helpers import random_eigenstate, random_target, random_two_mode_state
+from helpers import (
+    MIX_KAPPAS,
+    random_eigenstate,
+    random_target,
+    random_two_mode_state,
+    rel_err,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -344,8 +351,64 @@ def test_unconditional_density_noon3_weights():
     np.testing.assert_allclose(weights[3], 1.0 / 18.0, rtol=1e-9)
 
 
-# T = 1 takes the splitter's swap path, T = 0.8 its half-angle path and
-# T = 0.2 a single factored step.
+@lru_cache(maxsize=None)
+def _sector_eigh(m):
+    """Eigenpairs of iG, G = a†b - ab† on the kets |m - l, l>, l = 0..m."""
+    l = np.arange(m)
+    # a†b sends |m - l - 1, l + 1> to sqrt((m - l)(l + 1)) |m - l, l>
+    hop = np.sqrt((m - l) * (l + 1.0))
+    gen = np.zeros((m + 1, m + 1), dtype=complex)
+    gen[l, l + 1] = hop
+    gen[l + 1, l] = -hop
+    return np.linalg.eigh(1j * gen)
+
+
+@pytest.mark.parametrize("cutoff", [16, 32, 64, 128])
+def test_splitter_entries_match_sector_eigh(cutoff):
+    # Every v[j, o, n] = <o, n| exp(kappa G) |m - j, j>, j <= 2, against the
+    # exponential of G restricted to sector m = o + n, from its eigenpairs.
+    for kappa in MIX_KAPPAS + [math.asin(math.sqrt(0.995))]:
+        v = _splitter_entries(cutoff, math.cos(kappa), math.sin(kappa), 2)
+        want = np.zeros((3, cutoff + 1, cutoff + 1), dtype=complex)
+        for m in range(cutoff + 1):
+            lam, vec = _sector_eigh(m)
+            n = np.arange(m + 1)
+            # columns j = 0..min(m, 2) of vec diag(exp(-i kappa lam)) vec^dagger
+            want[:m + 1, m - n, n] = ((vec * np.exp(-1j * kappa * lam))
+                                      @ vec[:3].conj().T).T
+        assert np.abs(want.imag).max() < 1e-12
+        assert np.abs(v - want.real).max() < 1e-12, kappa
+
+
+def _log_noon_yield(n, ts):
+    """log of N prod_k T_k (1 - T_k)^{k-1}, with N = 2^{1-n} n! for NOON."""
+    return ((1 - n) * math.log(2.0) + math.lgamma(n + 1)
+            + sum(math.log(t) + (k - 1) * math.log1p(-t)
+                  for k, t in enumerate(ts, start=1)))
+
+
+@pytest.mark.parametrize("n, t", [(24, 0.97), (40, 0.9)])
+def test_scheme_at_high_transmittance(n, t):
+    # Far above the optimal T_k = 1/k the yield underflows, so it is
+    # compared in log space, block by block.
+    res = run_scheme(noon_factor_angles(n), [t] * n)
+    assert abs(overlap_fidelity(res.final_state, noon_state(n)) - 1.0) < 1e-12
+    log_yield = sum(math.log(p) for p in res.block_probs)
+    assert abs(log_yield - _log_noon_yield(n, [t] * n)) < 1e-9
+
+
+def test_unconditional_top_sector_at_high_transmittance():
+    rng = np.random.default_rng(24)
+    fs = factorize_target(random_target(rng, 24))
+    rho = run_scheme_unconditional(fs, [0.9] * 24)
+    expected = fs.normalization * math.prod(
+        qk_squared(0.9, k) for k in range(1, 25))
+    assert rel_err(rho.sector_weight(24), expected) < 1e-9
+
+
+# The closed-form entries against the independent series route, fock._mix,
+# which takes its swap path at T = 1, its half-angle path at T = 0.8 and a
+# single factored step at T = 0.2.
 @pytest.mark.parametrize("transmittance", [1.0, 0.8, 0.2])
 def test_block_kraus_matches_ket_by_ket_route(transmittance):
     # Each per-sector Kraus element, a product of two entries of the
@@ -356,7 +419,7 @@ def test_block_kraus_matches_ket_by_ket_route(transmittance):
     amps = np.array([anc.amplitude(0, 1), anc.amplitude(1, 0)])
     for cutoff_in in range(7):
         cutoff_out = cutoff_in + 1
-        v = _splitter_entries(cutoff_out, params.kappa, 1)
+        v = _splitter_entries(cutoff_out, *params.cos_sin, 1)
         for m in range(cutoff_in + 1):
             kraus = _sector_kraus(m, v, amps)
             outcomes = _sector_map(m)[0]
@@ -441,8 +504,8 @@ def test_unconditional_density_at_n24():
 @pytest.mark.parametrize("transmittance", [1.0, 0.8, 0.2])
 def test_heralded_blocks_match_the_simplex_route(transmittance):
     # Signals spread over several photon numbers: the dark branch, read
-    # from a few entries of the two-mode splitter, must match the public
-    # route through the whole four-mode state to rounding.
+    # from the closed form of a few entries of the two-mode splitter, must
+    # match the public route through the whole four-mode state to rounding.
     rng = np.random.default_rng(41)
     kappa = BlockParams(0.0, 0.0, transmittance).kappa
     for cutoff in (0, 1, 3, 5):

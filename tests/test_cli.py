@@ -242,6 +242,14 @@ def test_simulate_impossible_schedule(tmp_path, capsys):
     assert report["blocks"][1]["probability"] == 0.0
 
 
+def test_simulate_high_transmittance_schedule(tmp_path, capsys):
+    # T = 0.9 in all 40 blocks, far above the optimal T_k = 1/k
+    code, report = run_json(capsys, ["simulate", noon_file(tmp_path, 40),
+                                     "--schedule", ",".join(["0.9"] * 40)])
+    assert code == 0
+    assert abs(report["fidelity_vs_target"] - 1.0) < 1e-12
+
+
 def read_table(text):
     lines = text.strip().split("\n")
     comments = [l for l in lines if l.startswith("#")]

@@ -42,16 +42,13 @@ from pathent.fock import (
     with_cutoff,
     zero_state,
 )
-from helpers import random_four_mode_state, random_two_mode_state
+from helpers import (
+    MIX_KAPPAS,
+    random_four_mode_state,
+    random_two_mode_state,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-# One angle per branch of the beam-splitter core: identity, one factored
-# step, one and two half-angle splits, the swap threshold from both sides,
-# the exact swap at +-pi/2, and negative angles.
-MIX_KAPPAS = [0.0, 0.1, 0.7, math.pi / 4 + 1e-6, 1.3,
-              math.pi / 2 - 3 * math.ulp(math.pi / 2), math.pi / 2,
-              -math.pi / 2, -1.0, 2.5, 3.0]
 
 
 def test_vacuum_definition():

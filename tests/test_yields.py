@@ -137,6 +137,14 @@ def test_yield_noon_double_values():
         yield_noon_double(0)
 
 
+@pytest.mark.parametrize("n", [2, 24, 440, 444, 1000])
+def test_yield_noon_double_is_correctly_rounded(n):
+    # 2 (N-1)! / N^(N-1) to the last bit, also where the single yield,
+    # 2^N times smaller, is subnormal (N = 440) or underflows (N >= 444)
+    exact = Fraction(2 * math.factorial(n - 1), n ** (n - 1))
+    assert yield_noon_double(n) == float(exact)
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_yield_noon_double_matches_simulation(n):
     res = run_scheme_double(n)
