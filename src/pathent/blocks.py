@@ -28,11 +28,9 @@ from .fock import (
     TwoModeDensity,
     TwoModeState,
     _basis,
+    _sector_state,
     apply_creation,
-    basis_state,
-    beam_splitter,
     dim2,
-    phase_shift,
     vacuum,
     zero_state,
 )
@@ -99,21 +97,22 @@ class SchemeResult:
 
 
 def ancilla_single(theta: float, phi: float) -> TwoModeState:
-    """One ancilla photon in cos(theta)|1,0> - e^{i phi} sin(theta)|0,1>."""
-    s = basis_state(1, 1, 0)
-    s = beam_splitter(s, theta)
-    return phase_shift(s, phi, mode="b")
+    """One ancilla photon in cos(theta)|1,0> - e^{i phi} sin(theta)|0,1>.
+
+    Written down from its closed form, the amplitudes the photon-adding
+    factor cos(theta) a† - e^{i phi} sin(theta) b† puts on vacuum.
+    """
+    return _sector_state([-np.exp(1j * phi) * math.sin(theta), math.cos(theta)])
 
 
 def ancilla_double(phi: float) -> TwoModeState:
-    """Two-photon ancilla (|2,0> - e^{2i phi}|0,2>)/sqrt(2).
+    """Two-photon ancilla (|2,0> - e^{2i phi}|0,2>)/sqrt(2), |1,1> exactly 0.
 
-    Prepared by interfering |1,1> on a balanced beam splitter, which
-    bunches the pair, then phase-shifting the second mode.
+    Physically |1,1> bunched on a balanced beam splitter, then phase-shifted
+    in the second mode; written down here from that closed form.
     """
-    s = basis_state(2, 1, 1)
-    s = beam_splitter(s, math.pi / 4.0)
-    return phase_shift(s, phi, mode="b")
+    return _sector_state([-np.exp(2j * phi) * math.sqrt(0.5), 0.0,
+                          math.sqrt(0.5)])
 
 
 def _splitter_entries(cutoff: int, c: float, s: float, j_max: int,
@@ -154,23 +153,27 @@ def _herald(state: TwoModeState, ancilla: TwoModeState,
             params: BlockParams) -> BlockOutcome:
     """Mix signal (x) ancilla on the splitter pair; keep the dark branch.
 
-    The pair is U (x) U on (a, c) and (b, d), so the dark amplitude of
-    |p, q> is the sum over ancilla kets |j, l> of
-        U[(p,0), (p-j,j)] * U[(q,0), (q-l,l)] * s(p-j, q-l) * anc(j, l).
+    The pair is U (x) U on (a, c) and (b, d).  With both ancilla detectors
+    dark, signal ket |s_a, s_b> and ancilla ket |j, l> go to
+    |p, q> = |s_a + j, s_b + l> with amplitude
+        U[(p,0), (s_a,j)] * U[(q,0), (s_b,l)] * s(s_a, s_b) * anc(j, l).
+    Only the populated signal kets are visited: in a chain, whose state
+    after k blocks is the k + 1 kets of one photon-number sector, a block
+    computes O(k) amplitudes, not one per ket of the simplex.  For a fixed
+    ancilla ket the shift is one-to-one, so each ancilla ket is one scatter.
     """
     cutoff = state.cutoff + ancilla.cutoff
-    (na, nb), _ = _basis(2, cutoff)
     v = _splitter_entries(cutoff, *params.cos_sin, ancilla.cutoff, 0)[:, :, 0]
+    (na, nb), _ = _basis(2, state.cutoff)
     (nc, nd), _ = _basis(2, ancilla.cutoff)
-    signal = _basis(2, state.cutoff)[1]
+    table = _basis(2, cutoff)[1]
+    src = np.flatnonzero(state.amps)
+    s_a, s_b, amps = na[src], nb[src], state.amps[src]
     dark = np.zeros(dim2(cutoff), dtype=complex)
     for k in np.flatnonzero(ancilla.amps):
         j, l = nc[k], nd[k]
-        ok = np.flatnonzero((na >= j) & (nb >= l)
-                            & (na + nb - j - l <= state.cutoff))
-        p, q = na[ok], nb[ok]
-        dark[ok] += (v[j, p] * v[l, q] * ancilla.amps[k]
-                     * state.amps[signal[p - j, q - l]])
+        p, q = s_a + j, s_b + l
+        dark[table[p, q]] += v[j, p] * v[l, q] * ancilla.amps[k] * amps
     out = TwoModeState(cutoff, dark)
     return BlockOutcome(out, out.norm_sq())
 

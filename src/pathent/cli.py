@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -50,9 +51,9 @@ from .fock import (
     apply_linear_factor,
     beam_splitter_pair_exact,
     beam_splitter_pair_oracle,
-    dim2,
     dim4,
     FourModeState,
+    _sector_state,
     noon_state,
     overlap_fidelity,
     with_cutoff,
@@ -66,13 +67,15 @@ from .yields import (
 )
 
 # Largest target photon number ``simulate`` accepts.  Each heralded block
-# reads closed-form splitter entries and visits every ket of one two-mode
-# simplex, so a chain's time grows about as N^3: on a 2-vCPU x86-64 host
-# ``simulate`` on a NOON target takes about 0.1 s of wall time and 34 MB
-# peak RSS at N = 64, of which the chain is 0.005 s.  The
-# bound stays at 64 until the factors are applied in a well-conditioned
-# order: in sorted order the partial products grow and cancel, and NOON
-# targets already print spurious kets near 1e-10 at N = 64.
+# reads closed-form splitter entries and visits only its input's populated
+# kets, the k + 1 of one photon-number sector, though it still stores its
+# output over the whole two-mode simplex.  On a 2-vCPU x86-64 host
+# ``simulate`` as a fresh process takes about 0.12 s of wall time, nearly
+# all of it interpreter start and imports, and 33 MB peak RSS at N = 64;
+# in-process a call takes about 6 ms, of which the chain is 3 ms.  The bound stays at 64 until the
+# factors are applied in a well-conditioned order: in sorted order the
+# partial products grow and cancel, and NOON targets already print
+# spurious kets near 1e-10 at N = 64.
 _SIMULATE_N_MAX = 64
 _ORACLE_TOL = 1e-9
 _ORACLE_KAPPAS = (0.1, 0.7, 1.3)
@@ -426,12 +429,8 @@ def _random_four_mode_state(rng: np.random.Generator,
 
 def _random_eigenstate(rng: np.random.Generator, total: int) -> TwoModeState:
     """Normalized state with every populated ket at the given total."""
-    amps = np.zeros(dim2(total), dtype=complex)
-    table = _basis(2, total)[1]
-    kets = [table[na, total - na] for na in range(total + 1)]
-    v = rng.standard_normal(len(kets)) + 1j * rng.standard_normal(len(kets))
-    amps[kets] = v / np.linalg.norm(v)
-    return TwoModeState(total, amps)
+    v = rng.standard_normal(total + 1) + 1j * rng.standard_normal(total + 1)
+    return _sector_state(v / np.linalg.norm(v))
 
 
 def _cmd_oracle_check(args) -> int:
@@ -518,7 +517,9 @@ def _add_out(parser: argparse.ArgumentParser) -> None:
                         help="write output to PATH instead of stdout")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="pathent",
         description="Factor, simulate, and analyze conditional generation "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TwoModeState, basis_state, inner_product, vacuum, apply_linear_factor
+from .fock import TwoModeState, _sector_state, inner_product
 
 
 def _wrap_angle(x: float) -> float:
@@ -105,16 +105,19 @@ def monomial_coeffs(target: TargetSpec) -> np.ndarray:
     )
 
 
-def _polish_root(d: np.ndarray, z: complex) -> complex:
-    """One damped Newton step on p(z) = sum_k d_k z^k, only if it helps."""
-    p = np.polynomial.polynomial.polyval(z, d)
-    dp = np.polynomial.polynomial.polyval(z, np.polynomial.polynomial.polyder(d))
-    if dp == 0:
-        return z
-    step = p / dp
-    z_new = z - step
-    p_new = np.polynomial.polynomial.polyval(z_new, d)
-    return z_new if abs(p_new) < abs(p) else z
+def _polish_roots(d: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """One Newton step on every root z of p(z) = sum_k d_k z^k.
+
+    A root takes its step only where that lowers |p|; a root with
+    p'(z) = 0 stays as it is.
+    """
+    poly = np.polynomial.polynomial
+    p = poly.polyval(z, d)
+    dp = poly.polyval(z, poly.polyder(d))
+    flat = dp == 0
+    z_new = z - p / np.where(flat, 1.0, dp)
+    better = ~flat & (np.abs(poly.polyval(z_new, d)) < np.abs(p))
+    return np.where(better, z_new, z)
 
 
 def find_factor_angles(d) -> list[tuple[float, float]]:
@@ -136,9 +139,8 @@ def find_factor_angles(d) -> list[tuple[float, float]]:
         m -= 1
     angles: list[tuple[float, float]] = []
     if m > 0:
-        roots = np.roots(d[: m + 1][::-1])
-        for z in roots:
-            z = _polish_root(d[: m + 1], complex(z))
+        roots = _polish_roots(d[: m + 1], np.roots(d[: m + 1][::-1]))
+        for z in map(complex, roots):
             theta = math.atan(abs(z))
             phi = _wrap_angle(cmath.phase(z)) if z != 0 else 0.0
             angles.append((theta, phi))
@@ -148,12 +150,23 @@ def find_factor_angles(d) -> list[tuple[float, float]]:
 
 
 def apply_factors(angles) -> TwoModeState:
-    """Raw factor product on vacuum at cutoff len(angles), unnormalized."""
+    """Raw factor product on vacuum at cutoff len(angles), unnormalized.
+
+    After k factors the product is sum_j x_j |j, k - j>, one photon-number
+    sector, so it is run on those k + 1 coefficients alone.  The factor
+    cos(theta) a† - e^{i phi} sin(theta) b† maps them to the k + 2
+        y_j = cos(theta) sqrt(j) x_{j-1} - e^{i phi} sin(theta) sqrt(k+1-j) x_j,
+    and the result is embedded at cutoff N once, at the end.
+    """
     angles = list(angles)
-    s = vacuum(len(angles))
-    for theta, phi in angles:
-        s = apply_linear_factor(s, theta, phi)
-    return s
+    sqrt_n = np.sqrt(np.arange(len(angles) + 1.0))
+    x = np.ones(1, dtype=complex)
+    for k, (theta, phi) in enumerate(angles, start=1):
+        y = np.zeros(k + 1, dtype=complex)
+        y[1:] = math.cos(theta) * (x * sqrt_n[1:k + 1])
+        y[:-1] += -np.exp(1j * phi) * math.sin(theta) * (x * sqrt_n[k:0:-1])
+        x = y
+    return _sector_state(x)
 
 
 def normalization(angles,
@@ -193,11 +206,7 @@ def reconstruct(fs: FactorSet) -> TwoModeState:
 
 def state_of_target(target: TargetSpec) -> TwoModeState:
     """The target as a two-mode state at cutoff n_photons."""
-    n = target.n_photons
-    s = basis_state(n, 0, n) * target.coeffs[0]
-    for k in range(1, n + 1):
-        s = s + basis_state(n, k, n - k) * target.coeffs[k]
-    return s
+    return _sector_state(target.coeffs)
 
 
 def target_of_state(s: TwoModeState) -> TargetSpec:

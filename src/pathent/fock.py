@@ -16,8 +16,8 @@ shift: one cached gather/scatter map, ``_shift_map``, applied by
 a terminating series of hops.  It takes a stack of states, one per
 column, each coming out bit-identical to a single-state call.  The
 heralded blocks do not call it; ``blocks`` reads their few entries of the
-splitter from its closed form.  The four-mode splitter pair on (a, c) and
-(b, d) is U (x) U, with U the two-mode splitter:
+splitter, and their ancillas, from closed forms.  The four-mode splitter
+pair on (a, c) and (b, d) is U (x) U, with U the two-mode splitter:
 ``beam_splitter_pair_exact`` lays four-mode amplitudes out as a matrix
 X[(n_a, n_c), (n_b, n_d)] over the two-mode simplex and returns U X U^T.
 U conserves photon number, so the output keeps the p + q <= cutoff
@@ -288,6 +288,15 @@ def basis_state(cutoff: int, na: int, nb: int) -> TwoModeState:
     amps = np.zeros(dim2(cutoff), dtype=complex)
     amps[_ket_index(2, cutoff, (na, nb))] = 1.0
     return TwoModeState(cutoff, amps)
+
+
+def _sector_state(coeffs) -> TwoModeState:
+    """sum_k coeffs[k] |k, n - k> as a two-mode state at cutoff n."""
+    n = len(coeffs) - 1
+    amps = np.zeros(dim2(n), dtype=complex)
+    k = np.arange(n + 1)
+    amps[_basis(2, n)[1][k, n - k]] = coeffs
+    return TwoModeState(n, amps)
 
 
 def noon_state(n: int) -> TwoModeState:

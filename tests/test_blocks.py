@@ -103,6 +103,31 @@ def test_ancilla_single_general(theta, phi):
     np.testing.assert_allclose(s.norm_sq(), 1.0, rtol=1e-12)
 
 
+@pytest.mark.parametrize("phi", [0.0, 0.7, -2.5, math.pi])
+def test_ancillas_are_exactly_their_closed_forms(phi):
+    for theta in (0.0, 0.3, math.pi / 4.0, 1.2, math.pi / 2.0):
+        s = ancilla_single(theta, phi)
+        assert s.cutoff == 1 and s.amplitude(0, 0) == 0
+        assert s.amplitude(1, 0) == math.cos(theta)
+        assert s.amplitude(0, 1) == -np.exp(1j * phi) * math.sin(theta)
+    s = ancilla_double(phi)
+    assert s.cutoff == 2
+    assert s.amplitude(2, 0) == math.sqrt(0.5)
+    assert s.amplitude(0, 2) == -np.exp(2j * phi) * math.sqrt(0.5)
+    assert s.amplitude(1, 1) == 0
+    assert np.count_nonzero(s.amps) == 2
+
+
+def test_blocks_run_no_series_splitter(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the series splitter ran")
+
+    monkeypatch.setattr(pathent.fock, "_mix", refuse)
+    assert not run_scheme(noon_factor_angles(4)).impossible
+    assert not run_scheme_double(4).impossible
+    run_scheme_unconditional(noon_factor_angles(3)).validate()
+
+
 def test_ancilla_double_closed_form():
     # pair bunching on the balanced splitter, then the phase shifter
     s = ancilla_double(0.0)
@@ -503,13 +528,16 @@ def test_unconditional_density_at_n24():
 
 @pytest.mark.parametrize("transmittance", [1.0, 0.8, 0.2])
 def test_heralded_blocks_match_the_simplex_route(transmittance):
-    # Signals spread over several photon numbers: the dark branch, read
+    # Signals spread over several photon numbers, a sparse one with two
+    # kets in different sectors, and the zero state: the dark branch, read
     # from the closed form of a few entries of the two-mode splitter, must
     # match the public route through the whole four-mode state to rounding.
     rng = np.random.default_rng(41)
     kappa = BlockParams(0.0, 0.0, transmittance).kappa
-    for cutoff in (0, 1, 3, 5):
-        s = random_two_mode_state(rng, cutoff)
+    signals = [random_two_mode_state(rng, cutoff) for cutoff in (0, 1, 3, 5)]
+    signals += [0.6 * basis_state(4, 1, 2) - 0.8j * basis_state(4, 4, 0),
+                zero_state(3)]
+    for s in signals:
         for anc, out in (
             (ancilla_single(0.4, 1.1),
              run_block_single(s, BlockParams(0.4, 1.1, transmittance))),
@@ -520,6 +548,8 @@ def test_heralded_blocks_match_the_simplex_route(transmittance):
             assert out.state.cutoff == state.cutoff
             assert np.abs(out.state.amps - state.amps).max() < 1e-14
             assert abs(out.probability - p) < 1e-14
+    assert run_block_single(zero_state(3),
+                            BlockParams(0.4, 1.1, transmittance)).probability == 0
 
 
 def test_unconditional_density_off_optimal_schedule():

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from pathent import cli
+from pathent.factorize import TargetSpec, factorize_target
 from pathent.fock import FourModeState, _ket_index
+from pathent.yields import yield_generic
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -216,6 +218,20 @@ def test_simulate_rejects_photon_numbers_above_the_bound(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "field 'N' must be at most" in captured.err
+
+
+def test_simulate_at_the_photon_number_bound(tmp_path, capsys):
+    n = cli._SIMULATE_N_MAX
+    rng = np.random.default_rng(64)
+    coeffs = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    coeffs /= np.linalg.norm(coeffs)
+    code, report = run_json(capsys, ["simulate",
+                                     write_target(tmp_path, n, coeffs)])
+    assert code == 0 and not report["impossible"]
+    assert report["fidelity_vs_target"] >= 1.0 - 1e-9
+    closed = yield_generic(
+        factorize_target(TargetSpec(n, coeffs)).normalization, n)
+    assert abs(report["total_yield"] - closed) <= 1e-9 * closed
 
 
 @pytest.mark.parametrize(
@@ -473,6 +489,34 @@ def test_top_level_dispatch(capsys):
     capsys.readouterr()
     assert cli.main(["--help"]) == 0
     assert "factorize" in capsys.readouterr().out
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # Each call through the shared parser gives the exit code and bytes of
+    # a first call, which builds its own.
+    target = noon_file(tmp_path, 4)
+    out = tmp_path / "report.json"
+    calls = [["simulate", target, "--no-such-flag"], ["--help"],
+             ["factorize", target], ["simulate", target, "--out", str(out)],
+             ["factorize", target]]
+
+    def run(argv):
+        if out.exists():
+            out.unlink()
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out.exists() and out.read_bytes()
+
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    cli.build_parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    assert [r[0] for r in shared] == [1, 0, 0, 0, 0]
+    assert shared[3][3].startswith(b'{\n  "command": "simulate"')
+    assert shared == fresh
 
 
 def _run_python(*args):

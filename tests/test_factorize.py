@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from pathent.factorize import (
     FactorSet,
     TargetSpec,
+    _wrap_angle,
     apply_factors,
     factorize_target,
     find_factor_angles,
@@ -18,7 +20,14 @@ from pathent.factorize import (
     state_of_target,
     target_of_state,
 )
-from pathent.fock import noon_state, overlap_fidelity
+from pathent.fock import (
+    apply_linear_factor,
+    basis_state,
+    noon_state,
+    overlap_fidelity,
+    vacuum,
+    zero_state,
+)
 from helpers import assert_angle_multisets_close, random_target
 
 
@@ -105,6 +114,45 @@ def test_double_root_at_origin():
     assert angles == [(0.0, 0.0), (0.0, 0.0)]
 
 
+def _find_factor_angles_per_root(d):
+    """The root finder with one damped Newton step per root, a scalar at a time.
+
+    The reference for the vectorized polish of ``find_factor_angles``.
+    """
+    d = np.asarray(d, dtype=complex)
+    poly = np.polynomial.polynomial
+    angles = []
+    for z in map(complex, np.roots(d[::-1])):
+        p = poly.polyval(z, d)
+        dp = poly.polyval(z, poly.polyder(d))
+        if dp != 0:
+            z_new = z - p / dp
+            if abs(poly.polyval(z_new, d)) < abs(p):
+                z = z_new
+        angles.append((math.atan(abs(z)),
+                       _wrap_angle(cmath.phase(z)) if z != 0 else 0.0))
+    return sorted(angles)
+
+
+def test_double_root_at_one_matches_the_per_root_polish():
+    # (z - 1)^2: np.roots splits the double root by about 1e-8, and Newton
+    # steps there lower |p| only sometimes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        angles = find_factor_angles([1, -2, 1])
+    assert angles == _find_factor_angles_per_root([1, -2, 1])
+    for theta, phi in angles:
+        assert abs(theta - math.pi / 4) < 2e-8 and abs(phi) < 2e-8
+
+
+def test_vectorized_polish_matches_the_per_root_polish():
+    rng = np.random.default_rng(9)
+    for n in (6, 16, 32, 48):
+        d = monomial_coeffs(random_target(rng, n))
+        assert_angle_multisets_close(find_factor_angles(d),
+                                     _find_factor_angles_per_root(d), tol=1e-12)
+
+
 def test_all_zero_vector_rejected():
     with pytest.raises(ValueError):
         find_factor_angles([0.0, 0.0, 0.0])
@@ -148,6 +196,33 @@ def test_normalization_equals_raw_norm():
         fs = factorize_target(t)
         raw = apply_factors(fs.factors)
         assert abs(raw.norm_sq() - fs.normalization) < 1e-9 * fs.normalization
+
+
+@pytest.mark.parametrize("n", [1, 8, 32, 48])
+def test_apply_factors_matches_the_simplex_ladder(n):
+    # The sector recurrence against N full-simplex factor applications,
+    # with pure a† (theta = 0) and pure b† (theta = pi/2) factors mixed in.
+    rng = np.random.default_rng(n)
+    thetas = rng.uniform(0.0, math.pi / 2, n)
+    thetas[::4] = 0.0
+    thetas[2::4] = math.pi / 2
+    angles = list(zip(thetas, rng.uniform(-math.pi, math.pi, n)))
+    want = vacuum(n)
+    for theta, phi in angles:
+        want = apply_linear_factor(want, theta, phi)
+    got = apply_factors(angles)
+    assert got.cutoff == n
+    assert np.abs(got.amps - want.amps).max() <= 1e-13 * np.abs(want.amps).max()
+
+
+def test_state_of_target_matches_the_basis_state_sum():
+    rng = np.random.default_rng(5)
+    for n in (1, 4, 17):
+        t = random_target(rng, n)
+        want = zero_state(n)
+        for k, c in enumerate(t.coeffs):
+            want = want + basis_state(n, k, n - k) * c
+        assert np.array_equal(state_of_target(t).amps, want.amps)
 
 
 def test_reconstruct_roundtrip_simple_targets():

@@ -1,29 +1,36 @@
 """Byte-exact CLI reports, pinned by the SHA-256 of their stdout.
 
 A refactor of the numerics must leave every printed digit unchanged.  The
-hashes were last re-recorded when the heralded blocks and the Kraus
-channel stopped running the series splitter and began reading their
-splitter entries from the closed form c^o (-s)^n sqrt(C(m, n)) of
-U|m, 0>, raised to j <= 2 b-photons by s a† + c b†, with c = sqrt(1 - T)
-and s = sqrt(T).  Old -> new:
+hashes were last re-recorded when the heralded blocks began to take their
+ancillas from the closed forms cos(theta)|1,0> - e^{i phi} sin(theta)|0,1>
+and (|2,0> - e^{2i phi}|0,2>)/sqrt(2), instead of running the series
+splitter, and the root finder began to polish all roots in one vectorized
+Newton step.  Old -> new, with the cause and the largest change of a
+printed float (relative, and absolute over every printed float; numbers
+below 1e-14, which are zero in exact arithmetic, count only absolutely):
 
-    simulate_noon8          d4b2cabdf36e... -> 52961eed4264...
-    simulate_noon8_double   02bc4ec234bf... -> cebb48269ad2...
-    simulate_target6        76c35a2373cd... -> 97d38dd034aa...
-    simulate_noon32         86f87f4ffde3... -> 05251122f53f...
-    simulate_noon32_double  ee889dd09460... -> f10818874fdd...
-    simulate_target32       bc45f9e1751e... -> 884d5e7244b6...
-    yield_table_8           1e8ab3e036c9... -> 1b1b6319f406...
+    simulate_noon8_double   cebb48269ad2... -> e8a216602169...
+        ancilla_double; 9.0e-16 relative, 3.3e-16 absolute
+    simulate_noon32_double  f10818874fdd... -> 7fd3fae75d0e...
+        ancilla_double; 3.1e-15 relative (total_yield), 8.9e-16 absolute
+    simulate_target6        97d38dd034aa... -> cda7370abd83...
+        ancilla_single and the polish; 9.7e-15 relative, 1.7e-16 absolute
+    simulate_target32       884d5e7244b6... -> 96c8eaada93d...
+        ancilla_single and the polish; 2.0e-14 relative, 6.5e-16 absolute
+    factorize_target6       d4af038bccdd... -> c5ea003749c7...
+        the polish; 2.2e-16 relative and absolute
+    yield_table_8           1b1b6319f406... -> f584459191f3...
+        ancilla_double, p_double_simulated only; 1.1e-15 relative
 
-Yields, block probabilities and fidelities moved by at most 5.8e-15
-relative (``simulate_target32``); the simulated columns of
-``yield_table_8`` by at most 2.4e-15, and its closed-form columns kept
-their bits.  Final-state amplitudes moved by at most 1.1e-15 absolute,
-which is 2.3e-14 relative on a 0.016 component of ``simulate_target32``;
-that report's largest amplitude error against the exact target went from
-1.5e-15 to 6.9e-16.  Components that are zero in exact arithmetic
-(|x| < 2e-15) moved within that noise.  ``factorize``, ``fringe`` and
-``oracle_check`` never run the heralded blocks and kept their hashes.
+The two-photon ancilla holds sqrt(0.5), correctly rounded, in both kets,
+so its squared norm is 1 + 2.2e-16; the series splitter had rounded one
+down.  Each doubled block's probability reads about that much higher.
+The NOON single-photon reports, ``fringe`` and ``oracle_check`` kept their
+hashes: at theta = pi/4 the closed-form ancilla equals the series one bit
+for bit, and the NOON factors come from ``noon_factor_angles``, not the
+root finder.  Running the factor product and the heralded chain on the
+kets of one photon-number sector moved no bit.
+
 The hashes hold for the numpy build the suite runs on (numpy 2.4,
 x86-64); the CLI does not use scipy.  Another BLAS, LAPACK or libm may
 move the last printed digit and needs the hashes re-recorded.
@@ -59,23 +66,23 @@ GOLDEN = {
     "simulate_noon8": (["simulate", "{noon8}"],
         "52961eed4264b09c052a4fd43ae8694528a2fffadb0e4888ab0387d3548b28c2"),
     "simulate_noon8_double": (["simulate", "{noon8}", "--double"],
-        "cebb48269ad279ec25648e32a3b181a8f0253dc94d68945842179c77ffe77056"),
+        "e8a216602169181989a5188c7021ded4e0cef128e3a05b4d37bb5ba57e45ae2a"),
     "simulate_target6": (["simulate", "{target6}"],
-        "97d38dd034aa720a43cb4b19f7089c7b639548491828e418188102bd9797c775"),
+        "cda7370abd83ced7e465403bc35952f79538a77040d3beb56cb796905bf70374"),
     "factorize_target6": (["factorize", "{target6}"],
-        "d4af038bccdd67a28f743eb3fb17c29872f7054255a3bfe1e871f6554f854f33"),
+        "c5ea003749c76392b93326b4768fa9b8464dca085de777bf70afd64fa7209b56"),
     "oracle_check": (["oracle-check", "--trials", "5"],
         "9b54d0aa3c07363bdbf1e6440a793fb3b8983940b52e319d4cf5175ae0b0a897"),
     "yield_table_8": (["yield-table", "8"],
-        "1b1b6319f406dfb943ce0604545969d5f7b982296e37899726ea94ed7e57ca1d"),
+        "f584459191f37562087b9f9c9dddce46a438518a55beced4844795b3e20eec23"),
     "fringe_4_16": (["fringe", "4", "16"],
         "8cf0644fbd2f2d0d6874c4f14ccf9a3f96646c8996566116bdde42e73cdf35b0"),
     "simulate_noon32": (["simulate", "{noon32}"],
         "05251122f53f73973f74a9155a76c6d2376d9e1aa104db3186843f54697df58e"),
     "simulate_noon32_double": (["simulate", "{noon32}", "--double"],
-        "f10818874fddd2d019fd9db71ccc52d05abb99ad842a4f28b6659f03d338db4e"),
+        "7fd3fae75d0e9cb8672b3fd89b839038e261c3effaaa195fb01cd28fd347c981"),
     "simulate_target32": (["simulate", "{target32}"],
-        "884d5e7244b6f4e40cc901680e38afdd5b489b6796fc93e512510b42bbd4efa7"),
+        "96c8eaada93d9c101bad5216e900f2c14d3cdbfe3af478d19f80489ed5cfe25e"),
 }
 
 
