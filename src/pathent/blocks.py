@@ -31,7 +31,6 @@ from .fock import (
     _sector_state,
     apply_creation,
     dim2,
-    vacuum,
     zero_state,
 )
 from .yields import optimal_schedule
@@ -96,13 +95,23 @@ class SchemeResult:
     impossible: bool = False
 
 
+def _single_coeffs(theta: float, phi: float) -> np.ndarray:
+    """Amplitudes of |0,1> and |1,0> in the one-photon ancilla."""
+    return np.array([-np.exp(1j * phi) * math.sin(theta), math.cos(theta)])
+
+
+def _double_coeffs(phi: float) -> np.ndarray:
+    """Amplitudes of |0,2>, |1,1> and |2,0> in the two-photon ancilla."""
+    return np.array([-np.exp(2j * phi) * math.sqrt(0.5), 0.0, math.sqrt(0.5)])
+
+
 def ancilla_single(theta: float, phi: float) -> TwoModeState:
     """One ancilla photon in cos(theta)|1,0> - e^{i phi} sin(theta)|0,1>.
 
     Written down from its closed form, the amplitudes the photon-adding
     factor cos(theta) a† - e^{i phi} sin(theta) b† puts on vacuum.
     """
-    return _sector_state([-np.exp(1j * phi) * math.sin(theta), math.cos(theta)])
+    return _sector_state(_single_coeffs(theta, phi))
 
 
 def ancilla_double(phi: float) -> TwoModeState:
@@ -111,19 +120,21 @@ def ancilla_double(phi: float) -> TwoModeState:
     Physically |1,1> bunched on a balanced beam splitter, then phase-shifted
     in the second mode; written down here from that closed form.
     """
-    return _sector_state([-np.exp(2j * phi) * math.sqrt(0.5), 0.0,
-                          math.sqrt(0.5)])
+    return _sector_state(_double_coeffs(phi))
 
 
-def _splitter_entries(cutoff: int, c: float, s: float, j_max: int,
+def _splitter_entries(cutoff: int, c, s, j_max: int,
                       n_max: int | None = None) -> np.ndarray:
-    """v[j, o, n] = U[(o, n), (o + n - j, j)] of the two-mode splitter U.
+    """v[j, ..., o, n] = U[(o, n), (o + n - j, j)] of the two-mode splitter U.
 
     U sends a† to A† = c a† - s b† and b† to B† = s a† + c b†, with
-    c = cos(kappa) and s = sin(kappa) of its angle.  v[0] is a closed
-    form: U|m, 0> = A†^m |0> / sqrt(m!) has the |o, n> entry
-    c^o (-s)^n sqrt(C(m, n)).  Each further b-photon applies B† once,
-    U|m - j, j> = B† U|m - j, j - 1> / sqrt(j), so
+    c = cos(kappa) and s = sin(kappa) of its angle.  ``c`` and ``s`` may be
+    arrays, one entry per splitter (a chain builds the table of all its
+    blocks at once); their shape goes between j and (o, n), and every row
+    gets the same elementwise operations, in the same order, as a scalar
+    build.  v[0] is a closed form: U|m, 0> = A†^m |0> / sqrt(m!) has the
+    |o, n> entry c^o (-s)^n sqrt(C(m, n)).  Each further b-photon applies
+    B† once, U|m - j, j> = B† U|m - j, j - 1> / sqrt(j), so
         v[j, o, n] = (s sqrt(o) v[j-1, o-1, n] + c sqrt(n) v[j-1, o, n-1])
                      / sqrt(j),
     which unrolls to the j + 1 terms of the binomial expansion of B†^j.
@@ -134,57 +145,80 @@ def _splitter_entries(cutoff: int, c: float, s: float, j_max: int,
     o + n < j are zero.
     """
     n_max = cutoff if n_max is None else n_max
+    c = np.asarray(c, dtype=float)[..., None, None]
+    s = np.asarray(s, dtype=float)[..., None, None]
     o = np.arange(cutoff + 1.0)[:, None]
     n = np.arange(n_max + 1.0)
     inside = o + n <= cutoff
     # sqrt(C(o + n, n)) as the running product of sqrt((o + t) / t), t <= n
     step = np.sqrt((o + n) / np.maximum(n, 1.0))
     step[:, 0] = 1.0
-    v = np.zeros((j_max + 1, cutoff + 1, n_max + 1))
+    v = np.zeros((j_max + 1,) + c.shape[:-2] + (cutoff + 1, n_max + 1))
     v[0] = np.where(inside, c ** o * (-s) ** n * np.cumprod(step, axis=1), 0.0)
     for j in range(1, j_max + 1):
-        v[j, 1:] = s * np.sqrt(o[1:]) * v[j - 1, :-1]
-        v[j, :, 1:] += c * np.sqrt(n[1:]) * v[j - 1, :, :-1]
+        v[j, ..., 1:, :] = s * np.sqrt(o[1:]) * v[j - 1, ..., :-1, :]
+        v[j, ..., 1:] += c * np.sqrt(n[1:]) * v[j - 1, ..., :-1]
         v[j] = np.where(inside, v[j] / math.sqrt(j), 0.0)
     return v
 
 
-def _herald(state: TwoModeState, ancilla: TwoModeState,
+def _herald_sector(x: np.ndarray, v: np.ndarray,
+                   anc: np.ndarray) -> np.ndarray:
+    """Dark branch of one block on the sector coefficients ``x``.
+
+    ``x[i]`` is the amplitude of |i, m - i>, ``anc[j]`` that of the
+    ancilla ket |j, a - j> and ``v[j, p]`` the splitter entry
+    U[(p, 0), (p - j, j)].  The pair is U (x) U on (a, c) and (b, d); with
+    both ancilla detectors dark, |i, m - i> (x) |j, l> goes to
+    |i + j, m - i + l> with amplitude
+        U[(i + j, 0), (i, j)] * U[(m - i + l, 0), (m - i, l)] * anc[j] * x[i],
+    so the result holds the m + a + 1 amplitudes of output sector m + a.
+    The shift is one-to-one for each ancilla ket: one slice-add per
+    nonzero ancilla amplitude.
+    """
+    m, a = len(x) - 1, len(anc) - 1
+    y = np.zeros(m + a + 1, dtype=complex)
+    for j in np.flatnonzero(anc):
+        l = a - j
+        y[j:j + m + 1] += (v[j, j:j + m + 1] * v[l, l:l + m + 1][::-1]
+                           * anc[j] * x)
+    return y
+
+
+def _herald(state: TwoModeState, anc: np.ndarray,
             params: BlockParams) -> BlockOutcome:
     """Mix signal (x) ancilla on the splitter pair; keep the dark branch.
 
-    The pair is U (x) U on (a, c) and (b, d).  With both ancilla detectors
-    dark, signal ket |s_a, s_b> and ancilla ket |j, l> go to
-    |p, q> = |s_a + j, s_b + l> with amplitude
-        U[(p,0), (s_a,j)] * U[(q,0), (s_b,l)] * s(s_a, s_b) * anc(j, l).
-    Only the populated signal kets are visited: in a chain, whose state
-    after k blocks is the k + 1 kets of one photon-number sector, a block
-    computes O(k) amplitudes, not one per ket of the simplex.  For a fixed
-    ancilla ket the shift is one-to-one, so each ancilla ket is one scatter.
+    ``anc`` holds the ancilla's sector coefficients.  Each populated
+    photon-number sector of ``state`` goes through ``_herald_sector`` on
+    its own, with the entries of a one-row splitter table, and the results
+    are scattered back into the two-mode simplex; a photon-number sector
+    never mixes with another, so a state spread over several sectors needs
+    no other route.  The chains call ``_herald_sector`` directly.
     """
-    cutoff = state.cutoff + ancilla.cutoff
-    v = _splitter_entries(cutoff, *params.cos_sin, ancilla.cutoff, 0)[:, :, 0]
-    (na, nb), _ = _basis(2, state.cutoff)
-    (nc, nd), _ = _basis(2, ancilla.cutoff)
-    table = _basis(2, cutoff)[1]
-    src = np.flatnonzero(state.amps)
-    s_a, s_b, amps = na[src], nb[src], state.amps[src]
+    a = len(anc) - 1
+    cutoff = state.cutoff + a
+    v = _splitter_entries(cutoff, *params.cos_sin, a, 0)[..., 0]
+    table = _basis(2, state.cutoff)[1]
+    out_table = _basis(2, cutoff)[1]
     dark = np.zeros(dim2(cutoff), dtype=complex)
-    for k in np.flatnonzero(ancilla.amps):
-        j, l = nc[k], nd[k]
-        p, q = s_a + j, s_b + l
-        dark[table[p, q]] += v[j, p] * v[l, q] * ancilla.amps[k] * amps
+    for m in range(state.cutoff + 1):
+        i = np.arange(m + 1)
+        x = state.amps[table[i, m - i]]
+        if x.any():
+            i = np.arange(m + a + 1)
+            dark[out_table[i, m + a - i]] = _herald_sector(x, v, anc)
     out = TwoModeState(cutoff, dark)
     return BlockOutcome(out, out.norm_sq())
 
 
 def run_block_single(state: TwoModeState, params: BlockParams) -> BlockOutcome:
-    return _herald(state, ancilla_single(params.theta, params.phi), params)
+    return _herald(state, _single_coeffs(params.theta, params.phi), params)
 
 
 def run_block_double(state: TwoModeState, phi: float,
                      transmittance: float) -> BlockOutcome:
-    return _herald(state, ancilla_double(phi),
+    return _herald(state, _double_coeffs(phi),
                    BlockParams(math.pi / 4.0, phi, transmittance))
 
 
@@ -220,13 +254,15 @@ def apply_double_factor(state: TwoModeState, phi: float) -> TwoModeState:
                         aa.amps - np.exp(2j * phi) * bb.amps)
 
 
-def _factor_angles(factors) -> list[tuple[float, float]]:
+def _single_blocks(factors, transmittances) -> list[BlockParams]:
+    """One BlockParams per factor, at the given or the optimal schedule."""
     if isinstance(factors, FactorSet):
         factors = factors.factors
     angles = [(float(t), float(p)) for t, p in factors]
     if not angles:
         raise ValueError("need at least one factor")
-    return angles
+    ts = _schedule(len(angles), transmittances)
+    return [BlockParams(theta, phi, t) for (theta, phi), t in zip(angles, ts)]
 
 
 def _schedule(n_blocks: int, transmittances) -> list[float]:
@@ -240,25 +276,32 @@ def _schedule(n_blocks: int, transmittances) -> list[float]:
     return ts
 
 
-def _run_chain(run_block, block_args, transmittances,
-               n_photons: int) -> SchemeResult:
-    """Chain ``run_block(state, *args, T_k)`` from vacuum, once per args.
+def _run_chain(params: list[BlockParams],
+               ancs: list[np.ndarray]) -> SchemeResult:
+    """Chain one heralded block per (params, ancilla coefficients) from vacuum.
 
-    Owns the schedule, the renormalization of each heralded state and the
+    After k blocks of a-photon ancillas the state is the k a + 1
+    coefficients of one photon-number sector, and it is kept as just that
+    vector: each block is one ``_herald_sector`` call on one row of a
+    splitter table built once for the whole chain, its probability the
+    squared norm of the vector.  The result is embedded at cutoff N once,
+    at the end.  Owns the renormalization of each heralded state and the
     short-circuit to an ``impossible`` result.
     """
-    n_blocks = len(block_args)
-    ts = _schedule(n_blocks, transmittances)
-    state = vacuum(0)
+    a = len(ancs[0]) - 1
+    n_photons = a * len(ancs)
+    cos_sin = np.array([p.cos_sin for p in params]).T
+    v = _splitter_entries(n_photons, *cos_sin, a, 0)[..., 0]
+    x = np.ones(1, dtype=complex)
     probs: list[float] = []
-    for k, (args, t) in enumerate(zip(block_args, ts), start=1):
-        out = run_block(state, *args, t)
-        probs.append(out.probability)
-        if out.probability == 0.0:
-            probs.extend([0.0] * (n_blocks - k))
+    for k, anc in enumerate(ancs):
+        x = _herald_sector(x, v[:, k], anc)
+        probs.append(float(np.vdot(x, x).real))
+        if probs[-1] == 0.0:
+            probs.extend([0.0] * (len(ancs) - k - 1))
             return SchemeResult(zero_state(n_photons), tuple(probs), 0.0, True)
-        state = out.state / math.sqrt(out.probability)
-    return SchemeResult(state, tuple(probs), math.prod(probs), False)
+        x = x / math.sqrt(probs[-1])
+    return SchemeResult(_sector_state(x), tuple(probs), math.prod(probs), False)
 
 
 def run_scheme(factors, transmittances=None) -> SchemeResult:
@@ -269,11 +312,8 @@ def run_scheme(factors, transmittances=None) -> SchemeResult:
     A block with zero heralding probability short-circuits to an
     ``impossible`` result.
     """
-    angles = _factor_angles(factors)
-    return _run_chain(
-        lambda state, theta, phi, t: run_block_single(
-            state, BlockParams(theta, phi, t)),
-        angles, transmittances, len(angles))
+    params = _single_blocks(factors, transmittances)
+    return _run_chain(params, [_single_coeffs(p.theta, p.phi) for p in params])
 
 
 def noon_double_phases(n_photons: int) -> list[float]:
@@ -303,8 +343,9 @@ def run_scheme_double(n_photons: int, phis=None,
     phis = [float(p) for p in phis]
     if len(phis) != half:
         raise ValueError(f"need {half} phases, got {len(phis)}")
-    return _run_chain(run_block_double, [(p,) for p in phis], transmittances,
-                      n_photons)
+    ts = _schedule(half, transmittances)
+    params = [BlockParams(math.pi / 4.0, p, t) for p, t in zip(phis, ts)]
+    return _run_chain(params, [_double_coeffs(p) for p in phis])
 
 
 @lru_cache(maxsize=None)
@@ -353,21 +394,22 @@ def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:
 
     From vacuum, rho is block-diagonal in signal photon number m and kept
     so, one block per sector; outcome (n_c, n_d) sends sector m to
-    m + 1 - n_c - n_d, with Kraus elements from ``_sector_kraus``.
+    m + 1 - n_c - n_d, with Kraus elements from ``_sector_kraus``.  The
+    splitter entries of every block come from one table, built once at
+    cutoff N: a block on input sector m reads only entries with
+    o + n <= m + 1, which do not depend on the cutoff.
     """
-    angles = _factor_angles(factors)
-    ts = _schedule(len(angles), transmittances)
-    n = len(angles)
+    params = _single_blocks(factors, transmittances)
+    n = len(params)
+    v = _splitter_entries(n, *np.array([p.cos_sin for p in params]).T, 1)
     # rho[m, i, i'] = <i, m - i| rho |i', m - i'>, zero past i, i' = m
     rho = np.zeros((n + 1,) * 3, dtype=complex)
     rho[0, 0, 0] = 1.0
-    for n_in, ((theta, phi), t) in enumerate(zip(angles, ts)):
-        v = _splitter_entries(n_in + 1, *BlockParams(theta, phi, t).cos_sin, 1)
-        anc = ancilla_single(theta, phi)
-        anc = np.array([anc.amplitude(0, 1), anc.amplitude(1, 0)])
+    for n_in, p in enumerate(params):
+        anc = _single_coeffs(p.theta, p.phi)
         out = np.zeros_like(rho)
         for m in range(n_in + 1):
-            kraus = _sector_kraus(m, v, anc)
+            kraus = _sector_kraus(m, v[:, n_in], anc)
             mixed = kraus @ rho[m, :m + 1, :m + 1] @ kraus.conj().transpose(0, 2, 1)
             out[:m + 2, :m + 2, :m + 2] += np.add.reduceat(mixed, _sector_map(m)[1])
         rho = out

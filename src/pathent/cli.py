@@ -66,16 +66,15 @@ from .yields import (
     yield_table,
 )
 
-# Largest target photon number ``simulate`` accepts.  Each heralded block
-# reads closed-form splitter entries and visits only its input's populated
-# kets, the k + 1 of one photon-number sector, though it still stores its
-# output over the whole two-mode simplex.  On a 2-vCPU x86-64 host
-# ``simulate`` as a fresh process takes about 0.12 s of wall time, nearly
-# all of it interpreter start and imports, and 33 MB peak RSS at N = 64;
-# in-process a call takes about 6 ms, of which the chain is 3 ms.  The bound stays at 64 until the
-# factors are applied in a well-conditioned order: in sorted order the
-# partial products grow and cancel, and NOON targets already print
-# spurious kets near 1e-10 at N = 64.
+# Largest target photon number ``simulate`` accepts.  The heralded chain
+# keeps only the N + 1 coefficients of one photon-number sector and reads
+# one table of closed-form splitter entries, so its cost is small: on a
+# 2-vCPU x86-64 host ``simulate`` at N = 64 takes about 0.09 s of wall time
+# as a fresh process, nearly all of it interpreter start and imports, and
+# 32 MB peak RSS; in-process a call takes about 3.2 ms, of which the chain
+# is 0.6 ms.  The bound stays at 64 until the factors are applied in a
+# well-conditioned order: in sorted order the partial products grow and
+# cancel, and NOON targets already print spurious kets near 1e-10 at N = 64.
 _SIMULATE_N_MAX = 64
 _ORACLE_TOL = 1e-9
 _ORACLE_KAPPAS = (0.1, 0.7, 1.3)
@@ -315,7 +314,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-_SIM_N_MAX = 8
+# Largest N whose NOON yields ``yield-table`` simulates, the table's own cap.
+_SIM_N_MAX = 24
 
 
 def _adjudicate_double_reading(simulated: dict[int, float]) -> str:
@@ -368,8 +368,8 @@ def _cmd_yield_table(args) -> int:
     lines = [
         f"# closed-form and simulated heralding yields for "
         f"(|N,0>+|0,N>)/sqrt(2) targets, N = 1..{n_max}",
-        f"# simulated columns cover N <= {_SIM_N_MAX}; empty cells mean "
-        "not simulated or not applicable",
+        f"# simulated columns cover N <= {min(n_max, _SIM_N_MAX)}; "
+        "empty cells mean not simulated or not applicable",
         f"# {_adjudicate_double_reading(sim_double)}",
         "N,p_single,p_single_simulated,p_stirling,p_double_factorial_form,"
         "p_double_linear_form,p_double_simulated,ratio_double_over_single",

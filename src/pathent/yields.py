@@ -78,7 +78,12 @@ def yield_noon_double_linear(n_photons: int) -> float:
 
 
 def yield_stirling(n_photons: int) -> float:
-    """Large-N approximation 2 sqrt(2 pi N) (2 e)^{-N} of the NOON yield."""
+    """Large-N approximation 2 sqrt(2 pi N) (2 e)^{-N} of the NOON yield.
+
+    The exact yield is 2 N! (2N)^{-N}; this is Stirling's formula for N!
+    without its factor 1 + 1/(12N) + 1/(288N^2) + ..., so it reads about
+    1/(12N) low: 1.0e-2 relative at N = 8, 3.5e-3 at N = 24.
+    """
     n = n_photons
     if n < 1:
         raise ValueError("n_photons must be >= 1")

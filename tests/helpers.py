@@ -7,7 +7,7 @@ import numpy as np
 from pathent.factorize import TargetSpec, _wrap_angle
 from pathent.cli import _random_eigenstate as random_eigenstate
 from pathent.cli import _random_four_mode_state as random_four_mode_state
-from pathent.fock import TwoModeState, dim2
+from pathent.fock import TwoModeState, dim2, vacuum
 
 # One angle per branch of the beam-splitter core: identity, one factored
 # step, one and two half-angle splits, the swap threshold from both sides,
@@ -20,6 +20,21 @@ MIX_KAPPAS = [0.0, 0.1, 0.7, math.pi / 4 + 1e-6, 1.3,
 def random_two_mode_state(rng, cutoff):
     v = rng.standard_normal(dim2(cutoff)) + 1j * rng.standard_normal(dim2(cutoff))
     return TwoModeState(cutoff, v / np.linalg.norm(v))
+
+
+def reference_chain(run_block, block_args):
+    """Chain ``run_block(state, *args)`` from vacuum through the public blocks.
+
+    Each heralded state is renormalized before the next block: the route
+    the chained schemes took block by block, over the whole two-mode
+    simplex.  Returns the final state and the block probabilities.
+    """
+    state, probs = vacuum(0), []
+    for args in block_args:
+        out = run_block(state, *args)
+        probs.append(out.probability)
+        state = out.state / math.sqrt(out.probability)
+    return state, probs
 
 
 def random_target(rng, n):

@@ -56,6 +56,7 @@ from helpers import (
     random_eigenstate,
     random_target,
     random_two_mode_state,
+    reference_chain,
     rel_err,
 )
 
@@ -292,12 +293,17 @@ def test_scheme_factor_order_invariance():
 
 def test_scheme_impossible_conditioning():
     # T=1 empties the k=1 splitter, so any later block can't stay dark
-    res = run_scheme(noon_factor_angles(3), [1.0, 1.0, 1.0])
-    assert res.impossible
-    assert res.total_yield == 0.0
-    np.testing.assert_allclose(res.block_probs[0], 1.0, atol=1e-12)
-    assert res.block_probs[1:] == (0.0, 0.0)
-    assert res.final_state.norm_sq() == 0.0
+    for n, double in ((3, False), (8, False), (8, True)):
+        if double:
+            res = run_scheme_double(n, transmittances=[1.0] * (n // 2))
+        else:
+            res = run_scheme(noon_factor_angles(n), [1.0] * n)
+        assert res.impossible
+        assert res.total_yield == 0.0
+        np.testing.assert_allclose(res.block_probs[0], 1.0, atol=1e-12)
+        assert res.block_probs[1:] == (0.0,) * (len(res.block_probs) - 1)
+        assert res.final_state.cutoff == n
+        assert res.final_state.norm_sq() == 0.0
 
 
 def test_scheme_input_validation():
@@ -572,3 +578,103 @@ def test_double_factor_matches_two_singles():
         math.pi / 4, phi + math.pi,
     )
     np.testing.assert_allclose(via_double.amps, via_singles.amps, atol=1e-12)
+
+
+def _assert_chain_matches_reference(res, ref, exact=None):
+    """Every block probability within 1e-13 relative, every amplitude 1e-13.
+
+    Where the chain's partial products cancel, both routes carry rounding
+    noise on the kets that are zero in exact arithmetic: given the exact
+    state, only its populated kets are compared, and the others must stay
+    within 1e-12 of zero on both routes.
+    """
+    state, probs = ref
+    assert res.final_state.cutoff == state.cutoff
+    assert len(res.block_probs) == len(probs)
+    for got, want in zip(res.block_probs, probs):
+        assert abs(got - want) <= 1e-13 * want
+    diff = np.abs(res.final_state.amps - state.amps)
+    if exact is None:
+        assert diff.max() <= 1e-13
+        return
+    zero = exact.amps == 0
+    assert diff[~zero].max() <= 1e-13
+    for amps in (res.final_state.amps, state.amps):
+        assert np.abs(amps[zero]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 32, 64])
+def test_chain_matches_public_block_route_random(n):
+    fs = factorize_target(random_target(np.random.default_rng(90 + n), n))
+    ts = [1.0 / k for k in range(1, n + 1)]
+    ref = reference_chain(run_block_single, [
+        (BlockParams(theta, phi, t),) for (theta, phi), t in zip(fs.factors, ts)])
+    _assert_chain_matches_reference(run_scheme(fs), ref)
+
+
+@pytest.mark.parametrize("n, t", [(2, None), (8, None), (32, None), (40, 0.9)])
+def test_chain_matches_public_block_route_noon(n, t):
+    # At T = 0.9 the NOON chain's spurious kets carry about 5e-13 of
+    # rounding noise on either route (6.0e-13 on the block route, 4.9e-13
+    # on the chain), so there the two are compared on the NOON kets only.
+    exact = None if t is None else noon_state(n)
+    angles = noon_factor_angles(n)
+    ts = [1.0 / k for k in range(1, n + 1)] if t is None else [t] * n
+    ref = reference_chain(run_block_single, [
+        (BlockParams(theta, phi, tk),) for (theta, phi), tk in zip(angles, ts)])
+    _assert_chain_matches_reference(run_scheme(angles, ts), ref, exact)
+
+    ts = ts[:n // 2]
+    ref = reference_chain(run_block_double,
+                          list(zip(noon_double_phases(n), ts)))
+    _assert_chain_matches_reference(
+        run_scheme_double(n, transmittances=ts), ref, exact)
+
+
+def test_chain_builds_one_table_and_no_simplex(monkeypatch):
+    # The chains keep the coefficients of one sector: no public block, no
+    # basis table, one splitter table per chain and one embedding at the end.
+    calls = {"entries": 0, "embed": 0}
+
+    def entries(*args):
+        calls["entries"] += 1
+        return _splitter_entries(*args)
+
+    def embed(coeffs):
+        calls["embed"] += 1
+        return pathent.fock._sector_state(coeffs)
+
+    def refuse(*args):
+        raise AssertionError("the chain left its sector")
+
+    monkeypatch.setattr(pathent.blocks, "_splitter_entries", entries)
+    monkeypatch.setattr(pathent.blocks, "_sector_state", embed)
+    monkeypatch.setattr(pathent.blocks, "_herald", refuse)
+    monkeypatch.setattr(pathent.blocks, "_basis", refuse)
+    for run in (lambda: run_scheme(noon_factor_angles(16)),
+                lambda: run_scheme_double(16)):
+        calls.update(entries=0, embed=0)
+        assert not run().impossible
+        assert calls == {"entries": 1, "embed": 1}
+    monkeypatch.setattr(pathent.blocks, "_basis", pathent.fock._basis)
+    calls.update(entries=0)
+    run_scheme_unconditional(noon_factor_angles(6)).validate()
+    assert calls["entries"] == 1
+
+
+@pytest.mark.parametrize("cutoff", [1, 8, 33])
+@pytest.mark.parametrize("j_max", [1, 2])
+def test_batched_splitter_entries_match_one_row_builds(cutoff, j_max):
+    # T = 1 (c = 0), T = 1e-6, and the optimal schedule's 1/k.
+    ts = np.array([1.0, 1e-6, 0.5, 0.9, 0.995] + [1.0 / k for k in range(3, 34)])
+    c, s = np.sqrt(1.0 - ts), np.sqrt(ts)
+    for n_max in (0, None):
+        v = _splitter_entries(cutoff, c, s, j_max, n_max)
+        width = cutoff + 1 if n_max is None else 1
+        assert v.shape == (j_max + 1, len(ts), cutoff + 1, width)
+        for k, t in enumerate(ts):
+            row = BlockParams(0.0, 0.0, float(t)).cos_sin
+            one = _splitter_entries(cutoff, *row, j_max, n_max)
+            assert v[:, k].tobytes() == one.tobytes(), (t, n_max)
+            one = _splitter_entries(cutoff, [row[0]], [row[1]], j_max, n_max)
+            assert v[:, k].tobytes() == one[:, 0].tobytes(), (t, n_max)

@@ -301,6 +301,20 @@ def test_yield_table_contents(tmp_path, capsys):
             assert row[7] == ""
 
 
+def test_yield_table_simulates_up_to_its_cap(capsys):
+    assert cli.main(["yield-table", "24"]) == 0
+    comments, _, rows = read_table(capsys.readouterr().out)
+    assert comments[1].startswith("# simulated columns cover N <= 24;")
+    assert any("confirmed_reading=factorial" in c for c in comments)
+    assert [int(r[0]) for r in rows] == list(range(1, 25))
+    for r in rows:
+        # p_single_simulated against p_single, p_double_simulated against
+        # p_double_factorial_form
+        assert abs(float(r[2]) - float(r[1])) <= 1e-9 * float(r[1])
+        if int(r[0]) % 2 == 0:
+            assert abs(float(r[6]) - float(r[4])) <= 1e-9 * float(r[4])
+
+
 def test_yield_table_bounds(capsys):
     assert cli.main(["yield-table", "0"]) == 1
     capsys.readouterr()

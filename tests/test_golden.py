@@ -1,13 +1,37 @@
 """Byte-exact CLI reports, pinned by the SHA-256 of their stdout.
 
 A refactor of the numerics must leave every printed digit unchanged.  The
-hashes were last re-recorded when the heralded blocks began to take their
+hashes were last re-recorded when the heralded chains began to keep their
+state as the coefficients of one photon-number sector and to take each
+block probability as the squared norm of that vector, summed over its
+N + 1 entries instead of over the whole two-mode simplex.  Old -> new,
+with the largest change of a printed float (relative over values >= 1e-12,
+and absolute over every printed float):
+
+    simulate_noon8          52961eed4264... -> cb8ff7629942...
+        1.8e-16 relative (total_yield), 5.6e-17 absolute
+    simulate_noon32         05251122f53f... -> 75cc50fc7a41...
+        7.0e-16 relative (a block probability), 2.2e-16 absolute
+    simulate_noon32_double  7fd3fae75d0e... -> 157236ad9478...
+        4.2e-16 relative (a block probability), 2.2e-16 absolute
+    simulate_target32       96c8eaada93d... -> f5af0b7d120a...
+        1.2e-14 relative (the small part of a final amplitude),
+        5.3e-16 absolute
+    yield_table_8           f584459191f3... -> 01eab9788413...
+        p_single_simulated only; 3.6e-16 relative, 1.4e-20 absolute
+
+The summation order of the norm is the only cause: the splitter entries,
+the products and the renormalization are the same operations on the same
+values.  ``simulate_noon8_double``, ``simulate_target6``,
+``factorize_target6``, ``oracle_check`` and ``fringe_4_16`` kept their
+hashes; ``oracle_check`` runs the public blocks, which stay bit for bit.
+
+Before that, the hashes moved when the heralded blocks began to take their
 ancillas from the closed forms cos(theta)|1,0> - e^{i phi} sin(theta)|0,1>
 and (|2,0> - e^{2i phi}|0,2>)/sqrt(2), instead of running the series
 splitter, and the root finder began to polish all roots in one vectorized
-Newton step.  Old -> new, with the cause and the largest change of a
-printed float (relative, and absolute over every printed float; numbers
-below 1e-14, which are zero in exact arithmetic, count only absolutely):
+Newton step (numbers below 1e-14, which are zero in exact arithmetic,
+count only absolutely):
 
     simulate_noon8_double   cebb48269ad2... -> e8a216602169...
         ancilla_double; 9.0e-16 relative, 3.3e-16 absolute
@@ -26,10 +50,9 @@ The two-photon ancilla holds sqrt(0.5), correctly rounded, in both kets,
 so its squared norm is 1 + 2.2e-16; the series splitter had rounded one
 down.  Each doubled block's probability reads about that much higher.
 The NOON single-photon reports, ``fringe`` and ``oracle_check`` kept their
-hashes: at theta = pi/4 the closed-form ancilla equals the series one bit
-for bit, and the NOON factors come from ``noon_factor_angles``, not the
-root finder.  Running the factor product and the heralded chain on the
-kets of one photon-number sector moved no bit.
+hashes then: at theta = pi/4 the closed-form ancilla equals the series
+one bit for bit, and the NOON factors come from ``noon_factor_angles``,
+not the root finder.
 
 The hashes hold for the numpy build the suite runs on (numpy 2.4,
 x86-64); the CLI does not use scipy.  Another BLAS, LAPACK or libm may
@@ -64,7 +87,7 @@ def _noon(n):
 
 GOLDEN = {
     "simulate_noon8": (["simulate", "{noon8}"],
-        "52961eed4264b09c052a4fd43ae8694528a2fffadb0e4888ab0387d3548b28c2"),
+        "cb8ff7629942753ef756206d04ed0382958831ede115317ed39f6f01a78aad59"),
     "simulate_noon8_double": (["simulate", "{noon8}", "--double"],
         "e8a216602169181989a5188c7021ded4e0cef128e3a05b4d37bb5ba57e45ae2a"),
     "simulate_target6": (["simulate", "{target6}"],
@@ -74,15 +97,15 @@ GOLDEN = {
     "oracle_check": (["oracle-check", "--trials", "5"],
         "9b54d0aa3c07363bdbf1e6440a793fb3b8983940b52e319d4cf5175ae0b0a897"),
     "yield_table_8": (["yield-table", "8"],
-        "f584459191f37562087b9f9c9dddce46a438518a55beced4844795b3e20eec23"),
+        "01eab9788413d9853001ae96b7f8f7c054ffec9c60dd3a57c2ac7a07d7e9c8fe"),
     "fringe_4_16": (["fringe", "4", "16"],
         "8cf0644fbd2f2d0d6874c4f14ccf9a3f96646c8996566116bdde42e73cdf35b0"),
     "simulate_noon32": (["simulate", "{noon32}"],
-        "05251122f53f73973f74a9155a76c6d2376d9e1aa104db3186843f54697df58e"),
+        "75cc50fc7a417260c5cd7dbface909b123664b1f34c67978d1964b21ac1de131"),
     "simulate_noon32_double": (["simulate", "{noon32}", "--double"],
-        "7fd3fae75d0e9cb8672b3fd89b839038e261c3effaaa195fb01cd28fd347c981"),
+        "157236ad9478a81b3c58a4a92e1fc8499b20866c5bcfd71eee23f6198aa60d9a"),
     "simulate_target32": (["simulate", "{target32}"],
-        "96c8eaada93d9c101bad5216e900f2c14d3cdbfe3af478d19f80489ed5cfe25e"),
+        "f5af0b7d120ab117c80a6308df188ebfc3ea6dc2c8fb88a2b8b7924a01e70323"),
 }
 
 

@@ -180,6 +180,15 @@ def test_yield_stirling_approximation():
     assert rel_err(yield_stirling(20), yield_noon_single(20)) <= 0.01
 
 
+def test_yield_stirling_misses_only_the_stirling_series():
+    # With the first two terms of Stirling's series put back, what is left
+    # is its next term, -139/(51840 N^3): the product reads about
+    # 0.0027/N^3 high.
+    for n in range(8, 257):
+        fixed = yield_stirling(n) * (1.0 + 1.0 / (12 * n) + 1.0 / (288 * n * n))
+        assert rel_err(fixed, yield_noon_single(n)) <= 1.0 / n ** 3
+
+
 def test_yield_table_structure():
     rows = yield_table(6)
     assert len(rows) == 6
