@@ -71,8 +71,10 @@ from .yields import (
 # one table of closed-form splitter entries, so its cost is small: on a
 # 2-vCPU x86-64 host ``simulate`` at N = 64 takes about 0.09 s of wall time
 # as a fresh process, nearly all of it interpreter start and imports, and
-# 32 MB peak RSS; in-process a call takes about 3.2 ms, of which the chain
-# is 0.6 ms.  The bound stays at 64 until the factors are applied in a
+# 32 MB peak RSS; in-process a call on a generic target takes about 3.2 ms,
+# of which the chain is 0.6 ms.  A NOON call takes about half as long: its
+# two-term polynomial is factored in closed form, without the 64 x 64
+# eigenproblem.  The bound stays at 64 until the factors are applied in a
 # well-conditioned order: in sorted order the partial products grow and
 # cancel, and NOON targets already print spurious kets near 1e-10 at N = 64.
 _SIMULATE_N_MAX = 64
@@ -93,45 +95,69 @@ def _f(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _render(value, indent: str = "") -> str:
-    """Render a report tree as JSON with fixed float formatting."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
+def _finite_or_null(x: float) -> str:
+    # JSON has no NaN or infinity
+    return format(x, ".17g") if math.isfinite(x) else "null"
+
+
+_quote = json.encoder.encode_basestring_ascii  # json.dumps of a str
+
+# Leaf writers keyed by exact type; subclasses and numpy scalars take the
+# isinstance chain in ``_leaf``.
+_LEAF_WRITERS = {
+    type(None): lambda v: "null",
+    bool: lambda v: "true" if v else "false",
+    int: str,
+    float: _finite_or_null,
+    complex: lambda v: f"[{_f(v.real)}, {_f(v.imag)}]",
+    str: _quote,
+}
+
+
+def _leaf(value) -> str | None:
+    """The JSON text of a scalar report value; None for a dict, list, tuple."""
+    writer = _LEAF_WRITERS.get(type(value))
+    if writer is not None:
+        return writer(value)
+    if isinstance(value, (dict, list, tuple)):
+        return None
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        # JSON has no NaN or infinity
-        return _f(value) if math.isfinite(value) else "null"
+        return _finite_or_null(float(value))
     if isinstance(value, (complex, np.complexfloating)):
-        return f"[{_f(value.real)}, {_f(value.imag)}]"
+        return _LEAF_WRITERS[complex](value)
     if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        parts = [
-            f"{inner}{json.dumps(str(k))}: {_render(v, inner)}"
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
-            return "[]"
-        if all(
-            isinstance(v, (bool, int, float, complex, str,
-                           np.integer, np.floating, np.complexfloating))
-            or v is None
-            for v in items
-        ):
-            return "[" + ", ".join(_render(v) for v in items) + "]"
-        inner = indent + "  "
-        parts = [f"{inner}{_render(v, inner)}" for v in items]
-        return "[\n" + ",\n".join(parts) + "\n" + indent + "]"
+        return _quote(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _render(value, indent: str = "") -> str:
+    """Render a report tree as JSON with fixed float formatting.
+
+    A list whose items are all scalars goes on one line; any other list,
+    and every non-empty dict, puts one item per line, indented two spaces
+    per level.
+    """
+    text = _leaf(value)
+    return text if text is not None else _render_container(value, indent)
+
+
+def _render_container(value, indent: str) -> str:
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        parts = [f"{inner}{_quote(str(k))}: {_render(v, inner)}"
+                 for k, v in value.items()]
+        return "{\n" + ",\n".join(parts) + "\n" + indent + "}"
+    leaves = [_leaf(v) for v in value]
+    if None not in leaves:
+        return "[" + ", ".join(leaves) + "]"
+    parts = [inner + (text if text is not None
+                      else _render_container(v, inner))
+             for v, text in zip(value, leaves)]
+    return "[\n" + ",\n".join(parts) + "\n" + indent + "]"
 
 
 def _write_output(text: str, out_path: str | None) -> None:

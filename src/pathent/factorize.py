@@ -120,6 +120,29 @@ def _polish_roots(d: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.where(better, z_new, z)
 
 
+def _binomial_root_angles(d_lo: complex, d_m: complex,
+                          q: int) -> list[tuple[float, float]]:
+    """Angles of the q roots of d_lo + d_m z^q, written down in closed form.
+
+    The roots are |w|^{1/q} e^{i pi (t + 2k)/q}, k = 0..q-1, with
+    w = -d_lo/d_m and t = arg(w)/pi; adding 0.0 to Im w turns -0.0 into 0.0,
+    so w = -1 gives t = 1 and the phases are the odd multiples of pi/q.
+    """
+    w = -d_lo / d_m
+    size = abs(w)
+    if 0.0 < size < math.inf:
+        theta = math.atan(size ** (1.0 / q))
+    else:
+        # w left the float range, though its q-th root may not: take the
+        # root's log-modulus x from the parts, atan(e^x) as an atan2 whose
+        # arguments cannot overflow, and the phase from the unit parts
+        x = (math.log(abs(d_lo)) - math.log(abs(d_m))) / q
+        theta = math.atan2(math.exp(min(x, 0.0)), math.exp(min(-x, 0.0)))
+        w = -(d_lo / abs(d_lo)) / (d_m / abs(d_m))
+    t = math.atan2(w.imag + 0.0, w.real) / math.pi
+    return [(theta, _wrap_angle((t + 2 * k) * math.pi / q)) for k in range(q)]
+
+
 def find_factor_angles(d) -> list[tuple[float, float]]:
     """Factor angles (theta_k, phi_k) from monomial coefficients d_0..d_N.
 
@@ -127,19 +150,29 @@ def find_factor_angles(d) -> list[tuple[float, float]]:
     each exactly-zero leading coefficient contributes one pure-b† factor
     (pi/2, 0), appended after the finite factors.  Finite factors are
     sorted by (theta, phi) so equal inputs give equal lists.
+
+    A two-term polynomial d_lo z^lo + d_m z^m (NOON targets among them) is
+    factored in closed form: lo roots at z = 0 and the m - lo roots of
+    z^{m-lo} = -d_lo/d_m, with no eigenproblem and no polish.  The branch
+    has no tolerance: only coefficients that are exactly zero count as
+    absent.  Any other polynomial goes to ``np.roots`` and one Newton step.
     """
     d = np.asarray(list(d), dtype=complex)
     if d.ndim != 1 or d.size < 2:
         raise ValueError("need at least two monomial coefficients")
-    if not np.any(d):
+    nonzero = np.flatnonzero(d)
+    if nonzero.size == 0:
         raise ValueError("coefficient vector is zero")
     n = d.size - 1
-    m = n
-    while m > 0 and d[m] == 0:
-        m -= 1
-    angles: list[tuple[float, float]] = []
-    if m > 0:
+    lo, m = int(nonzero[0]), int(nonzero[-1])
+    if nonzero.size <= 2:
+        angles = [(0.0, 0.0)] * lo
+        if m > lo:
+            angles += _binomial_root_angles(complex(d[lo]), complex(d[m]),
+                                            m - lo)
+    else:
         roots = _polish_roots(d[: m + 1], np.roots(d[: m + 1][::-1]))
+        angles = []
         for z in map(complex, roots):
             theta = math.atan(abs(z))
             phi = _wrap_angle(cmath.phase(z)) if z != 0 else 0.0
@@ -226,13 +259,14 @@ def noon_factor_angles(n: int) -> list[tuple[float, float]]:
     """Closed-form angles for (|n,0> + |0,n>)/sqrt(2): theta = pi/4, odd phases.
 
     The generating polynomial is (z^n + 1)/sqrt(2 n!), whose roots are the n
-    odd 2n-th roots of unity, all on the unit circle.
+    odd 2n-th roots of unity, all on the unit circle.  The list is the one
+    ``find_factor_angles`` gives for a NOON target, bit for bit.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return sorted(
-        (math.pi / 4.0, _wrap_angle((2 * k + 1) * math.pi / n)) for k in range(n)
-    )
+    d = np.zeros(n + 1)
+    d[0] = d[n] = 1.0
+    return find_factor_angles(d)
 
 
 def noon_target(n: int) -> TargetSpec:

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from pathent import cli
-from pathent.factorize import TargetSpec, factorize_target
+from pathent.blocks import run_scheme
+from pathent.factorize import TargetSpec, factorize_target, noon_factor_angles
 from pathent.fock import FourModeState, _ket_index
 from pathent.yields import yield_generic
 
@@ -36,6 +37,40 @@ def run_json(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+@pytest.mark.parametrize("value,text", [
+    (math.nan, "null"),
+    (-math.inf, "null"),
+    ([math.inf, np.float64(math.nan)], "[null, null]"),
+    (np.float64(0.1), "0.10000000000000001"),
+    (np.float32(0.1), "0.10000000149011612"),
+    (-0.0, "-0"),
+    (np.int64(-3), "-3"),
+    (np.uint8(7), "7"),
+    (2 ** 70, "1180591620717411303424"),
+    (np.complex128(1 - 2j), "[1, -2]"),
+    (np.complex64(0.5j), "[0, 0.5]"),
+    (complex(0.1, -0.0), "[0.10000000000000001, -0]"),
+    (None, "null"),
+    ([True, False, None], "[true, false, null]"),
+    ('q"\u00e9', '"q\\"\\u00e9"'),
+    ([], "[]"),
+    ({}, "{}"),
+    ((1, 2.5), "[1, 2.5]"),
+    ([[], {}], "[\n  [],\n  {}\n]"),
+    ({"a": [1, [2]], "b": {"c": []}},
+     '{\n  "a": [\n    1,\n    [2]\n  ],\n  "b": {\n    "c": []\n  }\n}'),
+])
+def test_render_pins_its_edge_cases(value, text):
+    assert cli._render(value) == text
+
+
+@pytest.mark.parametrize("value", [object(), np.bool_(True),
+                                   [1, np.bool_(False)], {"a": object()}])
+def test_render_rejects_what_json_cannot_hold(value):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        cli._render(value)
 
 
 def test_factorize_noon4(tmp_path, capsys):
@@ -170,6 +205,17 @@ def test_simulate_noon4_double(tmp_path, capsys):
     assert len(report["factors"]) == 4
     assert len(report["blocks"]) == 2
     assert report["fidelity_vs_target"] >= 1.0 - 1e-9
+
+
+def test_simulate_and_yield_table_apply_one_noon_factor_list(tmp_path, capsys):
+    # simulate factors a NOON file in closed form, so it prints the factors
+    # yield-table runs, and their total yield, bit for bit
+    for n in range(1, 25):
+        code, report = run_json(capsys, ["simulate", noon_file(tmp_path, n)])
+        assert code == 0
+        angles = noon_factor_angles(n)
+        assert [(f["theta"], f["phi"]) for f in report["factors"]] == angles
+        assert report["total_yield"] == run_scheme(angles).total_yield
 
 
 def test_simulate_explicit_schedule_matches_optimal(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from pathent.factorize import (
     FactorSet,
     TargetSpec,
+    _polish_roots,
     _wrap_angle,
     apply_factors,
     factorize_target,
@@ -254,13 +255,62 @@ def test_factor_set_invariants():
         assert -math.pi <= phi < math.pi
 
 
-@pytest.mark.parametrize("n", [2, 4])
+def _root_finder_angles(d):
+    """Angles from ``np.roots`` and ``_polish_roots``, the route any polynomial
+    with three or more nonzero coefficients takes; d_m must be nonzero."""
+    d = np.asarray(d, dtype=complex)
+    roots = _polish_roots(d, np.roots(d[::-1]))
+    return sorted((math.atan(abs(z)),
+                   _wrap_angle(cmath.phase(z)) if z != 0 else 0.0)
+                  for z in map(complex, roots))
+
+
+@pytest.mark.parametrize("n", [2, 4, 17, 32, 64])
 def test_noon_factor_angles_match_root_finder(n):
     assert_angle_multisets_close(
         noon_factor_angles(n),
-        find_factor_angles(monomial_coeffs(noon_target(n))),
-        tol=1e-9,
+        _root_finder_angles(monomial_coeffs(noon_target(n))),
+        tol=1e-12,
     )
+
+
+def test_two_term_closed_form_matches_root_finder():
+    # d_lo z^lo + d_m z^m with |d_m / d_lo| from 1e-3 to 1e3, random phases
+    rng = np.random.default_rng(14)
+    for m in range(1, 65):
+        for lo in (0, 1, 3):
+            if lo >= m:
+                continue
+            d = np.zeros(m + 1, dtype=complex)
+            d[lo] = np.exp(2j * math.pi * rng.uniform())
+            d[m] = (10.0 ** rng.uniform(-3.0, 3.0)
+                    * np.exp(2j * math.pi * rng.uniform()))
+            angles = find_factor_angles(d)
+            assert angles[:lo] == [(0.0, 0.0)] * lo
+            assert_angle_multisets_close(angles, _root_finder_angles(d),
+                                         tol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_noon_target_factors_are_the_closed_form_bit_for_bit(n):
+    angles = noon_factor_angles(n)
+    assert find_factor_angles(monomial_coeffs(noon_target(n))) == angles
+    assert angles == sorted(
+        (math.pi / 4, _wrap_angle((2 * k + 1) * math.pi / n)) for k in range(n))
+
+
+def test_two_term_closed_form_outside_the_float_range():
+    # -d_0/d_64 overflows or underflows, but its 64th root is 2^(+-1070/64)
+    tiny = math.ldexp(1.0, -1070)
+    for d_0, d_m, root in ((1.0, tiny, 2.0 ** (1070 / 64)),
+                           (tiny, 1.0, 2.0 ** (-1070 / 64))):
+        d = np.zeros(65, dtype=complex)
+        d[0], d[64] = d_0, d_m
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            angles = find_factor_angles(d)
+        want = [(math.atan(root), phi) for _, phi in noon_factor_angles(64)]
+        assert_angle_multisets_close(angles, want, tol=1e-13)
 
 
 def test_noon4_phases():

@@ -1,12 +1,34 @@
 """Byte-exact CLI reports, pinned by the SHA-256 of their stdout.
 
 A refactor of the numerics must leave every printed digit unchanged.  The
-hashes were last re-recorded when the heralded chains began to keep their
-state as the coefficients of one photon-number sector and to take each
-block probability as the squared norm of that vector, summed over its
-N + 1 entries instead of over the whole two-mode simplex.  Old -> new,
-with the largest change of a printed float (relative over values >= 1e-12,
-and absolute over every printed float):
+hashes were last re-recorded when ``find_factor_angles`` began to factor
+two-term polynomials d_lo z^lo + d_m z^m in closed form, so that
+``simulate`` on a NOON file applies the factor list of
+``noon_factor_angles``, the one ``yield-table`` runs, instead of the roots
+of an N x N companion matrix after one Newton step.  Old -> new, with the
+largest change of a printed float (relative over values >= 1e-12, and
+absolute over every printed float):
+
+    simulate_noon8          cb8ff7629942... -> a12e95cfe64e...
+        1.1e-15 relative, 4.4e-16 absolute (a factor phi); elsewhere
+        5.4e-16 relative (total_yield), 2.2e-16 absolute
+    simulate_noon32         75cc50fc7a41... -> 453a28479e22...
+        4.5e-15 relative, 1.3e-15 absolute (a factor phi); elsewhere
+        1.3e-15 relative (a block probability), 4.0e-16 absolute
+
+The closed form gives theta = pi/4 and phi = _wrap_angle((2k + 1) pi / N),
+the floats ``noon_factor_angles`` always gave; the root finder's phases
+were a few ulps off.  Every other report kept its hash: ``yield_table_8``
+runs ``noon_factor_angles``, which gives the same list bit for bit as
+before, and the generic targets have more than two nonzero coefficients
+and still go through the root finder.
+
+Before that, the hashes were re-recorded when the heralded chains began
+to keep their state as the coefficients of one photon-number sector and
+to take each block probability as the squared norm of that vector,
+summed over its N + 1 entries instead of over the whole two-mode
+simplex.  Old -> new, with the largest change of a printed float
+(relative over values >= 1e-12, and absolute over every printed float):
 
     simulate_noon8          52961eed4264... -> cb8ff7629942...
         1.8e-16 relative (total_yield), 5.6e-17 absolute
@@ -51,8 +73,8 @@ so its squared norm is 1 + 2.2e-16; the series splitter had rounded one
 down.  Each doubled block's probability reads about that much higher.
 The NOON single-photon reports, ``fringe`` and ``oracle_check`` kept their
 hashes then: at theta = pi/4 the closed-form ancilla equals the series
-one bit for bit, and the NOON factors come from ``noon_factor_angles``,
-not the root finder.
+one bit for bit, and the vectorized polish gave the root finder's NOON
+factors bit for bit as the per-root polish had.
 
 The hashes hold for the numpy build the suite runs on (numpy 2.4,
 x86-64); the CLI does not use scipy.  Another BLAS, LAPACK or libm may
@@ -87,7 +109,7 @@ def _noon(n):
 
 GOLDEN = {
     "simulate_noon8": (["simulate", "{noon8}"],
-        "cb8ff7629942753ef756206d04ed0382958831ede115317ed39f6f01a78aad59"),
+        "a12e95cfe64e2c54a8889ff6c085a13c6d218c9fda1e411eaa88043cb7a66684"),
     "simulate_noon8_double": (["simulate", "{noon8}", "--double"],
         "e8a216602169181989a5188c7021ded4e0cef128e3a05b4d37bb5ba57e45ae2a"),
     "simulate_target6": (["simulate", "{target6}"],
@@ -101,7 +123,7 @@ GOLDEN = {
     "fringe_4_16": (["fringe", "4", "16"],
         "8cf0644fbd2f2d0d6874c4f14ccf9a3f96646c8996566116bdde42e73cdf35b0"),
     "simulate_noon32": (["simulate", "{noon32}"],
-        "75cc50fc7a417260c5cd7dbface909b123664b1f34c67978d1964b21ac1de131"),
+        "453a28479e22574267a04b329ead7c40e55fafc9e4dbc8e8cba5009718d9601f"),
     "simulate_noon32_double": (["simulate", "{noon32}", "--double"],
         "157236ad9478a81b3c58a4a92e1fc8499b20866c5bcfd71eee23f6198aa60d9a"),
     "simulate_target32": (["simulate", "{target32}"],
