@@ -41,6 +41,8 @@ from .factorize import (
     _wrap_angle,
     _coeff_norm,
     factorize_target,
+    find_factor_angles,
+    monomial_coeffs,
     noon_factor_angles,
     reconstruct,
     state_of_target,
@@ -306,15 +308,12 @@ def _cmd_simulate(args) -> int:
         schedule = _parse_schedule(args.schedule, n // 2)
         phis = noon_double_phases(n)
         result = run_scheme_double(n, phis, schedule)
-        factors = []
-        for phi in phis:
-            factors.append({"theta": math.pi / 4.0, "phi": phi})
-            factors.append({"theta": math.pi / 4.0, "phi": _wrap_angle(phi + math.pi)})
+        angles = [(math.pi / 4.0, p) for phi in phis
+                  for p in (phi, _wrap_angle(phi + math.pi))]
     else:
-        fs = factorize_target(target)
+        angles = find_factor_angles(monomial_coeffs(target))
         schedule = _parse_schedule(args.schedule, n)
-        result = run_scheme(fs, schedule)
-        factors = [{"theta": theta, "phi": phi} for theta, phi in fs.factors]
+        result = run_scheme(angles, schedule)
     if result.impossible:
         fidelity = None
         final_entries: list[dict] = []
@@ -326,7 +325,7 @@ def _cmd_simulate(args) -> int:
         "target": _echo_target(target),
         "double": bool(args.double),
         "schedule": schedule,
-        "factors": factors,
+        "factors": [{"theta": theta, "phi": phi} for theta, phi in angles],
         "blocks": [
             {"block": k, "transmittance": t, "probability": p}
             for k, (t, p) in enumerate(zip(schedule, result.block_probs), start=1)

@@ -94,15 +94,19 @@ class FactorSet:
 
 
 def monomial_coeffs(target: TargetSpec) -> np.ndarray:
-    """d_k = c_k / sqrt(k! (n - k)!), the generating-polynomial coefficients."""
+    """d_k = c_k / sqrt(k! (n - k)!), the generating-polynomial coefficients.
+
+    A product k! (n - k)! past the float range is shifted right by an even
+    2e bits for its square root, and the quotient scaled by 2^-e.
+    """
     n = target.n_photons
-    return np.array(
-        [
-            target.coeffs[k] / math.sqrt(math.factorial(k) * math.factorial(n - k))
-            for k in range(n + 1)
-        ],
-        dtype=complex,
-    )
+    d = np.empty(n + 1, dtype=complex)
+    for k, c in enumerate(target.coeffs):
+        f = math.factorial(k) * math.factorial(n - k)
+        e = max(f.bit_length() - 1022, 0) // 2
+        x = c / math.sqrt(f >> 2 * e)
+        d[k] = complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e))
+    return d
 
 
 def _polish_roots(d: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -214,6 +218,8 @@ def normalization(angles,
     n_sq = raw.norm_sq()
     if n_sq == 0.0:
         raise ValueError("factor product annihilates the vacuum")
+    if not math.isfinite(n_sq):
+        raise ValueError("factor product's squared norm overflows floats")
     g = 1.0 + 0.0j
     if target is not None:
         t = state_of_target(target)

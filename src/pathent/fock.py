@@ -10,25 +10,21 @@ One table per (modes, cutoff), ``_basis``, holds the kets' occupations
 and maps each ket to its index.  Constructors build a state at its photon
 number, a tensor product at the sum of its factors' cutoffs, and only
 ``with_cutoff`` re-embeds.  Every ladder product, a creation or
-annihilation operator, a hop x† y or the absorber a + b, is an occupation
-shift: one cached gather/scatter map, ``_shift_map``, applied by
-``_shift``.  The public splitters run on one core, the two-mode ``_mix``:
-a terminating series of hops.  It takes a stack of states, one per
-column, each coming out bit-identical to a single-state call.  The
-heralded blocks do not call it; ``blocks`` reads their few entries of the
-splitter, and their ancillas, from closed forms.  The four-mode splitter
-pair on (a, c) and (b, d) is U (x) U, with U the two-mode splitter:
-``beam_splitter_pair_exact`` lays four-mode amplitudes out as a matrix
-X[(n_a, n_c), (n_b, n_d)] over the two-mode simplex and returns U X U^T.
-U conserves photon number, so the output keeps the p + q <= cutoff
-support.  ``_split_cd`` is the one map from
-four-mode amplitudes to ancilla outcomes (n_c, n_d) and signal kets
-(n_a, n_b).  The dense-exponential oracle shares no hop or series code
-with that core.  Its generator G conserves n_a + n_c and n_b + n_d, so the
-oracle builds it, from ``_basis`` and its own hop loop, as one dense
-complex block per conserved pair, and exponentiates each block alone from
-the eigendecomposition of the Hermitian iG, made once per cutoff.  No
-runtime code imports scipy.
+annihilation operator or the absorber a + b, is an occupation shift: one
+cached gather/scatter map, ``_shift_map``, applied by ``_shift``.  The
+public splitters run on one core, the two-mode ``_mix``, which applies
+U's block on each photon-number sector, built by ``_sector_blocks``, to a
+stack of states, one per column.  The heralded blocks do not call it;
+``blocks`` reads their few entries of U, and their ancillas, from closed
+forms.  The four-mode pair of splitters on (a, c) and (b, d) is U (x) U:
+``beam_splitter_pair_exact`` lays the amplitudes out as a matrix
+X[(n_a, n_c), (n_b, n_d)] over the two-mode simplex and returns U X U^T;
+``_split_cd`` maps them to ancilla outcomes (n_c, n_d) and signal kets.
+The dense-exponential oracle shares only ``_basis`` with that core.  Its
+generator G conserves n_a + n_c and n_b + n_d, so the oracle builds it,
+with its own hop loop, as one dense complex block per conserved pair, and
+exponentiates each block alone from the eigendecomposition of the
+Hermitian iG, made once per cutoff.  No runtime code imports scipy.
 
 Beam-splitter convention: a mixing angle ``kappa`` generates
 ``exp(kappa (x† y - x y†))`` on the mode pair (x, y), whose single-photon
@@ -44,15 +40,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-# The factored beam-splitter product divides by cos(kappa); below this the
-# splitter is taken to be the exact mode swap instead.
-_SWAP_EPS = 1e-12
-
-# Beyond this mixing angle, |tan(kappa)| > 1 inflates intermediate series
-# terms; the rotation is then applied as two half-angle rotations.
-_HALF_ANGLE_LIMIT = math.pi / 4 + 1e-9
-
 
 class CutoffOverflowError(ValueError):
     """A ladder operation would push amplitude past the stored cutoff."""
@@ -414,58 +401,48 @@ def is_photon_number_eigenstate(s: TwoModeState) -> int | None:
 # ---------------------------------------------------------------------------
 # beam splitters
 
-# A hopping step x† y, the shift (1, -1) or (-1, 1), maps |n_x, n_y> to
-# sqrt((n_x + 1) n_y) |n_x + 1, n_y - 1> and conserves the total photon
-# number, so repeated application terminates within cutoff steps.
 
+def _sector_blocks(cutoff: int, kappa: float):
+    """Yield q[r, l] = <n - r, r| U |n - l, l>, U's block on sector n.
 
-def _exp_hop(amps: np.ndarray, cutoff: int, coef: float,
-             shift: tuple) -> np.ndarray:
-    """exp(coef x† y) as its series, which ends within cutoff terms."""
-    result = amps.copy()
-    term = amps
-    for m in range(1, cutoff + 1):
-        term = (coef / m) * _shift(term, cutoff, shift)
-        if not term.any():
-            break
-        result = result + term
-    return result
+    U maps a† to A† = c a† - s b† and b† to B† = s a† + c b† (c = cos kappa,
+    s = sin kappa), so block n comes from block n - 1, all columns at once,
+    by the balanced recursion (p = n - l)
+        n U|p, l> = sqrt(p) A† U|p - 1, l> + sqrt(l) B† U|p, l - 1>,
+    accurate at any angle and photon number; the one-sided one is not.
+    """
+    k = np.arange(cutoff + 1.0)
+    # sqrt(i j) in one root, so kappa = 0 gives the identity bit for bit
+    root = np.sqrt(np.outer(k, k))
+    wc, ws = math.cos(kappa) * root, math.sin(kappa) * root
+    q = np.ones((1, 1))
+    yield q
+    for n in range(1, cutoff + 1):
+        # a† weighs row r by sqrt(n - r), b† by sqrt(r + 1)
+        a, b = slice(n, 0, -1), slice(1, n + 1)
+        z = np.zeros((n + 1, n + 1))
+        z[:-1, :-1] = wc[a, a] * q
+        z[1:, :-1] -= ws[b, a] * q
+        z[:-1, 1:] += ws[a, b] * q
+        z[1:, 1:] += wc[b, b] * q
+        q = z / n
+        yield q
 
 
 def _mix(amps: np.ndarray, cutoff: int, kappa: float) -> np.ndarray:
     """Beam splitter of angle kappa on two-mode amplitudes at ``cutoff``.
 
-    With K = tan(kappa), exp(kappa (a† b - a b†)) equals the factored form
-        e^{-K a b†} * cos(kappa)^{n_a - n_b} * e^{K a† b},
-    each exponential an exactly terminating series.  The splitter is
-    2 pi-periodic in kappa, so an angle beyond pi is reduced into [-pi, pi].
-    Near |cos kappa| = 0, where the form divides by cos(kappa), the splitter
-    is the exact mode swap it converges to; above pi/4 the angle is halved
-    until |K| <= 1.
+    One contraction per sector, so each stacked column comes out
+    bit-identical to a single-state call.
     """
     if not math.isfinite(kappa):
         raise ValueError(f"kappa must be finite, got {kappa}")
-    (n_a, n_b), table = _basis(2, cutoff)
-    if abs(kappa) > math.pi:  # so angles in [-pi, pi] keep their bits
-        kappa = math.remainder(kappa, 2 * math.pi)
-    if abs(math.cos(kappa)) < _SWAP_EPS:
-        # kappa = +-pi/2: a† -> -s b†, b† -> s a†, with s = sign(sin kappa).
-        odd = n_a if math.sin(kappa) > 0 else n_b
-        sign = np.where(odd % 2 == 1, -1.0, 1.0)
-        out = np.zeros_like(amps)
-        out[table[n_b, n_a]] = (amps.T * sign).T
-        return out
-    halvings = 0
-    while abs(kappa) / 2 ** halvings > _HALF_ANGLE_LIMIT:
-        halvings += 1
-    step = kappa / 2 ** halvings
-    K = math.tan(step)
-    scale = math.cos(step) ** (n_a - n_b)
-    for _ in range(2 ** halvings):
-        amps = _exp_hop(amps, cutoff, K, (1, -1))
-        amps = (amps.T * scale).T
-        amps = _exp_hop(amps, cutoff, -K, (-1, 1))
-    return amps
+    table = _basis(2, cutoff)[1]
+    out = np.empty_like(amps)
+    for n, q in enumerate(_sector_blocks(cutoff, kappa)):
+        kets = table[n - np.arange(n + 1), np.arange(n + 1)]
+        out[kets] = np.einsum("il,l...->i...", q, amps[kets])
+    return out
 
 
 def beam_splitter(s: TwoModeState, kappa: float) -> TwoModeState:
@@ -478,9 +455,7 @@ def beam_splitter_pair_exact(s: FourModeState, kappa: float) -> FourModeState:
 
     The pair is U (x) U, with U the two-mode splitter as a matrix over the
     two-mode simplex; X[(n_a, n_c), (n_b, n_d)] holds the amplitudes.  U
-    conserves photon number, so X keeps its p + q <= cutoff support.  The
-    series never truncate, and the kappa = pi/2 singularity of the factored
-    form is handled as the exact mode swap it converges to.
+    conserves photon number, so X keeps its p + q <= cutoff support.
     """
     (na, nb, nc, nd), _ = _basis(4, s.cutoff)
     table = _basis(2, s.cutoff)[1]

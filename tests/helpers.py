@@ -1,6 +1,7 @@
 """Shared random-state builders and matchers for the test suite."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -9,12 +10,28 @@ from pathent.cli import _random_eigenstate as random_eigenstate
 from pathent.cli import _random_four_mode_state as random_four_mode_state
 from pathent.fock import TwoModeState, dim2, vacuum
 
-# One angle per branch of the beam-splitter core: identity, one factored
-# step, one and two half-angle splits, the swap threshold from both sides,
-# the exact swap at +-pi/2, and negative angles.
+# Mixing angles for the beam-splitter tests: the identity, angles below
+# and above the balanced pi/4, the swap at +-pi/2 and the last floats
+# below it, negative angles and angles beyond pi/2.
 MIX_KAPPAS = [0.0, 0.1, 0.7, math.pi / 4 + 1e-6, 1.3,
               math.pi / 2 - 3 * math.ulp(math.pi / 2), math.pi / 2,
               -math.pi / 2, -1.0, 2.5, 3.0]
+
+
+@lru_cache(maxsize=None)
+def sector_eigh(m):
+    """Eigenpairs of iG, G = a†b - ab† on the kets |m - l, l>, l = 0..m.
+
+    exp(kappa G) on that sector is vec diag(exp(-i kappa lam)) vec^dagger,
+    a reference built with no code from pathent.
+    """
+    l = np.arange(m)
+    # a†b sends |m - l - 1, l + 1> to sqrt((m - l)(l + 1)) |m - l, l>
+    hop = np.sqrt((m - l) * (l + 1.0))
+    gen = np.zeros((m + 1, m + 1), dtype=complex)
+    gen[l, l + 1] = hop
+    gen[l + 1, l] = -hop
+    return np.linalg.eigh(1j * gen)
 
 
 def random_two_mode_state(rng, cutoff):

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -58,6 +57,7 @@ from helpers import (
     random_two_mode_state,
     reference_chain,
     rel_err,
+    sector_eigh,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -119,11 +119,12 @@ def test_ancillas_are_exactly_their_closed_forms(phi):
     assert np.count_nonzero(s.amps) == 2
 
 
-def test_blocks_run_no_series_splitter(monkeypatch):
+def test_blocks_run_no_public_splitter(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the series splitter ran")
+        raise AssertionError("the two-mode sector recursion ran")
 
     monkeypatch.setattr(pathent.fock, "_mix", refuse)
+    monkeypatch.setattr(pathent.fock, "_sector_blocks", refuse)
     assert not run_scheme(noon_factor_angles(4)).impossible
     assert not run_scheme_double(4).impossible
     run_scheme_unconditional(noon_factor_angles(3)).validate()
@@ -382,18 +383,6 @@ def test_unconditional_density_noon3_weights():
     np.testing.assert_allclose(weights[3], 1.0 / 18.0, rtol=1e-9)
 
 
-@lru_cache(maxsize=None)
-def _sector_eigh(m):
-    """Eigenpairs of iG, G = a†b - ab† on the kets |m - l, l>, l = 0..m."""
-    l = np.arange(m)
-    # a†b sends |m - l - 1, l + 1> to sqrt((m - l)(l + 1)) |m - l, l>
-    hop = np.sqrt((m - l) * (l + 1.0))
-    gen = np.zeros((m + 1, m + 1), dtype=complex)
-    gen[l, l + 1] = hop
-    gen[l + 1, l] = -hop
-    return np.linalg.eigh(1j * gen)
-
-
 @pytest.mark.parametrize("cutoff", [16, 32, 64, 128])
 def test_splitter_entries_match_sector_eigh(cutoff):
     # Every v[j, o, n] = <o, n| exp(kappa G) |m - j, j>, j <= 2, against the
@@ -402,7 +391,7 @@ def test_splitter_entries_match_sector_eigh(cutoff):
         v = _splitter_entries(cutoff, math.cos(kappa), math.sin(kappa), 2)
         want = np.zeros((3, cutoff + 1, cutoff + 1), dtype=complex)
         for m in range(cutoff + 1):
-            lam, vec = _sector_eigh(m)
+            lam, vec = sector_eigh(m)
             n = np.arange(m + 1)
             # columns j = 0..min(m, 2) of vec diag(exp(-i kappa lam)) vec^dagger
             want[:m + 1, m - n, n] = ((vec * np.exp(-1j * kappa * lam))
@@ -437,9 +426,8 @@ def test_unconditional_top_sector_at_high_transmittance():
     assert rel_err(rho.sector_weight(24), expected) < 1e-9
 
 
-# The closed-form entries against the independent series route, fock._mix,
-# which takes its swap path at T = 1, its half-angle path at T = 0.8 and a
-# single factored step at T = 0.2.
+# The closed-form entries against the independent public route, the sector
+# recursion of fock._mix, at the swap T = 1 and at T = 0.8 and 0.2.
 @pytest.mark.parametrize("transmittance", [1.0, 0.8, 0.2])
 def test_block_kraus_matches_ket_by_ket_route(transmittance):
     # Each per-sector Kraus element, a product of two entries of the
@@ -559,8 +547,8 @@ def test_heralded_blocks_match_the_simplex_route(transmittance):
 
 
 def test_unconditional_density_off_optimal_schedule():
-    # T > 1/2 beyond the first block sends the splitter down its
-    # half-angle path, which the optimal schedule T_k = 1/k never takes.
+    # T > 1/2 beyond the first block, far from the optimal schedule
+    # T_k = 1/k.
     fs = factorize_target(random_target(np.random.default_rng(7), 4))
     ts = [0.9, 0.8, 0.7, 0.6]
     rho = run_scheme_unconditional(fs, ts)

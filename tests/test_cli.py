@@ -462,8 +462,8 @@ def test_oracle_check_detects_perturbation(capsys):
 
 
 def test_oracle_check_detects_a_perturbation_of_many_turns(capsys):
-    # The splitter reduces its angle modulo 2 pi, so 1e300 costs no more
-    # than a small angle.
+    # The splitter takes only cos and sin of its angle, so 1e300 costs no
+    # more than a small angle.
     code, report = run_json(
         capsys,
         ["oracle-check", "--trials", "1", "--cutoff", "2",
@@ -614,3 +614,24 @@ print(code, tracemalloc.get_traced_memory()[1])
     # The whole-basis expm peaked near 208 MB here, the per-block one
     # near 17 MB.
     assert code == 0 and peak < 60e6
+
+
+@pytest.mark.parametrize("kind,n", [("noon", 171), ("generic", 200),
+                                    ("noon", 200)])
+def test_factorize_beyond_the_float_range_of_the_factorials(kind, n, tmp_path):
+    # k! (n - k)! leaves the float range from n = 171 on.  Each run prints
+    # a report, or one error line with exit code 1; never a traceback.
+    if kind == "noon":
+        path = noon_file(tmp_path, n)
+    else:
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        path = write_target(tmp_path, n, v / np.linalg.norm(v))
+    proc = _run_python("-m", "pathent", "factorize", path)
+    if proc.returncode == 0:
+        assert proc.stderr == b""
+        assert json.loads(proc.stdout)["target"]["N"] == n
+    else:
+        assert proc.returncode == 1 and proc.stdout == b""
+        assert proc.stderr.startswith(b"error: ")
+        assert proc.stderr.count(b"\n") == 1, proc.stderr

@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,6 +85,32 @@ def test_monomial_coeffs_values():
     np.testing.assert_allclose(d[0], expected)
     np.testing.assert_allclose(d[4], expected)
     np.testing.assert_allclose(d[1:4], 0.0, atol=1e-16)
+
+
+def test_monomial_coeffs_keep_their_bits_within_the_float_range():
+    # Up to n = 170 every k! (n - k)! fits in a float: the plain quotient,
+    # signed zeros included.
+    rng = np.random.default_rng(170)
+    targets = [random_target(rng, n) for n in (1, 7, 64, 170)]
+    targets.append(TargetSpec(3, [complex(-0.0, 0.5), complex(0.5, -0.0),
+                                  0.0, -1.0]))
+    for target in targets:
+        n = target.n_photons
+        want = np.array(
+            [c / math.sqrt(math.factorial(k) * math.factorial(n - k))
+             for k, c in enumerate(target.coeffs)], dtype=complex)
+        assert monomial_coeffs(target).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [171, 200, 300])
+def test_monomial_coeffs_beyond_the_float_range(n):
+    # d_k^2 k! (n - k)! = c_k^2 in exact rational arithmetic, to a few ulps.
+    target = TargetSpec(n, [1.0] * (n + 1))
+    c = Fraction(target.coeffs[0].real)
+    for k, d in enumerate(monomial_coeffs(target)):
+        assert d.imag == 0.0 and d.real > 0.0
+        f = math.factorial(k) * math.factorial(n - k)
+        assert abs(float(Fraction(d.real) ** 2 * f / c ** 2) - 1.0) < 1e-15
 
 
 @pytest.mark.parametrize("theta,phi,scale", [

@@ -46,6 +46,7 @@ from helpers import (
     MIX_KAPPAS,
     random_four_mode_state,
     random_two_mode_state,
+    sector_eigh,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -226,6 +227,39 @@ def test_two_mode_beam_splitter_matches_dense_exponential(kappa):
     out = beam_splitter(s, kappa)
     got = np.array([out.amplitude(*k) for k in kets])
     assert np.abs(got - expected).max() < 1e-9
+
+
+@pytest.mark.parametrize("cutoff", [16, 32, 64, 128])
+def test_two_mode_beam_splitter_matches_sector_eigh(cutoff):
+    # Each photon-number sector, normalized alone so that its error reads
+    # as an entry error of U's block there, against the exponential of
+    # G = a†b - ab† restricted to that sector, from its eigenpairs.
+    table = _basis(2, cutoff)[1]
+    rng = np.random.default_rng(cutoff)
+    amps = rng.standard_normal(dim2(cutoff)) \
+        + 1j * rng.standard_normal(dim2(cutoff))
+    sectors = [table[m - np.arange(m + 1), np.arange(m + 1)]
+               for m in range(cutoff + 1)]
+    for kets in sectors:
+        amps[kets] /= np.linalg.norm(amps[kets])
+    s = TwoModeState(cutoff, amps)
+    for kappa in MIX_KAPPAS:
+        got = beam_splitter(s, kappa).amps
+        for m, kets in enumerate(sectors):
+            lam, vec = sector_eigh(m)
+            want = vec @ (np.exp(-1j * kappa * lam)
+                          * (vec.conj().T @ amps[kets]))
+            assert np.abs(got[kets] - want).max() < 1e-12, (kappa, m)
+
+
+@pytest.mark.parametrize("m", [16, 32, 64])
+def test_two_mode_beam_splitter_hong_ou_mandel(m):
+    # |m, m> on a balanced splitter stays normalized, and its photons leave
+    # in pairs: no amplitude with odd n_a.
+    out = beam_splitter(basis_state(2 * m, m, m), math.pi / 4.0)
+    assert abs(out.norm() - 1.0) < 1e-12
+    n_a = _basis(2, 2 * m)[0][0]
+    assert np.abs(out.amps[n_a % 2 == 1]).max() < 1e-12
 
 
 def test_pair_splitter_identity_at_zero():

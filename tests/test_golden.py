@@ -1,8 +1,21 @@
 """Byte-exact CLI reports, pinned by the SHA-256 of their stdout.
 
 A refactor of the numerics must leave every printed digit unchanged.  The
-hashes were last re-recorded when ``find_factor_angles`` began to factor
-two-term polynomials d_lo z^lo + d_m z^m in closed form, so that
+last hash re-recorded is ``oracle_check``'s, when the public two-mode
+splitter ``fock._mix`` began to apply its photon-number-sector blocks from
+a balanced recursion instead of the factored series
+e^{-K a b†} cos(kappa)^{n_a - n_b} e^{K a† b}.  Old -> new:
+
+    oracle_check            9b54d0aa3c07... -> 34bedbdcc1de...
+        the pair section's max_deviation only, the fast pair splitter
+        against the dense exponential: 1.1872455580504653e-15 ->
+        7.5719835211394908e-16
+
+Every other report kept its hash: ``simulate``, ``factorize``, ``fringe``
+and ``yield-table`` never call the two-mode splitter.
+
+Before that, the hashes were re-recorded when ``find_factor_angles`` began
+to factor two-term polynomials d_lo z^lo + d_m z^m in closed form, so that
 ``simulate`` on a NOON file applies the factor list of
 ``noon_factor_angles``, the one ``yield-table`` runs, instead of the roots
 of an N x N companion matrix after one Newton step.  Old -> new, with the
@@ -117,7 +130,7 @@ GOLDEN = {
     "factorize_target6": (["factorize", "{target6}"],
         "c5ea003749c76392b93326b4768fa9b8464dca085de777bf70afd64fa7209b56"),
     "oracle_check": (["oracle-check", "--trials", "5"],
-        "9b54d0aa3c07363bdbf1e6440a793fb3b8983940b52e319d4cf5175ae0b0a897"),
+        "34bedbdcc1de7852aff47a183caf36a50592ccdb6eccc35914dc1f444196c69f"),
     "yield_table_8": (["yield-table", "8"],
         "01eab9788413d9853001ae96b7f8f7c054ffec9c60dd3a57c2ac7a07d7e9c8fe"),
     "fringe_4_16": (["fringe", "4", "16"],
