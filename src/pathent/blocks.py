@@ -349,40 +349,49 @@ def run_scheme_double(n_photons: int, phis=None,
 
 
 @lru_cache(maxsize=None)
-def _sector_map(m: int) -> tuple:
-    """(outcomes, starts, pos, first, second) of input sector m.
+def _transfer_index(c: int) -> np.ndarray:
+    """Flat positions in v of the two factors of every transfer entry.
 
-    Outcomes (n_c, n_d) run by output sector m' = m + 1 - n_c - n_d, m' from
-    ``starts[m']``.  With j ancilla photons leaving c and 1 - j leaving d,
-    |s_a, m - s_a> goes to |o_a, o_b> = |s_a + j - n_c, m - s_a + 1 - j - n_d>
-    with amplitude anc[j] v[j, o_a, n_c] v[1 - j, o_b, n_d]: flat ``pos`` of
-    the Kraus stack, ``first`` and ``second`` of v[:, :m + 2, :m + 2].
+    With ancilla kets j and j' in ket and bra, a splitter and the trace of
+    its ancilla mode send |s><s - d| of its signal mode to sum_n v[j, x, n]
+    v[j', x', n] |x><x'|, x = s + j - n and x' = x - d - j + j', with v the
+    ``_splitter_entries`` at cutoff c.  Entry [f, j, j', d + c, x, s] is
+    the position in v of factor f, or of a zero appended to v past its end.
     """
-    outcomes = np.array([(nc, m + 1 - mo - nc) for mo in range(m + 2)
-                         for nc in range(m + 2 - mo)])
-    k, j, s_a = np.indices((len(outcomes), 2, m + 1)).reshape(3, -1)
-    nc, nd = outcomes[k].T
-    o_a, o_b = s_a + j - nc, m - s_a + 1 - j - nd
-    ok = (o_a >= 0) & (o_b >= 0)
-    flat = ((k * (m + 2) + o_a) * (m + 1) + s_a,
-            (j * (m + 2) + o_a) * (m + 2) + nc,
-            ((1 - j) * (m + 2) + o_b) * (m + 2) + nd)
-    starts = np.flatnonzero(np.diff(outcomes.sum(axis=1), prepend=m + 2))
-    return (outcomes, starts) + tuple(x[ok] for x in flat)
+    j, jp, d, x, s = np.ogrid[:2, :2, -c:c + 1, :c + 1, :c]
+    n, xp = s + j - x, x - d - j + jp
+    inside = (n >= 0) & (xp >= 0) & (xp <= c)
+    return np.array([np.where(inside, (i * (c + 1) + o) * (c + 1) + n,
+                              2 * (c + 1) ** 2)
+                     for i, o in ((j, x), (jp, xp))], dtype=np.int32)
 
 
-def _sector_kraus(m: int, v: np.ndarray, anc: np.ndarray) -> np.ndarray:
-    """Kraus stack [outcome, o_a, s_a] of one block on input sector m.
+def _channel_block(r: np.ndarray, v: np.ndarray,
+                   anc: np.ndarray) -> np.ndarray:
+    """One unconditioned block on rho stored by offset; returns the same.
 
-    ``v`` is ``_splitter_entries`` at cutoff >= m + 1, ``anc`` the ancilla
-    amplitudes of |0,1> and |1,0>.
+    ``r[d + k, s, t] = <s, t| rho |s - d, t + d>`` for a rho of at most k
+    photons, block-diagonal in photon number; ``v`` is the block's
+    ``_splitter_entries`` at a cutoff above k, ``anc`` the amplitudes of
+    the ancilla kets |j, 1 - j>.  With modes c and d traced out, U (x) U
+    on (a, c) and (b, d) is sum_{j, j'} anc[j] anc[j']* A_jj' (x) B_jj',
+    which takes offset d to d + j - j'.  On offset d, A_jj' is a[j, j', d]
+    and B_jj' is A_jj' with j -> 1 - j: a reversed along (j, j', d).
     """
-    outcomes, _, pos, first, second = _sector_map(m)
-    v = v[:, :m + 2, :m + 2]
-    kraus = np.zeros((len(outcomes), m + 2, m + 1), dtype=complex)
-    kraus.ravel()[pos] = ((anc[:, None, None] * v).ravel()[first]
-                          * v.ravel()[second])
-    return kraus
+    k, c = r.shape[1] - 1, v.shape[-1] - 1
+    index = _transfer_index(c)[:, :, :, c - k:c + k + 1, :k + 2, :k + 1]
+    a = np.append(v, 0.0).take(index).prod(axis=0)
+    # A r B^T as (B (A r)^T)^T: each product is a real matmul, a real
+    # table on the left of a complex array's float view
+    ar = (a @ r.view(float)).view(complex).swapaxes(-1, -2).copy()
+    t = (a[::-1, ::-1, ::-1] @ ar.view(float)).view(complex)
+    t *= (anc[:, None] * anc.conj())[:, :, None, None, None]
+    out = np.zeros((2 * k + 3, k + 2, k + 2), dtype=complex)
+    out_t = out.swapaxes(-1, -2)
+    out_t[1:-1] = t[0, 0] + t[1, 1]
+    out_t[2:] += t[1, 0]
+    out_t[:-2] += t[0, 1]
+    return out
 
 
 def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:
@@ -392,27 +401,18 @@ def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:
     generation branch sits in the top photon-number sector with weight
     equal to the scheme yield, and all failed branches hold fewer photons.
 
-    From vacuum, rho is block-diagonal in signal photon number m and kept
-    so, one block per sector; outcome (n_c, n_d) sends sector m to
-    m + 1 - n_c - n_d, with Kraus elements from ``_sector_kraus``.  The
-    splitter entries of every block come from one table, built once at
-    cutoff N: a block on input sector m reads only entries with
-    o + n <= m + 1, which do not depend on the cutoff.
+    From vacuum, rho is block-diagonal in photon number; it is kept by
+    offset, as ``_channel_block`` takes it, and scattered into the two-mode
+    basis at the end.  Every block reads its splitter entries from one
+    table at cutoff N: entries with o + n <= k + 1 do not depend on it.
     """
     params = _single_blocks(factors, transmittances)
     n = len(params)
     v = _splitter_entries(n, *np.array([p.cos_sin for p in params]).T, 1)
-    # rho[m, i, i'] = <i, m - i| rho |i', m - i'>, zero past i, i' = m
-    rho = np.zeros((n + 1,) * 3, dtype=complex)
-    rho[0, 0, 0] = 1.0
-    for n_in, p in enumerate(params):
-        anc = _single_coeffs(p.theta, p.phi)
-        out = np.zeros_like(rho)
-        for m in range(n_in + 1):
-            kraus = _sector_kraus(m, v[:, n_in], anc)
-            mixed = kraus @ rho[m, :m + 1, :m + 1] @ kraus.conj().transpose(0, 2, 1)
-            out[:m + 2, :m + 2, :m + 2] += np.add.reduceat(mixed, _sector_map(m)[1])
-        rho = out
+    r = np.ones((1, 1, 1), dtype=complex)
+    for k, p in enumerate(params):
+        r = _channel_block(r, v[:, k], _single_coeffs(p.theta, p.phi))
     (na, nb), _ = _basis(2, n)
     m = (na + nb)[:, None]
-    return TwoModeDensity(n, np.where(m == m.T, rho[m, na[:, None], na], 0))
+    return TwoModeDensity(n, np.where(
+        m == m.T, r[na[:, None] - na + n, na[:, None], nb[:, None]], 0))

@@ -10,8 +10,7 @@ import pytest
 import pathent
 from pathent.blocks import (
     BlockParams,
-    _sector_kraus,
-    _sector_map,
+    _channel_block,
     _splitter_entries,
     amplitude_factor_double,
     amplitude_factor_single,
@@ -34,6 +33,7 @@ from pathent.factorize import (
 from pathent.fock import (
     TwoModeDensity,
     TwoModeState,
+    _basis,
     apply_linear_factor,
     basis_state,
     is_photon_number_eigenstate,
@@ -426,59 +426,70 @@ def test_unconditional_top_sector_at_high_transmittance():
     assert rel_err(rho.sector_weight(24), expected) < 1e-9
 
 
-# The closed-form entries against the independent public route, the sector
-# recursion of fock._mix, at the swap T = 1 and at T = 0.8 and 0.2.
-@pytest.mark.parametrize("transmittance", [1.0, 0.8, 0.2])
-def test_block_kraus_matches_ket_by_ket_route(transmittance):
-    # Each per-sector Kraus element, a product of two entries of the
-    # two-mode splitter, against the public route through the four-mode
-    # state; the entries come at the block's cutoff, above most sectors.
-    params = BlockParams(0.7, -1.1, transmittance)
+def _reference_block(rho: TwoModeDensity,
+                     params: BlockParams) -> TwoModeDensity:
+    """One unconditioned block from public calls, eigenvector by eigenvector."""
     anc = ancilla_single(params.theta, params.phi)
-    amps = np.array([anc.amplitude(0, 1), anc.amplitude(1, 0)])
-    for cutoff_in in range(7):
-        cutoff_out = cutoff_in + 1
-        v = _splitter_entries(cutoff_out, *params.cos_sin, 1)
-        for m in range(cutoff_in + 1):
-            kraus = _sector_kraus(m, v, amps)
-            outcomes = _sector_map(m)[0]
-            assert kraus.shape == (dim2(m + 1), m + 2, m + 1)
-            assert sorted(map(tuple, outcomes)) == [
-                (nc, nd) for nc in range(m + 2) for nd in range(m + 2 - nc)]
-            for s_a in range(m + 1):
-                joint = beam_splitter_pair_exact(
-                    tensor(basis_state(cutoff_in, s_a, m - s_a), anc),
-                    params.kappa)
-                for (nc, nd), column in zip(outcomes, kraus[:, :, s_a]):
-                    m_out = m + 1 - nc - nd
-                    assert not column[m_out + 1:].any()
-                    got = zero_state(cutoff_out)
-                    for o_a in range(m_out + 1):
-                        got += column[o_a] * basis_state(
-                            cutoff_out, o_a, m_out - o_a)
-                    want = project_outcome_cd(joint, nc, nd)[0]
-                    assert np.abs(got.amps - want.amps).max() < 1e-14
-            completeness = sum(k.conj().T @ k for k in kraus)
-            assert np.abs(completeness - np.eye(m + 1)).max() < 1e-12
+    weights, vecs = np.linalg.eigh(rho.mat)
+    mat = np.zeros((dim2(rho.cutoff + 1),) * 2, dtype=complex)
+    for w, vec in zip(weights, vecs.T):
+        joint = beam_splitter_pair_exact(
+            tensor(TwoModeState(rho.cutoff, vec), anc), params.kappa)
+        mat += w * trace_out_cd(joint).mat
+    return TwoModeDensity(rho.cutoff + 1, mat)
 
 
 def _reference_channel(factors, transmittances) -> TwoModeDensity:
-    """The unconditioned chain from public calls only, eigenvector by eigenvector."""
+    """The unconditioned chain from public calls only, block by block."""
     rho = TwoModeDensity(0, np.ones((1, 1)))
-    for n_in, ((theta, phi), t) in enumerate(zip(factors, transmittances)):
-        anc = ancilla_single(theta, phi)
-        kappa = BlockParams(theta, phi, t).kappa
-        weights, vecs = np.linalg.eigh(rho.mat)
-        mat = np.zeros((dim2(n_in + 1),) * 2, dtype=complex)
-        for w, vec in zip(weights, vecs.T):
-            joint = beam_splitter_pair_exact(
-                tensor(TwoModeState(n_in, vec), anc), kappa)
-            mat += w * trace_out_cd(joint).mat
-        rho = TwoModeDensity(n_in + 1, mat)
+    for (theta, phi), t in zip(factors, transmittances):
+        rho = _reference_block(rho, BlockParams(theta, phi, t))
     return rho
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def _by_offset(rho: TwoModeDensity) -> np.ndarray:
+    """r[d + k, s, t] = <s, t| rho |s - d, t + d>, zero off the simplex."""
+    k = rho.cutoff
+    (na, nb), _ = _basis(2, k)
+    r = np.zeros((2 * k + 1, k + 1, k + 1), dtype=complex)
+    for i, i_ket in zip(*np.nonzero((na + nb)[:, None] == na + nb)):
+        r[na[i] - na[i_ket] + k, na[i], nb[i]] = rho.mat[i, i_ket]
+    return r
+
+
+# The per-mode transfer products against the independent public route, the
+# sector recursion of fock._mix, at the swap T = 1 and at T = 0.8 and 0.2.
+@pytest.mark.parametrize("transmittance", [1.0, 0.8, 0.2])
+def test_channel_block_matches_ket_by_ket_route(transmittance):
+    # One block on a random positive semidefinite rho, block-diagonal over
+    # the sectors m <= 6, against the public route through the four-mode
+    # state; the splitter entries come at the block's cutoff and above it,
+    # as in a chain.
+    rng = np.random.default_rng(70)
+    params = BlockParams(0.7, -1.1, transmittance)
+    anc = ancilla_single(params.theta, params.phi)
+    amps = np.array([anc.amplitude(0, 1), anc.amplitude(1, 0)])
+    k = 6
+    mat = np.zeros((dim2(k),) * 2, dtype=complex)
+    (na, nb), _ = _basis(2, k)
+    for m in range(k + 1):
+        g = (rng.standard_normal((m + 1, m + 1))
+             + 1j * rng.standard_normal((m + 1, m + 1)))
+        block = g @ g.conj().T
+        mat[np.ix_(na + nb == m, na + nb == m)] = (
+            block / np.trace(block).real / (k + 1))
+    rho = TwoModeDensity(k, mat)
+    rho.validate()
+    want = _by_offset(_reference_block(rho, params))
+    for cutoff in (k + 1, k + 4):
+        v = _splitter_entries(cutoff, *params.cos_sin, 1)
+        got = _channel_block(_by_offset(rho), v, amps)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-14
+        assert abs(got[k + 1].sum() - rho.trace()) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_unconditional_density_matches_reference_channel(n):
     rng = np.random.default_rng(60 + n)
     fs = factorize_target(random_target(rng, n))
