@@ -367,31 +367,41 @@ def _transfer_index(c: int) -> np.ndarray:
 
 
 def _channel_block(r: np.ndarray, v: np.ndarray,
-                   anc: np.ndarray) -> np.ndarray:
+                   w: np.ndarray) -> np.ndarray:
     """One unconditioned block on rho stored by offset; returns the same.
 
     ``r[d + k, s, t] = <s, t| rho |s - d, t + d>`` for a rho of at most k
-    photons, block-diagonal in photon number; ``v`` is the block's
-    ``_splitter_entries`` at a cutoff above k, ``anc`` the amplitudes of
-    the ancilla kets |j, 1 - j>.  With modes c and d traced out, U (x) U
-    on (a, c) and (b, d) is sum_{j, j'} anc[j] anc[j']* A_jj' (x) B_jj',
+    photons, block-diagonal in photon number; ``v`` is the block's flat
+    ``_splitter_entries`` at a cutoff c above k plus the zero that
+    ``_transfer_index(c)`` points at, and ``w[j, j'] = anc[j] anc[j']*``
+    for the ancilla kets |j, 1 - j>.  With modes c and d traced out,
+    U (x) U on (a, c) and (b, d) is sum_{j, j'} w[j, j'] A_jj' (x) B_jj',
     which takes offset d to d + j - j'.  On offset d, A_jj' is a[j, j', d]
     and B_jj' is A_jj' with j -> 1 - j: a reversed along (j, j', d).
     """
-    k, c = r.shape[1] - 1, v.shape[-1] - 1
+    k, c = r.shape[1] - 1, math.isqrt(v.size // 2) - 1
     index = _transfer_index(c)[:, :, :, c - k:c + k + 1, :k + 2, :k + 1]
-    a = np.append(v, 0.0).take(index).prod(axis=0)
+    a = np.multiply(*v.take(index))
     # A r B^T as (B (A r)^T)^T: each product is a real matmul, a real
     # table on the left of a complex array's float view
     ar = (a @ r.view(float)).view(complex).swapaxes(-1, -2).copy()
     t = (a[::-1, ::-1, ::-1] @ ar.view(float)).view(complex)
-    t *= (anc[:, None] * anc.conj())[:, :, None, None, None]
+    t *= w[:, :, None, None, None]
     out = np.zeros((2 * k + 3, k + 2, k + 2), dtype=complex)
     out_t = out.swapaxes(-1, -2)
     out_t[1:-1] = t[0, 0] + t[1, 1]
     out_t[2:] += t[1, 0]
     out_t[:-2] += t[0, 1]
     return out
+
+
+@lru_cache(maxsize=None)
+def _scatter_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of rho's in-sector entries in mat and in r, by offset."""
+    (na, nb), _ = _basis(2, n)
+    i, j = np.nonzero((na + nb)[:, None] == na + nb)
+    return (i * na.size + j,
+            ((na[i] - na[j] + n) * (n + 1) + na[i]) * (n + 1) + nb[i])
 
 
 def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:
@@ -403,16 +413,20 @@ def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:
 
     From vacuum, rho is block-diagonal in photon number; it is kept by
     offset, as ``_channel_block`` takes it, and scattered into the two-mode
-    basis at the end.  Every block reads its splitter entries from one
-    table at cutoff N: entries with o + n <= k + 1 do not depend on it.
+    basis at the end through ``_scatter_index``.  Every block reads its
+    splitter entries from one padded table at cutoff N: entries with
+    o + n <= k + 1 do not depend on it.
     """
     params = _single_blocks(factors, transmittances)
     n = len(params)
     v = _splitter_entries(n, *np.array([p.cos_sin for p in params]).T, 1)
+    v = np.pad(v.swapaxes(0, 1).reshape(n, -1), ((0, 0), (0, 1)))
+    anc = np.array([_single_coeffs(p.theta, p.phi) for p in params])
+    w = anc[:, :, None] * anc[:, None].conj()
     r = np.ones((1, 1, 1), dtype=complex)
-    for k, p in enumerate(params):
-        r = _channel_block(r, v[:, k], _single_coeffs(p.theta, p.phi))
-    (na, nb), _ = _basis(2, n)
-    m = (na + nb)[:, None]
-    return TwoModeDensity(n, np.where(
-        m == m.T, r[na[:, None] - na + n, na[:, None], nb[:, None]], 0))
+    for k in range(n):
+        r = _channel_block(r, v[k], w[k])
+    dst, src = _scatter_index(n)
+    mat = np.zeros((dim2(n),) * 2, dtype=complex)
+    mat.ravel()[dst] = r.ravel()[src]
+    return TwoModeDensity(n, mat)

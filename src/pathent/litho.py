@@ -5,7 +5,8 @@ anything carrying fewer than N photons.  Scanning a phase shift phi on mode
 b before the substrate writes a fringe; an N-photon path-entangled NOON
 state oscillates as 1 + cos(N phi), N times finer than a classical fringe.
 
-Every rate goes through ``_lower``, N ladder steps of a + b on amplitudes.
+A pure state's rate and a fringe go through ``_lower``, N ladder steps of
+a + b on amplitudes; a density matrix's rate is read sector by sector.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TwoModeDensity, TwoModeState, _basis, _shift, dim2
+from .fock import TwoModeDensity, TwoModeState, _basis, _shift
 
 # Non-DC Fourier weight below this fraction of the DC weight counts as flat.
 _FLAT_TOL = 1e-9
@@ -37,14 +38,23 @@ def absorption_rate_pure(state: TwoModeState, n_absorb: int) -> float:
 
 
 def absorption_rate_mixed(rho: TwoModeDensity, n_absorb: int) -> float:
-    """Tr(rho e†^N e^N) / N! for a density matrix."""
+    """Tr(rho e†^N e^N) / N! for a density matrix, sector by sector.
+
+    On sector m >= N, e^N is one real block E_m of entries
+    E_m[k - i, k] = C(N, i) sqrt(k!/(k - i)!) sqrt((m - k)!/(m - k - N + i)!),
+    and the rate sums Tr(E_m rho_mm E_m^T): e†^N e^N keeps photon number.
+    """
     if n_absorb < 1:
         raise ValueError("n_absorb must be >= 1")
-    e_1 = _lower(np.eye(dim2(rho.cutoff), dtype=complex), rho.cutoff, 1)
-    # one matrix power of the single step costs less than N ladder steps
-    e_n = np.linalg.matrix_power(e_1, n_absorb)
-    # Tr(E rho E†) as the Frobenius product of E with E rho
-    return float(np.vdot(e_n, e_n @ rho.mat).real) / math.factorial(n_absorb)
+    n, table, rate = n_absorb, _basis(2, rho.cutoff)[1], 0.0
+    for m in range(n, rho.cutoff + 1):
+        kets = table[range(m + 1), range(m, -1, -1)]
+        e = np.array([[math.comb(n, k - r) * math.sqrt(
+            math.perm(k, k - r) * math.perm(m - k, n - k + r))
+            if 0 <= k - r <= n else 0.0 for k in range(m + 1)]
+            for r in range(m - n + 1)])
+        rate += np.vdot(e, e @ rho.mat[np.ix_(kets, kets)]).real
+    return float(rate) / math.factorial(n)
 
 
 @dataclass(frozen=True, eq=False)

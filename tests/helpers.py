@@ -9,6 +9,7 @@ from pathent.factorize import TargetSpec, _wrap_angle
 from pathent.cli import _random_eigenstate as random_eigenstate
 from pathent.cli import _random_four_mode_state as random_four_mode_state
 from pathent.fock import TwoModeState, dim2, vacuum
+from pathent.litho import _lower
 
 # Mixing angles for the beam-splitter tests: the identity, angles below
 # and above the balanced pi/4, the swap at +-pi/2 and the last floats
@@ -52,6 +53,17 @@ def reference_chain(run_block, block_args):
         probs.append(out.probability)
         state = out.state / math.sqrt(out.probability)
     return state, probs
+
+
+def absorption_rate_dense(rho, n_absorb):
+    """Tr(rho e†^N e^N) / N! from the dense N-th power of e = a + b.
+
+    The one-step matrix of a + b on the whole two-mode simplex, raised to
+    the N-th power: a reference that never splits rho into sectors.
+    """
+    e_1 = _lower(np.eye(dim2(rho.cutoff), dtype=complex), rho.cutoff, 1)
+    e_n = np.linalg.matrix_power(e_1, n_absorb)
+    return float(np.vdot(e_n, e_n @ rho.mat).real) / math.factorial(n_absorb)
 
 
 def random_target(rng, n):

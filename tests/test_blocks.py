@@ -483,7 +483,8 @@ def test_channel_block_matches_ket_by_ket_route(transmittance):
     want = _by_offset(_reference_block(rho, params))
     for cutoff in (k + 1, k + 4):
         v = _splitter_entries(cutoff, *params.cos_sin, 1)
-        got = _channel_block(_by_offset(rho), v, amps)
+        got = _channel_block(_by_offset(rho), np.append(v, 0.0),
+                             amps[:, None] * amps.conj())
         assert got.shape == want.shape
         assert np.abs(got - want).max() < 1e-14
         assert abs(got[k + 1].sum() - rho.trace()) < 1e-12
@@ -517,8 +518,8 @@ print(json.dumps([tracemalloc.get_traced_memory()[1], rho.trace()]))
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     peak, trace = json.loads(proc.stdout)
-    # The dense Kraus stack of every outcome peaked near 210 MB here; one
-    # sector at a time needs about 4 MB.
+    # The dense Kraus stack of every outcome peaked near 210 MB here; the
+    # per-mode transfer products and the scatter into rho peak near 3 MB.
     assert peak < 20e6
     assert abs(trace - 1.0) < 1e-12
 

@@ -8,6 +8,7 @@ from pathent.factorize import factorize_target, noon_target
 from pathent.fock import (
     TwoModeDensity,
     basis_state,
+    dim2,
     noon_state,
     phase_shift,
     vacuum,
@@ -20,7 +21,7 @@ from pathent.litho import (
     fringe_sweep,
 )
 from pathent.yields import yield_noon_single
-from helpers import random_two_mode_state
+from helpers import absorption_rate_dense, random_two_mode_state
 
 
 def test_rate_two_photons_one_mode():
@@ -43,8 +44,10 @@ def test_rate_low_sectors_vanish_exactly():
 def test_rate_validation():
     with pytest.raises(ValueError):
         absorption_rate_pure(vacuum(2), 0)
-    with pytest.raises(ValueError):
-        absorption_rate_mixed(TwoModeDensity.from_state(vacuum(2)), 0)
+    rho = TwoModeDensity.from_state(vacuum(2))
+    for n_absorb in (0, -1):
+        with pytest.raises(ValueError):
+            absorption_rate_mixed(rho, n_absorb)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -70,6 +73,36 @@ def test_mixed_rate_matches_pure_on_pure_density():
             absorption_rate_mixed(rho, 2), absorption_rate_pure(s, 2),
             rtol=1e-9, atol=1e-12,
         )
+
+
+@pytest.mark.parametrize("cutoff", range(1, 9))
+def test_mixed_rate_matches_dense_matrix_power(cutoff):
+    # Random densities with coherences between every pair of sectors and
+    # weight in every sector, at every absorber order up to one past the
+    # cutoff, where nothing can be absorbed.
+    rng = np.random.default_rng(80 + cutoff)
+    d = dim2(cutoff)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g = g @ g.conj().T
+    rho = TwoModeDensity(cutoff, g / np.trace(g).real)
+    for n in range(1, cutoff + 2):
+        got = absorption_rate_mixed(rho, n)
+        want = absorption_rate_dense(rho, n)
+        assert abs(got - want) <= 1e-12 * abs(want) + 1e-15
+    assert absorption_rate_mixed(rho, cutoff + 1) == 0.0
+
+
+@pytest.mark.parametrize("cutoff", [3, 5, 9])
+def test_mixed_rate_of_a_mixture_is_the_weighted_pure_rates(cutoff):
+    rng = np.random.default_rng(90 + cutoff)
+    states = [random_two_mode_state(rng, cutoff) for _ in range(4)]
+    weights = rng.dirichlet(np.ones(4))
+    rho = TwoModeDensity(cutoff, sum(
+        w * np.outer(s.amps, s.amps.conj()) for w, s in zip(weights, states)))
+    for n in range(1, cutoff + 1):
+        want = sum(w * absorption_rate_pure(s, n)
+                   for w, s in zip(weights, states))
+        assert abs(absorption_rate_mixed(rho, n) - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
