@@ -27,7 +27,7 @@ from .factorize import FactorSet, _wrap_angle
 from .fock import (
     TwoModeDensity,
     TwoModeState,
-    _basis,
+    _sector,
     _sector_state,
     apply_creation,
     dim2,
@@ -192,22 +192,18 @@ def _herald(state: TwoModeState, anc: np.ndarray,
     ``anc`` holds the ancilla's sector coefficients.  Each populated
     photon-number sector of ``state`` goes through ``_herald_sector`` on
     its own, with the entries of a one-row splitter table, and the results
-    are scattered back into the two-mode simplex; a photon-number sector
+    fill the slices of the output sectors; a photon-number sector
     never mixes with another, so a state spread over several sectors needs
     no other route.  The chains call ``_herald_sector`` directly.
     """
     a = len(anc) - 1
     cutoff = state.cutoff + a
     v = _splitter_entries(cutoff, *params.cos_sin, a, 0)[..., 0]
-    table = _basis(2, state.cutoff)[1]
-    out_table = _basis(2, cutoff)[1]
     dark = np.zeros(dim2(cutoff), dtype=complex)
     for m in range(state.cutoff + 1):
-        i = np.arange(m + 1)
-        x = state.amps[table[i, m - i]]
+        x = state.amps[_sector(m)]
         if x.any():
-            i = np.arange(m + a + 1)
-            dark[out_table[i, m + a - i]] = _herald_sector(x, v, anc)
+            dark[_sector(m + a)] = _herald_sector(x, v, anc)
     out = TwoModeState(cutoff, dark)
     return BlockOutcome(out, out.norm_sq())
 
@@ -397,11 +393,16 @@ def _channel_block(r: np.ndarray, v: np.ndarray,
 
 @lru_cache(maxsize=None)
 def _scatter_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions of rho's in-sector entries in mat and in r, by offset."""
-    (na, nb), _ = _basis(2, n)
-    i, j = np.nonzero((na + nb)[:, None] == na + nb)
-    return (i * na.size + j,
-            ((na[i] - na[j] + n) * (n + 1) + na[i]) * (n + 1) + nb[i])
+    """Flat positions of rho's in-sector entries in mat and in r, by offset.
+
+    Sector m is the square mat[_sector(m), _sector(m)], whose entry [i, j],
+    <i, m - i| rho |j, m - j>, is r[i - j + n, i, m - i].
+    """
+    tri = np.tri(n + 1, dtype=bool)  # [m, i]: i <= m
+    m, i, j = np.nonzero(tri[:, :, None] & tri[:, None])
+    start = np.array([_sector(k).start for k in range(n + 1)])[m]
+    return ((start + i) * dim2(n) + start + j,
+            ((i - j + n) * (n + 1) + i) * (n + 1) + m - i)
 
 
 def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TwoModeState, _sector_state, inner_product
+from .fock import (TwoModeState, _sector, _sector_state, inner_product,
+                   is_photon_number_eigenstate)
 
 
 def _wrap_angle(x: float) -> float:
@@ -250,15 +251,12 @@ def state_of_target(target: TargetSpec) -> TwoModeState:
 
 def target_of_state(s: TwoModeState) -> TargetSpec:
     """Read a photon-number eigenstate back into a TargetSpec."""
-    from .fock import is_photon_number_eigenstate
-
     n = is_photon_number_eigenstate(s)
     if n is None:
         raise ValueError("state is not a photon-number eigenstate")
     if n < 1:
         raise ValueError("state must carry at least one photon")
-    coeffs = [s.amplitude(k, n - k) for k in range(n + 1)]
-    return TargetSpec(n, coeffs)
+    return TargetSpec(n, s.amps[_sector(n)])
 
 
 def noon_factor_angles(n: int) -> list[tuple[float, float]]:

@@ -1,18 +1,19 @@
 """Exact Fock-space algebra for two- and four-mode photonic states.
 
 Amplitudes are stored densely over the simplex of occupation tuples with
-total photon number <= cutoff, in a fixed enumeration order shared by all
-operations, so states with equal cutoffs can be compared entry by entry.
-Everything is complex double precision and every operation is pure: inputs
-are never mutated.
+total photon number <= cutoff, sector-major: by total photon number, then
+lexicographically, first mode outermost.  Each photon-number sector is one
+contiguous slice, ``_sector`` for two modes, and a ket keeps its index at
+every cutoff that holds it.  Everything is complex double precision and
+every operation is pure: inputs are never mutated.
 
-One table per (modes, cutoff), ``_basis``, holds the kets' occupations
-and maps each ket to its index.  Constructors build a state at its photon
+One table per (modes, cutoff), ``_basis``, holds the kets' occupations and
+maps each ket to its index.  Constructors build a state at its photon
 number, a tensor product at the sum of its factors' cutoffs, and only
-``with_cutoff`` re-embeds.  Every ladder product, a creation or
-annihilation operator or the absorber a + b, is an occupation shift: one
-cached gather/scatter map, ``_shift_map``, applied by ``_shift``.  The
-public splitters run on one core, the two-mode ``_mix``, which applies
+``with_cutoff`` re-embeds, by padding or truncating.  Every ladder product,
+a creation or annihilation operator or the absorber a + b, is an occupation
+shift: one cached gather/scatter map, ``_shift_map``, applied by ``_shift``.
+The public splitters run on one core, the two-mode ``_mix``, which applies
 U's block on each photon-number sector, built by ``_sector_blocks``, to a
 stack of states, one per column.  The heralded blocks do not call it;
 ``blocks`` reads their few entries of U, and their ancillas, from closed
@@ -53,9 +54,10 @@ class CutoffOverflowError(ValueError):
 def _basis(modes: int, cutoff: int):
     """Occupation columns of the ``modes``-mode simplex and its lookup table.
 
-    The kets have total photon number <= cutoff and are enumerated
-    lexicographically, first mode outermost: one 1-D array per mode.  The
-    table maps an occupation tuple to its index (-1 beyond the cutoff).
+    The kets have total photon number <= cutoff and are ordered by that
+    total, then lexicographically, first mode outermost: one 1-D array per
+    mode.  Sector n thus starts at C(n + modes - 1, modes) at every cutoff.
+    The table maps an occupation tuple to its index (-1 beyond the cutoff).
     """
     occ = np.zeros((1, 0), dtype=np.intp)
     for _ in range(modes):
@@ -63,7 +65,8 @@ def _basis(modes: int, cutoff: int):
         first = np.repeat(np.cumsum(counts) - counts, counts)
         occ = np.column_stack([np.repeat(occ, counts, axis=0),
                                np.arange(first.size) - first])
-    occ = tuple(occ.T.copy())
+    # a stable sort by total keeps the lexicographic order in each sector
+    occ = tuple(occ[np.argsort(occ.sum(axis=1), kind="stable")].T.copy())
     table = np.full((cutoff + 1,) * modes, -1, dtype=np.intp)
     table[occ] = np.arange(len(occ[0]))
     return occ, table
@@ -121,6 +124,11 @@ def dim2(cutoff: int) -> int:
     return (cutoff + 1) * (cutoff + 2) // 2
 
 
+def _sector(n: int) -> slice:
+    """Two-mode kets |0, n> .. |n, 0> at every cutoff >= n; empty if n < 0."""
+    return slice(dim2(n - 1), dim2(n))
+
+
 def dim4(cutoff: int) -> int:
     return math.comb(cutoff + 4, 4)
 
@@ -176,12 +184,10 @@ class TwoModeState(_FockState):
         return TwoModeState(self.cutoff, self.amps / n)
 
     def nonzero_amplitudes(self):
-        """Sorted list of (n_a, n_b, amplitude) with |amplitude| > 1e-12."""
+        """(n_a, n_b, amplitude) of |amplitude| > 1e-12 by n_a + n_b, n_a."""
         (na, nb), _ = _basis(2, self.cutoff)
-        out = []
-        for i in np.flatnonzero(np.abs(self.amps) > 1e-12):
-            out.append((int(na[i]), int(nb[i]), complex(self.amps[i])))
-        return out
+        return [(int(na[i]), int(nb[i]), complex(self.amps[i]))
+                for i in np.flatnonzero(np.abs(self.amps) > 1e-12)]
 
     def __add__(self, other: "TwoModeState") -> "TwoModeState":
         if not isinstance(other, TwoModeState):
@@ -235,16 +241,14 @@ class TwoModeDensity:
 
     def sector(self, n: int) -> np.ndarray:
         """Matrix restricted to the total-photon-number-n subspace."""
-        (na, nb), _ = _basis(2, self.cutoff)
-        mask = (na + nb) == n
+        k = _sector(n)
         out = np.zeros_like(self.mat)
-        out[np.ix_(mask, mask)] = self.mat[np.ix_(mask, mask)]
+        out[k, k] = self.mat[k, k]
         return out
 
     def sector_weight(self, n: int) -> float:
-        (na, nb), _ = _basis(2, self.cutoff)
-        mask = (na + nb) == n
-        return float(np.trace(self.mat[np.ix_(mask, mask)]).real)
+        k = _sector(n)
+        return float(np.trace(self.mat[k, k]).real)
 
     def validate(self) -> None:
         """Raise ValueError unless Hermitian, trace in [0, 1], and PSD."""
@@ -281,8 +285,7 @@ def _sector_state(coeffs) -> TwoModeState:
     """sum_k coeffs[k] |k, n - k> as a two-mode state at cutoff n."""
     n = len(coeffs) - 1
     amps = np.zeros(dim2(n), dtype=complex)
-    k = np.arange(n + 1)
-    amps[_basis(2, n)[1][k, n - k]] = coeffs
+    amps[_sector(n)] = coeffs
     return TwoModeState(n, amps)
 
 
@@ -313,13 +316,10 @@ def with_cutoff(s: TwoModeState, cutoff: int) -> TwoModeState:
     """Re-embed a state at a different cutoff (lossless, or raise)."""
     if cutoff == s.cutoff:
         return s
-    (na, nb), _ = _basis(2, s.cutoff)
-    keep = (na + nb) <= cutoff
-    if np.any(s.amps[~keep] != 0):
+    if s.amps[dim2(cutoff):].any():
         raise CutoffOverflowError("state does not fit in the requested cutoff")
-    table = _basis(2, cutoff)[1]
     amps = np.zeros(dim2(cutoff), dtype=complex)
-    amps[table[na[keep], nb[keep]]] = s.amps[keep]
+    amps[:s.amps.size] = s.amps[:amps.size]
     return TwoModeState(cutoff, amps)
 
 
@@ -336,8 +336,7 @@ def _mode_shift(mode: str, d: int) -> tuple:
 
 def apply_creation(s: TwoModeState, mode: str) -> TwoModeState:
     """Apply the creation operator of the chosen mode ("a" or "b")."""
-    (na, nb), _ = _basis(2, s.cutoff)
-    if np.any(s.amps[(na + nb) == s.cutoff] != 0):
+    if s.amps[_sector(s.cutoff)].any():
         raise CutoffOverflowError(
             f"creation on mode {mode} would exceed cutoff {s.cutoff}"
         )
@@ -437,11 +436,12 @@ def _mix(amps: np.ndarray, cutoff: int, kappa: float) -> np.ndarray:
     """
     if not math.isfinite(kappa):
         raise ValueError(f"kappa must be finite, got {kappa}")
-    table = _basis(2, cutoff)[1]
     out = np.empty_like(amps)
     for n, q in enumerate(_sector_blocks(cutoff, kappa)):
-        kets = table[n - np.arange(n + 1), np.arange(n + 1)]
-        out[kets] = np.einsum("il,l...->i...", q, amps[kets])
+        # q runs over n_b ascending, the sector slice over n_a ascending
+        kets = _sector(n)
+        x = amps[kets][::-1].copy()
+        out[kets] = np.einsum("il,l...->i...", q, x)[::-1]
     return out
 
 

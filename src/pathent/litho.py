@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TwoModeDensity, TwoModeState, _basis, _shift
+from .fock import TwoModeDensity, TwoModeState, _basis, _sector, _shift
 
 # Non-DC Fourier weight below this fraction of the DC weight counts as flat.
 _FLAT_TOL = 1e-9
@@ -46,14 +46,14 @@ def absorption_rate_mixed(rho: TwoModeDensity, n_absorb: int) -> float:
     """
     if n_absorb < 1:
         raise ValueError("n_absorb must be >= 1")
-    n, table, rate = n_absorb, _basis(2, rho.cutoff)[1], 0.0
+    n, rate = n_absorb, 0.0
     for m in range(n, rho.cutoff + 1):
-        kets = table[range(m + 1), range(m, -1, -1)]
+        kets = _sector(m)
         e = np.array([[math.comb(n, k - r) * math.sqrt(
             math.perm(k, k - r) * math.perm(m - k, n - k + r))
             if 0 <= k - r <= n else 0.0 for k in range(m + 1)]
             for r in range(m - n + 1)])
-        rate += np.vdot(e, e @ rho.mat[np.ix_(kets, kets)]).real
+        rate += np.vdot(e, e @ rho.mat[kets, kets]).real
     return float(rate) / math.factorial(n)
 
 

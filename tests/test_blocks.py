@@ -634,6 +634,7 @@ def test_chain_matches_public_block_route_noon(n, t):
 def test_chain_builds_one_table_and_no_simplex(monkeypatch):
     # The chains keep the coefficients of one sector: no public block, no
     # basis table, one splitter table per chain and one embedding at the end.
+    # The unconditioned channel builds no basis table either.
     calls = {"entries": 0, "embed": 0}
 
     def entries(*args):
@@ -650,13 +651,12 @@ def test_chain_builds_one_table_and_no_simplex(monkeypatch):
     monkeypatch.setattr(pathent.blocks, "_splitter_entries", entries)
     monkeypatch.setattr(pathent.blocks, "_sector_state", embed)
     monkeypatch.setattr(pathent.blocks, "_herald", refuse)
-    monkeypatch.setattr(pathent.blocks, "_basis", refuse)
+    monkeypatch.setattr(pathent.fock, "_basis", refuse)
     for run in (lambda: run_scheme(noon_factor_angles(16)),
                 lambda: run_scheme_double(16)):
         calls.update(entries=0, embed=0)
         assert not run().impossible
         assert calls == {"entries": 1, "embed": 1}
-    monkeypatch.setattr(pathent.blocks, "_basis", pathent.fock._basis)
     calls.update(entries=0)
     run_scheme_unconditional(noon_factor_angles(6)).validate()
     assert calls["entries"] == 1

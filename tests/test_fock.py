@@ -17,6 +17,7 @@ from pathent.fock import (
     _mix,
     _pair_blocks,
     _pair_unitary,
+    _sector,
     TwoModeDensity,
     TwoModeState,
     apply_annihilation,
@@ -75,6 +76,28 @@ def test_basis_state_bounds():
     with pytest.raises(ValueError, match="ket"):
         basis_state(3, 0.5, 0)
     assert basis_state(3, np.int64(2), 1).amplitude(np.intp(2), 1) == 1.0
+
+
+@pytest.mark.parametrize("modes", [2, 4])
+def test_basis_is_sector_major_at_every_cutoff(modes):
+    # Kets run by total photon number, then lexicographically with the first
+    # mode outermost; sector n is one slice, and a ket keeps its index at
+    # every cutoff that holds it.
+    top = list(zip(*_basis(modes, 6)[0]))
+    for cutoff in range(7):
+        occ, table = _basis(modes, cutoff)
+        kets = list(zip(*occ))
+        assert kets == sorted(kets, key=lambda k: (sum(k), k))
+        assert kets == top[:math.comb(cutoff + modes, modes)]
+        assert np.array_equal(table[occ], np.arange(len(kets)))
+        totals = sum(occ)
+        for n in range(cutoff + 1):
+            start = math.comb(n + modes - 1, modes)
+            stop = math.comb(n + modes, modes)
+            assert np.array_equal(np.flatnonzero(totals == n),
+                                  np.arange(start, stop))
+            if modes == 2:
+                assert _sector(n) == slice(start, stop)
 
 
 @pytest.mark.parametrize("state,ket", [
@@ -454,11 +477,11 @@ def spy(m, cutoff):
     modes.add(m)
     return basis(m, cutoff)
 
-# every module that binds the table by name, pathent.blocks among them
+# every module that binds the table by name, pathent.fock among them
 for name, module in list(sys.modules.items()):
     if name.startswith("pathent.") and getattr(module, "_basis", None) is basis:
         module._basis = spy
-assert pathent.blocks._basis is spy
+assert pathent.fock._basis is spy
 angles = pathent.noon_factor_angles(32)
 tracemalloc.start()
 result = pathent.run_scheme(angles)
@@ -472,8 +495,9 @@ print(json.dumps([tracemalloc.get_traced_memory()[1], sorted(modes),
     peak, modes, impossible = json.loads(proc.stdout)
     # The whole four-mode simplex route peaked near 92 MB here, a four-mode
     # sector route near 10 MB; two-mode splitters only need about 0.7 MB.
+    # The sector slices need no basis table at all.
     assert peak < 2e6
-    assert modes == [2] and not impossible
+    assert modes == [] and not impossible
 
 
 def test_pair_unitary_cache_stays_bounded():
@@ -582,6 +606,19 @@ def test_density_sector_weights():
     assert np.abs(rho.sector(1)).max() == 0.0
 
 
+def test_density_sectors_outside_the_cutoff_are_empty():
+    rho = TwoModeDensity.from_state(
+        random_two_mode_state(np.random.default_rng(8), 4))
+    for n in (-3, -2, -1, 5, 6):
+        assert rho.sector_weight(n) == 0.0
+        assert not rho.sector(n).any()
+    blocks = sum(rho.sector(n) for n in range(5))
+    (na, nb), _ = _basis(2, 4)
+    same = (na + nb)[:, None] == na + nb
+    assert np.array_equal(blocks, np.where(same, rho.mat, 0.0))
+    assert abs(sum(rho.sector_weight(n) for n in range(5)) - 1.0) < 1e-12
+
+
 def test_tensor_and_overflow():
     joint = tensor(basis_state(1, 1, 0), basis_state(2, 0, 2))
     assert joint.cutoff == 3
@@ -595,6 +632,22 @@ def test_with_cutoff_roundtrip():
     np.testing.assert_allclose(with_cutoff(grown, 2).amps, s.amps)
     with pytest.raises(CutoffOverflowError):
         with_cutoff(s, 1)
+
+
+def test_with_cutoff_pads_and_truncates_multi_sector_states():
+    s = random_two_mode_state(np.random.default_rng(9), 3)
+    grown = with_cutoff(s, 6)
+    assert grown.amps[:dim2(3)].tobytes() == s.amps.tobytes()
+    assert not grown.amps[dim2(3):].any()
+    for na in range(4):
+        for nb in range(4 - na):
+            assert grown.amplitude(na, nb) == s.amplitude(na, nb)
+    assert with_cutoff(grown, 3).amps.tobytes() == s.amps.tobytes()
+    for cutoff in (0, 2):
+        with pytest.raises(CutoffOverflowError):
+            with_cutoff(s, cutoff)
+    low = TwoModeState(3, np.where(np.arange(dim2(3)) < dim2(1), s.amps, 0))
+    assert with_cutoff(low, 1).amps.tobytes() == s.amps[:dim2(1)].tobytes()
 
 
 def test_overlap_fidelity_ignores_global_phase():

@@ -1,8 +1,26 @@
 """Byte-exact CLI reports, pinned by the SHA-256 of their stdout.
 
 A refactor of the numerics must leave every printed digit unchanged.  The
-last hash re-recorded is ``oracle_check``'s, when the public two-mode
-splitter ``fock._mix`` began to apply its photon-number-sector blocks from
+last hashes re-recorded are ``factorize_target6``'s and ``oracle_check``'s,
+when ``fock._basis`` began to order kets by total photon number, then
+lexicographically, so that every photon-number sector is one contiguous
+slice.  Old -> new:
+
+    factorize_target6       c5ea003749c7... -> 90f02a621a5f...
+        global_phase only, 0.50188993193174014 -> 0.50188993193174003:
+        the target/product overlap is a vdot over the whole simplex, and
+        it now sums the same products in another order
+    oracle_check            34bedbdcc1de... -> d3db97f15956...
+        the pair section's max_deviation only, 7.5719835211394908e-16 ->
+        5.662749647834299e-16: ``_random_four_mode_state`` fills the
+        amplitudes in basis order, so every trial draws another state
+
+Every other report kept its hash.  Single-sector states list their kets in
+the same order, n_a ascending, and the sector slices apply the same
+operations to the same values as the gathers they replace.
+
+Before that, the last hash re-recorded was ``oracle_check``'s, when the
+public two-mode splitter ``fock._mix`` began to apply its photon-number-sector blocks from
 a balanced recursion instead of the factored series
 e^{-K a b†} cos(kappa)^{n_a - n_b} e^{K a† b}.  Old -> new:
 
@@ -128,9 +146,9 @@ GOLDEN = {
     "simulate_target6": (["simulate", "{target6}"],
         "cda7370abd83ced7e465403bc35952f79538a77040d3beb56cb796905bf70374"),
     "factorize_target6": (["factorize", "{target6}"],
-        "c5ea003749c76392b93326b4768fa9b8464dca085de777bf70afd64fa7209b56"),
+        "90f02a621a5f87299de13c8142a0fa75cdf203df9547546584ca48d7d989cea7"),
     "oracle_check": (["oracle-check", "--trials", "5"],
-        "34bedbdcc1de7852aff47a183caf36a50592ccdb6eccc35914dc1f444196c69f"),
+        "d3db97f159562787a962b16a0ecb518a555a94351921feffbfb3283239205779"),
     "yield_table_8": (["yield-table", "8"],
         "01eab9788413d9853001ae96b7f8f7c054ffec9c60dd3a57c2ac7a07d7e9c8fe"),
     "fringe_4_16": (["fringe", "4", "16"],
