@@ -162,26 +162,55 @@ def _splitter_entries(cutoff: int, c, s, j_max: int,
     return v
 
 
-def _herald_sector(x: np.ndarray, v: np.ndarray,
-                   anc: np.ndarray) -> np.ndarray:
-    """Dark branch of one block on the sector coefficients ``x``.
+@lru_cache(maxsize=64)
+def _weight_index(rows: int, a: int, step: int) -> np.ndarray:
+    """Flat positions in v of the second factor of every block weight.
 
-    ``x[i]`` is the amplitude of |i, m - i>, ``anc[j]`` that of the
-    ancilla ket |j, a - j> and ``v[j, p]`` the splitter entry
-    U[(p, 0), (p - j, j)].  The pair is U (x) U on (a, c) and (b, d); with
-    both ancilla detectors dark, |i, m - i> (x) |j, l> goes to
-    |i + j, m - i + l> with amplitude
-        U[(i + j, 0), (i, j)] * U[(m - i + l, 0), (m - i, l)] * anc[j] * x[i],
-    so the result holds the m + a + 1 amplitudes of output sector m + a.
-    The shift is one-to-one for each ancilla ket: one slice-add per
-    nonzero ancilla amplitude.
+    v is a ``_splitter_entries`` table of shape (a + 1, rows, width) with
+    one row per input sector m_k = k step, width = (rows - 1) step + a + 1;
+    entry [j, k, o] is the position of v[a - j, k, a + m_k - o].  Outside
+    j <= o <= j + m_k, which no block reads, it is clipped into the row.
     """
-    m, a = len(x) - 1, len(anc) - 1
-    y = np.zeros(m + a + 1, dtype=complex)
-    for j in np.flatnonzero(anc):
-        l = a - j
-        y[j:j + m + 1] += (v[j, j:j + m + 1] * v[l, l:l + m + 1][::-1]
-                           * anc[j] * x)
+    width = (rows - 1) * step + a + 1
+    j, k, o = np.ogrid[:a + 1, :rows, :width]
+    n = np.clip(a + k * step - o, 0, width - 1)
+    return (((a - j) * rows + k) * width + n).astype(np.int32)
+
+
+def _block_weights(v: np.ndarray, ancs: np.ndarray, step: int) -> np.ndarray:
+    """Dark-branch weights w[j, k, o] of every row of a splitter table.
+
+    ``v[j, k, p]`` is the splitter entry U[(p, 0), (p - j, j)] of row k and
+    ``ancs[k, j]`` the amplitude of its ancilla ket |j, a - j> (one row
+    broadcasts).  The pair is U (x) U on (a, c) and (b, d); with both
+    ancilla detectors dark, |i, m - i> (x) |j, a - j> goes to
+    |i + j, m + a - i - j> with amplitude
+        U[(i + j, 0), (i, j)] * U[(m + a - i - j, 0), (m - i, a - j)] * anc[j],
+    which is w[j, k, i + j] for input sector m = m_k = k step.
+    """
+    a, rows = v.shape[0] - 1, v.shape[1]
+    return v * v.take(_weight_index(rows, a, step)) * ancs.T[:, :, None]
+
+
+def _live(anc: np.ndarray) -> list[int]:
+    """The ancilla kets j with a nonzero amplitude."""
+    return [j for j, c in enumerate(anc.tolist()) if c]
+
+
+def _herald_step(y: np.ndarray, x: np.ndarray, w: np.ndarray,
+                 live) -> np.ndarray:
+    """Dark branch of one block: y = sum_j w[j, j:j + m + 1] x, shifted by j.
+
+    ``x`` holds the m + 1 coefficients of input sector m, ``w`` one row of
+    ``_block_weights`` and ``live`` the ancilla kets j with a nonzero
+    amplitude; ``y`` receives the m + a + 1 coefficients of sector m + a.
+    The shift is one-to-one for each ancilla ket: one multiply-accumulate
+    per live ket.
+    """
+    m = len(x) - 1
+    y.fill(0.0)
+    for j in live:
+        y[j:j + m + 1] += w[j, j:j + m + 1] * x
     return y
 
 
@@ -189,21 +218,23 @@ def _herald(state: TwoModeState, anc: np.ndarray,
             params: BlockParams) -> BlockOutcome:
     """Mix signal (x) ancilla on the splitter pair; keep the dark branch.
 
-    ``anc`` holds the ancilla's sector coefficients.  Each populated
-    photon-number sector of ``state`` goes through ``_herald_sector`` on
-    its own, with the entries of a one-row splitter table, and the results
-    fill the slices of the output sectors; a photon-number sector
-    never mixes with another, so a state spread over several sectors needs
-    no other route.  The chains call ``_herald_sector`` directly.
+    ``anc`` holds the ancilla's sector coefficients.  A photon-number
+    sector never mixes with another, so each populated sector m of
+    ``state`` goes through ``_herald_step`` on its own, with row m of the
+    block weights of one splitter repeated for every input sector, and
+    fills the slice of output sector m + a: the kernel the chains run.
     """
-    a = len(anc) - 1
+    a, rows = len(anc) - 1, state.cutoff + 1
     cutoff = state.cutoff + a
     v = _splitter_entries(cutoff, *params.cos_sin, a, 0)[..., 0]
+    w = _block_weights(np.broadcast_to(v[:, None], (a + 1, rows, cutoff + 1)),
+                       anc[None], 1)
+    live = _live(anc)
     dark = np.zeros(dim2(cutoff), dtype=complex)
-    for m in range(state.cutoff + 1):
+    for m in range(rows):
         x = state.amps[_sector(m)]
         if x.any():
-            dark[_sector(m + a)] = _herald_sector(x, v, anc)
+            _herald_step(dark[_sector(m + a)], x, w[:, m], live)
     out = TwoModeState(cutoff, dark)
     return BlockOutcome(out, out.norm_sq())
 
@@ -278,25 +309,30 @@ def _run_chain(params: list[BlockParams],
 
     After k blocks of a-photon ancillas the state is the k a + 1
     coefficients of one photon-number sector, and it is kept as just that
-    vector: each block is one ``_herald_sector`` call on one row of a
-    splitter table built once for the whole chain, its probability the
-    squared norm of the vector.  The result is embedded at cutoff N once,
-    at the end.  Owns the renormalization of each heralded state and the
-    short-circuit to an ``impossible`` result.
+    vector.  The weights of every block come from one splitter table
+    before the loop (``_block_weights``, row k for input sector k a); each
+    block is then one ``_herald_step`` into one of two preallocated
+    buffers, its probability the squared norm of the vector, and an
+    in-place renormalization.  The result is embedded at cutoff N once, at
+    the end.  Owns the short-circuit to an ``impossible`` result.
     """
     a = len(ancs[0]) - 1
     n_photons = a * len(ancs)
     cos_sin = np.array([p.cos_sin for p in params]).T
     v = _splitter_entries(n_photons, *cos_sin, a, 0)[..., 0]
-    x = np.ones(1, dtype=complex)
+    w = _block_weights(v, np.array(ancs), a)
+    bufs = np.empty((2, n_photons + 1), dtype=complex)
+    x = bufs[0, :1]
+    x[0] = 1.0
     probs: list[float] = []
     for k, anc in enumerate(ancs):
-        x = _herald_sector(x, v[:, k], anc)
+        x = _herald_step(bufs[(k + 1) % 2, :(k + 1) * a + 1], x, w[:, k],
+                         _live(anc))
         probs.append(float(np.vdot(x, x).real))
         if probs[-1] == 0.0:
             probs.extend([0.0] * (len(ancs) - k - 1))
             return SchemeResult(zero_state(n_photons), tuple(probs), 0.0, True)
-        x = x / math.sqrt(probs[-1])
+        x /= math.sqrt(probs[-1])
     return SchemeResult(_sector_state(x), tuple(probs), math.prod(probs), False)
 
 

@@ -5,10 +5,25 @@ from functools import lru_cache
 
 import numpy as np
 
+from pathent.blocks import (
+    BlockOutcome,
+    BlockParams,
+    SchemeResult,
+    _double_coeffs,
+    _single_coeffs,
+    _splitter_entries,
+)
 from pathent.factorize import TargetSpec, _wrap_angle
 from pathent.cli import _random_eigenstate as random_eigenstate
 from pathent.cli import _random_four_mode_state as random_four_mode_state
-from pathent.fock import TwoModeState, dim2, vacuum
+from pathent.fock import (
+    TwoModeState,
+    _sector,
+    _sector_state,
+    dim2,
+    vacuum,
+    zero_state,
+)
 from pathent.litho import _lower
 
 # Mixing angles for the beam-splitter tests: the identity, angles below
@@ -40,8 +55,72 @@ def random_two_mode_state(rng, cutoff):
     return TwoModeState(cutoff, v / np.linalg.norm(v))
 
 
+def reference_herald_sector(x, v, anc):
+    """Dark branch of one block on the coefficients ``x`` of sector m.
+
+    ``anc[j]`` is the amplitude of the ancilla ket |j, a - j> and
+    ``v[j, p]`` the splitter entry U[(p, 0), (p - j, j)]; |i, m - i> (x)
+    |j, a - j> goes to |i + j, m + a - i - j>, one slice-add per nonzero
+    ancilla amplitude, each product formed on the spot.
+    """
+    m, a = len(x) - 1, len(anc) - 1
+    y = np.zeros(m + a + 1, dtype=complex)
+    for j in np.flatnonzero(anc):
+        l = a - j
+        y[j:j + m + 1] += (v[j, j:j + m + 1] * v[l, l:l + m + 1][::-1]
+                           * anc[j] * x)
+    return y
+
+
+def reference_herald(state, anc, params):
+    """The heralded block as ``reference_herald_sector`` on every sector."""
+    a = len(anc) - 1
+    cutoff = state.cutoff + a
+    v = _splitter_entries(cutoff, *params.cos_sin, a, 0)[..., 0]
+    dark = np.zeros(dim2(cutoff), dtype=complex)
+    for m in range(state.cutoff + 1):
+        x = state.amps[_sector(m)]
+        if x.any():
+            dark[_sector(m + a)] = reference_herald_sector(x, v, anc)
+    out = TwoModeState(cutoff, dark)
+    return BlockOutcome(out, out.norm_sq())
+
+
+def reference_block_single(state, params):
+    return reference_herald(state, _single_coeffs(params.theta, params.phi),
+                            params)
+
+
+def reference_block_double(state, phi, transmittance):
+    return reference_herald(state, _double_coeffs(phi),
+                            BlockParams(math.pi / 4.0, phi, transmittance))
+
+
+def reference_run_chain(params, ancs):
+    """The heralded chain block by block through ``reference_herald_sector``.
+
+    Each block forms its weights on the spot from one row of the chain's
+    splitter table, allocates its output and renormalizes into a new
+    vector; a zero heralding probability gives the ``impossible`` result.
+    """
+    a = len(ancs[0]) - 1
+    n_photons = a * len(ancs)
+    cos_sin = np.array([p.cos_sin for p in params]).T
+    v = _splitter_entries(n_photons, *cos_sin, a, 0)[..., 0]
+    x = np.ones(1, dtype=complex)
+    probs = []
+    for k, anc in enumerate(ancs):
+        x = reference_herald_sector(x, v[:, k], anc)
+        probs.append(float(np.vdot(x, x).real))
+        if probs[-1] == 0.0:
+            probs.extend([0.0] * (len(ancs) - k - 1))
+            return SchemeResult(zero_state(n_photons), tuple(probs), 0.0, True)
+        x = x / math.sqrt(probs[-1])
+    return SchemeResult(_sector_state(x), tuple(probs), math.prod(probs), False)
+
+
 def reference_chain(run_block, block_args):
-    """Chain ``run_block(state, *args)`` from vacuum through the public blocks.
+    """Chain ``run_block(state, *args)`` from vacuum, one whole state per block.
 
     Each heralded state is renormalized before the next block: the route
     the chained schemes took block by block, over the whole two-mode

@@ -11,7 +11,10 @@ import pathent
 from pathent.blocks import (
     BlockParams,
     _channel_block,
+    _double_coeffs,
+    _single_coeffs,
     _splitter_entries,
+    _weight_index,
     amplitude_factor_double,
     amplitude_factor_single,
     ancilla_double,
@@ -49,13 +52,16 @@ from pathent.fock import (
     with_cutoff,
     zero_state,
 )
-from pathent.yields import qk_squared, yield_generic
+from pathent.yields import optimal_schedule, qk_squared, yield_generic
 from helpers import (
     MIX_KAPPAS,
     random_eigenstate,
     random_target,
     random_two_mode_state,
+    reference_block_double,
+    reference_block_single,
     reference_chain,
+    reference_run_chain,
     rel_err,
     sector_eigh,
 )
@@ -607,7 +613,7 @@ def _assert_chain_matches_reference(res, ref, exact=None):
 def test_chain_matches_public_block_route_random(n):
     fs = factorize_target(random_target(np.random.default_rng(90 + n), n))
     ts = [1.0 / k for k in range(1, n + 1)]
-    ref = reference_chain(run_block_single, [
+    ref = reference_chain(reference_block_single, [
         (BlockParams(theta, phi, t),) for (theta, phi), t in zip(fs.factors, ts)])
     _assert_chain_matches_reference(run_scheme(fs), ref)
 
@@ -620,12 +626,12 @@ def test_chain_matches_public_block_route_noon(n, t):
     exact = None if t is None else noon_state(n)
     angles = noon_factor_angles(n)
     ts = [1.0 / k for k in range(1, n + 1)] if t is None else [t] * n
-    ref = reference_chain(run_block_single, [
+    ref = reference_chain(reference_block_single, [
         (BlockParams(theta, phi, tk),) for (theta, phi), tk in zip(angles, ts)])
     _assert_chain_matches_reference(run_scheme(angles, ts), ref, exact)
 
     ts = ts[:n // 2]
-    ref = reference_chain(run_block_double,
+    ref = reference_chain(reference_block_double,
                           list(zip(noon_double_phases(n), ts)))
     _assert_chain_matches_reference(
         run_scheme_double(n, transmittances=ts), ref, exact)
@@ -633,7 +639,8 @@ def test_chain_matches_public_block_route_noon(n, t):
 
 def test_chain_builds_one_table_and_no_simplex(monkeypatch):
     # The chains keep the coefficients of one sector: no public block, no
-    # basis table, one splitter table per chain and one embedding at the end.
+    # basis table, one splitter table and one cached weight index per chain
+    # and one embedding at the end.
     # The unconditioned channel builds no basis table either.
     calls = {"entries": 0, "embed": 0}
 
@@ -652,14 +659,93 @@ def test_chain_builds_one_table_and_no_simplex(monkeypatch):
     monkeypatch.setattr(pathent.blocks, "_sector_state", embed)
     monkeypatch.setattr(pathent.blocks, "_herald", refuse)
     monkeypatch.setattr(pathent.fock, "_basis", refuse)
+    _weight_index.cache_clear()
     for run in (lambda: run_scheme(noon_factor_angles(16)),
                 lambda: run_scheme_double(16)):
-        calls.update(entries=0, embed=0)
-        assert not run().impossible
-        assert calls == {"entries": 1, "embed": 1}
+        for _ in range(2):
+            calls.update(entries=0, embed=0)
+            assert not run().impossible
+            assert calls == {"entries": 1, "embed": 1}
+    # one weight index per (blocks, ancilla photons), built once, in a
+    # bounded cache
+    info = _weight_index.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+    assert info.maxsize is not None
+    assert _weight_index(16, 1, 1).dtype == np.int32
     calls.update(entries=0)
     run_scheme_unconditional(noon_factor_angles(6)).validate()
     assert calls["entries"] == 1
+
+
+def _assert_bit_identical(got, want):
+    # array_equal takes -0.0 == 0.0: signed zeros may differ
+    assert got.final_state.cutoff == want.final_state.cutoff
+    assert np.array_equal(got.final_state.amps, want.final_state.amps)
+    assert got.block_probs == want.block_probs
+    assert got.total_yield == want.total_yield
+    assert got.impossible == want.impossible
+
+
+@pytest.mark.parametrize("double", [False, True])
+def test_chain_matches_the_sector_loop_reference_bit_for_bit(double):
+    # The precomputed weights and the buffered step must give the floats of
+    # the per-block loop that forms each product on the spot: N = 1..64,
+    # the optimal, T = 1, constant 0.9 and random schedules, NOON and
+    # random factors, some at theta = 0 and pi/2.  T = 1 heralds nothing
+    # after the first block, so it also covers the impossible short-circuit.
+    rng = np.random.default_rng(19)
+    impossible = 0
+    for n in range(2, 65, 2) if double else range(1, 65):
+        blocks = n // 2 if double else n
+        if double:
+            factor_sets = [noon_double_phases(n),
+                           list(rng.uniform(-math.pi, math.pi, blocks))]
+        else:
+            angles = list(zip(rng.uniform(0.0, math.pi / 2, n),
+                              rng.uniform(-math.pi, math.pi, n)))
+            angles[0] = (0.0, angles[0][1])
+            angles[-1] = (math.pi / 2, angles[-1][1])
+            factor_sets = [noon_factor_angles(n), angles]
+        for factors in factor_sets:
+            for ts in (None, [1.0] * blocks, [0.9] * blocks,
+                       list(rng.uniform(0.01, 1.0, blocks))):
+                t_k = optimal_schedule(blocks) if ts is None else ts
+                if double:
+                    got = run_scheme_double(n, factors, ts)
+                    params = [BlockParams(math.pi / 4.0, phi, t)
+                              for phi, t in zip(factors, t_k)]
+                    ancs = [_double_coeffs(phi) for phi in factors]
+                else:
+                    got = run_scheme(factors, ts)
+                    params = [BlockParams(theta, phi, t)
+                              for (theta, phi), t in zip(factors, t_k)]
+                    ancs = [_single_coeffs(p.theta, p.phi) for p in params]
+                _assert_bit_identical(got, reference_run_chain(params, ancs))
+                impossible += got.impossible
+    assert impossible > 0
+
+
+def test_public_blocks_match_the_sector_loop_reference_bit_for_bit():
+    # Signals over several photon numbers at cutoffs 0..10, a sparse one
+    # and the zero state; every ancilla angle including theta = 0, pi/2.
+    rng = np.random.default_rng(23)
+    signals = [random_two_mode_state(rng, cutoff) for cutoff in range(11)]
+    signals += [0.6 * basis_state(4, 1, 2) - 0.8j * basis_state(4, 4, 0),
+                zero_state(3)]
+    for s in signals:
+        for t in (1.0, 0.9, float(rng.uniform())):
+            phi = float(rng.uniform(-math.pi, math.pi))
+            for theta in (0.0, float(rng.uniform(0.0, math.pi / 2)),
+                          math.pi / 2):
+                params = BlockParams(theta, phi, t)
+                got = run_block_single(s, params)
+                want = reference_block_single(s, params)
+                assert np.array_equal(got.state.amps, want.state.amps)
+                assert got.probability == want.probability
+            got = run_block_double(s, phi, t)
+            want = reference_block_double(s, phi, t)
+            assert np.array_equal(got.state.amps, want.state.amps)
+            assert got.probability == want.probability
 
 
 @pytest.mark.parametrize("cutoff", [1, 8, 33])
