@@ -375,11 +375,15 @@ def inner_product(x: TwoModeState, y: TwoModeState) -> complex:
 
 
 def overlap_fidelity(x: TwoModeState, y: TwoModeState) -> float:
-    """|<x|y>| / (|x| |y|): phase-insensitive state agreement in [0, 1]."""
+    """|<x|y>| / (|x| |y|): phase-insensitive state agreement in [0, 1].
+
+    Clamped at 1: the rounded ratio of equal states can land an ulp or two
+    above it.
+    """
     nx, ny = x.norm(), y.norm()
     if nx == 0.0 or ny == 0.0:
         raise ValueError("fidelity of a zero state is undefined")
-    return abs(inner_product(x, y)) / (nx * ny)
+    return min(1.0, abs(inner_product(x, y)) / (nx * ny))
 
 
 def is_photon_number_eigenstate(s: TwoModeState) -> int | None:
