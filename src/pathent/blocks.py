@@ -174,7 +174,9 @@ def _weight_index(rows: int, a: int, step: int) -> np.ndarray:
     width = (rows - 1) * step + a + 1
     j, k, o = np.ogrid[:a + 1, :rows, :width]
     n = np.clip(a + k * step - o, 0, width - 1)
-    return (((a - j) * rows + k) * width + n).astype(np.int32)
+    index = (((a - j) * rows + k) * width + n).astype(np.int32)
+    index.setflags(write=False)  # shared by every caller of the cache
+    return index
 
 
 def _block_weights(v: np.ndarray, ancs: np.ndarray, step: int) -> np.ndarray:
@@ -227,8 +229,7 @@ def _herald(state: TwoModeState, anc: np.ndarray,
     a, rows = len(anc) - 1, state.cutoff + 1
     cutoff = state.cutoff + a
     v = _splitter_entries(cutoff, *params.cos_sin, a, 0)[..., 0]
-    w = _block_weights(np.broadcast_to(v[:, None], (a + 1, rows, cutoff + 1)),
-                       anc[None], 1)
+    w = _block_weights(v[:, None].repeat(rows, axis=1), anc[None], 1)
     live = _live(anc)
     dark = np.zeros(dim2(cutoff), dtype=complex)
     for m in range(rows):

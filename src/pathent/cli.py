@@ -71,13 +71,13 @@ from .yields import (
 # Largest target photon number ``simulate`` accepts.  The heralded chain
 # keeps only the N + 1 coefficients of one photon-number sector and reads
 # one table of closed-form splitter entries, so its cost is small: on a
-# 2-vCPU x86-64 host ``simulate`` at N = 64 takes about 0.09 s of wall time
-# as a fresh process, nearly all of it interpreter start and imports, and
-# 32 MB peak RSS; in-process a call on a generic target takes about 3.2 ms,
-# of which the chain is 0.6 ms.  A NOON call takes about half as long: its
-# two-term polynomial is factored in closed form, without the 64 x 64
-# eigenproblem.  The bound stays at 64 until the factors are applied in a
-# well-conditioned order: in sorted order the partial products grow and
+# loaded 2-vCPU x86-64 host ``simulate`` at N = 64 takes about 0.22 s of
+# wall time as a fresh process, of which 0.21 s is interpreter start and
+# imports, and 31 MB peak RSS; in-process a call on a seeded random target
+# takes about 7 ms, of which the chain is 1.0 ms.  A NOON call takes about
+# 2.7 ms: its two-term polynomial is factored in closed form, without the
+# 64 x 64 eigenproblem.  The bound stays at 64 until the factors are applied
+# in a well-conditioned order: in sorted order the partial products grow and
 # cancel, and NOON targets already print spurious kets near 1e-10 at N = 64.
 _SIMULATE_N_MAX = 64
 _ORACLE_TOL = 1e-9

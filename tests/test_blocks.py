@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -675,6 +676,22 @@ def test_chain_builds_one_table_and_no_simplex(monkeypatch):
     calls.update(entries=0)
     run_scheme_unconditional(noon_factor_angles(6)).validate()
     assert calls["entries"] == 1
+
+
+def test_chain_memory_at_the_simulate_cap():
+    # The weights of all 64 blocks, their index and the splitter table are
+    # alive together: near 0.46 MB here, against 0.2 MB for the per-block
+    # loop that formed each product on the spot.
+    for run in (lambda: run_scheme(noon_factor_angles(64)),
+                lambda: run_scheme_double(64)):
+        _weight_index.cache_clear()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 def _assert_bit_identical(got, want):
