@@ -680,8 +680,7 @@ def test_chain_builds_one_table_and_no_simplex(monkeypatch):
 
 def test_chain_memory_at_the_simulate_cap():
     # The weights of all 64 blocks, their index and the splitter table are
-    # alive together: near 0.46 MB here, against 0.2 MB for the per-block
-    # loop that formed each product on the spot.
+    # alive together: near 0.46 MB here.
     for run in (lambda: run_scheme(noon_factor_angles(64)),
                 lambda: run_scheme_double(64)):
         _weight_index.cache_clear()
