@@ -458,12 +458,13 @@ def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:
     params = _single_blocks(factors, transmittances)
     n = len(params)
     v = _splitter_entries(n, *np.array([p.cos_sin for p in params]).T, 1)
-    v = np.pad(v.swapaxes(0, 1).reshape(n, -1), ((0, 0), (0, 1)))
+    table = np.zeros((n, v.size // n + 1))
+    table[:, :-1] = v.swapaxes(0, 1).reshape(n, -1)
     anc = np.array([_single_coeffs(p.theta, p.phi) for p in params])
     w = anc[:, :, None] * anc[:, None].conj()
     r = np.ones((1, 1, 1), dtype=complex)
     for k in range(n):
-        r = _channel_block(r, v[k], w[k])
+        r = _channel_block(r, table[k], w[k])
     dst, src = _scatter_index(n)
     mat = np.zeros((dim2(n),) * 2, dtype=complex)
     mat.ravel()[dst] = r.ravel()[src]

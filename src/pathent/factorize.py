@@ -98,7 +98,8 @@ def monomial_coeffs(target: TargetSpec) -> np.ndarray:
     """d_k = c_k / sqrt(k! (n - k)!), the generating-polynomial coefficients.
 
     A product k! (n - k)! past the float range is shifted right by an even
-    2e bits for its square root, and the quotient scaled by 2^-e.
+    2e bits for its square root, and the quotient scaled by 2^-e.  A target
+    whose every d_k underflows to 0 is rejected with a ValueError.
     """
     n = target.n_photons
     d = np.empty(n + 1, dtype=complex)
@@ -107,6 +108,9 @@ def monomial_coeffs(target: TargetSpec) -> np.ndarray:
         e = max(f.bit_length() - 1022, 0) // 2
         x = c / math.sqrt(f >> 2 * e)
         d[k] = complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e))
+    if not d.any():
+        raise ValueError(
+            f"every d_k = c_k / sqrt(k! (N - k)!) underflows to 0 at N = {n}")
     return d
 
 

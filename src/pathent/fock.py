@@ -251,15 +251,33 @@ class TwoModeDensity:
         return float(np.trace(self.mat[k, k]).real)
 
     def validate(self) -> None:
-        """Raise ValueError unless Hermitian, trace in [0, 1], and PSD."""
-        if np.abs(self.mat - self.mat.conj().T).max() > 1e-12:
+        """Raise ValueError unless finite, Hermitian, trace in [0, 1], and PSD.
+
+        Positivity is rho >= -1e-9 I.  It is proved by one Cholesky
+        factorization of rho + 1e-9 I (the diagonal shifted on a copy),
+        which succeeds exactly when the smallest eigenvalue of rho lies
+        above -1e-9, up to rounding of order dim * eps at that boundary.
+        Only when the factorization fails does a full eigendecomposition
+        run; it has the final word, and rejects only a smallest eigenvalue
+        below -1e-9, naming it.
+        """
+        mat = self.mat
+        if not np.isfinite(mat).all():
+            i, j = np.argwhere(~np.isfinite(mat))[0]
+            raise ValueError(f"density matrix entry [{i}, {j}] is not finite")
+        if np.abs(mat - mat.conj().T).max() > 1e-12:
             raise ValueError("density matrix is not Hermitian")
         tr = self.trace()
         if not (-1e-12 <= tr <= 1.0 + 1e-12):
             raise ValueError(f"trace {tr} outside [0, 1]")
-        eigs = np.linalg.eigvalsh(self.mat)
-        if eigs.min() < -1e-9:
-            raise ValueError(f"negative eigenvalue {eigs.min()}")
+        shifted = mat.copy()
+        shifted.ravel()[:: len(mat) + 1] += 1e-9
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            low = np.linalg.eigvalsh(mat).min()
+            if low < -1e-9:
+                raise ValueError(f"negative eigenvalue {low}") from None
 
 
 # ---------------------------------------------------------------------------

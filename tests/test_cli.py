@@ -635,3 +635,11 @@ def test_factorize_beyond_the_float_range_of_the_factorials(kind, n, tmp_path):
         assert proc.returncode == 1 and proc.stdout == b""
         assert proc.stderr.startswith(b"error: ")
         assert proc.stderr.count(b"\n") == 1, proc.stderr
+
+
+def test_factorize_names_the_underflow_of_every_monomial_coefficient(tmp_path):
+    # At NOON N = 400 both d_k = c_k / sqrt(k! (N - k)!) underflow to 0.
+    proc = _run_python("-m", "pathent", "factorize", noon_file(tmp_path, 400))
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert proc.stderr == (b"error: every d_k = c_k / sqrt(k! (N - k)!) "
+                           b"underflows to 0 at N = 400\n")

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -598,6 +599,61 @@ def test_density_validate_rejects_nonhermitian():
     mat[0, 1] = 1.0
     with pytest.raises(ValueError):
         TwoModeDensity(1, mat).validate()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.1, -math.inf)])
+def test_density_validate_rejects_non_finite_entries(bad):
+    # NaN coherences once passed (nan > 1e-12 is false and the eigenvalue
+    # minimum was NaN); inf ones raised LinAlgError with a RuntimeWarning.
+    mat = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    mat[0, 1] = bad
+    mat[1, 0] = np.conj(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"entry \[0, 1\] is not finite"):
+            TwoModeDensity(1, mat).validate()
+
+
+def _coherent_pair():
+    """[[0.3, 0.4], [0.4, 0.3]] on |0,0> and |1,0>: each photon-number
+    sector block is PSD, the whole matrix has eigenvalue -0.1."""
+    vac, one = basis_state(1, 0, 0).amps, basis_state(1, 1, 0).amps
+    return (0.3 * (np.outer(vac, vac) + np.outer(one, one))
+            + 0.4 * (np.outer(vac, one) + np.outer(one, vac)))
+
+
+@pytest.mark.parametrize("mat,lowest", [
+    (np.diag([0.5, 0.3, -2e-9]), -2e-9),
+    (_coherent_pair(), -0.1),
+], ids=["diagonal", "coherent"])
+def test_density_validate_rejects_a_negative_eigenvalue(mat, lowest):
+    with pytest.raises(ValueError, match="negative eigenvalue") as err:
+        TwoModeDensity(1, mat).validate()
+    named = float(str(err.value).split()[-1])
+    assert abs(named - lowest) <= 1e-12 * abs(lowest)
+
+
+@pytest.mark.parametrize("rho,factored", [
+    # inside the tolerance
+    (TwoModeDensity(1, np.diag([0.5, 0.3, -5e-10])), True),
+    # on it: the shifted diagonal has an exact 0, so the factorization
+    # fails and the eigenvalues accept
+    (TwoModeDensity(1, np.diag([0.5, 0.3, -1e-9])), False),
+    # rank-deficient
+    (TwoModeDensity.from_state(noon_state(4)), True),
+    (pathent.run_scheme_unconditional(pathent.noon_factor_angles(9)), True),
+], ids=["inside", "boundary", "noon4", "channel9"])
+def test_density_validate_accepts_within_the_tolerance(rho, factored,
+                                                       monkeypatch):
+    # the eigendecomposition runs only where the factorization fails
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: calls.append(m) or eigvalsh(m))
+    before = rho.mat.copy()
+    rho.validate()
+    assert np.array_equal(rho.mat, before)
+    assert len(calls) == (0 if factored else 1)
 
 
 def test_density_sector_weights():
