@@ -36,6 +36,10 @@ from .fock import (
 from .yields import optimal_schedule
 
 
+# Largest ancilla angle theta a block accepts: pi/2 and a rounding margin.
+_THETA_MAX = math.pi / 2.0 + 1e-12
+
+
 @dataclass(frozen=True)
 class BlockParams:
     """Ancilla angles and beam-splitter transmittance of one block.
@@ -49,7 +53,7 @@ class BlockParams:
     transmittance: float
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi / 2.0 + 1e-12:
+        if not 0.0 <= self.theta <= _THETA_MAX:
             raise ValueError(f"theta {self.theta} outside [0, pi/2]")
         if not math.isfinite(self.phi):
             raise ValueError(f"phi {self.phi} is not finite")
@@ -95,14 +99,26 @@ class SchemeResult:
     impossible: bool = False
 
 
+def _single_table(angles) -> np.ndarray:
+    """Row k: amplitudes of |0,1> and |1,0> in the ancilla of factor k."""
+    return np.array([(-np.exp(1j * phi) * math.sin(theta), math.cos(theta))
+                     for theta, phi in angles])
+
+
+def _double_table(phis) -> np.ndarray:
+    """Row k: amplitudes of |0,2>, |1,1> and |2,0> in doubled block k."""
+    return np.array([(-np.exp(2j * phi) * math.sqrt(0.5), 0.0, math.sqrt(0.5))
+                     for phi in phis])
+
+
 def _single_coeffs(theta: float, phi: float) -> np.ndarray:
     """Amplitudes of |0,1> and |1,0> in the one-photon ancilla."""
-    return np.array([-np.exp(1j * phi) * math.sin(theta), math.cos(theta)])
+    return _single_table([(theta, phi)])[0]
 
 
 def _double_coeffs(phi: float) -> np.ndarray:
     """Amplitudes of |0,2>, |1,1> and |2,0> in the two-photon ancilla."""
-    return np.array([-np.exp(2j * phi) * math.sqrt(0.5), 0.0, math.sqrt(0.5)])
+    return _double_table([phi])[0]
 
 
 def ancilla_single(theta: float, phi: float) -> TwoModeState:
@@ -194,9 +210,9 @@ def _block_weights(v: np.ndarray, ancs: np.ndarray, step: int) -> np.ndarray:
     return v * v.take(_weight_index(rows, a, step)) * ancs.T[:, :, None]
 
 
-def _live(anc: np.ndarray) -> list[int]:
-    """The ancilla kets j with a nonzero amplitude."""
-    return [j for j, c in enumerate(anc.tolist()) if c]
+def _live(ancs: np.ndarray) -> list[list[int]]:
+    """Per row of ancilla amplitudes, the kets j with a nonzero amplitude."""
+    return [[j for j, c in enumerate(row) if c] for row in ancs.tolist()]
 
 
 def _herald_step(y: np.ndarray, x: np.ndarray, w: np.ndarray,
@@ -230,7 +246,7 @@ def _herald(state: TwoModeState, anc: np.ndarray,
     cutoff = state.cutoff + a
     v = _splitter_entries(cutoff, *params.cos_sin, a, 0)[..., 0]
     w = _block_weights(v[:, None].repeat(rows, axis=1), anc[None], 1)
-    live = _live(anc)
+    live = _live(anc[None])[0]
     dark = np.zeros(dim2(cutoff), dtype=complex)
     for m in range(rows):
         x = state.amps[_sector(m)]
@@ -282,17 +298,6 @@ def apply_double_factor(state: TwoModeState, phi: float) -> TwoModeState:
                         aa.amps - np.exp(2j * phi) * bb.amps)
 
 
-def _single_blocks(factors, transmittances) -> list[BlockParams]:
-    """One BlockParams per factor, at the given or the optimal schedule."""
-    if isinstance(factors, FactorSet):
-        factors = factors.factors
-    angles = [(float(t), float(p)) for t, p in factors]
-    if not angles:
-        raise ValueError("need at least one factor")
-    ts = _schedule(len(angles), transmittances)
-    return [BlockParams(theta, phi, t) for (theta, phi), t in zip(angles, ts)]
-
-
 def _schedule(n_blocks: int, transmittances) -> list[float]:
     if transmittances is None:
         return optimal_schedule(n_blocks)
@@ -304,34 +309,65 @@ def _schedule(n_blocks: int, transmittances) -> list[float]:
     return ts
 
 
-def _run_chain(params: list[BlockParams],
-               ancs: list[np.ndarray]) -> SchemeResult:
-    """Chain one heralded block per (params, ancilla coefficients) from vacuum.
+def _check_blocks(angles, ts) -> None:
+    """Raise the BlockParams error of the first block out of range.
 
-    After k blocks of a-photon ancillas the state is the k a + 1
-    coefficients of one photon-number sector, and it is kept as just that
-    vector.  The weights of every block come from one splitter table
-    before the loop (``_block_weights``, row k for input sector k a); each
-    block is then one ``_herald_step`` into one of two preallocated
-    buffers, its probability the squared norm of the vector, and an
-    in-place renormalization.  The result is embedded at cutoff N once, at
-    the end.  Owns the short-circuit to an ``impossible`` result.
+    Each (theta, phi) and T is checked as plain floats; a BlockParams is
+    built only for a block that fails, to raise its error.
     """
-    a = len(ancs[0]) - 1
-    n_photons = a * len(ancs)
-    cos_sin = np.array([p.cos_sin for p in params]).T
-    v = _splitter_entries(n_photons, *cos_sin, a, 0)[..., 0]
-    w = _block_weights(v, np.array(ancs), a)
+    for (theta, phi), t in zip(angles, ts):
+        if not (0.0 <= theta <= _THETA_MAX and math.isfinite(phi)
+                and 0.0 < t <= 1.0):
+            BlockParams(theta, phi, t)
+
+
+def _single_blocks(factors, transmittances):
+    """Checked (theta, phi) pairs and schedule of a single-photon chain."""
+    if isinstance(factors, FactorSet):
+        factors = factors.factors
+    angles = [(float(t), float(p)) for t, p in factors]
+    if not angles:
+        raise ValueError("need at least one factor")
+    ts = _schedule(len(angles), transmittances)
+    _check_blocks(angles, ts)
+    return angles, ts
+
+
+def _mixing(ts) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the mixing angles of the blocks, as BlockParams.cos_sin."""
+    t = np.asarray(ts, dtype=float)
+    return np.sqrt(1.0 - t), np.sqrt(t)
+
+
+def _run_chain(ts, ancs: np.ndarray) -> SchemeResult:
+    """Chain one heralded block per (transmittance, ancilla row) from vacuum.
+
+    ``ts`` holds the checked transmittance of each block and row k of
+    ``ancs`` the coefficients of block k's a-photon ancilla.  After k
+    blocks the state is the k a + 1 coefficients of one photon-number
+    sector, and it is kept as just that vector.  Everything a block needs
+    is set up once per chain, before the loop: the weights of every block
+    from one splitter table (``_block_weights``, row k for input sector
+    k a) and the live ancilla kets of every block (``_live``).  Each block
+    is then one ``_herald_step`` into one of two preallocated buffers, its
+    probability the squared norm of the vector, and an in-place
+    renormalization.  The result is embedded at cutoff N once, at the end.
+    Owns the short-circuit to an ``impossible`` result.
+    """
+    n_blocks, a = ancs.shape[0], ancs.shape[1] - 1
+    n_photons = a * n_blocks
+    v = _splitter_entries(n_photons, *_mixing(ts), a, 0)[..., 0]
+    w = _block_weights(v, ancs, a)
     bufs = np.empty((2, n_photons + 1), dtype=complex)
     x = bufs[0, :1]
     x[0] = 1.0
     probs: list[float] = []
-    for k, anc in enumerate(ancs):
+    for k, live in enumerate(_live(ancs)):
         x = _herald_step(bufs[(k + 1) % 2, :(k + 1) * a + 1], x, w[:, k],
-                         _live(anc))
+                         live)
         probs.append(float(np.vdot(x, x).real))
         if probs[-1] == 0.0:
-            probs.extend([0.0] * (len(ancs) - k - 1))
+            probs.extend([0.0] * (n_blocks - k - 1))
             return SchemeResult(zero_state(n_photons), tuple(probs), 0.0, True)
         x /= math.sqrt(probs[-1])
     return SchemeResult(_sector_state(x), tuple(probs), math.prod(probs), False)
@@ -345,8 +381,8 @@ def run_scheme(factors, transmittances=None) -> SchemeResult:
     A block with zero heralding probability short-circuits to an
     ``impossible`` result.
     """
-    params = _single_blocks(factors, transmittances)
-    return _run_chain(params, [_single_coeffs(p.theta, p.phi) for p in params])
+    angles, ts = _single_blocks(factors, transmittances)
+    return _run_chain(ts, _single_table(angles))
 
 
 def noon_double_phases(n_photons: int) -> list[float]:
@@ -377,8 +413,8 @@ def run_scheme_double(n_photons: int, phis=None,
     if len(phis) != half:
         raise ValueError(f"need {half} phases, got {len(phis)}")
     ts = _schedule(half, transmittances)
-    params = [BlockParams(math.pi / 4.0, p, t) for p, t in zip(phis, ts)]
-    return _run_chain(params, [_double_coeffs(p) for p in phis])
+    _check_blocks([(math.pi / 4.0, p) for p in phis], ts)
+    return _run_chain(ts, _double_table(phis))
 
 
 @lru_cache(maxsize=None)
@@ -455,12 +491,12 @@ def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:
     splitter entries from one padded table at cutoff N: entries with
     o + n <= k + 1 do not depend on it.
     """
-    params = _single_blocks(factors, transmittances)
-    n = len(params)
-    v = _splitter_entries(n, *np.array([p.cos_sin for p in params]).T, 1)
+    angles, ts = _single_blocks(factors, transmittances)
+    n = len(angles)
+    v = _splitter_entries(n, *_mixing(ts), 1)
     table = np.zeros((n, v.size // n + 1))
     table[:, :-1] = v.swapaxes(0, 1).reshape(n, -1)
-    anc = np.array([_single_coeffs(p.theta, p.phi) for p in params])
+    anc = _single_table(angles)
     w = anc[:, :, None] * anc[:, None].conj()
     r = np.ones((1, 1, 1), dtype=complex)
     for k in range(n):

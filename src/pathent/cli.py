@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import itertools
 import json
 import math
 import sys
@@ -38,13 +39,13 @@ from .blocks import (
 )
 from .factorize import (
     TargetSpec,
-    _wrap_angle,
+    _aligned,
     _coeff_norm,
-    factorize_target,
+    _factorize,
+    _wrap_angle,
     find_factor_angles,
     monomial_coeffs,
     noon_factor_angles,
-    reconstruct,
     state_of_target,
 )
 from .fock import (
@@ -71,11 +72,11 @@ from .yields import (
 # Largest target photon number ``simulate`` accepts.  The heralded chain
 # keeps only the N + 1 coefficients of one photon-number sector and reads
 # one table of closed-form splitter entries, so its cost is small: on a
-# loaded 2-vCPU x86-64 host ``simulate`` at N = 64 takes about 0.22 s of
-# wall time as a fresh process, of which 0.21 s is interpreter start and
-# imports, and 31 MB peak RSS; in-process a call on a seeded random target
-# takes about 7 ms, of which the chain is 1.0 ms.  A NOON call takes about
-# 2.7 ms: its two-term polynomial is factored in closed form, without the
+# loaded 2-vCPU x86-64 host ``simulate`` at N = 64 takes about 0.20 s of
+# wall time as a fresh process, of which 0.18 s is interpreter start and
+# imports, and 32 MB peak RSS; in-process a call on a seeded random target
+# takes about 5.9 ms, of which the chain is 0.7 ms.  A NOON call takes about
+# 1.5 ms: its two-term polynomial is factored in closed form, without the
 # 64 x 64 eigenproblem.  The bound stays at 64 until the factors are applied
 # in a well-conditioned order: in sorted order the partial products grow and
 # cancel, and NOON targets already print spurious kets near 1e-10 at N = 64.
@@ -139,7 +140,12 @@ def _render(value, indent: str = "") -> str:
 
     A list whose items are all scalars goes on one line; any other list,
     and every non-empty dict, puts one item per line, indented two spaces
-    per level.
+    per level.  Two shortcuts give the same text with one ``%`` pass: a
+    list of dicts that share their keys, in order, is filled into one row
+    template (``_render_rows``), and a list of exact ints, or of finite
+    exact floats or complex numbers, into one field per item
+    (``_scalar_column``).  Everything else takes the rules above, item by
+    item.
     """
     text = _leaf(value)
     return text if text is not None else _render_container(value, indent)
@@ -153,6 +159,15 @@ def _render_container(value, indent: str) -> str:
         parts = [f"{inner}{_quote(str(k))}: {_render(v, inner)}"
                  for k, v in value.items()]
         return "{\n" + ",\n".join(parts) + "\n" + indent + "}"
+    if type(value[0]) is dict and set(map(type, value)) == {dict}:
+        text = _render_rows(value, inner)
+        if text is not None:
+            return "[\n" + text + "\n" + indent + "]"
+    found = _scalar_column(value)
+    if found is not None:
+        field, parts = found
+        values = tuple(itertools.chain.from_iterable(zip(*parts)))
+        return "[" + ", ".join([field] * len(value)) % values + "]"
     leaves = [_leaf(v) for v in value]
     if None not in leaves:
         return "[" + ", ".join(leaves) + "]"
@@ -160,6 +175,77 @@ def _render_container(value, indent: str) -> str:
                       else _render_container(v, inner))
              for v, text in zip(value, leaves)]
     return "[\n" + ",\n".join(parts) + "\n" + indent + "]"
+
+
+def _render_rows(rows, indent: str) -> str | None:
+    """The rows of a list of dicts at ``indent``, as ``_render`` writes them.
+
+    Every row is filled into one template by one ``%`` pass, with one field
+    per key from ``_column``.  Returns None, for the generic rules, when
+    the rows' keys differ or are empty.
+    """
+    keys = tuple(rows[0])
+    if not keys or set(map(tuple, rows)) != {keys}:
+        return None
+    inner = indent + "  "
+    fields, columns = [], []
+    for key in keys:
+        field, parts = _column([row[key] for row in rows], inner)
+        fields.append(field)
+        columns += parts
+    row = _row_template(keys, tuple(fields), indent)
+    values = tuple(itertools.chain.from_iterable(zip(*columns)))
+    return indent + (",\n" + indent).join([row] * len(rows)) % values
+
+
+def _column(values: list, indent: str) -> tuple[str, list[list]]:
+    """A ``%`` field that writes every one of ``values``, and its arguments.
+
+    A column of scalars of one kind takes its field from ``_scalar_column``,
+    and lists of one length whose every position is such a column take a
+    one-line list of those fields.  Any other column (a bool, a numpy
+    scalar, a non-finite float, a nested value, mixed types) gets ``%s``,
+    filled with each value's ``_render``.
+    """
+    found = _scalar_column(values)
+    if found is None and set(map(type, values)) == {list} \
+            and len(set(map(len, values))) == 1:
+        items = [_scalar_column(list(c)) for c in zip(*values)]
+        if None not in items:
+            found = ("[" + ", ".join(field for field, _ in items) + "]",
+                     [part for _, parts in items for part in parts])
+    return found or ("%s", [[_render(v, indent) for v in values]])
+
+
+def _scalar_column(values: list) -> tuple[str, list[list]] | None:
+    """The ``%`` field and arguments that write every one of ``values``.
+
+    Exact ints give ``%d``; finite exact floats ``%.17g``, the format of
+    ``_f``; exact complex numbers a pair of those, as ``_f`` writes their
+    parts whether finite or not.  None for any other column, which the
+    caller writes value by value.
+    """
+    kind = type(values[0])
+    if set(map(type, values)) != {kind}:
+        return None
+    if kind is int:
+        return "%d", [values]
+    # a sum past the float range only sends finite values the slow way
+    if kind is float and math.isfinite(sum(values)):
+        return "%.17g", [values]
+    if kind is complex:
+        return "[%.17g, %.17g]", [[v.real for v in values],
+                                  [v.imag for v in values]]
+    return None
+
+
+@functools.lru_cache(maxsize=64)
+def _row_template(keys: tuple, fields: tuple, indent: str) -> str:
+    """One dict at ``indent`` with its keys quoted and its values as fields."""
+    inner = indent + "  "
+    return "{\n" + ",\n".join(
+        f"{inner}{_quote(str(k)).replace('%', '%%')}: {field}"
+        for k, field in zip(keys, fields)) + "\n" + indent + "}"
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -203,6 +289,37 @@ def _load_target(path: str) -> TargetSpec:
             f"target file: field 'coeffs' must have N+1 = {n + 1} entries, "
             f"got {len(raw)}"
         )
+    vec = _parse_pairs(raw)
+    if vec is None:
+        vec = np.array(_check_pairs(raw), dtype=complex)
+    norm = _coeff_norm(vec)
+    if norm == 0.0:
+        raise InputError("target file: field 'coeffs' is all zeros")
+    if abs(norm - 1.0) > _NORM_WARN_TOL:
+        print(
+            f"warning: target coefficients have norm {_f(norm)}; "
+            "re-normalizing",
+            file=sys.stderr,
+        )
+    return TargetSpec(n, vec.tolist())
+
+
+def _parse_pairs(raw: list) -> np.ndarray | None:
+    """The coefficients in one np.array when every entry is a [re, im] list
+    of ints and floats, all finite; None for any other input."""
+    if (set(map(type, raw)) != {list} or set(map(len, raw)) != {2}
+            or not set(map(type, itertools.chain.from_iterable(raw)))
+            <= {int, float}):
+        return None
+    try:
+        pairs = np.array(raw, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return pairs.view(complex)[:, 0] if np.isfinite(pairs).all() else None
+
+
+def _check_pairs(raw: list) -> list[complex]:
+    """The coefficients entry by entry; the first bad one raises InputError."""
     coeffs = []
     for i, entry in enumerate(raw):
         if (
@@ -222,16 +339,7 @@ def _load_target(path: str) -> TargetSpec:
         if not cmath.isfinite(c):
             raise InputError(f"target file: field 'coeffs[{i}]' must be finite")
         coeffs.append(c)
-    norm = _coeff_norm(np.asarray(coeffs))
-    if norm == 0.0:
-        raise InputError("target file: field 'coeffs' is all zeros")
-    if abs(norm - 1.0) > _NORM_WARN_TOL:
-        print(
-            f"warning: target coefficients have norm {_f(norm)}; "
-            "re-normalizing",
-            file=sys.stderr,
-        )
-    return TargetSpec(n, coeffs)
+    return coeffs
 
 
 def _echo_target(target: TargetSpec) -> dict:
@@ -247,9 +355,8 @@ def _echo_target(target: TargetSpec) -> dict:
 
 def _cmd_factorize(args) -> int:
     target = _load_target(args.target)
-    fs = factorize_target(target)
-    recon = reconstruct(fs)
-    fidelity = overlap_fidelity(recon, state_of_target(target))
+    fs, raw = _factorize(target)
+    fidelity = overlap_fidelity(_aligned(raw, fs), state_of_target(target))
     report = {
         "command": "factorize",
         "target": _echo_target(target),

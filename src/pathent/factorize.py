@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,7 +73,7 @@ class TargetSpec:
             raise ValueError("coefficient norm is outside the float range")
         vec = vec / norm
         object.__setattr__(self, "n_photons", n_photons)
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in vec))
+        object.__setattr__(self, "coeffs", tuple(vec.tolist()))
 
 
 @dataclass(frozen=True)
@@ -98,20 +99,43 @@ def monomial_coeffs(target: TargetSpec) -> np.ndarray:
     """d_k = c_k / sqrt(k! (n - k)!), the generating-polynomial coefficients.
 
     A product k! (n - k)! past the float range is shifted right by an even
-    2e bits for its square root, and the quotient scaled by 2^-e.  A target
-    whose every d_k underflows to 0 is rejected with a ValueError.
+    2e bits for its square root, and the quotient scaled by 2^-e.  The
+    square roots and shifts of every k depend on n alone and are computed
+    once per n (``_monomial_scales``); each c_k is then divided by its
+    square root as a Python complex, and only the shifted k are rescaled.
+    A target whose every d_k underflows to 0 is rejected with a ValueError.
     """
     n = target.n_photons
-    d = np.empty(n + 1, dtype=complex)
-    for k, c in enumerate(target.coeffs):
-        f = math.factorial(k) * math.factorial(n - k)
-        e = max(f.bit_length() - 1022, 0) // 2
-        x = c / math.sqrt(f >> 2 * e)
-        d[k] = complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e))
+    roots, shifts = _monomial_scales(n)
+    d = np.array([c / r for c, r in zip(target.coeffs, roots)], dtype=complex)
+    if shifts is not None:
+        d.real = np.ldexp(d.real, shifts)
+        d.imag = np.ldexp(d.imag, shifts)
     if not d.any():
         raise ValueError(
             f"every d_k = c_k / sqrt(k! (N - k)!) underflows to 0 at N = {n}")
     return d
+
+
+@lru_cache(maxsize=32)
+def _monomial_scales(n: int) -> tuple[tuple[float, ...], np.ndarray | None]:
+    """sqrt(k! (n - k)! >> 2 e_k) and -e_k for k = 0..n; None for no shift.
+
+    e_k = 0 while k! (n - k)! fits in a float, which holds up to n = 170.
+    """
+    roots, shifts = [], []
+    f = math.factorial(n)
+    for k in range(n + 1):
+        if k:
+            f = f * k // (n - k + 1)  # k! (n - k)!, exactly
+        e = max(f.bit_length() - 1022, 0) // 2
+        roots.append(math.sqrt(f >> 2 * e))
+        shifts.append(-e)
+    if not any(shifts):
+        return tuple(roots), None
+    shifts = np.array(shifts)
+    shifts.setflags(write=False)  # shared by every caller of the cache
+    return tuple(roots), shifts
 
 
 def _polish_roots(d: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -180,6 +204,14 @@ def find_factor_angles(d) -> list[tuple[float, float]]:
             angles += _binomial_root_angles(complex(d[lo]), complex(d[m]),
                                             m - lo)
     else:
+        # np.roots divides by the leading coefficient d_m; past the float
+        # range that leaves infs or NaNs in its companion matrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratios = d[:m] / d[m]
+        if not np.isfinite(ratios).all():
+            raise ValueError(
+                f"leading monomial coefficient d_{m} is too small: "
+                f"d_k / d_{m} overflows floats at N = {n}")
         roots = _polish_roots(d[: m + 1], np.roots(d[: m + 1][::-1]))
         angles = []
         for z in map(complex, roots):
@@ -219,7 +251,11 @@ def normalization(angles,
     product / (sqrt(N) g) matching the target's phase; g = 1 when no target
     is given.
     """
-    raw = apply_factors(angles)
+    return _product_normalization(apply_factors(angles), target)
+
+
+def _product_normalization(raw: TwoModeState,
+                           target: TargetSpec | None) -> tuple[float, complex]:
     n_sq = raw.norm_sq()
     if n_sq == 0.0:
         raise ValueError("factor product annihilates the vacuum")
@@ -237,14 +273,24 @@ def normalization(angles,
 
 def factorize_target(target: TargetSpec) -> FactorSet:
     """Full decomposition: angles, normalization, and global phase."""
+    return _factorize(target)[0]
+
+
+def _factorize(target: TargetSpec) -> tuple[FactorSet, TwoModeState]:
+    """``factorize_target``, and the raw factor product it is read from."""
     angles = find_factor_angles(monomial_coeffs(target))
-    n_sq, g = normalization(angles, target=target)
-    return FactorSet(tuple(angles), n_sq, g)
+    raw = apply_factors(angles)
+    n_sq, g = _product_normalization(raw, target)
+    return FactorSet(tuple(angles), n_sq, g), raw
 
 
 def reconstruct(fs: FactorSet) -> TwoModeState:
     """Normalized, phase-aligned state produced by a factor set."""
-    raw = apply_factors(fs.factors)
+    return _aligned(apply_factors(fs.factors), fs)
+
+
+def _aligned(raw: TwoModeState, fs: FactorSet) -> TwoModeState:
+    """The raw factor product of ``fs``, normalized and phase-aligned."""
     return raw / (math.sqrt(fs.normalization) * fs.global_phase)
 
 

@@ -321,6 +321,31 @@ def test_scheme_input_validation():
         run_scheme(noon_factor_angles(3), [0.5, 0.5])
 
 
+@pytest.mark.parametrize("theta,phi,t,message", [
+    (-0.1, 0.1, 0.5, "theta -0.1 outside [0, pi/2]"),
+    (2.0, 0.1, 0.5, "theta 2.0 outside [0, pi/2]"),
+    (0.3, math.nan, 0.5, "phi nan is not finite"),
+    (0.3, 0.1, 0.0, "transmittance 0.0 outside (0, 1]"),
+    (0.3, 0.1, 1.5, "transmittance 1.5 outside (0, 1]"),
+    (0.3, 0.1, math.nan, "transmittance nan outside (0, 1]"),
+])
+def test_chains_reject_a_block_with_its_block_params_error(theta, phi, t,
+                                                           message):
+    # The chains check each block's floats and build a BlockParams only to
+    # raise for the first block out of range; a later bad block is not
+    # reached.
+    factors = [(0.2, 0.1), (theta, phi), (0.4, -0.3), (3.0, math.inf)]
+    ts = [0.5, t, 0.25, 2.0]
+    for run in (run_scheme, run_scheme_unconditional):
+        with pytest.raises(ValueError) as info:
+            run(factors, ts)
+        assert str(info.value) == message
+    if theta == 0.3:  # the doubled blocks fix theta at pi/4
+        with pytest.raises(ValueError) as info:
+            run_scheme_double(8, [0.1, phi, -0.3, math.inf], ts)
+        assert str(info.value) == message
+
+
 def test_noon_double_phases_pairing():
     phis = noon_double_phases(4)
     np.testing.assert_allclose(sorted(phis), [math.pi / 4, 3 * math.pi / 4])

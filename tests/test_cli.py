@@ -12,8 +12,9 @@ import pytest
 
 from pathent import cli
 from pathent.blocks import run_scheme
-from pathent.factorize import TargetSpec, factorize_target, noon_factor_angles
-from pathent.fock import FourModeState, _ket_index
+from pathent.factorize import (TargetSpec, factorize_target, noon_factor_angles,
+                               reconstruct, state_of_target)
+from pathent.fock import FourModeState, _ket_index, overlap_fidelity
 from pathent.yields import yield_generic
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -61,13 +62,78 @@ def run_json(capsys, argv):
     ([[], {}], "[\n  [],\n  {}\n]"),
     ({"a": [1, [2]], "b": {"c": []}},
      '{\n  "a": [\n    1,\n    [2]\n  ],\n  "b": {\n    "c": []\n  }\n}'),
+    # Lists of dicts, written from one row template where they share their
+    # keys: every text below is what the rules above give row by row.
+    ([{"x": 1.5, "y": -0.0}, {"x": math.nan, "y": math.inf},
+      {"x": -math.inf, "y": 0.25}],
+     '[\n  {\n    "x": 1.5,\n    "y": -0\n  },\n  {\n    "x": null,\n'
+     '    "y": null\n  },\n  {\n    "x": null,\n    "y": 0.25\n  }\n]'),
+    ([{"z": complex(1, -0.0)}, {"z": complex(math.inf, 1)}],
+     '[\n  {\n    "z": [1, -0]\n  },\n  {\n    "z": [inf, 1]\n  }\n]'),
+    ([{"ok": True, "v": np.float64(0.5), "n": 2 ** 70},
+      {"ok": False, "v": np.int64(-1), "n": 3}],
+     '[\n  {\n    "ok": true,\n    "v": 0.5,\n    "n": 1180591620717411303424'
+     '\n  },\n  {\n    "ok": false,\n    "v": -1,\n    "n": 3\n  }\n]'),
+    ([{"a": 1, "b": 2}, {"b": 3, "a": 4}],
+     '[\n  {\n    "a": 1,\n    "b": 2\n  },\n  {\n    "b": 3,\n    "a": 4\n  }\n]'),
+    ([{"a": 1}, {"a": 2, "b": 3}],
+     '[\n  {\n    "a": 1\n  },\n  {\n    "a": 2,\n    "b": 3\n  }\n]'),
+    ([{"a": 1, "b": 2.5}, {"a": 1.5, "b": None}],
+     '[\n  {\n    "a": 1,\n    "b": 2.5\n  },\n  {\n    "a": 1.5,\n'
+     '    "b": null\n  }\n]'),
+    ([{"a": 1j, "b": "s"}, {"a": 2, "b": "t"}],
+     '[\n  {\n    "a": [0, 1],\n    "b": "s"\n  },\n  {\n    "a": 2,\n'
+     '    "b": "t"\n  }\n]'),
+    ([{"theta": 0.1, "phi": -0.0}],
+     '[\n  {\n    "theta": 0.10000000000000001,\n    "phi": -0\n  }\n]'),
+    ([{"ket": [0, 2], "amp": 0.5j, "sub": [{"k": 1}]},
+      {"ket": [2, 0], "amp": complex(0.5, -0.0), "sub": [{"k": 2}]}],
+     '[\n  {\n    "ket": [0, 2],\n    "amp": [0, 0.5],\n    "sub": [\n'
+     '      {\n        "k": 1\n      }\n    ]\n  },\n  {\n    "ket": [2, 0],\n'
+     '    "amp": [0.5, -0],\n    "sub": [\n      {\n        "k": 2\n      }\n'
+     '    ]\n  }\n]'),
+    ([{"m": [[1, 2]], "e": [], "d": {}}, {"m": [[3, 4]], "e": [], "d": {}}],
+     '[\n  {\n    "m": [\n      [1, 2]\n    ],\n    "e": [],\n    "d": {}\n'
+     '  },\n  {\n    "m": [\n      [3, 4]\n    ],\n    "e": [],\n    "d": {}\n'
+     '  }\n]'),
+    ([{"ket": [0, 2]}, {"ket": [1, 1, 0]}],
+     '[\n  {\n    "ket": [0, 2]\n  },\n  {\n    "ket": [1, 1, 0]\n  }\n]'),
+    ([{"ket": [0, True]}, {"ket": [1, False]}],
+     '[\n  {\n    "ket": [0, true]\n  },\n  {\n    "ket": [1, false]\n  }\n]'),
+    ([{"%d": 1, "b%": 2.0}, {"%d": 3, "b%": 4.0}],
+     '[\n  {\n    "%d": 1,\n    "b%": 2\n  },\n  {\n    "%d": 3,\n'
+     '    "b%": 4\n  }\n]'),
+    ([{}, {}], '[\n  {},\n  {}\n]'),
+    ([[{"a": 1}, {"a": 2}], {"b": [{"c": 1.0}, {"c": 2.0}]}],
+     '[\n  [\n    {\n      "a": 1\n    },\n    {\n      "a": 2\n    }\n  ],\n'
+     '  {\n    "b": [\n      {\n        "c": 1\n      },\n      {\n'
+     '        "c": 2\n      }\n    ]\n  }\n]'),
 ])
 def test_render_pins_its_edge_cases(value, text):
     assert cli._render(value) == text
 
 
+@pytest.mark.parametrize("top", [0x7EF, 0x7FF])
+def test_render_writes_every_float_of_a_row_as_f_does(top):
+    # The row template's %.17g fields against _f, value by value, on
+    # floats drawn from every exponent below 2^(top - 1023): subnormals,
+    # huge values, -0.0.  Below top = 0x7EF no column sum overflows, so the
+    # floats take the template's fields; up to the largest float some do.
+    rng = np.random.default_rng(top)
+    bits = rng.integers(0, top << 52, 600, dtype=np.int64)
+    signs = rng.integers(0, 2, 600, dtype=np.int64) << 63
+    xs = (bits | signs).view(float).tolist() + [-0.0, 5e-324, 0.1]
+    rows = [{"x": x, "z": complex(x, -y)} for x, y in zip(xs, xs[::-1])]
+    want = ",\n".join(
+        f'  {{\n    "x": {cli._f(r["x"])},\n    "z": [{cli._f(r["z"].real)}, '
+        f'{cli._f(r["z"].imag)}]\n  }}' for r in rows)
+    assert cli._render(rows) == "[\n" + want + "\n]"
+    assert cli._render(xs) == "[" + ", ".join(map(cli._f, xs)) + "]"
+
+
 @pytest.mark.parametrize("value", [object(), np.bool_(True),
-                                   [1, np.bool_(False)], {"a": object()}])
+                                   [1, np.bool_(False)], {"a": object()},
+                                   [{"a": 1}, {"a": object()}]])
 def test_render_rejects_what_json_cannot_hold(value):
     with pytest.raises(TypeError, match="cannot serialize"):
         cli._render(value)
@@ -643,3 +709,34 @@ def test_factorize_names_the_underflow_of_every_monomial_coefficient(tmp_path):
     assert proc.returncode == 1 and proc.stdout == b""
     assert proc.stderr == (b"error: every d_k = c_k / sqrt(k! (N - k)!) "
                            b"underflows to 0 at N = 400\n")
+
+
+@pytest.mark.parametrize("n", [300, 330])
+def test_factorize_names_a_leading_coefficient_too_small_to_divide_by(n,
+                                                                      tmp_path):
+    # Seeded random targets whose leading nonzero d_m is so small that
+    # d_k / d_m overflows: one error line that names the cause, with no
+    # numpy warning before it.
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    path = write_target(tmp_path, n, v / np.linalg.norm(v))
+    proc = _run_python("-m", "pathent", "factorize", path)
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert proc.stderr.startswith(b"error: leading monomial coefficient d_")
+    assert b"is too small" in proc.stderr
+    assert proc.stderr.count(b"\n") == 1, proc.stderr
+    assert b"Warning" not in proc.stderr
+
+
+def test_factorize_reports_the_round_trip_of_its_own_product(tmp_path,
+                                                             capsys):
+    # The report reads the product factorize_target built; the fidelity is
+    # that of reconstruct on the printed factor set, to the bit.
+    rng = np.random.default_rng(24)
+    v = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+    path = write_target(tmp_path, 24, v / np.linalg.norm(v))
+    code, report = run_json(capsys, ["factorize", path])
+    target = cli._load_target(path)
+    fs = factorize_target(target)
+    want = overlap_fidelity(reconstruct(fs), state_of_target(target))
+    assert code == 0 and report["round_trip_fidelity"] == want

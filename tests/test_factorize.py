@@ -9,6 +9,7 @@ import pytest
 from pathent.factorize import (
     FactorSet,
     TargetSpec,
+    _monomial_scales,
     _polish_roots,
     _wrap_angle,
     apply_factors,
@@ -30,7 +31,8 @@ from pathent.fock import (
     vacuum,
     zero_state,
 )
-from helpers import assert_angle_multisets_close, random_target
+from helpers import (assert_angle_multisets_close, random_target,
+                     reference_monomial_coeffs)
 
 
 def test_target_spec_normalizes():
@@ -100,6 +102,36 @@ def test_monomial_coeffs_keep_their_bits_within_the_float_range():
             [c / math.sqrt(math.factorial(k) * math.factorial(n - k))
              for k, c in enumerate(target.coeffs)], dtype=complex)
         assert monomial_coeffs(target).tobytes() == want.tobytes()
+
+
+def test_monomial_coeffs_match_the_per_k_loop_bit_for_bit():
+    # The scales cached per N against the loop that computes every k on its
+    # own, at N = 1..400: through the shifted range N >= 171 and past the
+    # N where every d_k of a random target underflows.  Coefficients hold
+    # exact and signed zeros; bytes are compared, so sign bits count.
+    rng = np.random.default_rng(400)
+    shifted_signed_zeros = underflowed = 0
+    for n in range(1, 401):
+        v = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        v[rng.random(n + 1) < 0.2] = 0.0
+        v.real[rng.random(n + 1) < 0.2] = -0.0
+        v.imag[rng.random(n + 1) < 0.2] = -0.0
+        target = TargetSpec(n, v)
+        want = reference_monomial_coeffs(target)
+        if not want.any():
+            underflowed += 1
+            with pytest.raises(ValueError, match="underflows to 0"):
+                monomial_coeffs(target)
+            continue
+        assert monomial_coeffs(target).tobytes() == want.tobytes(), n
+        parts = want.view(float)
+        if n >= 171:
+            shifted_signed_zeros += np.count_nonzero(
+                (parts == 0.0) & np.signbit(parts))
+    assert shifted_signed_zeros > 0 and underflowed > 0
+    assert _monomial_scales.cache_info().maxsize is not None
+    with pytest.raises(ValueError, match="underflows to 0 at N = 400"):
+        monomial_coeffs(noon_target(400))
 
 
 @pytest.mark.parametrize("n", [171, 200, 300])
