@@ -7,10 +7,10 @@ absorption rate as CSV), and ``oracle-check`` (randomized agreement checks
 between independent computation routes).
 
 Conventions shared by all commands:
-  * reports are structured text (JSON), tables are comma-separated, and
-    every float is printed with 17 significant digits so values round-trip
-    exactly;
-  * complex numbers appear as [re, im] pairs;
+  * reports are JSON, tables are comma-separated, and every float is
+    printed with 17 significant digits so values round-trip exactly;
+  * complex numbers appear as [re, im] pairs; in reports a non-finite
+    float, or a non-finite part of a complex number, appears as null;
   * output is byte-deterministic for identical inputs and seeds (no
     timestamps, hostnames, or file paths in any report body);
   * exit codes: 0 success, 1 validation or parse error, 2 numerical
@@ -98,12 +98,13 @@ def _f(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _finite_or_null(x: float) -> str:
+def _number(x: float) -> str:
     # JSON has no NaN or infinity
     return format(x, ".17g") if math.isfinite(x) else "null"
 
 
 _quote = json.encoder.encode_basestring_ascii  # json.dumps of a str
+_CONTAINERS = (dict, list, tuple)
 
 # Leaf writers keyed by exact type; subclasses and numpy scalars take the
 # isinstance chain in ``_leaf``.
@@ -111,8 +112,8 @@ _LEAF_WRITERS = {
     type(None): lambda v: "null",
     bool: lambda v: "true" if v else "false",
     int: str,
-    float: _finite_or_null,
-    complex: lambda v: f"[{_f(v.real)}, {_f(v.imag)}]",
+    float: _number,
+    complex: lambda v: f"[{_number(v.real)}, {_number(v.imag)}]",
     str: _quote,
 }
 
@@ -122,14 +123,14 @@ def _leaf(value) -> str | None:
     writer = _LEAF_WRITERS.get(type(value))
     if writer is not None:
         return writer(value)
-    if isinstance(value, (dict, list, tuple)):
+    if isinstance(value, _CONTAINERS):
         return None
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _finite_or_null(float(value))
+        return _number(float(value))
     if isinstance(value, (complex, np.complexfloating)):
-        return _LEAF_WRITERS[complex](value)
+        return _LEAF_WRITERS[complex](complex(value))
     if isinstance(value, str):
         return _quote(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -140,112 +141,65 @@ def _render(value, indent: str = "") -> str:
 
     A list whose items are all scalars goes on one line; any other list,
     and every non-empty dict, puts one item per line, indented two spaces
-    per level.  Two shortcuts give the same text with one ``%`` pass: a
-    list of dicts that share their keys, in order, is filled into one row
-    template (``_render_rows``), and a list of exact ints, or of finite
-    exact floats or complex numbers, into one field per item
-    (``_scalar_column``).  Everything else takes the rules above, item by
-    item.
+    per level.  A list is written as one ``_fields`` column of its items.
     """
     text = _leaf(value)
-    return text if text is not None else _render_container(value, indent)
-
-
-def _render_container(value, indent: str) -> str:
+    if text is not None:
+        return text
     if not value:
         return "{}" if isinstance(value, dict) else "[]"
     inner = indent + "  "
     if isinstance(value, dict):
-        parts = [f"{inner}{_quote(str(k))}: {_render(v, inner)}"
+        items = [f"{inner}{_quote(str(k))}: {_render(v, inner)}"
                  for k, v in value.items()]
-        return "{\n" + ",\n".join(parts) + "\n" + indent + "}"
-    if type(value[0]) is dict and set(map(type, value)) == {dict}:
-        text = _render_rows(value, inner)
-        if text is not None:
-            return "[\n" + text + "\n" + indent + "]"
-    found = _scalar_column(value)
-    if found is not None:
-        field, parts = found
-        values = tuple(itertools.chain.from_iterable(zip(*parts)))
-        return "[" + ", ".join([field] * len(value)) % values + "]"
-    leaves = [_leaf(v) for v in value]
-    if None not in leaves:
-        return "[" + ", ".join(leaves) + "]"
-    parts = [inner + (text if text is not None
-                      else _render_container(v, inner))
-             for v, text in zip(value, leaves)]
-    return "[\n" + ",\n".join(parts) + "\n" + indent + "]"
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    field, columns = _fields(value, inner)
+    args = tuple(itertools.chain.from_iterable(zip(*columns)))
+    if _scalars(value):
+        return "[" + ", ".join([field] * len(value)) % args + "]"
+    return ("[\n" + inner + (",\n" + inner).join([field] * len(value)) % args
+            + "\n" + indent + "]")
 
 
-def _render_rows(rows, indent: str) -> str | None:
-    """The rows of a list of dicts at ``indent``, as ``_render`` writes them.
+def _scalars(values) -> bool:
+    """Whether none of ``values`` is a dict, list or tuple."""
+    return not any(issubclass(k, _CONTAINERS) for k in set(map(type, values)))
 
-    Every row is filled into one template by one ``%`` pass, with one field
-    per key from ``_column``.  Returns None, for the generic rules, when
-    the rows' keys differ or are empty.
+
+def _fields(values, indent: str) -> tuple[str, list]:
+    """One ``%`` field that writes each of ``values`` as ``_render`` lays it
+    out at ``indent``, and the field's argument columns: ``%d`` for exact
+    ints; ``%.17g`` for exact floats, and a pair of those for exact complex
+    numbers, whose sum is finite; a row template built key by key for dicts
+    that share their keys, in order; a one-line list of position columns
+    for lists of scalars of one length; else ``%s``, filled by ``_render``.
     """
-    keys = tuple(rows[0])
-    if not keys or set(map(tuple, rows)) != {keys}:
-        return None
-    inner = indent + "  "
-    fields, columns = [], []
-    for key in keys:
-        field, parts = _column([row[key] for row in rows], inner)
-        fields.append(field)
-        columns += parts
-    row = _row_template(keys, tuple(fields), indent)
-    values = tuple(itertools.chain.from_iterable(zip(*columns)))
-    return indent + (",\n" + indent).join([row] * len(rows)) % values
-
-
-def _column(values: list, indent: str) -> tuple[str, list[list]]:
-    """A ``%`` field that writes every one of ``values``, and its arguments.
-
-    A column of scalars of one kind takes its field from ``_scalar_column``,
-    and lists of one length whose every position is such a column take a
-    one-line list of those fields.  Any other column (a bool, a numpy
-    scalar, a non-finite float, a nested value, mixed types) gets ``%s``,
-    filled with each value's ``_render``.
-    """
-    found = _scalar_column(values)
-    if found is None and set(map(type, values)) == {list} \
-            and len(set(map(len, values))) == 1:
-        items = [_scalar_column(list(c)) for c in zip(*values)]
-        if None not in items:
-            found = ("[" + ", ".join(field for field, _ in items) + "]",
-                     [part for _, parts in items for part in parts])
-    return found or ("%s", [[_render(v, indent) for v in values]])
-
-
-def _scalar_column(values: list) -> tuple[str, list[list]] | None:
-    """The ``%`` field and arguments that write every one of ``values``.
-
-    Exact ints give ``%d``; finite exact floats ``%.17g``, the format of
-    ``_f``; exact complex numbers a pair of those, as ``_f`` writes their
-    parts whether finite or not.  None for any other column, which the
-    caller writes value by value.
-    """
-    kind = type(values[0])
-    if set(map(type, values)) != {kind}:
-        return None
-    if kind is int:
+    kinds = set(map(type, values))
+    if kinds == {int}:
         return "%d", [values]
     # a sum past the float range only sends finite values the slow way
-    if kind is float and math.isfinite(sum(values)):
+    if kinds == {float} and math.isfinite(sum(values)):
         return "%.17g", [values]
-    if kind is complex:
+    if kinds == {complex} and cmath.isfinite(sum(values)):
         return "[%.17g, %.17g]", [[v.real for v in values],
                                   [v.imag for v in values]]
-    return None
-
-
-@functools.lru_cache(maxsize=64)
-def _row_template(keys: tuple, fields: tuple, indent: str) -> str:
-    """One dict at ``indent`` with its keys quoted and its values as fields."""
-    inner = indent + "  "
-    return "{\n" + ",\n".join(
-        f"{inner}{_quote(str(k)).replace('%', '%%')}: {field}"
-        for k, field in zip(keys, fields)) + "\n" + indent + "}"
+    if all(issubclass(kind, dict) for kind in kinds):
+        keys = tuple(values[0])
+        if keys and set(map(tuple, values)) == {keys}:
+            inner = indent + "  "
+            lines, columns = [], []
+            for key in keys:
+                field, parts = _fields([v[key] for v in values], inner)
+                key = _quote(str(key)).replace("%", "%%")
+                lines.append(f"{inner}{key}: {field}")
+                columns += parts
+            return "{\n" + ",\n".join(lines) + "\n" + indent + "}", columns
+    elif (kinds == {list} and len(set(map(len, values))) == 1
+          and _scalars(itertools.chain.from_iterable(values))):
+        items = [_fields(column, indent) for column in zip(*values)]
+        return ("[" + ", ".join(field for field, _ in items) + "]",
+                [part for _, parts in items for part in parts])
+    return "%s", [[_render(v, indent) for v in values]]
 
 
 def _write_output(text: str, out_path: str | None) -> None:

@@ -1,5 +1,6 @@
 """Shared random-state builders and matchers for the test suite."""
 
+import json
 import math
 from functools import lru_cache
 
@@ -190,3 +191,43 @@ def reference_monomial_coeffs(target):
         x = c / math.sqrt(f >> 2 * e)
         d[k] = complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e))
     return d
+
+
+def _reference_number(x):
+    return format(x, ".17g") if math.isfinite(x) else "null"
+
+
+def reference_render(value, indent=""):
+    """JSON text of a report tree, item by item, with no ``%`` templates.
+
+    The layout ``pathent.cli._render`` keeps: a list whose items are all
+    scalars on one line; any other list, and every non-empty dict, one item
+    per line, two spaces deeper per level.  Floats print with 17
+    significant digits, and a non-finite float or complex part as null.
+    """
+    if isinstance(value, (dict, list, tuple)):
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = [f"{json.dumps(str(k))}: {reference_render(v, inner)}"
+                     for k, v in value.items()]
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+        items = [reference_render(v, inner) for v in value]
+        if not any(isinstance(v, (dict, list, tuple)) for v in value):
+            return "[" + ", ".join(items) + "]"
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _reference_number(float(value))
+    if isinstance(value, (complex, np.complexfloating)):
+        z = complex(value)
+        return f"[{_reference_number(z.real)}, {_reference_number(z.imag)}]"
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")

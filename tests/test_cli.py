@@ -16,6 +16,7 @@ from pathent.factorize import (TargetSpec, factorize_target, noon_factor_angles,
                                reconstruct, state_of_target)
 from pathent.fock import FourModeState, _ket_index, overlap_fidelity
 from pathent.yields import yield_generic
+from helpers import reference_render
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -62,14 +63,15 @@ def run_json(capsys, argv):
     ([[], {}], "[\n  [],\n  {}\n]"),
     ({"a": [1, [2]], "b": {"c": []}},
      '{\n  "a": [\n    1,\n    [2]\n  ],\n  "b": {\n    "c": []\n  }\n}'),
-    # Lists of dicts, written from one row template where they share their
-    # keys: every text below is what the rules above give row by row.
+    # Lists of dicts: where the dicts share their keys, in order, _fields
+    # writes them from one row template with a field per key column; every
+    # text below is what the rules above give row by row.
     ([{"x": 1.5, "y": -0.0}, {"x": math.nan, "y": math.inf},
       {"x": -math.inf, "y": 0.25}],
      '[\n  {\n    "x": 1.5,\n    "y": -0\n  },\n  {\n    "x": null,\n'
      '    "y": null\n  },\n  {\n    "x": null,\n    "y": 0.25\n  }\n]'),
     ([{"z": complex(1, -0.0)}, {"z": complex(math.inf, 1)}],
-     '[\n  {\n    "z": [1, -0]\n  },\n  {\n    "z": [inf, 1]\n  }\n]'),
+     '[\n  {\n    "z": [1, -0]\n  },\n  {\n    "z": [null, 1]\n  }\n]'),
     ([{"ok": True, "v": np.float64(0.5), "n": 2 ** 70},
       {"ok": False, "v": np.int64(-1), "n": 3}],
      '[\n  {\n    "ok": true,\n    "v": 0.5,\n    "n": 1180591620717411303424'
@@ -108,6 +110,10 @@ def run_json(capsys, argv):
      '[\n  [\n    {\n      "a": 1\n    },\n    {\n      "a": 2\n    }\n  ],\n'
      '  {\n    "b": [\n      {\n        "c": 1\n      },\n      {\n'
      '        "c": 2\n      }\n    ]\n  }\n]'),
+    # A non-finite part of a complex number prints null, as a float does.
+    (complex(math.nan, -0.0), "[null, -0]"),
+    ([complex(-0.0, math.nan), complex(math.inf, -0.0), 0.5j],
+     "[[-0, null], [null, -0], [0, 0.5]]"),
 ])
 def test_render_pins_its_edge_cases(value, text):
     assert cli._render(value) == text
@@ -115,10 +121,10 @@ def test_render_pins_its_edge_cases(value, text):
 
 @pytest.mark.parametrize("top", [0x7EF, 0x7FF])
 def test_render_writes_every_float_of_a_row_as_f_does(top):
-    # The row template's %.17g fields against _f, value by value, on
-    # floats drawn from every exponent below 2^(top - 1023): subnormals,
-    # huge values, -0.0.  Below top = 0x7EF no column sum overflows, so the
-    # floats take the template's fields; up to the largest float some do.
+    # The %.17g fields of _fields against _f, value by value, on floats
+    # drawn from every exponent below 2^(top - 1023): subnormals, huge
+    # values, -0.0.  Below top = 0x7EF no column sum overflows, so every
+    # column takes a %.17g field; up to the largest float some take %s.
     rng = np.random.default_rng(top)
     bits = rng.integers(0, top << 52, 600, dtype=np.int64)
     signs = rng.integers(0, 2, 600, dtype=np.int64) << 63
@@ -137,6 +143,130 @@ def test_render_writes_every_float_of_a_row_as_f_does(top):
 def test_render_rejects_what_json_cannot_hold(value):
     with pytest.raises(TypeError, match="cannot serialize"):
         cli._render(value)
+
+
+_TREE_KEYS = ["a", "b", "theta", "%d", "k%s%", "\u03c8\u00e9"]
+_TREE_STRINGS = ["", "%", "%d", "100%s", "%%", "\u00e9", "\u03c8\u2192\u03c6",
+                 'q"\\', "\u2028", "a\nb"]
+_TREE_FLOATS = [-0.0, 0.0, 0.1, 5e-324, 2.2250738585072014e-308 / 3,
+                1.7976931348623157e308, -1e300, 1e-300, math.inf, -math.inf,
+                math.nan]
+_TREE_KINDS = ("int", "float", "complex", "numpy", "bool", "none", "str")
+
+
+def _tree_float(rng):
+    if rng.random() < 0.5:
+        return _TREE_FLOATS[rng.integers(len(_TREE_FLOATS))]
+    if rng.random() < 0.5:  # any exponent, subnormals included
+        return float(np.int64(rng.integers(0, 0x7FF << 52)).view(float))
+    return float(rng.standard_normal())
+
+
+def _tree_scalar(rng, kind):
+    if kind == "int":
+        return [0, -7, 2 ** 70, -(2 ** 63), int(rng.integers(-999, 999))][
+            rng.integers(5)]
+    if kind == "float":
+        return _tree_float(rng)
+    if kind == "complex":
+        return complex(_tree_float(rng), _tree_float(rng))
+    if kind == "numpy":
+        x = float(rng.standard_normal())
+        return [np.float64(_tree_float(rng)), np.float32(x), np.int64(-5),
+                np.uint8(200), np.complex128(complex(x, _tree_float(rng))),
+                np.complex64(complex(x, -0.0))][rng.integers(6)]
+    if kind == "bool":
+        return bool(rng.integers(2))
+    if kind == "none":
+        return None
+    return _TREE_STRINGS[rng.integers(len(_TREE_STRINGS))]
+
+
+def _tree_keys(rng):
+    return [_TREE_KEYS[i] for i in
+            rng.permutation(len(_TREE_KEYS))[:rng.integers(0, 4)]]
+
+
+def _tree_column(rng, n, depth):
+    """n report values of one shape, with now and then one that differs."""
+    mode = rng.integers(5) if depth < 4 else rng.integers(2)
+    if mode == 0:  # scalars of one kind
+        kind = _TREE_KINDS[rng.integers(len(_TREE_KINDS))]
+        return [_tree_scalar(rng, kind) for _ in range(n)]
+    if mode == 1:  # scalars of any kind
+        return [_tree_scalar(rng, _TREE_KINDS[rng.integers(len(_TREE_KINDS))])
+                for _ in range(n)]
+    if mode == 2:  # dicts with shared keys, one of them reordered or not
+        keys = _tree_keys(rng)
+        columns = [_tree_column(rng, n, depth + 1) for _ in keys]
+        rows = [dict(zip(keys, values)) for values in zip(*columns)] \
+            if keys else [{} for _ in range(n)]
+        if n and rng.random() < 0.3:
+            row = rows[rng.integers(n)]
+            items = list(row.items())
+            if rng.random() < 0.5:
+                items = items[::-1]
+            else:
+                items = items[1:] + [("extra", 1)]
+            row.clear()
+            row.update(items)
+        return rows
+    if mode == 3:  # lists of one length, one of them longer or not
+        columns = [_tree_column(rng, n, depth + 1)
+                   for _ in range(rng.integers(0, 4))]
+        lists = [list(values) for values in zip(*columns)] \
+            if columns else [[] for _ in range(n)]
+        if n and rng.random() < 0.3:
+            lists[rng.integers(n)].append(0.5)
+        return lists
+    return [_random_tree(rng, depth + 1) for _ in range(n)]
+
+
+def _random_tree(rng, depth=0):
+    if depth >= 4 or rng.random() < 0.2:
+        return _tree_scalar(rng, _TREE_KINDS[rng.integers(len(_TREE_KINDS))])
+    if rng.random() < 0.3:
+        return {k: _random_tree(rng, depth + 1) for k in _tree_keys(rng)}
+    return _tree_column(rng, int(rng.integers(0, 6)), depth + 1)
+
+
+def _plain(value):
+    """``value`` as json.loads gives it back; ValueError for a non-finite
+    number, which JSON cannot hold."""
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, (complex, np.complexfloating)):
+        return [_plain(value.real), _plain(value.imag)]
+    if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"{value} is not finite")
+        return float(value)
+    return int(value) if isinstance(value, np.integer) else value
+
+
+def _reject(constant):
+    raise AssertionError(f"{constant} is not JSON")
+
+
+def test_render_matches_the_item_by_item_reference_on_random_trees():
+    # Random report trees, nested up to depth 4, written by the column
+    # writer and by the item-by-item rules; trees of finite numbers must
+    # also come back from a strict json.loads.
+    rng = np.random.default_rng(2022)
+    finite = 0
+    for _ in range(2000):
+        tree = _random_tree(rng)
+        text = cli._render(tree)
+        assert text == reference_render(tree)
+        try:
+            want = _plain(tree)
+        except ValueError:
+            continue
+        finite += 1
+        assert json.loads(text, parse_constant=_reject) == want
+    assert finite > 500
 
 
 def test_factorize_noon4(tmp_path, capsys):
