@@ -417,7 +417,9 @@ def run_scheme_double(n_photons: int, phis=None,
     return _run_chain(ts, _double_table(phis))
 
 
-@lru_cache(maxsize=None)
+# A few entries: one channel reads one cutoff, and at c = 64 an entry alone
+# is 17 MB.
+@lru_cache(maxsize=4)
 def _transfer_index(c: int) -> np.ndarray:
     """Flat positions in v of the two factors of every transfer entry.
 
@@ -464,7 +466,7 @@ def _channel_block(r: np.ndarray, v: np.ndarray,
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _scatter_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat positions of rho's in-sector entries in mat and in r, by offset.
 

@@ -519,6 +519,25 @@ def _random_eigenstate(rng: np.random.Generator, total: int) -> TwoModeState:
     return _sector_state(v / np.linalg.norm(v))
 
 
+def _worst(worst: tuple | None, dev: np.ndarray, *where) -> tuple:
+    """(deviation, *where, ket index) of the larger of ``worst`` and dev's
+    largest entry; the first NaN outranks every number and then stays."""
+    i = int(np.argmax(dev))  # the first NaN, if there is one
+    if worst is None or (not dev[i] <= worst[0] and not math.isnan(worst[0])):
+        return (float(dev[i]), *where, i)
+    return worst
+
+
+def _oracle_section(name: str, trials: int, max_dev: float,
+                    worst: dict) -> dict:
+    """One oracle-check section; ``worst`` locates a failing one's deviation."""
+    section = {"name": name, "trials": trials, "max_deviation": max_dev,
+               "pass": max_dev <= _ORACLE_TOL}
+    if not section["pass"]:
+        section["worst"] = worst
+    return section
+
+
 def _cmd_oracle_check(args) -> int:
     if args.trials < 1:
         raise InputError("--trials must be >= 1")
@@ -528,23 +547,23 @@ def _cmd_oracle_check(args) -> int:
         raise InputError(f"--perturb must be finite, got {args.perturb}")
     rng = np.random.default_rng(args.seed)
 
-    # (deviation, trial, kappa, ket index) of the largest deviation; the
-    # first NaN outranks every number and then stays, failing the section
-    worst = None
+    pair_worst = None
     for trial in range(args.trials):
         state = _random_four_mode_state(rng, args.cutoff)
         for kappa in _ORACLE_KAPPAS:
             fast = beam_splitter_pair_exact(state, kappa + args.perturb)
             slow = beam_splitter_pair_oracle(state, kappa)
-            dev = np.abs(fast.amps - slow.amps)
-            i = int(np.argmax(dev))  # the first NaN, if there is one
-            if worst is None or (not dev[i] <= worst[0]
-                                 and not math.isnan(worst[0])):
-                worst = (float(dev[i]), trial, kappa, i)
-    bs_max, trial, kappa, i = worst
+            pair_worst = _worst(pair_worst, np.abs(fast.amps - slow.amps),
+                                trial, kappa)
+    bs_max, trial, kappa, i = pair_worst
+    pair_section = _oracle_section(
+        "beam_splitter_pair_vs_matrix_exponential",
+        args.trials * len(_ORACLE_KAPPAS), bs_max,
+        {"trial": trial, "kappa": kappa,
+         "ket": [int(n[i]) for n in _basis(4, args.cutoff)[0]]})
 
-    block_max = 0.0
-    for _ in range(args.trials):
+    block_worst = None
+    for trial in range(args.trials):
         k = int(rng.integers(1, 7))
         theta = rng.uniform(0.0, math.pi / 2.0)
         phi = rng.uniform(-math.pi, math.pi)
@@ -554,30 +573,16 @@ def _cmd_oracle_check(args) -> int:
         expected = amplitude_factor_single(k, t) * apply_linear_factor(
             with_cutoff(state, k), theta, phi
         )
-        block_max = float(np.maximum(
-            block_max, np.abs(outcome.state.amps - expected.amps).max()))
+        block_worst = _worst(block_worst,
+                             np.abs(outcome.state.amps - expected.amps),
+                             trial, k, t)
+    block_max, trial, k, t, i = block_worst
+    block_section = _oracle_section(
+        "block_vs_closed_form_amplitude", args.trials, block_max,
+        {"trial": trial, "k": k, "transmittance": float(t),
+         "ket": [int(n[i]) for n in _basis(2, k)[0]]})
 
-    pair_section = {
-        "name": "beam_splitter_pair_vs_matrix_exponential",
-        "trials": args.trials * len(_ORACLE_KAPPAS),
-        "max_deviation": bs_max,
-        "pass": bs_max <= _ORACLE_TOL,
-    }
-    if not pair_section["pass"]:
-        pair_section["worst"] = {
-            "trial": trial,
-            "kappa": kappa,
-            "ket": [int(n[i]) for n in _basis(4, args.cutoff)[0]],
-        }
-    sections = [
-        pair_section,
-        {
-            "name": "block_vs_closed_form_amplitude",
-            "trials": args.trials,
-            "max_deviation": block_max,
-            "pass": block_max <= _ORACLE_TOL,
-        },
-    ]
+    sections = [pair_section, block_section]
     all_pass = all(section["pass"] for section in sections)
     report = {
         "command": "oracle-check",

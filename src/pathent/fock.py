@@ -13,19 +13,23 @@ number, a tensor product at the sum of its factors' cutoffs, and only
 ``with_cutoff`` re-embeds, by padding or truncating.  Every ladder product,
 a creation or annihilation operator or the absorber a + b, is an occupation
 shift: one cached gather/scatter map, ``_shift_map``, applied by ``_shift``.
-The public splitters run on one core, the two-mode ``_mix``, which applies
-U's block on each photon-number sector, built by ``_sector_blocks``, to a
-stack of states, one per column.  The heralded blocks do not call it;
-``blocks`` reads their few entries of U, and their ancillas, from closed
-forms.  The four-mode pair of splitters on (a, c) and (b, d) is U (x) U:
-``beam_splitter_pair_exact`` lays the amplitudes out as a matrix
-X[(n_a, n_c), (n_b, n_d)] over the two-mode simplex and returns U X U^T;
-``_split_cd`` maps them to ancilla outcomes (n_c, n_d) and signal kets.
+The public splitters share one core, ``_sector_blocks``, which builds the
+two-mode splitter U's block on each photon-number sector.  ``_mix`` applies
+the blocks to a stack of states, one per column.  The heralded blocks do
+not call either; ``blocks`` reads their few entries of U, and their
+ancillas, from closed forms.  The four-mode pair of splitters on (a, c)
+and (b, d) is U (x) U: ``beam_splitter_pair_exact`` lays the amplitudes
+out as a matrix X[(n_a, n_c), (n_b, n_d)] over the two-mode simplex, puts
+the blocks on the diagonal of a real U and returns U X U^T, two real
+products on the complex arrays' float views; ``_split_cd`` maps the
+amplitudes to ancilla outcomes (n_c, n_d) and signal kets.
 The dense-exponential oracle shares only ``_basis`` with that core.  Its
 generator G conserves n_a + n_c and n_b + n_d, so the oracle builds it,
-with its own hop loop, as one dense complex block per conserved pair, and
-exponentiates each block alone from the eigendecomposition of the
-Hermitian iG, made once per cutoff.  No runtime code imports scipy.
+with its own hop loop, as one dense complex block per conserved pair.
+Each block is exponentiated from the eigendecomposition of the Hermitian
+iG, made once per cutoff: one ``np.exp`` gives the phases of every block,
+and the blocks of one size are applied as one stacked product.  No runtime
+code imports scipy.
 
 Beam-splitter convention: a mixing angle ``kappa`` generates
 ``exp(kappa (x† y - x y†))`` on the mode pair (x, y), whose single-photon
@@ -476,26 +480,42 @@ def beam_splitter_pair_exact(s: FourModeState, kappa: float) -> FourModeState:
     """Identical beam splitters on (a, c) and (b, d): U X U^T.
 
     The pair is U (x) U, with U the two-mode splitter as a matrix over the
-    two-mode simplex; X[(n_a, n_c), (n_b, n_d)] holds the amplitudes.  U
-    conserves photon number, so X keeps its p + q <= cutoff support.
+    two-mode simplex; X[(n_a, n_c), (n_b, n_d)] holds the amplitudes.  U is
+    block-diagonal in photon number: sector n's block is ``_sector_blocks``'
+    q reversed on both axes, as ``_mix`` applies it.  U is real, so U X U^T
+    is two real products on complex float views, U X and then U (U X)^T,
+    read back transposed.  U conserves photon number, so X keeps its
+    p + q <= cutoff support.
     """
-    (na, nb, nc, nd), _ = _basis(4, s.cutoff)
-    table = _basis(2, s.cutoff)[1]
-    rows, cols = table[na, nc], table[nb, nd]
+    if not math.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa}")
+    rows, cols = _pair_layout(s.cutoff)
     d = dim2(s.cutoff)
+    u = np.zeros((d, d))
+    for n, q in enumerate(_sector_blocks(s.cutoff, kappa)):
+        u[_sector(n), _sector(n)] = q[::-1, ::-1]
     x = np.zeros((d, d), dtype=complex)
     x[rows, cols] = s.amps
-    u = _mix(np.eye(d), s.cutoff, kappa)
-    return FourModeState(s.cutoff, (u @ x @ u.T)[rows, cols])
+    ux_t = (u @ x.view(float)).view(complex).T.copy()
+    return FourModeState(s.cutoff,
+                         (u @ ux_t.view(float)).view(complex)[cols, rows])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
+def _pair_layout(cutoff: int) -> tuple:
+    """(rows, cols) of each four-mode ket in X[(n_a, n_c), (n_b, n_d)]."""
+    (na, nb, nc, nd), _ = _basis(4, cutoff)
+    table = _basis(2, cutoff)[1]
+    return table[na, nc], table[nb, nd]
+
+
 def _pair_blocks(cutoff: int) -> tuple:
     """Dense blocks of a†c - ac† + b†d - bd† over the four-mode basis.
 
     The generator conserves n_a + n_c = p and n_b + n_d = q, so it is
     block-diagonal: one (basis indices, complex generator) pair per (p, q)
-    with p + q <= cutoff, each of (p + 1)(q + 1) kets.
+    with p + q <= cutoff, each of (p + 1)(q + 1) kets.  Not cached: the
+    oracle keeps only their eigenpairs, ``_pair_unitary``.
     """
     occ, table = _basis(4, cutoff)
     p_all, q_all = occ[0] + occ[2], occ[1] + occ[3]
@@ -524,23 +544,48 @@ def _pair_blocks(cutoff: int) -> tuple:
 # perfbench/tracing.py reads this cache's counters through its name.
 @lru_cache(maxsize=None)
 def _pair_unitary(cutoff: int) -> tuple:
-    """Eigenpairs (lam, vec) of iG, each block G of ``_pair_blocks(cutoff)``.
+    """Eigenpairs of iG, each block G of ``_pair_blocks(cutoff)``, by size.
 
     G is real antisymmetric, so iG is Hermitian and
     exp(kappa G) = vec diag(exp(-i kappa lam)) vec^dagger at any angle.
+    Blocks of one size are stacked.  Returns (kets, lam, groups): ``kets``
+    lists the basis indices of every block, stack by stack, ``lam`` their
+    eigenvalues in the same order, and ``groups`` one (slice, vec,
+    vec^dagger) per stack, the slice covering its stretch of both.
     """
-    return tuple(np.linalg.eigh(1j * gen) for _, gen in _pair_blocks(cutoff))
+    sizes = {}
+    for idx, gen in _pair_blocks(cutoff):
+        sizes.setdefault(idx.size, []).append((idx, *np.linalg.eigh(1j * gen)))
+    kets, lams, groups, start = [], [], [], 0
+    for group in sizes.values():
+        idx, lam, vec = (np.stack(part) for part in zip(*group))
+        kets.append(idx.ravel())
+        lams.append(lam.ravel())
+        groups.append((slice(start, start + lam.size), vec,
+                       vec.conj().swapaxes(-1, -2)))
+        start += lam.size
+    return np.concatenate(kets), np.concatenate(lams), tuple(groups)
 
 
 def beam_splitter_pair_oracle(s: FourModeState, kappa: float) -> FourModeState:
-    """Brute-force route: dense exponential of each generator block."""
+    """Brute-force route: dense exponential of each generator block.
+
+    The amplitudes are gathered stack by stack in one pass, e^{-i kappa lam}
+    of every block comes from one ``np.exp``, and each stack of equal-sized
+    blocks is two stacked matrix-vector products.
+    """
     if not math.isfinite(kappa):
         raise ValueError(f"kappa must be finite, got {kappa}")
-    out = np.zeros_like(s.amps)
-    for (idx, _), (lam, vec) in zip(_pair_blocks(s.cutoff),
-                                    _pair_unitary(s.cutoff)):
-        out[idx] = vec @ (np.exp(-1j * kappa * lam)
-                          * (vec.conj().T @ s.amps[idx]))
+    kets, lam, groups = _pair_unitary(s.cutoff)
+    x = s.amps[kets]
+    y = np.exp(-1j * kappa * lam)
+    for part, vec, vec_h in groups:
+        shape = vec.shape[:2] + (1,)
+        z = y[part].reshape(shape)  # a view: the products land in y
+        z *= vec_h @ x[part].reshape(shape)
+        y[part] = (vec @ z).ravel()
+    out = np.empty_like(s.amps)
+    out[kets] = y
     return FourModeState(s.cutoff, out)
 
 

@@ -19,6 +19,9 @@ from pathent.cli import _random_eigenstate as random_eigenstate
 from pathent.cli import _random_four_mode_state as random_four_mode_state
 from pathent.fock import (
     TwoModeState,
+    _basis,
+    _mix,
+    _pair_blocks,
     _sector,
     _sector_state,
     dim2,
@@ -49,6 +52,40 @@ def sector_eigh(m):
     gen[l, l + 1] = hop
     gen[l + 1, l] = -hop
     return np.linalg.eigh(1j * gen)
+
+
+def reference_pair_exact(s, kappa):
+    """The pair splitter U X U^T with U built densely by ``_mix``.
+
+    U is ``_mix`` applied to the identity, X[(n_a, n_c), (n_b, n_d)] holds
+    the amplitudes, and both products are complex: a reference that shares
+    neither the assembly of U nor the real products with
+    ``beam_splitter_pair_exact``.
+    """
+    (na, nb, nc, nd), _ = _basis(4, s.cutoff)
+    table = _basis(2, s.cutoff)[1]
+    rows, cols = table[na, nc], table[nb, nd]
+    d = dim2(s.cutoff)
+    x = np.zeros((d, d), dtype=complex)
+    x[rows, cols] = s.amps
+    u = _mix(np.eye(d), s.cutoff, kappa)
+    return (u @ x @ u.T)[rows, cols]
+
+
+@lru_cache(maxsize=None)
+def _pair_eigh(cutoff):
+    return tuple((idx, *np.linalg.eigh(1j * gen))
+                 for idx, gen in _pair_blocks(cutoff))
+
+
+def reference_pair_oracle(s, kappa):
+    """The dense-exponential oracle block by block, one np.exp per block,
+    with no stacking of equal-sized blocks."""
+    out = np.zeros_like(s.amps)
+    for idx, lam, vec in _pair_eigh(s.cutoff):
+        out[idx] = vec @ (np.exp(-1j * kappa * lam)
+                          * (vec.conj().T @ s.amps[idx]))
+    return out
 
 
 def random_two_mode_state(rng, cutoff):

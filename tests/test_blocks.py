@@ -14,7 +14,9 @@ from pathent.blocks import (
     _channel_block,
     _double_coeffs,
     _single_coeffs,
+    _scatter_index,
     _splitter_entries,
+    _transfer_index,
     _weight_index,
     amplitude_factor_double,
     amplitude_factor_single,
@@ -701,6 +703,23 @@ def test_chain_builds_one_table_and_no_simplex(monkeypatch):
     calls.update(entries=0)
     run_scheme_unconditional(noon_factor_angles(6)).validate()
     assert calls["entries"] == 1
+
+
+def test_channel_index_caches_stay_bounded():
+    # Channels at twelve photon numbers fill each N-keyed index cache to its
+    # fixed size and no further.  Each N is built once; a channel's blocks,
+    # and repeated channels at one N, read it from the cache.
+    for cache in (_transfer_index, _scatter_index):
+        cache.cache_clear()
+    for n in range(1, 13):
+        run_scheme_unconditional(noon_factor_angles(n))
+    for cache in (_transfer_index, _scatter_index):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.maxsize <= 8
+        assert info.currsize == info.maxsize and info.misses == 12
+    for _ in range(3):
+        run_scheme_unconditional(noon_factor_angles(9))
+    assert _transfer_index.cache_info().misses <= 13
 
 
 def test_chain_memory_at_the_simulate_cap():

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from pathent import cli
-from pathent.blocks import run_scheme
+from pathent.blocks import BlockOutcome, run_scheme
 from pathent.factorize import (TargetSpec, factorize_target, noon_factor_angles,
                                reconstruct, state_of_target)
-from pathent.fock import FourModeState, _ket_index, overlap_fidelity
+from pathent.fock import (FourModeState, TwoModeState, _ket_index,
+                          overlap_fidelity)
 from pathent.yields import yield_generic
 from helpers import reference_render
 
@@ -319,6 +320,57 @@ def test_malformed_target_files(tmp_path, capsys, payload, needle):
     err = capsys.readouterr().err
     assert code == 1
     assert needle in err
+
+
+# JSON tokens a pair may hold.  Finite: signed zeros, subnormal and huge
+# floats, and ints past 2^53, 2^70 and 2^1023, the last one just below the
+# float range's rounding boundary.  Rejected: tokens json.loads reads as inf
+# or NaN, ints that round past the float range (the first one rounds half
+# to even onto 2^1024), and every non-number.
+_FINITE_TOKENS = ["0", "-0", "1", "-7", "3.5", "-0.0", "0.1", "1e-320",
+                  "-2.5e-310", "1.7976931348623157e308", str(2 ** 53 + 1),
+                  str(2 ** 70 + 1), str(2 ** 1023),
+                  str(-(2 ** 1024 - 2 ** 970 - 1))]
+_BAD_TOKENS = ["1e309", "-1e400", "NaN", "Infinity", "-Infinity",
+               str(2 ** 1024 - 2 ** 970), str(2 ** 1024 - 1), str(2 ** 1024),
+               str(-(2 ** 1024)), str(3 ** 700), "true", "false", "null",
+               '"1"', '"x%"', "[]", "{}", "[1, 2]", '{"re": 1}']
+
+
+def _coeffs_text(rng):
+    """A JSON list of 2..5 entries, mostly [re, im] pairs of finite numbers."""
+    def token():
+        return str(rng.choice(_FINITE_TOKENS if rng.random() < 0.96
+                              else _BAD_TOKENS))
+
+    def entry():
+        if rng.random() < 0.03:
+            return token()
+        size = 2 if rng.random() < 0.93 else int(rng.choice([0, 1, 3]))
+        return "[" + ", ".join(token() for _ in range(size)) + "]"
+
+    return "[" + ", ".join(entry() for _ in range(rng.integers(2, 6))) + "]"
+
+
+def test_target_pair_parsers_agree():
+    # _load_target reads the coefficients with _parse_pairs and, when that
+    # returns None, with _check_pairs.  On every input the two agree: the
+    # fast path's values are _check_pairs' bit for bit, or both reject it.
+    rng = np.random.default_rng(2024)
+    outcomes = {"parsed": 0, "rejected": 0}
+    for _ in range(3000):
+        text = _coeffs_text(rng)
+        raw = json.loads(text)
+        vec = cli._parse_pairs(raw)
+        if vec is None:
+            with pytest.raises(cli.InputError):
+                cli._check_pairs(raw)
+            outcomes["rejected"] += 1
+        else:
+            checked = np.array(cli._check_pairs(raw), dtype=complex)
+            assert checked.tobytes() == vec.tobytes(), text
+            outcomes["parsed"] += 1
+    assert min(outcomes.values()) > 500, outcomes
 
 
 def test_missing_target_file(tmp_path, capsys):
@@ -720,6 +772,66 @@ def test_oracle_check_fails_a_nan_deviation(monkeypatch, capsys):
     assert bs["worst"] == {"trial": 0, "kappa": report["kappas"][0],
                            "ket": [0, 0, 0, 0]}
     assert block["pass"] is True
+
+
+def _spiked_blocks(monkeypatch, spike):
+    """Route oracle-check's blocks through ``spike(trial, k, amps)``, which
+    may change the amplitudes in place; returns the (k, transmittance) of
+    every call."""
+    calls, run_block = [], cli.run_block_single
+
+    def spiked(state, params):
+        outcome = run_block(state, params)
+        amps = outcome.state.amps.copy()
+        k = state.cutoff + 1
+        spike(len(calls), k, amps)
+        calls.append((k, params.transmittance))
+        return BlockOutcome(TwoModeState(k, amps), outcome.probability)
+
+    monkeypatch.setattr(cli, "run_block_single", spiked)
+    return calls
+
+
+def test_oracle_check_locates_the_largest_block_deviation(monkeypatch, capsys):
+    # The block is exact except on two trials; the larger error is located.
+    def spike(trial, k, amps):
+        size = {2: 1e-6, 4: 1e-7}.get(trial)
+        if size:
+            amps[_ket_index(2, k, (1, k - 1))] += size
+
+    calls = _spiked_blocks(monkeypatch, spike)
+    code, report = run_json(
+        capsys, ["oracle-check", "--trials", "6", "--cutoff", "3"])
+    assert code == 2 and report["status"] == "fail"
+    bs, block = report["sections"]
+    assert bs["pass"] is True and "worst" not in bs
+    assert block["pass"] is False and 9e-7 < block["max_deviation"] < 2e-6
+    k, t = calls[2]
+    assert block["worst"] == {"trial": 2, "k": k, "transmittance": t,
+                              "ket": [1, k - 1]}
+
+
+def test_oracle_check_fails_a_nan_block_deviation(monkeypatch, capsys):
+    def spike(trial, k, amps):
+        if trial in (1, 3):
+            amps[:] = np.nan
+
+    calls = _spiked_blocks(monkeypatch, spike)
+    code = cli.main(["oracle-check", "--trials", "5", "--cutoff", "3"])
+    out = capsys.readouterr().out
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    report = json.loads(out, parse_constant=reject)
+    assert code == 2 and report["status"] == "fail"
+    bs, block = report["sections"]
+    assert bs["pass"] is True
+    assert block["pass"] is False and block["max_deviation"] is None
+    # the first NaN is the one located
+    k, t = calls[1]
+    assert block["worst"] == {"trial": 1, "k": k, "transmittance": t,
+                              "ket": [0, 0]}
 
 
 def test_oracle_check_deterministic(capsys):

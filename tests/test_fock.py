@@ -49,6 +49,8 @@ from helpers import (
     random_four_mode_state,
     random_target,
     random_two_mode_state,
+    reference_pair_exact,
+    reference_pair_oracle,
     sector_eigh,
 )
 
@@ -359,6 +361,23 @@ def test_pair_splitter_routes_agree(kappa):
     stacked = _mix(np.stack([t.amps for t in states], axis=1), 6, kappa)
     for i, t in enumerate(states):
         assert np.array_equal(stacked[:, i], beam_splitter(t, kappa).amps)
+
+
+@pytest.mark.parametrize("kappa", [
+    0.0, 1e-9, 0.1, 0.7, 1.3, math.pi / 2 - math.ulp(math.pi / 2),
+    math.pi / 2, -0.7, 0.7 + 4 * math.pi])
+def test_pair_routes_match_their_dense_copies_bit_for_bit(kappa):
+    # The pair splitter from its sector blocks with real products, and the
+    # oracle with one exponential and stacked blocks, reproduce the routes
+    # that built U densely and exponentiated block by block.
+    rng = np.random.default_rng(23)
+    for cutoff in range(1, 11):
+        for _ in range(2):
+            s = random_four_mode_state(rng, cutoff)
+            assert np.array_equal(beam_splitter_pair_exact(s, kappa).amps,
+                                  reference_pair_exact(s, kappa)), cutoff
+            assert np.array_equal(beam_splitter_pair_oracle(s, kappa).amps,
+                                  reference_pair_oracle(s, kappa)), cutoff
 
 
 @pytest.mark.parametrize("kappa", MIX_KAPPAS)
