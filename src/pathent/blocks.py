@@ -439,7 +439,7 @@ def _transfer_index(c: int) -> np.ndarray:
 
 def _channel_block(r: np.ndarray, v: np.ndarray,
                    w: np.ndarray) -> np.ndarray:
-    """One unconditioned block on rho stored by offset; returns the same.
+    """One unconditioned block on rho stored by offset; returns it swapped.
 
     ``r[d + k, s, t] = <s, t| rho |s - d, t + d>`` for a rho of at most k
     photons, block-diagonal in photon number; ``v`` is the block's flat
@@ -447,51 +447,62 @@ def _channel_block(r: np.ndarray, v: np.ndarray,
     ``_transfer_index(c)`` points at, and ``w[j, j'] = anc[j] anc[j']*``
     for the ancilla kets |j, 1 - j>.  With modes c and d traced out,
     U (x) U on (a, c) and (b, d) is sum_{j, j'} w[j, j'] A_jj' (x) B_jj',
-    which takes offset d to d + j - j'.  On offset d, A_jj' is a[j, j', d]
-    and B_jj' is A_jj' with j -> 1 - j: a reversed along (j, j', d).
+    which takes input offset d to d + j - j' alone.  On offset d, A_jj' is
+    a[j, j', d] and B_jj' is A_jj' with j -> 1 - j: a reversed along
+    (j, j', d).  The second product, B (A r)^T, writes each term straight
+    to its output offset through a view with shifted strides over one
+    zeroed buffer, and one product with the four weights sums the terms.
+    That leaves the result in (t, s) order: it is returned as
+    ``out[d + k + 1, t, s] = <s, t| rho' |s - d, t + d>``, which read with
+    its offset axis reversed is rho' of the mode-swapped signal, whose
+    ancilla kets are reversed, w[::-1, ::-1].
     """
     k, c = r.shape[1] - 1, math.isqrt(v.size // 2) - 1
     index = _transfer_index(c)[:, :, :, c - k:c + k + 1, :k + 2, :k + 1]
     a = np.multiply(*v.take(index))
-    # A r B^T as (B (A r)^T)^T: each product is a real matmul, a real
-    # table on the left of a complex array's float view
+    # each product is a real matmul, a real table on the left of a complex
+    # array's float view
     ar = (a @ r.view(float)).view(complex).swapaxes(-1, -2).copy()
-    t = (a[::-1, ::-1, ::-1] @ ar.view(float)).view(complex)
-    t *= w[:, :, None, None, None]
-    out = np.zeros((2 * k + 3, k + 2, k + 2), dtype=complex)
-    out_t = out.swapaxes(-1, -2)
-    out_t[1:-1] = t[0, 0] + t[1, 1]
-    out_t[2:] += t[1, 0]
-    out_t[:-2] += t[0, 1]
-    return out
+    buf = np.zeros((2, 2, 2 * k + 3, k + 2, 2 * (k + 2)))
+    sj, sjp, sd = buf.strides[:3]
+    terms = np.ndarray((2, 2, 2 * k + 1) + buf.shape[3:], float, buf, sd,
+                       (sj + sd, sjp - sd) + buf.strides[2:])
+    np.matmul(a[::-1, ::-1, ::-1], ar.view(float), out=terms)
+    del a, ar  # freed before the weighted sum: it sets the channel's peak
+    out = w.reshape(4) @ buf.view(complex).reshape(4, -1)
+    return out.reshape(2 * k + 3, k + 2, k + 2)
 
 
 @lru_cache(maxsize=4)
-def _scatter_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions of rho's in-sector entries in mat and in r, by offset.
+def _sector_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of rho's sector blocks in the stack and in ``out``.
 
-    Sector m is the square mat[_sector(m), _sector(m)], whose entry [i, j],
-    <i, m - i| rho |j, m - j>, is r[i - j + n, i, m - i].
+    ``out`` is the last of the n blocks' ``_channel_block`` outputs.  The
+    block on sector m has entry [i, j] = <i, m - i| rho |j, m - j>.  rho
+    by offset is ``out[::-1]`` after an even number of blocks and
+    ``out.swapaxes(1, 2)``, the modes swapped back, after an odd number.
     """
     tri = np.tri(n + 1, dtype=bool)  # [m, i]: i <= m
     m, i, j = np.nonzero(tri[:, :, None] & tri[:, None])
-    start = np.array([_sector(k).start for k in range(n + 1)])[m]
-    return ((start + i) * dim2(n) + start + j,
-            ((i - j + n) * (n + 1) + i) * (n + 1) + m - i)
+    d, s, t = (i - j + n, m - i, i) if n % 2 else (j - i + n, i, m - i)
+    return (m * (n + 1) + i) * (n + 1) + j, (d * (n + 1) + s) * (n + 1) + t
 
 
 def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:
     """Run the chained scheme keeping every ancilla outcome.
 
-    Returns the mixed signal state after all blocks: the heralded
-    generation branch sits in the top photon-number sector with weight
-    equal to the scheme yield, and all failed branches hold fewer photons.
+    Returns the mixed signal state after all blocks, in the sector form
+    ``TwoModeDensity.from_sectors``: the heralded generation branch sits
+    in the top photon-number sector with weight equal to the scheme yield,
+    all failed branches hold fewer photons, and no sectors are coherent.
 
-    From vacuum, rho is block-diagonal in photon number; it is kept by
-    offset, as ``_channel_block`` takes it, and scattered into the two-mode
-    basis at the end through ``_scatter_index``.  Every block reads its
-    splitter entries from one padded table at cutoff N: entries with
-    o + n <= k + 1 do not depend on it.
+    rho is kept by offset, as ``_channel_block`` takes it.  Each block
+    returns the mode-swapped state, so every other block reads its input
+    with the offset axis reversed and its ancilla kets reversed, and the
+    sector blocks are gathered from the last output through
+    ``_sector_index``, which swaps the modes back when N is odd.  Every
+    block reads its splitter entries from one padded table at cutoff N:
+    entries with o + n <= k + 1 do not depend on it.
     """
     angles, ts = _single_blocks(factors, transmittances)
     n = len(angles)
@@ -499,11 +510,12 @@ def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:
     table = np.zeros((n, v.size // n + 1))
     table[:, :-1] = v.swapaxes(0, 1).reshape(n, -1)
     anc = _single_table(angles)
+    anc[1::2] = anc[1::2, ::-1]
     w = anc[:, :, None] * anc[:, None].conj()
     r = np.ones((1, 1, 1), dtype=complex)
     for k in range(n):
-        r = _channel_block(r, table[k], w[k])
-    dst, src = _scatter_index(n)
-    mat = np.zeros((dim2(n),) * 2, dtype=complex)
-    mat.ravel()[dst] = r.ravel()[src]
-    return TwoModeDensity(n, mat)
+        r = _channel_block(r[::-1], table[k], w[k])
+    dst, src = _sector_index(n)
+    blocks = np.zeros((n + 1,) * 3, dtype=complex)
+    blocks.ravel()[dst] = r.ravel()[src]
+    return TwoModeDensity.from_sectors(blocks)

@@ -22,7 +22,9 @@ and (b, d) is U (x) U: ``beam_splitter_pair_exact`` lays the amplitudes
 out as a matrix X[(n_a, n_c), (n_b, n_d)] over the two-mode simplex, puts
 the blocks on the diagonal of a real U and returns U X U^T, two real
 products on the complex arrays' float views; ``_split_cd`` maps the
-amplitudes to ancilla outcomes (n_c, n_d) and signal kets.
+amplitudes to ancilla outcomes (n_c, n_d) and signal kets.  A density
+matrix is held dense or, with no coherence between photon-number sectors,
+as the stack of its sector blocks.
 The dense-exponential oracle shares only ``_basis`` with that core.  Its
 generator G conserves n_a + n_c and n_b + n_d, so the oracle builds it,
 with its own hop loop, as one dense complex block per conserved pair.
@@ -222,64 +224,125 @@ class FourModeState(_FockState):
     _modes = 4
 
 
-@dataclass(frozen=True, eq=False)
+@lru_cache(maxsize=8)
+def _in_block(n: int) -> np.ndarray:
+    """[m, i]: whether i <= m, i.e. [m, i, i] of a sector-block stack is in
+    block m, at cutoff n."""
+    tri = np.tri(n + 1, dtype=bool)
+    tri.setflags(write=False)  # shared by every caller of the cache
+    return tri
+
+
 class TwoModeDensity:
-    """Density matrix over the two-mode Fock basis."""
+    """Density matrix over the two-mode Fock basis, in one of two forms.
 
-    cutoff: int
-    mat: np.ndarray
+    ``TwoModeDensity(cutoff, mat)`` holds the dense dim2 x dim2 matrix and
+    takes any rho.  ``from_sectors(blocks)`` holds a rho with no coherence
+    between photon-number sectors by its sector blocks alone: the
+    (cutoff + 1)^3 stack ``blocks`` has the block on sector m,
+    <i, m - i| rho |j, m - j>, in its corner ``blocks[m, :m + 1, :m + 1]``
+    and zeros outside those corners.  ``blocks`` is None in the dense
+    form.  ``trace``, ``block``, ``sector_weight`` and ``validate`` read
+    the form held; ``mat`` and ``sector`` build a dense matrix from the
+    blocks on each call.
+    """
 
-    def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=complex)
-        d = dim2(self.cutoff)
+    def __init__(self, cutoff: int, mat):
+        if cutoff < 0:
+            raise ValueError("cutoff must be non-negative")
+        mat = np.asarray(mat, dtype=complex)
+        d = dim2(cutoff)
         if mat.shape != (d, d):
             raise ValueError(f"expected {d}x{d} matrix, got {mat.shape}")
-        object.__setattr__(self, "mat", mat)
+        self.cutoff, self.blocks, self._mat = cutoff, None, mat
+
+    @classmethod
+    def from_sectors(cls, blocks) -> "TwoModeDensity":
+        blocks = np.asarray(blocks, dtype=complex)
+        if blocks.ndim != 3 or blocks.shape != (len(blocks),) * 3:
+            raise ValueError(f"expected a cube of sector blocks, got "
+                             f"{blocks.shape}")
+        if len(blocks) == 0:
+            raise ValueError("cutoff must be non-negative")
+        rho = cls.__new__(cls)
+        rho.cutoff, rho.blocks, rho._mat = len(blocks) - 1, blocks, None
+        return rho
 
     @classmethod
     def from_state(cls, s: TwoModeState) -> "TwoModeDensity":
         return cls(s.cutoff, np.outer(s.amps, s.amps.conj()))
 
+    @property
+    def mat(self) -> np.ndarray:
+        """The dense matrix; in the sector form, a new one on each read."""
+        if self.blocks is None:
+            return self._mat
+        mat = np.zeros((dim2(self.cutoff),) * 2, dtype=complex)
+        for m in range(self.cutoff + 1):
+            mat[_sector(m), _sector(m)] = self.block(m)
+        return mat
+
+    def block(self, n: int) -> np.ndarray:
+        """The (n + 1) x (n + 1) block on sector n; empty outside the cutoff."""
+        if self.blocks is None:
+            return self._mat[_sector(n), _sector(n)]
+        if not 0 <= n <= self.cutoff:
+            return np.zeros((0, 0), dtype=complex)
+        return self.blocks[n, :n + 1, :n + 1]
+
     def trace(self) -> float:
-        return float(np.trace(self.mat).real)
+        if self.blocks is None:
+            return float(np.trace(self._mat).real)
+        # the diagonal in the dense matrix's order, summed as np.trace does
+        diag = np.diagonal(self.blocks, axis1=1, axis2=2)
+        return float(diag[_in_block(self.cutoff)].sum().real)
 
     def sector(self, n: int) -> np.ndarray:
         """Matrix restricted to the total-photon-number-n subspace."""
-        k = _sector(n)
-        out = np.zeros_like(self.mat)
-        out[k, k] = self.mat[k, k]
+        out = np.zeros((dim2(self.cutoff),) * 2, dtype=complex)
+        out[_sector(n), _sector(n)] = self.block(n)
         return out
 
     def sector_weight(self, n: int) -> float:
-        k = _sector(n)
-        return float(np.trace(self.mat[k, k]).real)
+        return float(np.trace(self.block(n)).real)
 
     def validate(self) -> None:
         """Raise ValueError unless finite, Hermitian, trace in [0, 1], and PSD.
 
-        Positivity is rho >= -1e-9 I.  It is proved by one Cholesky
-        factorization of rho + 1e-9 I (the diagonal shifted on a copy),
-        which succeeds exactly when the smallest eigenvalue of rho lies
-        above -1e-9, up to rounding of order dim * eps at that boundary.
-        Only when the factorization fails does a full eigendecomposition
-        run; it has the final word, and rejects only a smallest eigenvalue
-        below -1e-9, naming it.
+        Both forms run as one stack of square blocks: the dense matrix
+        alone, or the sector blocks, whose non-finite entries are named by
+        sector.  Positivity is rho >= -1e-9 I.  It is proved by one
+        (batched) Cholesky factorization of the stack with its diagonal
+        shifted by 1e-9 and the padding of each sector block's diagonal
+        set to 1, which succeeds exactly when the smallest eigenvalue of
+        rho lies above -1e-9, up to rounding of order dim * eps at that
+        boundary.  For the sector form this is as strong as the dense
+        check: the spectrum of a block-diagonal rho is the union of its
+        blocks'.  Only when the factorization fails does a full
+        eigendecomposition run; it has the final word, and rejects only a
+        smallest eigenvalue below -1e-9, naming it.
         """
-        mat = self.mat
-        if not np.isfinite(mat).all():
-            i, j = np.argwhere(~np.isfinite(mat))[0]
-            raise ValueError(f"density matrix entry [{i}, {j}] is not finite")
-        if np.abs(mat - mat.conj().T).max() > 1e-12:
+        if self.blocks is None:
+            stack, pad = self._mat[None], 1e-9
+        else:
+            stack = self.blocks
+            pad = np.where(_in_block(self.cutoff), 1e-9, 1.0)
+        if not np.isfinite(stack).all():
+            m, i, j = np.argwhere(~np.isfinite(stack))[0]
+            where = "" if self.blocks is None else f"sector {m} "
+            raise ValueError(
+                f"density matrix {where}entry [{i}, {j}] is not finite")
+        if np.abs(stack - stack.conj().swapaxes(1, 2)).max() > 1e-12:
             raise ValueError("density matrix is not Hermitian")
         tr = self.trace()
         if not (-1e-12 <= tr <= 1.0 + 1e-12):
             raise ValueError(f"trace {tr} outside [0, 1]")
-        shifted = mat.copy()
-        shifted.ravel()[:: len(mat) + 1] += 1e-9
+        shifted = stack.copy()
+        shifted.reshape(len(stack), -1)[:, :: stack.shape[1] + 1] += pad
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
-            low = np.linalg.eigvalsh(mat).min()
+            low = np.linalg.eigvalsh(stack).min()
             if low < -1e-9:
                 raise ValueError(f"negative eigenvalue {low}") from None
 

@@ -6,7 +6,8 @@ b before the substrate writes a fringe; an N-photon path-entangled NOON
 state oscillates as 1 + cos(N phi), N times finer than a classical fringe.
 
 A pure state's rate and a fringe go through ``_lower``, N ladder steps of
-a + b on amplitudes; a density matrix's rate is read sector by sector.
+a + b on amplitudes; a density matrix's rate is read sector block by
+sector block.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TwoModeDensity, TwoModeState, _basis, _sector, _shift
+from .fock import TwoModeDensity, TwoModeState, _basis, _shift
 
 # Non-DC Fourier weight below this fraction of the DC weight counts as flat.
 _FLAT_TOL = 1e-9
@@ -43,17 +44,18 @@ def absorption_rate_mixed(rho: TwoModeDensity, n_absorb: int) -> float:
     On sector m >= N, e^N is one real block E_m of entries
     E_m[k - i, k] = C(N, i) sqrt(k!/(k - i)!) sqrt((m - k)!/(m - k - N + i)!),
     and the rate sums Tr(E_m rho_mm E_m^T): e†^N e^N keeps photon number.
+    rho_mm is ``rho.block(m)``, read from either form of ``rho``, so the
+    sector form of the unconditioned channel never builds its dense matrix.
     """
     if n_absorb < 1:
         raise ValueError("n_absorb must be >= 1")
     n, rate = n_absorb, 0.0
     for m in range(n, rho.cutoff + 1):
-        kets = _sector(m)
         e = np.array([[math.comb(n, k - r) * math.sqrt(
             math.perm(k, k - r) * math.perm(m - k, n - k + r))
             if 0 <= k - r <= n else 0.0 for k in range(m + 1)]
             for r in range(m - n + 1)])
-        rate += np.vdot(e, e @ rho.mat[kets, kets]).real
+        rate += np.vdot(e, e @ rho.block(m)).real
     return float(rate) / math.factorial(n)
 
 

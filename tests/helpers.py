@@ -11,13 +11,18 @@ from pathent.blocks import (
     BlockParams,
     SchemeResult,
     _double_coeffs,
+    _mixing,
+    _single_blocks,
     _single_coeffs,
+    _single_table,
     _splitter_entries,
+    _transfer_index,
 )
 from pathent.factorize import TargetSpec, _wrap_angle
 from pathent.cli import _random_eigenstate as random_eigenstate
 from pathent.cli import _random_four_mode_state as random_four_mode_state
 from pathent.fock import (
+    TwoModeDensity,
     TwoModeState,
     _basis,
     _mix,
@@ -155,6 +160,56 @@ def reference_run_chain(params, ancs):
             return SchemeResult(zero_state(n_photons), tuple(probs), 0.0, True)
         x = x / math.sqrt(probs[-1])
     return SchemeResult(_sector_state(x), tuple(probs), math.prod(probs), False)
+
+
+def reference_channel_block(r, v, w):
+    """One unconditioned block on rho by offset, each term added on its own.
+
+    The same per-mode transfer tables and products as
+    ``pathent.blocks._channel_block``, but each ancilla term (j, j') is
+    scaled by its weight and added into a zeroed output at offset
+    d + j - j' with a transposing write, so the result keeps rho's own
+    (s, t) order and modes: ``r[d + k, s, t] = <s, t| rho |s - d, t + d>``.
+    """
+    k, c = r.shape[1] - 1, math.isqrt(v.size // 2) - 1
+    index = _transfer_index(c)[:, :, :, c - k:c + k + 1, :k + 2, :k + 1]
+    a = np.multiply(*v.take(index))
+    ar = (a @ r.view(float)).view(complex).swapaxes(-1, -2).copy()
+    t = (a[::-1, ::-1, ::-1] @ ar.view(float)).view(complex)
+    t *= w[:, :, None, None, None]
+    out = np.zeros((2 * k + 3, k + 2, k + 2), dtype=complex)
+    out_t = out.swapaxes(-1, -2)
+    out_t[1:-1] = t[0, 0] + t[1, 1]
+    out_t[2:] += t[1, 0]
+    out_t[:-2] += t[0, 1]
+    return out
+
+
+def reference_channel_sectors(factors, transmittances=None):
+    """The unconditioned chain through ``reference_channel_block``.
+
+    Returns rho's sector blocks as a list, block m read from the by-offset
+    array as r[i - j + N, i, m - i] one sector at a time.
+    """
+    angles, ts = _single_blocks(factors, transmittances)
+    n = len(angles)
+    v = _splitter_entries(n, *_mixing(ts), 1)
+    anc = _single_table(angles)
+    r = np.ones((1, 1, 1), dtype=complex)
+    for k in range(n):
+        r = reference_channel_block(r, np.append(v[:, k], 0.0),
+                                    np.outer(anc[k], anc[k].conj()))
+    i, j = np.ogrid[:n + 1, :n + 1]
+    return [r[i[:m + 1] - j[:, :m + 1] + n, i[:m + 1], m - i[:m + 1]]
+            for m in range(n + 1)]
+
+
+def sector_form(rho):
+    """The sector form of a dense rho with no coherence between sectors."""
+    blocks = np.zeros((rho.cutoff + 1,) * 3, dtype=complex)
+    for m in range(rho.cutoff + 1):
+        blocks[m, :m + 1, :m + 1] = rho.block(m)
+    return TwoModeDensity.from_sectors(blocks)
 
 
 def reference_chain(run_block, block_args):

@@ -14,7 +14,7 @@ from pathent.blocks import (
     _channel_block,
     _double_coeffs,
     _single_coeffs,
-    _scatter_index,
+    _sector_index,
     _splitter_entries,
     _transfer_index,
     _weight_index,
@@ -64,6 +64,7 @@ from helpers import (
     reference_block_double,
     reference_block_single,
     reference_chain,
+    reference_channel_sectors,
     reference_run_chain,
     rel_err,
     sector_eigh,
@@ -517,8 +518,10 @@ def test_channel_block_matches_ket_by_ket_route(transmittance):
     want = _by_offset(_reference_block(rho, params))
     for cutoff in (k + 1, k + 4):
         v = _splitter_entries(cutoff, *params.cos_sin, 1)
+        # returned in (t, s) order: the mode-swapped state's by offset,
+        # with its offset axis reversed
         got = _channel_block(_by_offset(rho), np.append(v, 0.0),
-                             amps[:, None] * amps.conj())
+                             amps[:, None] * amps.conj()).swapaxes(1, 2)
         assert got.shape == want.shape
         assert np.abs(got - want).max() < 1e-14
         assert abs(got[k + 1].sum() - rho.trace()) < 1e-12
@@ -534,6 +537,39 @@ def test_unconditional_density_matches_reference_channel(n):
         want = _reference_channel(fs.factors, ts)
         assert got.cutoff == want.cutoff == n
         assert np.abs(got.mat - want.mat).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_unconditional_sectors_match_reference_kernel(n):
+    # The fused kernel and its swapped-mode chain against the per-term
+    # kernel in rho's own modes, under the optimal, a seeded random and the
+    # all-swap schedule: every sector block within 1e-15.
+    rng = np.random.default_rng(120 + n)
+    fs = factorize_target(random_target(rng, n))
+    for ts in (None, list(rng.uniform(0.05, 1.0, size=n)), [1.0] * n):
+        got = run_scheme_unconditional(fs, ts)
+        want = reference_channel_sectors(fs, ts)
+        assert got.cutoff == n
+        for m in range(n + 1):
+            assert np.abs(got.block(m) - want[m]).max() <= 1e-15, (ts, m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
+def test_unconditional_sector_form_reads_as_its_dense_matrix(n):
+    # Every reading of the channel's sector form equals, to the bit, the
+    # same reading of the dense matrix it stands for.
+    rho = run_scheme_unconditional(
+        factorize_target(random_target(np.random.default_rng(140 + n), n)))
+    dense = TwoModeDensity(n, rho.mat)
+    assert rho.blocks is not None and dense.blocks is None
+    assert rho.trace() == dense.trace()
+    for m in range(-1, n + 2):
+        assert rho.sector_weight(m) == dense.sector_weight(m)
+        assert np.array_equal(rho.sector(m), dense.sector(m))
+        assert np.array_equal(rho.block(m), dense.block(m))
+    (na, nb), _ = _basis(2, n)
+    same = (na + nb)[:, None] == na + nb
+    assert not rho.mat[~same].any()
 
 
 def test_unconditional_density_memory_at_n17():
@@ -553,7 +589,7 @@ print(json.dumps([tracemalloc.get_traced_memory()[1], rho.trace()]))
     assert proc.returncode == 0, proc.stderr
     peak, trace = json.loads(proc.stdout)
     # The dense Kraus stack of every outcome peaked near 210 MB here; the
-    # per-mode transfer products and the scatter into rho peak near 3 MB.
+    # per-mode transfer products and rho's sector blocks peak near 2.4 MB.
     assert peak < 20e6
     assert abs(trace - 1.0) < 1e-12
 
@@ -709,11 +745,11 @@ def test_channel_index_caches_stay_bounded():
     # Channels at twelve photon numbers fill each N-keyed index cache to its
     # fixed size and no further.  Each N is built once; a channel's blocks,
     # and repeated channels at one N, read it from the cache.
-    for cache in (_transfer_index, _scatter_index):
+    for cache in (_transfer_index, _sector_index):
         cache.cache_clear()
     for n in range(1, 13):
         run_scheme_unconditional(noon_factor_angles(n))
-    for cache in (_transfer_index, _scatter_index):
+    for cache in (_transfer_index, _sector_index):
         info = cache.cache_info()
         assert info.maxsize is not None and info.maxsize <= 8
         assert info.currsize == info.maxsize and info.misses == 12

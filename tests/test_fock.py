@@ -52,6 +52,7 @@ from helpers import (
     reference_pair_exact,
     reference_pair_oracle,
     sector_eigh,
+    sector_form,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -673,6 +674,71 @@ def test_density_validate_accepts_within_the_tolerance(rho, factored,
     rho.validate()
     assert np.array_equal(rho.mat, before)
     assert len(calls) == (0 if factored else 1)
+
+
+def _dense(rho):
+    return TwoModeDensity(rho.cutoff, rho.mat)
+
+
+@pytest.mark.parametrize("rho", [
+    TwoModeDensity(1, np.diag([0.5, 0.3, -5e-10])),
+    TwoModeDensity(1, np.diag([0.5, 0.3, -1e-9])),
+    TwoModeDensity(1, np.diag([0.5, 0.3, -2e-9])),
+    TwoModeDensity(1, np.diag([0.5, 0.3, 0.2]) + np.diag([0, 0.1j], 1)
+                   + np.diag([0, 0.1j], -1)),
+    TwoModeDensity.from_state(noon_state(4)),
+    _dense(pathent.run_scheme_unconditional(pathent.noon_factor_angles(9))),
+], ids=["inside", "boundary", "negative", "nonhermitian", "noon4",
+        "channel9"])
+def test_sector_form_validates_as_the_dense_form(rho, monkeypatch):
+    # The same decision and message, after as many eigendecompositions,
+    # as the dense form of the same block-diagonal rho: both accept inside
+    # the tolerance, both fall back to the eigenvalues on it and both
+    # reject -2e-9, naming it.
+    eigvalsh = np.linalg.eigvalsh
+
+    def outcome(form):
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: calls.append(m) or eigvalsh(m))
+        try:
+            form.validate()
+        except ValueError as err:
+            return str(err), len(calls)
+        return None, len(calls)
+
+    sectors = sector_form(rho)
+    assert sectors.blocks is not None and rho.blocks is None
+    assert outcome(sectors) == outcome(rho)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.1, -math.inf)])
+def test_sector_form_names_a_non_finite_entry_by_its_sector(bad):
+    # |0,1> and |1,0> are kets 1 and 2 of the dense basis and kets 0 and 1
+    # of sector 1.
+    mat = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    mat[1, 2] = bad
+    mat[2, 1] = np.conj(bad)
+    rho = TwoModeDensity(1, mat)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=r"^density matrix entry \[1, 2\] is not"):
+            rho.validate()
+        with pytest.raises(ValueError, match=r"^density matrix sector 1 "
+                                             r"entry \[0, 1\] is not finite"):
+            sector_form(rho).validate()
+
+
+def test_density_rejects_a_negative_cutoff():
+    # Both forms, as the state classes do; a cutoff of -1 once passed, and
+    # validate then failed inside numpy on the empty matrix.
+    with pytest.raises(ValueError, match="cutoff must be non-negative"):
+        TwoModeDensity(-1, np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="cutoff must be non-negative"):
+        TwoModeDensity.from_sectors(np.zeros((0, 0, 0)))
+    with pytest.raises(ValueError, match="cube"):
+        TwoModeDensity.from_sectors(np.zeros((2, 3, 3)))
 
 
 def test_density_sector_weights():
