@@ -11,8 +11,9 @@ One table per (modes, cutoff), ``_basis``, holds the kets' occupations and
 maps each ket to its index.  Constructors build a state at its photon
 number, a tensor product at the sum of its factors' cutoffs, and only
 ``with_cutoff`` re-embeds, by padding or truncating.  Every ladder product,
-a creation or annihilation operator or the absorber a + b, is an occupation
-shift: one cached gather/scatter map, ``_shift_map``, applied by ``_shift``.
+a creation or annihilation operator or a step of the absorber a + b, is
+``_ladder``: a weighted shift of one sector's coefficients into the
+neighbouring sector, applied sector by sector.
 The public splitters share one core, ``_sector_blocks``, which builds the
 two-mode splitter U's block on each photon-number sector.  ``_mix`` applies
 the blocks to a stack of states, one per column.  The heralded blocks do
@@ -86,39 +87,6 @@ def _ket_index(modes: int, cutoff: int, ket) -> int:
         raise ValueError(
             f"ket {ket} is not in the {modes}-mode basis at cutoff {cutoff}")
     return int(_basis(modes, cutoff)[1][ket])
-
-
-@lru_cache(maxsize=None)
-def _shift_map(cutoff: int, shift: tuple) -> tuple:
-    """The occupation shift n -> n + shift as (src, dst, w).
-
-    Amplitude at ket src moves to ket dst, times w; kets whose image leaves
-    the simplex are not in src.  Each entry of ``shift`` is 1 (a creation
-    operator), -1 (an annihilation operator) or 0, so w is the square root
-    of the product of max(n, n + d) over the shifted modes.
-    """
-    occ, table = _basis(len(shift), cutoff)
-    new = [n + d for n, d in zip(occ, shift)]
-    src = np.flatnonzero((np.min(new, axis=0) >= 0) & (sum(new) <= cutoff))
-    dst = table[tuple(n[src] for n in new)]
-    w = np.prod([np.maximum(n, m)[src]
-                 for n, m, d in zip(occ, new, shift) if d], axis=0)
-    return src, dst, np.sqrt(w.astype(float))
-
-
-def _shift(amps: np.ndarray, cutoff: int, shift: tuple) -> np.ndarray:
-    """The ladder product of ``_shift_map(cutoff, shift)`` on amplitudes.
-
-    Amplitudes carry the simplex on axis 0 and optionally one state per
-    column; the per-ket weights multiply the transpose to broadcast over
-    the columns.
-    """
-    src, dst, w = _shift_map(cutoff, shift)
-    out = np.zeros_like(amps)
-    moved = amps[src]
-    # in place, so a shift allocates no second array of the moved amplitudes
-    out[dst] = np.multiply(moved.T, w, out=moved.T).T
-    return out
 
 
 # perfbench/tracing.py reads the build count through this name.  The one
@@ -412,27 +380,51 @@ def with_cutoff(s: TwoModeState, cutoff: int) -> TwoModeState:
 # ladder operators and friends
 
 
-def _mode_shift(mode: str, d: int) -> tuple:
-    """The two-mode occupation shift that moves ``mode`` ("a" or "b") by d."""
+def _check_mode(mode: str) -> None:
     if mode not in ("a", "b"):
         raise ValueError(f"unknown mode {mode!r}")
-    return (d, 0) if mode == "a" else (0, d)
+
+
+def _ladder(x: np.ndarray, mode: str, step: int) -> np.ndarray:
+    """a or b (step -1), or a† or b† (step 1), on one sector's coefficients.
+
+    x[i] on axis 0 is the amplitude of |i, n - i> in sector n = len(x) - 1,
+    with any further axes as columns; the result holds sector n + step's.
+    The weights are sqrt(i) for a, sqrt(n - i) for b, sqrt(i + 1) for a†
+    and sqrt(n - i + 1) for b†.
+    """
+    if mode == "b":
+        # b acts on |i, n - i> as a does on the coefficients read backwards
+        return _ladder(x[::-1], "a", step)[::-1]
+    n = len(x) - 1
+    root = np.sqrt(np.arange(1.0, n + 2))
+    if step < 0:
+        return (x[1:].T * root[:n]).T
+    out = np.zeros((n + 2,) + x.shape[1:], dtype=x.dtype)
+    out[1:] = (x.T * root).T
+    return out
 
 
 def apply_creation(s: TwoModeState, mode: str) -> TwoModeState:
     """Apply the creation operator of the chosen mode ("a" or "b")."""
+    _check_mode(mode)
     if s.amps[_sector(s.cutoff)].any():
         raise CutoffOverflowError(
             f"creation on mode {mode} would exceed cutoff {s.cutoff}"
         )
-    shift = _mode_shift(mode, 1)
-    return TwoModeState(s.cutoff, _shift(s.amps, s.cutoff, shift))
+    out = np.zeros_like(s.amps)
+    for n in range(s.cutoff):
+        out[_sector(n + 1)] = _ladder(s.amps[_sector(n)], mode, 1)
+    return TwoModeState(s.cutoff, out)
 
 
 def apply_annihilation(s: TwoModeState, mode: str) -> TwoModeState:
     """Apply the annihilation operator of the chosen mode ("a" or "b")."""
-    shift = _mode_shift(mode, -1)
-    return TwoModeState(s.cutoff, _shift(s.amps, s.cutoff, shift))
+    _check_mode(mode)
+    out = np.zeros_like(s.amps)
+    for n in range(1, s.cutoff + 1):
+        out[_sector(n - 1)] = _ladder(s.amps[_sector(n)], mode, -1)
+    return TwoModeState(s.cutoff, out)
 
 
 def apply_linear_factor(s: TwoModeState, theta: float, phi: float) -> TwoModeState:
@@ -445,10 +437,9 @@ def apply_linear_factor(s: TwoModeState, theta: float, phi: float) -> TwoModeSta
 
 def phase_shift(s: TwoModeState, phi: float, mode: str = "b") -> TwoModeState:
     """Apply the phase shifter exp(i phi n_mode)."""
+    _check_mode(mode)
     (na, nb), _ = _basis(2, s.cutoff)
     n = na if mode == "a" else nb
-    if mode not in ("a", "b"):
-        raise ValueError(f"unknown mode {mode!r}")
     return TwoModeState(s.cutoff, s.amps * np.exp(1j * phi * n))
 
 

@@ -5,58 +5,63 @@ anything carrying fewer than N photons.  Scanning a phase shift phi on mode
 b before the substrate writes a fringe; an N-photon path-entangled NOON
 state oscillates as 1 + cos(N phi), N times finer than a classical fringe.
 
-A pure state's rate and a fringe go through ``_lower``, N ladder steps of
-a + b on amplitudes; a density matrix's rate is read sector block by
-sector block.
+Every rate lowers sector by sector: on sector m >= N, (a + b)^N is N
+steps of ``fock._ladder``, landing on sector m - N; lower sectors are dark.
+A density matrix's rate lowers the identity of sector m once per (N, m).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .fock import TwoModeDensity, TwoModeState, _basis, _shift
+from .fock import TwoModeDensity, TwoModeState, _ladder, _sector
 
 # Non-DC Fourier weight below this fraction of the DC weight counts as flat.
 _FLAT_TOL = 1e-9
 
 
-def _lower(amps: np.ndarray, cutoff: int, n_absorb: int) -> np.ndarray:
-    """(a + b)^N on two-mode amplitudes, one state per column if stacked."""
-    if n_absorb < 1:
-        raise ValueError("n_absorb must be >= 1")
+def _lower(x: np.ndarray, n_absorb: int) -> np.ndarray:
+    """(a + b)^N on sector m's coefficients, columns allowed: sector m - N's."""
     for _ in range(n_absorb):
-        amps = _shift(amps, cutoff, (-1, 0)) + _shift(amps, cutoff, (0, -1))
-    return amps
+        x = _ladder(x, "a", -1) + _ladder(x, "b", -1)
+    return x
 
 
 def absorption_rate_pure(state: TwoModeState, n_absorb: int) -> float:
     """<state| e†^N e^N |state> / N! for a pure (unit-norm) state."""
-    v = _lower(state.amps, state.cutoff, n_absorb)
-    return float(np.vdot(v, v).real) / math.factorial(n_absorb)
+    if n_absorb < 1:
+        raise ValueError("n_absorb must be >= 1")
+    lowered = (_lower(state.amps[_sector(m)], n_absorb)
+               for m in range(n_absorb, state.cutoff + 1))
+    rate = sum(np.vdot(v, v).real for v in lowered)
+    return float(rate) / math.factorial(n_absorb)
+
+
+@lru_cache(maxsize=64)
+def _absorber(n_absorb: int, m: int) -> np.ndarray:
+    """E_m, the real block of (a + b)^N from sector m to sector m - N."""
+    e = _lower(np.eye(m + 1), n_absorb)
+    e.setflags(write=False)  # shared by every caller of the cache
+    return e
 
 
 def absorption_rate_mixed(rho: TwoModeDensity, n_absorb: int) -> float:
     """Tr(rho e†^N e^N) / N! for a density matrix, sector by sector.
 
-    On sector m >= N, e^N is one real block E_m of entries
-    E_m[k - i, k] = C(N, i) sqrt(k!/(k - i)!) sqrt((m - k)!/(m - k - N + i)!),
-    and the rate sums Tr(E_m rho_mm E_m^T): e†^N e^N keeps photon number.
-    rho_mm is ``rho.block(m)``, read from either form of ``rho``, so the
-    sector form of the unconditioned channel never builds its dense matrix.
+    e†^N e^N keeps photon number, so the rate sums Tr(E_m rho_mm E_m^T)
+    over m >= N, with rho_mm read as ``rho.block(m)`` from either form:
+    the channel's sector form never builds its dense matrix.
     """
     if n_absorb < 1:
         raise ValueError("n_absorb must be >= 1")
-    n, rate = n_absorb, 0.0
-    for m in range(n, rho.cutoff + 1):
-        e = np.array([[math.comb(n, k - r) * math.sqrt(
-            math.perm(k, k - r) * math.perm(m - k, n - k + r))
-            if 0 <= k - r <= n else 0.0 for k in range(m + 1)]
-            for r in range(m - n + 1)])
-        rate += np.vdot(e, e @ rho.block(m)).real
-    return float(rate) / math.factorial(n)
+    blocks = ((_absorber(n_absorb, m), rho.block(m))
+              for m in range(n_absorb, rho.cutoff + 1))
+    rate = sum(np.vdot(e, e @ r).real for e, r in blocks)
+    return float(rate) / math.factorial(n_absorb)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,12 +78,17 @@ def fringe_sweep(state: TwoModeState, n_absorb: int,
     """Scan a mode-b phase shift and record the N-photon absorption rate."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
+    if n_absorb < 1:
+        raise ValueError("n_absorb must be >= 1")
     phases = 2.0 * math.pi * np.arange(n_points) / n_points
-    nb = _basis(2, state.cutoff)[0][1]
-    shifted = state.amps[:, None] * np.exp(1j * phases * nb[:, None])
-    lowered = _lower(shifted, state.cutoff, n_absorb)
-    # a vdot per contiguous column keeps the bits of a single-state call
-    rates = np.array([np.vdot(c, c).real for c in lowered.T.copy()])
+    rates = np.zeros(n_points)
+    for m in range(n_absorb, state.cutoff + 1):
+        nb = np.arange(m, -1, -1)  # n_b of the kets |i, m - i>
+        shifted = (state.amps[_sector(m), None]
+                   * np.exp(1j * phases * nb[:, None]))
+        lowered = _lower(shifted, n_absorb)
+        # a vdot per contiguous column keeps the bits of a single-state call
+        rates += [np.vdot(c, c).real for c in lowered.T.copy()]
     return FringeSweep(n_absorb, phases, rates / math.factorial(n_absorb))
 
 

@@ -33,7 +33,6 @@ from pathent.fock import (
     vacuum,
     zero_state,
 )
-from pathent.litho import _lower
 
 # Mixing angles for the beam-splitter tests: the identity, angles below
 # and above the balanced pi/4, the swap at +-pi/2 and the last floats
@@ -227,13 +226,43 @@ def reference_chain(run_block, block_args):
     return state, probs
 
 
+def reference_shift(amps, cutoff, shift):
+    """The occupation shift n -> n + shift on amplitudes over the simplex.
+
+    Each entry of ``shift`` is 1 (a creation operator), -1 (an annihilation
+    operator) or 0.  One gather/scatter over the whole ``len(shift)``-mode
+    simplex at ``cutoff``: the amplitude at ket n moves to ket n + shift,
+    times the square root of the product of max(n, n + d) over the shifted
+    modes, and kets whose image leaves the simplex are dropped.  Amplitudes
+    carry the simplex on axis 0 and optionally one state per column.
+    """
+    occ, table = _basis(len(shift), cutoff)
+    new = [n + d for n, d in zip(occ, shift)]
+    src = np.flatnonzero((np.min(new, axis=0) >= 0) & (sum(new) <= cutoff))
+    dst = table[tuple(n[src] for n in new)]
+    w = np.prod([np.maximum(n, m)[src]
+                 for n, m, d in zip(occ, new, shift) if d], axis=0)
+    out = np.zeros_like(amps)
+    out[dst] = (amps[src].T * np.sqrt(w.astype(float))).T
+    return out
+
+
+def reference_lower(amps, cutoff, n_absorb):
+    """(a + b)^N on two-mode amplitudes as N whole-simplex shifts."""
+    for _ in range(n_absorb):
+        amps = (reference_shift(amps, cutoff, (-1, 0))
+                + reference_shift(amps, cutoff, (0, -1)))
+    return amps
+
+
 def absorption_rate_dense(rho, n_absorb):
     """Tr(rho e†^N e^N) / N! from the dense N-th power of e = a + b.
 
     The one-step matrix of a + b on the whole two-mode simplex, raised to
     the N-th power: a reference that never splits rho into sectors.
     """
-    e_1 = _lower(np.eye(dim2(rho.cutoff), dtype=complex), rho.cutoff, 1)
+    d = dim2(rho.cutoff)
+    e_1 = reference_lower(np.eye(d, dtype=complex), rho.cutoff, 1)
     e_n = np.linalg.matrix_power(e_1, n_absorb)
     return float(np.vdot(e_n, e_n @ rho.mat).real) / math.factorial(n_absorb)
 

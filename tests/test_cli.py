@@ -354,8 +354,9 @@ def _coeffs_text(rng):
 
 def test_target_pair_parsers_agree():
     # _load_target reads the coefficients with _parse_pairs and, when that
-    # returns None, with _check_pairs.  On every input the two agree: the
-    # fast path's values are _check_pairs' bit for bit, or both reject it.
+    # returns None, names the first bad entry with _check_pairs.  On every
+    # input exactly one of them rejects it, and the fast path's values are
+    # each entry's complex(re, im) bit for bit.
     rng = np.random.default_rng(2024)
     outcomes = {"parsed": 0, "rejected": 0}
     for _ in range(3000):
@@ -367,7 +368,8 @@ def test_target_pair_parsers_agree():
                 cli._check_pairs(raw)
             outcomes["rejected"] += 1
         else:
-            checked = np.array(cli._check_pairs(raw), dtype=complex)
+            cli._check_pairs(raw)
+            checked = np.array([complex(*entry) for entry in raw])
             assert checked.tobytes() == vec.tobytes(), text
             outcomes["parsed"] += 1
     assert min(outcomes.values()) > 500, outcomes

@@ -51,6 +51,7 @@ from helpers import (
     random_two_mode_state,
     reference_pair_exact,
     reference_pair_oracle,
+    reference_shift,
     sector_eigh,
     sector_form,
 )
@@ -145,6 +146,32 @@ def test_creation_overflow():
 def test_creation_unknown_mode():
     with pytest.raises(ValueError):
         apply_creation(vacuum(1), "c")
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 3])
+@pytest.mark.parametrize("op", [apply_creation, apply_annihilation,
+                                lambda s, mode: phase_shift(s, 0.3, mode)])
+def test_ladder_and_phase_reject_an_unknown_mode(op, cutoff):
+    # the mode is checked before any sector loop, which may run zero times
+    with pytest.raises(ValueError, match="unknown mode 'c'"):
+        op(vacuum(cutoff), "c")
+
+
+@pytest.mark.parametrize("cutoff", range(13))
+def test_ladder_matches_the_whole_simplex_shift_bit_for_bit(cutoff):
+    # seeded random states with weight in every sector; creation needs the
+    # top sector empty
+    rng = np.random.default_rng(700 + cutoff)
+    for _ in range(4):
+        amps = random_two_mode_state(rng, cutoff).amps
+        low = amps.copy()
+        low[_sector(cutoff)] = 0.0
+        for mode, d in (("a", (1, 0)), ("b", (0, 1))):
+            down = apply_annihilation(TwoModeState(cutoff, amps), mode).amps
+            want = reference_shift(amps, cutoff, tuple(-x for x in d))
+            assert down.tobytes() == want.tobytes(), mode
+            up = apply_creation(TwoModeState(cutoff, low), mode).amps
+            assert up.tobytes() == reference_shift(low, cutoff, d).tobytes()
 
 
 def test_annihilation_is_adjoint_of_creation():

@@ -21,7 +21,11 @@ from pathent.litho import (
     fringe_sweep,
 )
 from pathent.yields import yield_noon_single
-from helpers import absorption_rate_dense, random_two_mode_state
+from helpers import (
+    absorption_rate_dense,
+    random_two_mode_state,
+    reference_lower,
+)
 
 
 def test_rate_two_photons_one_mode():
@@ -48,6 +52,38 @@ def test_rate_validation():
     for n_absorb in (0, -1):
         with pytest.raises(ValueError):
             absorption_rate_mixed(rho, n_absorb)
+
+
+@pytest.mark.parametrize("state", [vacuum(0), noon_state(2)])
+@pytest.mark.parametrize("n_absorb", [0, -1])
+def test_pure_rate_and_fringe_reject_an_absorber_order_below_one(
+        state, n_absorb):
+    with pytest.raises(ValueError, match="n_absorb"):
+        absorption_rate_pure(state, n_absorb)
+    with pytest.raises(ValueError, match="n_absorb"):
+        fringe_sweep(state, n_absorb, 16)
+
+
+def _reference_rate(amps, cutoff, n):
+    v = reference_lower(amps, cutoff, n)
+    return np.vdot(v, v).real / math.factorial(n)
+
+
+@pytest.mark.parametrize("cutoff", range(9))
+def test_rates_match_the_whole_simplex_lowering(cutoff):
+    # Sector by sector, the rates sum their sectors' norms separately, so
+    # they agree with one norm of the whole lowered simplex to rounding.
+    rng = np.random.default_rng(600 + cutoff)
+    state = random_two_mode_state(rng, cutoff)
+    for n in range(1, cutoff + 2):
+        want = _reference_rate(state.amps, cutoff, n)
+        got = absorption_rate_pure(state, n)
+        assert abs(got - want) <= 1e-15 * want
+        sweep = fringe_sweep(state, n, 9)
+        for phi, got in zip(sweep.phases, sweep.rates):
+            shifted = phase_shift(state, float(phi), mode="b")
+            want = _reference_rate(shifted.amps, cutoff, n)
+            assert abs(got - want) <= 1e-15 * want
 
 
 @pytest.mark.parametrize("n", range(1, 7))
