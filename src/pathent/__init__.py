@@ -23,9 +23,7 @@ from .fock import (
     noon_state,
     overlap_fidelity,
     phase_shift,
-    project_vacuum_cd,
     tensor,
-    trace_out_cd,
     vacuum,
 )
 from .factorize import (

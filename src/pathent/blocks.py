@@ -491,7 +491,7 @@ def _sector_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:
     """Run the chained scheme keeping every ancilla outcome.
 
-    Returns the mixed signal state after all blocks, in the sector form
+    Returns the mixed signal state after all blocks as its sector blocks,
     ``TwoModeDensity.from_sectors``: the heralded generation branch sits
     in the top photon-number sector with weight equal to the scheme yield,
     all failed branches hold fewer photons, and no sectors are coherent.

@@ -24,8 +24,9 @@ out as a matrix X[(n_a, n_c), (n_b, n_d)] over the two-mode simplex, puts
 the blocks on the diagonal of a real U and returns U X U^T, two real
 products on the complex arrays' float views; ``_split_cd`` maps the
 amplitudes to ancilla outcomes (n_c, n_d) and signal kets.  A density
-matrix is held dense or, with no coherence between photon-number sectors,
-as the stack of its sector blocks.
+matrix is held as the stack of its photon-number sector blocks: the
+splitters conserve photon number and the detectors count it, so no rho
+pathent builds or reads has coherence between sectors.
 The dense-exponential oracle shares only ``_basis`` with that core.  Its
 generator G conserves n_a + n_c and n_b + n_d, so the oracle builds it,
 with its own hop loop, as one dense complex block per conserved pair.
@@ -202,16 +203,16 @@ def _in_block(n: int) -> np.ndarray:
 
 
 class TwoModeDensity:
-    """Density matrix over the two-mode Fock basis, in one of two forms.
+    """Density matrix over the two-mode Fock basis, held by its sector blocks.
 
-    ``TwoModeDensity(cutoff, mat)`` holds the dense dim2 x dim2 matrix and
-    takes any rho.  ``from_sectors(blocks)`` holds a rho with no coherence
-    between photon-number sectors by its sector blocks alone: the
+    Every rho pathent builds or reads commutes with photon number, so it is
+    held without coherence between photon-number sectors: the
     (cutoff + 1)^3 stack ``blocks`` has the block on sector m,
     <i, m - i| rho |j, m - j>, in its corner ``blocks[m, :m + 1, :m + 1]``
-    and zeros outside those corners.  ``blocks`` is None in the dense
-    form.  ``trace``, ``block``, ``sector_weight`` and ``validate`` read
-    the form held; ``mat`` and ``sector`` build a dense matrix from the
+    and zeros outside those corners.  ``from_sectors(blocks)`` takes the
+    stack; ``TwoModeDensity(cutoff, mat)`` gathers it from a dense
+    dim2 x dim2 matrix and rejects any nonzero entry between two sectors,
+    naming it.  ``mat`` and ``sector`` build a dense matrix from the
     blocks on each call.
     """
 
@@ -222,7 +223,17 @@ class TwoModeDensity:
         d = dim2(cutoff)
         if mat.shape != (d, d):
             raise ValueError(f"expected {d}x{d} matrix, got {mat.shape}")
-        self.cutoff, self.blocks, self._mat = cutoff, None, mat
+        (na, nb), _ = _basis(2, cutoff)
+        n = na + nb
+        cross = np.argwhere((n[:, None] != n) & (mat != 0))
+        if cross.size:
+            i, j = cross[0]
+            raise ValueError(f"density matrix entry [{i}, {j}] couples "
+                             f"photon-number sectors {n[i]} and {n[j]}")
+        self.cutoff = cutoff
+        self.blocks = np.zeros((cutoff + 1,) * 3, dtype=complex)
+        for m in range(cutoff + 1):
+            self.blocks[m, :m + 1, :m + 1] = mat[_sector(m), _sector(m)]
 
     @classmethod
     def from_sectors(cls, blocks) -> "TwoModeDensity":
@@ -233,18 +244,25 @@ class TwoModeDensity:
         if len(blocks) == 0:
             raise ValueError("cutoff must be non-negative")
         rho = cls.__new__(cls)
-        rho.cutoff, rho.blocks, rho._mat = len(blocks) - 1, blocks, None
+        rho.cutoff, rho.blocks = len(blocks) - 1, blocks
         return rho
 
     @classmethod
     def from_state(cls, s: TwoModeState) -> "TwoModeDensity":
-        return cls(s.cutoff, np.outer(s.amps, s.amps.conj()))
+        """|s><s| by its sector blocks, one outer product per sector.
+
+        Coherences between photon-number sectors are dropped; no pathent
+        reading uses them.
+        """
+        blocks = np.zeros((s.cutoff + 1,) * 3, dtype=complex)
+        for m in range(s.cutoff + 1):
+            x = s.amps[_sector(m)]
+            blocks[m, :m + 1, :m + 1] = np.outer(x, x.conj())
+        return cls.from_sectors(blocks)
 
     @property
     def mat(self) -> np.ndarray:
-        """The dense matrix; in the sector form, a new one on each read."""
-        if self.blocks is None:
-            return self._mat
+        """The dense matrix, a new one on each read."""
         mat = np.zeros((dim2(self.cutoff),) * 2, dtype=complex)
         for m in range(self.cutoff + 1):
             mat[_sector(m), _sector(m)] = self.block(m)
@@ -252,15 +270,11 @@ class TwoModeDensity:
 
     def block(self, n: int) -> np.ndarray:
         """The (n + 1) x (n + 1) block on sector n; empty outside the cutoff."""
-        if self.blocks is None:
-            return self._mat[_sector(n), _sector(n)]
         if not 0 <= n <= self.cutoff:
             return np.zeros((0, 0), dtype=complex)
         return self.blocks[n, :n + 1, :n + 1]
 
     def trace(self) -> float:
-        if self.blocks is None:
-            return float(np.trace(self._mat).real)
         # the diagonal in the dense matrix's order, summed as np.trace does
         diag = np.diagonal(self.blocks, axis1=1, axis2=2)
         return float(diag[_in_block(self.cutoff)].sum().real)
@@ -277,34 +291,28 @@ class TwoModeDensity:
     def validate(self) -> None:
         """Raise ValueError unless finite, Hermitian, trace in [0, 1], and PSD.
 
-        Both forms run as one stack of square blocks: the dense matrix
-        alone, or the sector blocks, whose non-finite entries are named by
-        sector.  Positivity is rho >= -1e-9 I.  It is proved by one
-        (batched) Cholesky factorization of the stack with its diagonal
-        shifted by 1e-9 and the padding of each sector block's diagonal
+        The sector blocks run as one stack of square blocks; a non-finite
+        entry is named by its sector.  Positivity is rho >= -1e-9 I.  It is
+        proved by one batched Cholesky factorization of the stack with its
+        diagonal shifted by 1e-9 and the padding of each block's diagonal
         set to 1, which succeeds exactly when the smallest eigenvalue of
         rho lies above -1e-9, up to rounding of order dim * eps at that
-        boundary.  For the sector form this is as strong as the dense
-        check: the spectrum of a block-diagonal rho is the union of its
+        boundary: the spectrum of a block-diagonal rho is the union of its
         blocks'.  Only when the factorization fails does a full
         eigendecomposition run; it has the final word, and rejects only a
         smallest eigenvalue below -1e-9, naming it.
         """
-        if self.blocks is None:
-            stack, pad = self._mat[None], 1e-9
-        else:
-            stack = self.blocks
-            pad = np.where(_in_block(self.cutoff), 1e-9, 1.0)
+        stack = self.blocks
         if not np.isfinite(stack).all():
             m, i, j = np.argwhere(~np.isfinite(stack))[0]
-            where = "" if self.blocks is None else f"sector {m} "
             raise ValueError(
-                f"density matrix {where}entry [{i}, {j}] is not finite")
+                f"density matrix sector {m} entry [{i}, {j}] is not finite")
         if np.abs(stack - stack.conj().swapaxes(1, 2)).max() > 1e-12:
             raise ValueError("density matrix is not Hermitian")
         tr = self.trace()
         if not (-1e-12 <= tr <= 1.0 + 1e-12):
             raise ValueError(f"trace {tr} outside [0, 1]")
+        pad = np.where(_in_block(self.cutoff), 1e-9, 1.0)
         shifted = stack.copy()
         shifted.reshape(len(stack), -1)[:, :: stack.shape[1] + 1] += pad
         try:
@@ -356,6 +364,7 @@ def basis_state4(cutoff: int, na: int, nb: int, nc: int, nd: int) -> FourModeSta
     return FourModeState(cutoff, amps)
 
 
+# perfbench/tracing.py wraps this name; no pathent code calls it.
 def tensor(ab: TwoModeState, cd: TwoModeState) -> FourModeState:
     """Embed ab (x) cd into a four-mode state at cutoff ab.cutoff + cd.cutoff."""
     c = ab.cutoff + cd.cutoff
@@ -644,9 +653,10 @@ def beam_splitter_pair_oracle(s: FourModeState, kappa: float) -> FourModeState:
 
 
 # ---------------------------------------------------------------------------
-# measurement and reduction of the ancilla modes
+# measurement of the ancilla modes
 
 
+# perfbench/tracing.py wraps this name; no pathent code calls it.
 def project_outcome_cd(s: FourModeState, nc_out: int,
                        nd_out: int) -> tuple[TwoModeState, float]:
     """Project onto |nc_out, nd_out> in modes (c, d).
@@ -662,11 +672,6 @@ def project_outcome_cd(s: FourModeState, nc_out: int,
     return reduced, reduced.norm_sq()
 
 
-def project_vacuum_cd(s: FourModeState) -> tuple[TwoModeState, float]:
-    """Condition on zero photons in both ancilla modes."""
-    return project_outcome_cd(s, 0, 0)
-
-
 def _split_cd(amps: np.ndarray, cutoff: int) -> np.ndarray:
     """Amplitudes as [outcome (n_c, n_d), signal (n_a, n_b), ...], two-mode kets."""
     (na, nb, nc, nd), _ = _basis(4, cutoff)
@@ -675,8 +680,3 @@ def _split_cd(amps: np.ndarray, cutoff: int) -> np.ndarray:
     out[table2[nc, nd], table2[na, nb]] = amps
     return out
 
-
-def trace_out_cd(s: FourModeState) -> TwoModeDensity:
-    """Partial trace over modes (c, d); the trace equals |s|^2."""
-    pieces = _split_cd(s.amps, s.cutoff)
-    return TwoModeDensity(s.cutoff, pieces.T @ pieces.conj())

@@ -53,8 +53,8 @@ def absorption_rate_mixed(rho: TwoModeDensity, n_absorb: int) -> float:
     """Tr(rho e†^N e^N) / N! for a density matrix, sector by sector.
 
     e†^N e^N keeps photon number, so the rate sums Tr(E_m rho_mm E_m^T)
-    over m >= N, with rho_mm read as ``rho.block(m)`` from either form:
-    the channel's sector form never builds its dense matrix.
+    over m >= N, with rho_mm read as ``rho.block(m)``: no dense matrix
+    is built.
     """
     if n_absorb < 1:
         raise ValueError("n_absorb must be >= 1")

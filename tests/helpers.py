@@ -22,15 +22,17 @@ from pathent.factorize import TargetSpec, _wrap_angle
 from pathent.cli import _random_eigenstate as random_eigenstate
 from pathent.cli import _random_four_mode_state as random_four_mode_state
 from pathent.fock import (
-    TwoModeDensity,
+    FourModeState,
     TwoModeState,
     _basis,
     _mix,
     _pair_blocks,
     _sector,
     _sector_state,
+    beam_splitter_pair_oracle,
     dim2,
     vacuum,
+    with_cutoff,
     zero_state,
 )
 
@@ -89,6 +91,27 @@ def reference_pair_oracle(s, kappa):
     for idx, lam, vec in _pair_eigh(s.cutoff):
         out[idx] = vec @ (np.exp(-1j * kappa * lam)
                           * (vec.conj().T @ s.amps[idx]))
+    return out
+
+
+def oracle_outcomes(signal, ancilla, kappa):
+    """One block by the textbook route: out[n_c, n_d] is the signal left
+    when the ancilla modes (c, d) read (n_c, n_d), unnormalized.
+
+    signal (x) ancilla is embedded on the four-mode simplex at the sum of
+    their cutoffs, mixed by the dense-exponential oracle and split by
+    ancilla outcome; each signal holds the two-mode kets at that cutoff.
+    Shares no splitter, embedding or projection code with the heralded
+    blocks or the exact pair splitter.
+    """
+    c = signal.cutoff + ancilla.cutoff
+    (na, nb, nc, nd), _ = _basis(4, c)
+    table = _basis(2, c)[1]
+    amps = (with_cutoff(signal, c).amps[table[na, nb]]
+            * with_cutoff(ancilla, c).amps[table[nc, nd]])
+    mixed = beam_splitter_pair_oracle(FourModeState(c, amps), kappa).amps
+    out = np.zeros((c + 1, c + 1, dim2(c)), dtype=complex)
+    out[nc, nd, table[na, nb]] = mixed
     return out
 
 
@@ -203,14 +226,6 @@ def reference_channel_sectors(factors, transmittances=None):
             for m in range(n + 1)]
 
 
-def sector_form(rho):
-    """The sector form of a dense rho with no coherence between sectors."""
-    blocks = np.zeros((rho.cutoff + 1,) * 3, dtype=complex)
-    for m in range(rho.cutoff + 1):
-        blocks[m, :m + 1, :m + 1] = rho.block(m)
-    return TwoModeDensity.from_sectors(blocks)
-
-
 def reference_chain(run_block, block_args):
     """Chain ``run_block(state, *args)`` from vacuum, one whole state per block.
 
@@ -255,16 +270,16 @@ def reference_lower(amps, cutoff, n_absorb):
     return amps
 
 
-def absorption_rate_dense(rho, n_absorb):
+def absorption_rate_dense(cutoff, mat, n_absorb):
     """Tr(rho e†^N e^N) / N! from the dense N-th power of e = a + b.
 
     The one-step matrix of a + b on the whole two-mode simplex, raised to
-    the N-th power: a reference that never splits rho into sectors.
+    the N-th power, against any dense rho ``mat`` at ``cutoff``: a
+    reference that never splits rho into sectors.
     """
-    d = dim2(rho.cutoff)
-    e_1 = reference_lower(np.eye(d, dtype=complex), rho.cutoff, 1)
+    e_1 = reference_lower(np.eye(dim2(cutoff), dtype=complex), cutoff, 1)
     e_n = np.linalg.matrix_power(e_1, n_absorb)
-    return float(np.vdot(e_n, e_n @ rho.mat).real) / math.factorial(n_absorb)
+    return float(np.vdot(e_n, e_n @ mat).real) / math.factorial(n_absorb)
 
 
 def random_target(rng, n):

@@ -229,7 +229,9 @@ def test_criterion_08_unconditional_output_structure():
         )
         sector_dev = float(np.abs(rho.sector(n) - projector).max())
 
-        complement = TwoModeDensity(rho.cutoff, rho.mat - rho.sector(n))
+        failed = rho.blocks.copy()
+        failed[n] = 0.0
+        complement = TwoModeDensity.from_sectors(failed)
         comp_trace_dev = abs(complement.trace() - (1.0 - res.total_yield))
         comp_in_sector = complement.sector_weight(n)
 

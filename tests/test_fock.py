@@ -37,9 +37,7 @@ from pathent.fock import (
     overlap_fidelity,
     phase_shift,
     project_outcome_cd,
-    project_vacuum_cd,
     tensor,
-    trace_out_cd,
     vacuum,
     with_cutoff,
     zero_state,
@@ -53,7 +51,6 @@ from helpers import (
     reference_pair_oracle,
     reference_shift,
     sector_eigh,
-    sector_form,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -419,8 +416,9 @@ def test_splitter_is_2pi_periodic_in_the_angle(kappa):
 
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
 def test_splitters_reject_non_finite_angles(kappa):
-    two = random_two_mode_state(np.random.default_rng(6), 3)
-    four = tensor(two, basis_state(1, 0, 1))
+    rng = np.random.default_rng(6)
+    two = random_two_mode_state(rng, 3)
+    four = random_four_mode_state(rng, 4)
     for split, state in ((beam_splitter, two),
                          (beam_splitter_pair_exact, four),
                          (beam_splitter_pair_oracle, four)):
@@ -576,11 +574,11 @@ print(code, loaded, 'scipy.linalg' in sys.modules)
 
 
 def test_project_vacuum_cases():
-    reduced, p = project_vacuum_cd(basis_state4(1, 1, 0, 0, 0))
+    reduced, p = project_outcome_cd(basis_state4(1, 1, 0, 0, 0), 0, 0)
     assert p == 1.0
     np.testing.assert_allclose(reduced.amplitude(1, 0), 1.0)
 
-    reduced, p = project_vacuum_cd(basis_state4(1, 0, 0, 1, 0))
+    reduced, p = project_outcome_cd(basis_state4(1, 0, 0, 1, 0), 0, 0)
     assert p == 0.0
     assert reduced.norm_sq() == 0.0
 
@@ -592,7 +590,7 @@ def test_project_vacuum_linearity():
         alpha * basis_state4(1, 1, 0, 0, 0).amps
         + beta * basis_state4(1, 0, 0, 1, 0).amps,
     )
-    reduced, p = project_vacuum_cd(s)
+    reduced, p = project_outcome_cd(s, 0, 0)
     np.testing.assert_allclose(p, abs(alpha) ** 2)
     np.testing.assert_allclose(reduced.amplitude(1, 0), alpha)
 
@@ -608,43 +606,26 @@ def test_outcome_probabilities_complete():
     assert abs(total - s.norm_sq()) < 1e-12
 
 
-def test_trace_out_pure_case():
-    rho = trace_out_cd(basis_state4(1, 1, 0, 0, 0))
-    expected = np.zeros_like(rho.mat)
-    i = int(np.argmax(np.abs(basis_state(1, 1, 0).amps)))
-    expected[i, i] = 1.0
-    np.testing.assert_allclose(rho.mat, expected, atol=1e-15)
-
-
-def test_trace_out_entangled_case():
-    # (|1,0,0,0> + |0,0,1,0>)/sqrt(2) -> equal mixture of |1,0> and |0,0>
-    s = FourModeState(
-        1,
-        (basis_state4(1, 1, 0, 0, 0).amps + basis_state4(1, 0, 0, 1, 0).amps)
-        / math.sqrt(2.0),
-    )
-    rho = trace_out_cd(s)
-    i10 = int(np.argmax(np.abs(basis_state(1, 1, 0).amps)))
-    i00 = int(np.argmax(np.abs(basis_state(1, 0, 0).amps)))
-    np.testing.assert_allclose(rho.mat[i10, i10], 0.5)
-    np.testing.assert_allclose(rho.mat[i00, i00], 0.5)
-    np.testing.assert_allclose(rho.mat[i10, i00], 0.0, atol=1e-15)
-    rho.validate()
-
-
-def test_trace_out_preserves_norm():
-    rng = np.random.default_rng(23)
-    for _ in range(5):
-        s = random_four_mode_state(rng, 4)
-        rho = trace_out_cd(s)
-        assert abs(rho.trace() - s.norm_sq()) < 1e-12
-        rho.validate()
+def _from_blocks(*blocks):
+    """The density with the given sector blocks, sector 0 first, built
+    with no dense matrix."""
+    cube = np.zeros((len(blocks),) * 3, dtype=complex)
+    for m, block in enumerate(blocks):
+        cube[m, :m + 1, :m + 1] = block
+    return TwoModeDensity.from_sectors(cube)
 
 
 def test_density_validate_rejects_nonhermitian():
+    # Between two sectors the constructor names the entry; inside one,
+    # validate rejects it.
     mat = np.zeros((dim2(1), dim2(1)), dtype=complex)
     mat[0, 1] = 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^density matrix entry \[0, 1\] "
+                                         r"couples photon-number sectors "
+                                         r"0 and 1$"):
+        TwoModeDensity(1, mat)
+    mat[0, 1], mat[1, 2] = 0.0, 1.0
+    with pytest.raises(ValueError, match="^density matrix is not Hermitian$"):
         TwoModeDensity(1, mat).validate()
 
 
@@ -652,26 +633,47 @@ def test_density_validate_rejects_nonhermitian():
 def test_density_validate_rejects_non_finite_entries(bad):
     # NaN coherences once passed (nan > 1e-12 is false and the eigenvalue
     # minimum was NaN); inf ones raised LinAlgError with a RuntimeWarning.
+    # Between two sectors the constructor names the entry; inside one,
+    # validate names it by its sector.
     mat = np.diag([0.5, 0.5, 0.0]).astype(complex)
     mat[0, 1] = bad
     mat[1, 0] = np.conj(bad)
+    inside = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    inside[1, 2] = bad
+    inside[2, 1] = np.conj(bad)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"entry \[0, 1\] is not finite"):
-            TwoModeDensity(1, mat).validate()
+        with pytest.raises(ValueError, match=r"^density matrix entry \[0, 1\] "
+                                             r"couples photon-number "
+                                             r"sectors 0 and 1$"):
+            TwoModeDensity(1, mat)
+        with pytest.raises(ValueError, match=r"^density matrix sector 1 "
+                                             r"entry \[0, 1\] is not finite$"):
+            TwoModeDensity(1, inside).validate()
 
 
-def _coherent_pair():
-    """[[0.3, 0.4], [0.4, 0.3]] on |0,0> and |1,0>: each photon-number
-    sector block is PSD, the whole matrix has eigenvalue -0.1."""
-    vac, one = basis_state(1, 0, 0).amps, basis_state(1, 1, 0).amps
-    return (0.3 * (np.outer(vac, vac) + np.outer(one, one))
-            + 0.4 * (np.outer(vac, one) + np.outer(one, vac)))
+def _coherent_pair(na, nb):
+    """[[0.3, 0.4], [0.4, 0.3]] on |na, nb> and |1, 0>: eigenvalue -0.1.
+
+    On |0, 1> both kets lie in sector 1, whose block has that eigenvalue;
+    on |0, 0> each sector's block is PSD and the coherence joins two
+    sectors.
+    """
+    ket, one = basis_state(1, na, nb).amps, basis_state(1, 1, 0).amps
+    return (0.3 * (np.outer(ket, ket) + np.outer(one, one))
+            + 0.4 * (np.outer(ket, one) + np.outer(one, ket)))
+
+
+def test_density_rejects_coherence_between_sectors():
+    with pytest.raises(ValueError, match=r"^density matrix entry \[0, 2\] "
+                                         r"couples photon-number sectors "
+                                         r"0 and 1$"):
+        TwoModeDensity(1, _coherent_pair(0, 0))
 
 
 @pytest.mark.parametrize("mat,lowest", [
     (np.diag([0.5, 0.3, -2e-9]), -2e-9),
-    (_coherent_pair(), -0.1),
+    (_coherent_pair(0, 1), -0.1),
 ], ids=["diagonal", "coherent"])
 def test_density_validate_rejects_a_negative_eigenvalue(mat, lowest):
     with pytest.raises(ValueError, match="negative eigenvalue") as err:
@@ -703,63 +705,55 @@ def test_density_validate_accepts_within_the_tolerance(rho, factored,
     assert len(calls) == (0 if factored else 1)
 
 
-def _dense(rho):
-    return TwoModeDensity(rho.cutoff, rho.mat)
-
-
-@pytest.mark.parametrize("rho", [
-    TwoModeDensity(1, np.diag([0.5, 0.3, -5e-10])),
-    TwoModeDensity(1, np.diag([0.5, 0.3, -1e-9])),
-    TwoModeDensity(1, np.diag([0.5, 0.3, -2e-9])),
-    TwoModeDensity(1, np.diag([0.5, 0.3, 0.2]) + np.diag([0, 0.1j], 1)
-                   + np.diag([0, 0.1j], -1)),
-    TwoModeDensity.from_state(noon_state(4)),
-    _dense(pathent.run_scheme_unconditional(pathent.noon_factor_angles(9))),
+@pytest.mark.parametrize("rho,message,calls", [
+    (_from_blocks([[0.5]], np.diag([0.3, -5e-10])), None, 0),
+    (_from_blocks([[0.5]], np.diag([0.3, -1e-9])), None, 1),
+    (_from_blocks([[0.5]], np.diag([0.3, -2e-9])),
+     "negative eigenvalue -2e-09", 1),
+    (_from_blocks([[0.5]], [[0.3, 0.1j], [0.1j, 0.2]]),
+     "density matrix is not Hermitian", 0),
+    (TwoModeDensity.from_state(noon_state(4)), None, 0),
+    (pathent.run_scheme_unconditional(pathent.noon_factor_angles(9)), None, 0),
 ], ids=["inside", "boundary", "negative", "nonhermitian", "noon4",
         "channel9"])
-def test_sector_form_validates_as_the_dense_form(rho, monkeypatch):
-    # The same decision and message, after as many eigendecompositions,
-    # as the dense form of the same block-diagonal rho: both accept inside
-    # the tolerance, both fall back to the eigenvalues on it and both
-    # reject -2e-9, naming it.
+def test_sector_form_validates_as_the_dense_form(rho, message, calls,
+                                                 monkeypatch):
+    # The dense constructor gathers the sector blocks of rho's dense
+    # matrix back bit for bit, the path a check on a rescaled dense matrix
+    # takes.  Both validate alike, after as many eigendecompositions: they
+    # accept inside the tolerance, fall back to the eigenvalues on it and
+    # reject -2e-9 and the non-Hermitian block, naming them.
     eigvalsh = np.linalg.eigvalsh
 
     def outcome(form):
-        calls = []
+        found = []
         monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda m: calls.append(m) or eigvalsh(m))
+                            lambda m: found.append(m) or eigvalsh(m))
         try:
             form.validate()
         except ValueError as err:
-            return str(err), len(calls)
-        return None, len(calls)
+            return str(err), len(found)
+        return None, len(found)
 
-    sectors = sector_form(rho)
-    assert sectors.blocks is not None and rho.blocks is None
-    assert outcome(sectors) == outcome(rho)
+    dense = TwoModeDensity(rho.cutoff, rho.mat)
+    assert dense.blocks.tobytes() == rho.blocks.tobytes()
+    assert outcome(rho) == outcome(dense) == (message, calls)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.1, -math.inf)])
 def test_sector_form_names_a_non_finite_entry_by_its_sector(bad):
-    # |0,1> and |1,0> are kets 1 and 2 of the dense basis and kets 0 and 1
-    # of sector 1.
-    mat = np.diag([0.5, 0.3, 0.2]).astype(complex)
-    mat[1, 2] = bad
-    mat[2, 1] = np.conj(bad)
-    rho = TwoModeDensity(1, mat)
+    # |0,1> and |1,0> are kets 0 and 1 of sector 1.
+    rho = _from_blocks([[0.5]], [[0.3, bad], [np.conj(bad), 0.2]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError,
-                           match=r"^density matrix entry \[1, 2\] is not"):
-            rho.validate()
         with pytest.raises(ValueError, match=r"^density matrix sector 1 "
-                                             r"entry \[0, 1\] is not finite"):
-            sector_form(rho).validate()
+                                             r"entry \[0, 1\] is not finite$"):
+            rho.validate()
 
 
 def test_density_rejects_a_negative_cutoff():
-    # Both forms, as the state classes do; a cutoff of -1 once passed, and
-    # validate then failed inside numpy on the empty matrix.
+    # Both constructors, as the state classes do; a cutoff of -1 once
+    # passed, and validate then failed inside numpy on the empty matrix.
     with pytest.raises(ValueError, match="cutoff must be non-negative"):
         TwoModeDensity(-1, np.zeros((0, 0)))
     with pytest.raises(ValueError, match="cutoff must be non-negative"):
@@ -776,15 +770,17 @@ def test_density_sector_weights():
 
 
 def test_density_sectors_outside_the_cutoff_are_empty():
-    rho = TwoModeDensity.from_state(
-        random_two_mode_state(np.random.default_rng(8), 4))
+    s = random_two_mode_state(np.random.default_rng(8), 4)
+    rho = TwoModeDensity.from_state(s)
     for n in (-3, -2, -1, 5, 6):
         assert rho.sector_weight(n) == 0.0
         assert not rho.sector(n).any()
-    blocks = sum(rho.sector(n) for n in range(5))
+    # the outer product of s masked to its sector blocks, bit for bit
     (na, nb), _ = _basis(2, 4)
     same = (na + nb)[:, None] == na + nb
-    assert np.array_equal(blocks, np.where(same, rho.mat, 0.0))
+    want = np.where(same, np.outer(s.amps, s.amps.conj()), 0.0)
+    assert rho.mat.tobytes() == want.tobytes()
+    assert np.array_equal(sum(rho.sector(n) for n in range(5)), want)
     assert abs(sum(rho.sector_weight(n) for n in range(5)) - 1.0) < 1e-12
 
 

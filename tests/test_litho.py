@@ -7,6 +7,7 @@ from pathent.blocks import run_scheme, run_scheme_unconditional
 from pathent.factorize import factorize_target, noon_target
 from pathent.fock import (
     TwoModeDensity,
+    _basis,
     basis_state,
     dim2,
     noon_state,
@@ -101,29 +102,37 @@ def test_noon2_interference_pattern():
 
 
 def test_mixed_rate_matches_pure_on_pure_density():
+    # Multi-sector states, whose coherences between sectors from_state
+    # drops, at every absorber order up to one past the cutoff.
     rng = np.random.default_rng(5)
-    for _ in range(5):
-        s = random_two_mode_state(rng, 4)
+    for cutoff in range(9):
+        s = random_two_mode_state(rng, cutoff)
         rho = TwoModeDensity.from_state(s)
-        np.testing.assert_allclose(
-            absorption_rate_mixed(rho, 2), absorption_rate_pure(s, 2),
-            rtol=1e-9, atol=1e-12,
-        )
+        for n in range(1, cutoff + 2):
+            np.testing.assert_allclose(
+                absorption_rate_mixed(rho, n), absorption_rate_pure(s, n),
+                rtol=1e-9, atol=1e-12,
+            )
 
 
 @pytest.mark.parametrize("cutoff", range(1, 9))
 def test_mixed_rate_matches_dense_matrix_power(cutoff):
     # Random densities with coherences between every pair of sectors and
     # weight in every sector, at every absorber order up to one past the
-    # cutoff, where nothing can be absorbed.
+    # cutoff, where nothing can be absorbed.  The reference reads the
+    # whole matrix; the rate gets only its sector blocks, so dropping the
+    # coherences must leave the rate unchanged.
     rng = np.random.default_rng(80 + cutoff)
     d = dim2(cutoff)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     g = g @ g.conj().T
-    rho = TwoModeDensity(cutoff, g / np.trace(g).real)
+    mat = g / np.trace(g).real
+    (na, nb), _ = _basis(2, cutoff)
+    rho = TwoModeDensity(
+        cutoff, np.where((na + nb)[:, None] == na + nb, mat, 0.0))
     for n in range(1, cutoff + 2):
         got = absorption_rate_mixed(rho, n)
-        want = absorption_rate_dense(rho, n)
+        want = absorption_rate_dense(cutoff, mat, n)
         assert abs(got - want) <= 1e-12 * abs(want) + 1e-15
     assert absorption_rate_mixed(rho, cutoff + 1) == 0.0
 
@@ -133,8 +142,9 @@ def test_mixed_rate_of_a_mixture_is_the_weighted_pure_rates(cutoff):
     rng = np.random.default_rng(90 + cutoff)
     states = [random_two_mode_state(rng, cutoff) for _ in range(4)]
     weights = rng.dirichlet(np.ones(4))
-    rho = TwoModeDensity(cutoff, sum(
-        w * np.outer(s.amps, s.amps.conj()) for w, s in zip(weights, states)))
+    rho = TwoModeDensity.from_sectors(sum(
+        w * TwoModeDensity.from_state(s).blocks
+        for w, s in zip(weights, states)))
     for n in range(1, cutoff + 1):
         want = sum(w * absorption_rate_pure(s, n)
                    for w, s in zip(weights, states))
@@ -158,11 +168,9 @@ def test_failed_branches_are_dark():
     fs = factorize_target(noon_target(3))
     rho = run_scheme_unconditional(fs)
     res = run_scheme(fs)
-    failed = TwoModeDensity(
-        rho.cutoff,
-        rho.mat - res.total_yield * np.outer(res.final_state.amps,
-                                             res.final_state.amps.conj()),
-    )
+    success = TwoModeDensity.from_state(res.final_state)
+    failed = TwoModeDensity.from_sectors(
+        rho.blocks - res.total_yield * success.blocks)
     assert absorption_rate_mixed(failed, 3) <= 1e-12
 
 
