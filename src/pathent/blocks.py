@@ -100,15 +100,25 @@ class SchemeResult:
 
 
 def _single_table(angles) -> np.ndarray:
-    """Row k: amplitudes of |0,1> and |1,0> in the ancilla of factor k."""
-    return np.array([(-np.exp(1j * phi) * math.sin(theta), math.cos(theta))
-                     for theta, phi in angles])
+    """Row k: amplitudes of |0,1> and |1,0> in the ancilla of factor k.
+
+    sin and cos are taken per factor, e^{i phi} of every factor at once.
+    """
+    table = np.empty((len(angles), 2), dtype=complex)
+    phis = np.array([phi for _, phi in angles], dtype=float)
+    table[:, 0] = -np.exp(1j * phis) * [math.sin(t) for t, _ in angles]
+    table[:, 1] = [math.cos(t) for t, _ in angles]
+    return table
 
 
 def _double_table(phis) -> np.ndarray:
     """Row k: amplitudes of |0,2>, |1,1> and |2,0> in doubled block k."""
-    return np.array([(-np.exp(2j * phi) * math.sqrt(0.5), 0.0, math.sqrt(0.5))
-                     for phi in phis])
+    phis = np.array(phis, dtype=float)
+    table = np.empty((len(phis), 3), dtype=complex)
+    table[:, 0] = -np.exp(2j * phis) * math.sqrt(0.5)
+    table[:, 1] = 0.0
+    table[:, 2] = math.sqrt(0.5)
+    return table
 
 
 def _single_coeffs(theta: float, phi: float) -> np.ndarray:
@@ -155,26 +165,37 @@ def _splitter_entries(cutoff: int, c, s, j_max: int,
                      / sqrt(j),
     which unrolls to the j + 1 terms of the binomial expansion of B†^j.
     Every power is non-negative and nothing divides by c, so no angle needs
-    a special case.  Only the columns n <= n_max (default: all) are built,
-    since the recursion never reads a higher one; the heralded blocks need
-    n = 0 alone, c^{o-j} s^j sqrt(C(o, j)).  Entries with o + n > cutoff or
-    o + n < j are zero.
+    a special case.  Only the columns n <= n_max <= cutoff (default: all)
+    are built, since the recursion never reads a higher one; the heralded
+    blocks need n = 0 alone, c^{o-j} s^j sqrt(C(o, j)).  Entries with
+    o + n > cutoff or o + n < j are zero.  Each j is a few numpy calls on
+    the whole table, and every operation that would leave each bit as it
+    is goes: (-s)^0 and the unit binomial root of column 0, the division
+    by sqrt(1), and, when column 0 is all that is built, the mask.
     """
     n_max = cutoff if n_max is None else n_max
     c = np.asarray(c, dtype=float)[..., None, None]
     s = np.asarray(s, dtype=float)[..., None, None]
     o = np.arange(cutoff + 1.0)[:, None]
-    n = np.arange(n_max + 1.0)
-    inside = o + n <= cutoff
-    # sqrt(C(o + n, n)) as the running product of sqrt((o + t) / t), t <= n
-    step = np.sqrt((o + n) / np.maximum(n, 1.0))
-    step[:, 0] = 1.0
     v = np.zeros((j_max + 1,) + c.shape[:-2] + (cutoff + 1, n_max + 1))
-    v[0] = np.where(inside, c ** o * (-s) ** n * np.cumprod(step, axis=1), 0.0)
+    np.power(c, o, out=v[0, ..., :1])
+    s_o = s * np.sqrt(o[1:])
+    if n_max:
+        n = np.arange(1.0, n_max + 1)
+        outside = o + np.arange(n_max + 1.0) > cutoff
+        v0 = v[0, ..., 1:]
+        np.multiply(v[0, ..., :1], (-s) ** n, out=v0)
+        # sqrt(C(o + n, n)) as the running product of sqrt((o + t) / t)
+        v0 *= np.cumprod(np.sqrt((o + n) / n), axis=1)
+        np.copyto(v0, 0.0, where=outside[:, 1:])
+        c_n = c * np.sqrt(n)
     for j in range(1, j_max + 1):
-        v[j, ..., 1:, :] = s * np.sqrt(o[1:]) * v[j - 1, ..., :-1, :]
-        v[j, ..., 1:] += c * np.sqrt(n[1:]) * v[j - 1, ..., :-1]
-        v[j] = np.where(inside, v[j] / math.sqrt(j), 0.0)
+        np.multiply(s_o, v[j - 1, ..., :-1, :], out=v[j, ..., 1:, :])
+        if n_max:
+            v[j, ..., 1:] += c_n * v[j - 1, ..., :-1]
+            np.copyto(v[j], 0.0, where=outside)
+        if j > 1:
+            v[j] /= math.sqrt(j)
     return v
 
 

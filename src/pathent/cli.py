@@ -532,6 +532,8 @@ def _oracle_section(name: str, trials: int, max_dev: float,
 
 
 def _cmd_oracle_check(args) -> int:
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     if args.trials < 1:
         raise InputError("--trials must be >= 1")
     if not 1 <= args.cutoff <= 10:

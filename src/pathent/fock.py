@@ -15,14 +15,18 @@ a creation or annihilation operator or a step of the absorber a + b, is
 ``_ladder``: a weighted shift of one sector's coefficients into the
 neighbouring sector, applied sector by sector.
 The public splitters share one core, ``_sector_blocks``, which builds the
-two-mode splitter U's block on each photon-number sector.  ``_mix`` applies
-the blocks to a stack of states, one per column.  The heralded blocks do
-not call either; ``blocks`` reads their few entries of U, and their
-ancillas, from closed forms.  The four-mode pair of splitters on (a, c)
-and (b, d) is U (x) U: ``beam_splitter_pair_exact`` lays the amplitudes
-out as a matrix X[(n_a, n_c), (n_b, n_d)] over the two-mode simplex, puts
-the blocks on the diagonal of a real U and returns U X U^T, two real
-products on the complex arrays' float views; ``_split_cd`` maps the
+two-mode splitter U's block on each photon-number sector into one
+(cutoff + 1)^3 stack, the same layout as a density matrix's blocks.  Each
+step of its recursion is one multiply into a buffer of four shifted planes
+and three adds in the recursion's own order, so the blocks keep the bits
+of a sector-by-sector build.  ``_mix`` applies the blocks to a stack of
+states, one per column.  The heralded blocks do not call either;
+``blocks`` reads their few entries of U, and their ancillas, from closed
+forms.  The four-mode pair of splitters on (a, c) and (b, d) is U (x) U:
+``beam_splitter_pair_exact`` lays the amplitudes out as a matrix
+X[(n_a, n_c), (n_b, n_d)] over the two-mode simplex, places the stack on
+the diagonal of a real U through one cached index and returns U X U^T, two
+real products on the complex arrays' float views; ``_split_cd`` maps the
 amplitudes to ancilla outcomes (n_c, n_d) and signal kets.  A density
 matrix is held as the stack of its photon-number sector blocks: the
 splitters conserve photon number and the detectors count it, so no rho
@@ -490,45 +494,94 @@ def is_photon_number_eigenstate(s: TwoModeState) -> int | None:
 # beam splitters
 
 
-def _sector_blocks(cutoff: int, kappa: float):
-    """Yield q[r, l] = <n - r, r| U |n - l, l>, U's block on sector n.
+@lru_cache(maxsize=16)
+def _step_roots(cutoff: int) -> np.ndarray:
+    """Ladder weights of every step of ``_sector_blocks``, flat by step.
 
-    U maps a† to A† = c a† - s b† and b† to B† = s a† + c b† (c = cos kappa,
+    Step n, 1 <= n <= cutoff, holds four n x n planes over rows i and
+    columns j, sqrt(i + 1) or sqrt(n - i) times sqrt(j + 1) or sqrt(n - j):
+        [[sqrt((i + 1)(j + 1)), sqrt((i + 1)(n - j))],
+         [sqrt((n - i)(j + 1)), sqrt((n - i)(n - j))]],
+    flattened at [:, :, (n - 1) n (2n - 1) / 6:][:, :, :n^2].  Each entry
+    is one root of an integer product, so kappa = 0 gives the identity bit
+    for bit.  4 sum_n n^2 floats: 2.9 MB at cutoff 64.
+    """
+    k = np.arange(cutoff + 1.0)
+    root = np.sqrt(np.outer(k, k))
+    steps = [np.zeros((2, 2, 0))]
+    for n in range(1, cutoff + 1):
+        up, down = slice(1, n + 1), slice(n, 0, -1)
+        steps.append(np.array([[root[up, up], root[up, down]],
+                               [root[down, up], root[down, down]]])
+                     .reshape(2, 2, -1))
+    roots = np.concatenate(steps, axis=2)
+    roots.setflags(write=False)  # shared by every caller of the cache
+    return roots
+
+
+def _sector_blocks(cutoff: int, kappa: float) -> np.ndarray:
+    """U's block on every photon-number sector, as a (cutoff + 1)^3 stack.
+
+    ``stack[n, :n + 1, :n + 1]`` is U's block on sector n,
+    <i, n - i| U |j, n - j>, with zeros around it.  U maps a† to
+    A† = c a† - s b† and b† to B† = s a† + c b† (c = cos kappa,
     s = sin kappa), so block n comes from block n - 1, all columns at once,
     by the balanced recursion (p = n - l)
         n U|p, l> = sqrt(p) A† U|p - 1, l> + sqrt(l) B† U|p, l - 1>,
     accurate at any angle and photon number; the one-sided one is not.
+    Column j of block n is thus four weighted copies of block n - 1: c a†
+    and -s b† of its column j - 1, s a† and c b† of its column j, where a†
+    moves a row down.  One multiply by the ``_step_roots`` of c and s
+    writes the four through a view with shifted strides over one buffer of
+    four planes, the subtracted term pre-negated.  Summed in the
+    recursion's own order, ((c a† - s b†) + s a†) + c b†, and divided by n,
+    they are block n, bit for bit as the recursion built one sector at a
+    time.
     """
-    k = np.arange(cutoff + 1.0)
-    # sqrt(i j) in one root, so kappa = 0 gives the identity bit for bit
-    root = np.sqrt(np.outer(k, k))
-    wc, ws = math.cos(kappa) * root, math.sin(kappa) * root
-    q = np.ones((1, 1))
-    yield q
+    c, s = math.cos(kappa), math.sin(kappa)
+    w = _step_roots(cutoff) * np.array([[c, s], [-s, c]])[:, :, None]
+    stack = np.zeros((cutoff + 1,) * 3)
+    stack[0, 0, 0] = 1.0
+    # Term (x, y), a† (x = 0) or b† (x = 1) of column j - 1 (y = 0) or j
+    # (y = 1), lands 1 - x rows and 1 - y columns on, in plane (x, y).  Each
+    # step overwrites what the step before wrote.  Where a term does not
+    # reach, its plane holds -0.0, which adds as nothing, and the first
+    # plane holds 0.0, where the recursion starts its sums: the planes add
+    # up to block n and the zeros around it, signed zeros included.
+    buf = np.full((2, 2, cutoff + 1, cutoff + 1), -0.0)
+    buf[0, 0] = 0.0
+    s0, s1, s2, s3 = buf.strides
+    terms = np.ndarray((2, 2, cutoff, cutoff), float, buf, s2 + s3,
+                       (s0 - s2, s1 - s3, s2, s3))
+    start = 0
     for n in range(1, cutoff + 1):
-        # a† weighs row r by sqrt(n - r), b† by sqrt(r + 1)
-        a, b = slice(n, 0, -1), slice(1, n + 1)
-        z = np.zeros((n + 1, n + 1))
-        z[:-1, :-1] = wc[a, a] * q
-        z[1:, :-1] -= ws[b, a] * q
-        z[:-1, 1:] += ws[a, b] * q
-        z[1:, 1:] += wc[b, b] * q
-        q = z / n
-        yield q
+        np.multiply(w[:, :, start:start + n * n].reshape(2, 2, n, n),
+                    stack[n - 1, :n, :n], out=terms[:, :, :n, :n])
+        start += n * n
+        block = stack[n]
+        np.add(buf[0, 0], buf[1, 0], out=block)
+        block += buf[0, 1]
+        block += buf[1, 1]
+        block /= n
+    return stack
 
 
 def _mix(amps: np.ndarray, cutoff: int, kappa: float) -> np.ndarray:
     """Beam splitter of angle kappa on two-mode amplitudes at ``cutoff``.
 
-    One contraction per sector, so each stacked column comes out
-    bit-identical to a single-state call.
+    One contraction per sector with its block of the ``_sector_blocks``
+    stack, and no dense U, so each stacked column comes out bit-identical
+    to a single-state call.  The contraction runs over n_b ascending, on a
+    contiguous copy of the block read backwards, ``block[::-1, ::-1]``:
+    ``np.einsum`` sums in an order that follows its operands' layout.
     """
     if not math.isfinite(kappa):
         raise ValueError(f"kappa must be finite, got {kappa}")
     out = np.empty_like(amps)
-    for n, q in enumerate(_sector_blocks(cutoff, kappa)):
-        # q runs over n_b ascending, the sector slice over n_a ascending
+    blocks = _sector_blocks(cutoff, kappa)
+    for n in range(cutoff + 1):
         kets = _sector(n)
+        q = blocks[n, n::-1, n::-1].copy()
         x = amps[kets][::-1].copy()
         out[kets] = np.einsum("il,l...->i...", q, x)[::-1]
     return out
@@ -544,24 +597,42 @@ def beam_splitter_pair_exact(s: FourModeState, kappa: float) -> FourModeState:
 
     The pair is U (x) U, with U the two-mode splitter as a matrix over the
     two-mode simplex; X[(n_a, n_c), (n_b, n_d)] holds the amplitudes.  U is
-    block-diagonal in photon number: sector n's block is ``_sector_blocks``'
-    q reversed on both axes, as ``_mix`` applies it.  U is real, so U X U^T
-    is two real products on complex float views, U X and then U (U X)^T,
-    read back transposed.  U conserves photon number, so X keeps its
-    p + q <= cutoff support.
+    block-diagonal in photon number: the ``_sector_blocks`` stack is placed
+    on its diagonal through one cached index, ``_block_index``.  U is real,
+    so U X U^T is two real products on complex float views, U X and then
+    U (U X)^T, read back transposed.  U conserves photon number, so X
+    keeps its p + q <= cutoff support.
     """
     if not math.isfinite(kappa):
         raise ValueError(f"kappa must be finite, got {kappa}")
     rows, cols = _pair_layout(s.cutoff)
     d = dim2(s.cutoff)
+    dst, src = _block_index(s.cutoff)
     u = np.zeros((d, d))
-    for n, q in enumerate(_sector_blocks(s.cutoff, kappa)):
-        u[_sector(n), _sector(n)] = q[::-1, ::-1]
+    u.ravel()[dst] = _sector_blocks(s.cutoff, kappa).take(src)
     x = np.zeros((d, d), dtype=complex)
     x[rows, cols] = s.amps
     ux_t = (u @ x.view(float)).view(complex).T.copy()
     return FourModeState(s.cutoff,
                          (u @ ux_t.view(float)).view(complex)[cols, rows])
+
+
+@lru_cache(maxsize=16)
+def _block_index(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of the sector blocks in U and in their stack.
+
+    One int32 pair per in-block entry, sum_n (n + 1)^2 of them: 0.75 MB at
+    cutoff 64.
+    """
+    tri = _in_block(cutoff)
+    n, i, j = np.nonzero(tri[:, :, None] & tri[:, None])
+    first = n * (n + 1) // 2  # sector n starts at dim2(n - 1)
+    dst = (first + i) * dim2(cutoff) + first + j
+    src = (n * (cutoff + 1) + i) * (cutoff + 1) + j
+    index = dst.astype(np.int32), src.astype(np.int32)
+    for part in index:
+        part.setflags(write=False)  # shared by every caller of the cache
+    return index
 
 
 @lru_cache(maxsize=16)

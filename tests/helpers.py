@@ -10,12 +10,8 @@ from pathent.blocks import (
     BlockOutcome,
     BlockParams,
     SchemeResult,
-    _double_coeffs,
     _mixing,
     _single_blocks,
-    _single_coeffs,
-    _single_table,
-    _splitter_entries,
     _transfer_index,
 )
 from pathent.factorize import TargetSpec, _wrap_angle
@@ -25,7 +21,6 @@ from pathent.fock import (
     FourModeState,
     TwoModeState,
     _basis,
-    _mix,
     _pair_blocks,
     _sector,
     _sector_state,
@@ -60,13 +55,54 @@ def sector_eigh(m):
     return np.linalg.eigh(1j * gen)
 
 
-def reference_pair_exact(s, kappa):
-    """The pair splitter U X U^T with U built densely by ``_mix``.
+def reference_sector_blocks(cutoff, kappa):
+    """Yield q[r, l] = <n - r, r| U |n - l, l>, U's block on sector n.
 
-    U is ``_mix`` applied to the identity, X[(n_a, n_c), (n_b, n_d)] holds
-    the amplitudes, and both products are complex: a reference that shares
-    neither the assembly of U nor the real products with
-    ``beam_splitter_pair_exact``.
+    The balanced recursion one sector at a time, each term added into a
+    fresh zeroed block in turn: the reference for ``fock._sector_blocks``.
+    U maps a† to A† = c a† - s b† and b† to B† = s a† + c b† (c = cos kappa,
+    s = sin kappa), so block n comes from block n - 1, all columns at once,
+    by the balanced recursion (p = n - l)
+        n U|p, l> = sqrt(p) A† U|p - 1, l> + sqrt(l) B† U|p, l - 1>.
+    """
+    k = np.arange(cutoff + 1.0)
+    # sqrt(i j) in one root, so kappa = 0 gives the identity bit for bit
+    root = np.sqrt(np.outer(k, k))
+    wc, ws = math.cos(kappa) * root, math.sin(kappa) * root
+    q = np.ones((1, 1))
+    yield q
+    for n in range(1, cutoff + 1):
+        # a† weighs row r by sqrt(n - r), b† by sqrt(r + 1)
+        a, b = slice(n, 0, -1), slice(1, n + 1)
+        z = np.zeros((n + 1, n + 1))
+        z[:-1, :-1] = wc[a, a] * q
+        z[1:, :-1] -= ws[b, a] * q
+        z[:-1, 1:] += ws[a, b] * q
+        z[1:, 1:] += wc[b, b] * q
+        q = z / n
+        yield q
+
+
+def reference_mix(amps, cutoff, kappa):
+    """The two-mode splitter, one contraction per ``reference_sector_blocks``
+    block: the reference for ``fock._mix``."""
+    out = np.empty_like(amps)
+    for n, q in enumerate(reference_sector_blocks(cutoff, kappa)):
+        # q runs over n_b ascending, the sector slice over n_a ascending
+        kets = _sector(n)
+        x = amps[kets][::-1].copy()
+        out[kets] = np.einsum("il,l...->i...", q, x)[::-1]
+    return out
+
+
+def reference_pair_exact(s, kappa):
+    """The pair splitter U X U^T with U placed block by block.
+
+    U gets each ``reference_sector_blocks`` block reversed on both axes on
+    its diagonal, one sector slice at a time, X[(n_a, n_c), (n_b, n_d)]
+    holds the amplitudes, and both products are complex: a reference that
+    shares neither the recursion, nor the assembly of U, nor the real
+    products with ``beam_splitter_pair_exact``.
     """
     (na, nb, nc, nd), _ = _basis(4, s.cutoff)
     table = _basis(2, s.cutoff)[1]
@@ -74,7 +110,9 @@ def reference_pair_exact(s, kappa):
     d = dim2(s.cutoff)
     x = np.zeros((d, d), dtype=complex)
     x[rows, cols] = s.amps
-    u = _mix(np.eye(d), s.cutoff, kappa)
+    u = np.zeros((d, d))
+    for n, q in enumerate(reference_sector_blocks(s.cutoff, kappa)):
+        u[_sector(n), _sector(n)] = q[::-1, ::-1]
     return (u @ x @ u.T)[rows, cols]
 
 
@@ -120,6 +158,45 @@ def random_two_mode_state(rng, cutoff):
     return TwoModeState(cutoff, v / np.linalg.norm(v))
 
 
+def reference_splitter_entries(cutoff, c, s, j_max, n_max=None):
+    """v[j, ..., o, n] = U[(o, n), (o + n - j, j)] of the two-mode splitter U.
+
+    The reference for ``blocks._splitter_entries``, built with a mask and
+    every factor on every column: v[0] is the closed form
+    c^o (-s)^n sqrt(C(o + n, n)), and each further b-photon applies
+    B† = s a† + c b† once and divides by sqrt(j).  ``c`` and ``s`` may be
+    arrays, one entry per splitter, their shape between j and (o, n).
+    """
+    n_max = cutoff if n_max is None else n_max
+    c = np.asarray(c, dtype=float)[..., None, None]
+    s = np.asarray(s, dtype=float)[..., None, None]
+    o = np.arange(cutoff + 1.0)[:, None]
+    n = np.arange(n_max + 1.0)
+    inside = o + n <= cutoff
+    # sqrt(C(o + n, n)) as the running product of sqrt((o + t) / t), t <= n
+    step = np.sqrt((o + n) / np.maximum(n, 1.0))
+    step[:, 0] = 1.0
+    v = np.zeros((j_max + 1,) + c.shape[:-2] + (cutoff + 1, n_max + 1))
+    v[0] = np.where(inside, c ** o * (-s) ** n * np.cumprod(step, axis=1), 0.0)
+    for j in range(1, j_max + 1):
+        v[j, ..., 1:, :] = s * np.sqrt(o[1:]) * v[j - 1, ..., :-1, :]
+        v[j, ..., 1:] += c * np.sqrt(n[1:]) * v[j - 1, ..., :-1]
+        v[j] = np.where(inside, v[j] / math.sqrt(j), 0.0)
+    return v
+
+
+def reference_single_table(angles):
+    """Ancilla rows of single-photon blocks, one np.exp per factor."""
+    return np.array([(-np.exp(1j * phi) * math.sin(theta), math.cos(theta))
+                     for theta, phi in angles])
+
+
+def reference_double_table(phis):
+    """Ancilla rows of doubled blocks, one np.exp per block."""
+    return np.array([(-np.exp(2j * phi) * math.sqrt(0.5), 0.0, math.sqrt(0.5))
+                     for phi in phis])
+
+
 def reference_herald_sector(x, v, anc):
     """Dark branch of one block on the coefficients ``x`` of sector m.
 
@@ -141,7 +218,7 @@ def reference_herald(state, anc, params):
     """The heralded block as ``reference_herald_sector`` on every sector."""
     a = len(anc) - 1
     cutoff = state.cutoff + a
-    v = _splitter_entries(cutoff, *params.cos_sin, a, 0)[..., 0]
+    v = reference_splitter_entries(cutoff, *params.cos_sin, a, 0)[..., 0]
     dark = np.zeros(dim2(cutoff), dtype=complex)
     for m in range(state.cutoff + 1):
         x = state.amps[_sector(m)]
@@ -152,12 +229,12 @@ def reference_herald(state, anc, params):
 
 
 def reference_block_single(state, params):
-    return reference_herald(state, _single_coeffs(params.theta, params.phi),
-                            params)
+    anc = reference_single_table([(params.theta, params.phi)])[0]
+    return reference_herald(state, anc, params)
 
 
 def reference_block_double(state, phi, transmittance):
-    return reference_herald(state, _double_coeffs(phi),
+    return reference_herald(state, reference_double_table([phi])[0],
                             BlockParams(math.pi / 4.0, phi, transmittance))
 
 
@@ -171,7 +248,7 @@ def reference_run_chain(params, ancs):
     a = len(ancs[0]) - 1
     n_photons = a * len(ancs)
     cos_sin = np.array([p.cos_sin for p in params]).T
-    v = _splitter_entries(n_photons, *cos_sin, a, 0)[..., 0]
+    v = reference_splitter_entries(n_photons, *cos_sin, a, 0)[..., 0]
     x = np.ones(1, dtype=complex)
     probs = []
     for k, anc in enumerate(ancs):
@@ -215,8 +292,8 @@ def reference_channel_sectors(factors, transmittances=None):
     """
     angles, ts = _single_blocks(factors, transmittances)
     n = len(angles)
-    v = _splitter_entries(n, *_mixing(ts), 1)
-    anc = _single_table(angles)
+    v = reference_splitter_entries(n, *_mixing(ts), 1)
+    anc = reference_single_table(angles)
     r = np.ones((1, 1, 1), dtype=complex)
     for k in range(n):
         r = reference_channel_block(r, np.append(v[:, k], 0.0),

@@ -13,7 +13,9 @@ from pathent.blocks import (
     BlockParams,
     _channel_block,
     _double_coeffs,
+    _double_table,
     _single_coeffs,
+    _single_table,
     _sector_index,
     _splitter_entries,
     _transfer_index,
@@ -61,7 +63,10 @@ from helpers import (
     reference_block_single,
     reference_chain,
     reference_channel_sectors,
+    reference_double_table,
     reference_run_chain,
+    reference_single_table,
+    reference_splitter_entries,
     rel_err,
     sector_eigh,
 )
@@ -855,3 +860,40 @@ def test_batched_splitter_entries_match_one_row_builds(cutoff, j_max):
             assert v[:, k].tobytes() == one.tobytes(), (t, n_max)
             one = _splitter_entries(cutoff, [row[0]], [row[1]], j_max, n_max)
             assert v[:, k].tobytes() == one[:, 0].tobytes(), (t, n_max)
+
+
+@pytest.mark.parametrize("j_max", [1, 2, 3])
+def test_splitter_entries_are_the_reference_byte_for_byte(j_max):
+    # Rows at T = 1 (c = 0), T = 1e-6, near 1 and on the optimal schedule,
+    # batched, and single splitters at every test angle, negative c and s
+    # among them, against the masked build with every factor on every
+    # column: signed zeros included.
+    ts = np.array([1.0, 1e-6, 0.5, 0.9, 0.995] + [1.0 / k for k in range(3, 12)])
+    c, s = np.sqrt(1.0 - ts), np.sqrt(ts)
+    rows = [(0.0, 1.0)] + [(math.cos(k), math.sin(k)) for k in MIX_KAPPAS]
+    for cutoff in range(41):
+        for n_max in (0, None):
+            got = _splitter_entries(cutoff, c, s, j_max, n_max)
+            want = reference_splitter_entries(cutoff, c, s, j_max, n_max)
+            assert got.tobytes() == want.tobytes(), (cutoff, n_max)
+            for row in rows:
+                got = _splitter_entries(cutoff, *row, j_max, n_max)
+                want = reference_splitter_entries(cutoff, *row, j_max, n_max)
+                assert got.tobytes() == want.tobytes(), (cutoff, n_max, row)
+
+
+def test_ancilla_tables_are_the_reference_byte_for_byte():
+    # One np.exp for every factor gives the bits of one per factor, at
+    # signed zero, pi and tiny phases and at theta = 0 and pi/2 too.
+    rng = np.random.default_rng(47)
+    special = [0.0, -0.0, math.pi, -math.pi, 1e-300, -1e-300, math.pi / 2]
+    for size in range(1, 65):
+        theta = rng.uniform(0.0, math.pi / 2, size)
+        phi = rng.uniform(-math.pi, math.pi, size)
+        theta[::3] = rng.choice([0.0, math.pi / 2], theta[::3].size)
+        phi[::2] = rng.choice(special, phi[::2].size)
+        angles = list(zip(theta.tolist(), phi.tolist()))
+        assert (_single_table(angles).tobytes()
+                == reference_single_table(angles).tobytes()), size
+        assert (_double_table(phi.tolist()).tobytes()
+                == reference_double_table(phi.tolist()).tobytes()), size

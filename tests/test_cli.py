@@ -850,6 +850,9 @@ def test_oracle_check_validation(capsys):
     capsys.readouterr()
     assert cli.main(["oracle-check", "--cutoff", "0"]) == 1
     capsys.readouterr()
+    # numpy's own message for a negative seed does not name the flag
+    assert cli.main(["oracle-check", "--trials", "1", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
 
 def test_top_level_dispatch(capsys):

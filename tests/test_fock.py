@@ -19,6 +19,7 @@ from pathent.fock import (
     _pair_blocks,
     _pair_unitary,
     _sector,
+    _sector_blocks,
     TwoModeDensity,
     TwoModeState,
     apply_annihilation,
@@ -47,8 +48,10 @@ from helpers import (
     random_four_mode_state,
     random_target,
     random_two_mode_state,
+    reference_mix,
     reference_pair_exact,
     reference_pair_oracle,
+    reference_sector_blocks,
     reference_shift,
     sector_eigh,
 )
@@ -388,21 +391,47 @@ def test_pair_splitter_routes_agree(kappa):
         assert np.array_equal(stacked[:, i], beam_splitter(t, kappa).amps)
 
 
-@pytest.mark.parametrize("kappa", [
-    0.0, 1e-9, 0.1, 0.7, 1.3, math.pi / 2 - math.ulp(math.pi / 2),
-    math.pi / 2, -0.7, 0.7 + 4 * math.pi])
+@pytest.mark.parametrize("kappa", MIX_KAPPAS + [
+    1e-9, math.pi / 2 - math.ulp(math.pi / 2), -0.7, 0.7 + 4 * math.pi])
 def test_pair_routes_match_their_dense_copies_bit_for_bit(kappa):
-    # The pair splitter from its sector blocks with real products, and the
-    # oracle with one exponential and stacked blocks, reproduce the routes
-    # that built U densely and exponentiated block by block.
+    # The pair splitter from its stack of sector blocks with real products,
+    # and the oracle with one exponential and stacked blocks, reproduce the
+    # routes that placed the per-sector recursion's blocks in U one by one
+    # and exponentiated block by block.
     rng = np.random.default_rng(23)
-    for cutoff in range(1, 11):
+    for cutoff in range(11):
         for _ in range(2):
             s = random_four_mode_state(rng, cutoff)
-            assert np.array_equal(beam_splitter_pair_exact(s, kappa).amps,
-                                  reference_pair_exact(s, kappa)), cutoff
-            assert np.array_equal(beam_splitter_pair_oracle(s, kappa).amps,
-                                  reference_pair_oracle(s, kappa)), cutoff
+            assert (beam_splitter_pair_exact(s, kappa).amps.tobytes()
+                    == reference_pair_exact(s, kappa).tobytes()), cutoff
+            assert (beam_splitter_pair_oracle(s, kappa).amps.tobytes()
+                    == reference_pair_oracle(s, kappa).tobytes()), cutoff
+
+
+@pytest.mark.parametrize("kappa", MIX_KAPPAS + [0.7 + 4 * math.pi])
+def test_sector_blocks_are_the_recursion_byte_for_byte(kappa):
+    # The stack from the strided buffer holds each block of the per-sector
+    # recursion reversed on both axes, and zeros, with their signs, around.
+    for cutoff in range(17):
+        want = np.zeros((cutoff + 1,) * 3)
+        for n, q in enumerate(reference_sector_blocks(cutoff, kappa)):
+            want[n, :n + 1, :n + 1] = q[::-1, ::-1]
+        assert _sector_blocks(cutoff, kappa).tobytes() == want.tobytes(), cutoff
+
+
+@pytest.mark.parametrize("kappa", MIX_KAPPAS + [0.7 + 4 * math.pi])
+def test_mix_is_the_reference_byte_for_byte(kappa):
+    # One state, a stack of three, and real amplitudes, whose contraction
+    # sums in an order that follows the block's layout.
+    rng = np.random.default_rng(41)
+    for cutoff in range(17):
+        d = dim2(cutoff)
+        one = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        stacked = (rng.standard_normal((d, 3))
+                   + 1j * rng.standard_normal((d, 3)))
+        for amps in (one, stacked, one.real.copy()):
+            assert (_mix(amps, cutoff, kappa).tobytes()
+                    == reference_mix(amps, cutoff, kappa).tobytes()), cutoff
 
 
 @pytest.mark.parametrize("kappa", MIX_KAPPAS)
