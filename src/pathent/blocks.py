@@ -199,23 +199,6 @@ def _splitter_entries(cutoff: int, c, s, j_max: int,
     return v
 
 
-@lru_cache(maxsize=64)
-def _weight_index(rows: int, a: int, step: int) -> np.ndarray:
-    """Flat positions in v of the second factor of every block weight.
-
-    v is a ``_splitter_entries`` table of shape (a + 1, rows, width) with
-    one row per input sector m_k = k step, width = (rows - 1) step + a + 1;
-    entry [j, k, o] is the position of v[a - j, k, a + m_k - o].  Outside
-    j <= o <= j + m_k, which no block reads, it is clipped into the row.
-    """
-    width = (rows - 1) * step + a + 1
-    j, k, o = np.ogrid[:a + 1, :rows, :width]
-    n = np.clip(a + k * step - o, 0, width - 1)
-    index = (((a - j) * rows + k) * width + n).astype(np.int32)
-    index.setflags(write=False)  # shared by every caller of the cache
-    return index
-
-
 def _block_weights(v: np.ndarray, ancs: np.ndarray, step: int) -> np.ndarray:
     """Dark-branch weights w[j, k, o] of every row of a splitter table.
 
@@ -225,10 +208,18 @@ def _block_weights(v: np.ndarray, ancs: np.ndarray, step: int) -> np.ndarray:
     ancilla detectors dark, |i, m - i> (x) |j, a - j> goes to
     |i + j, m + a - i - j> with amplitude
         U[(i + j, 0), (i, j)] * U[(m + a - i - j, 0), (m - i, a - j)] * anc[j],
-    which is w[j, k, i + j] for input sector m = m_k = k step.
+    which is w[j, k, i + j] for input sector m = m_k = k step.  The second
+    factor, v[a - j, k, a + m_k - o], is u[j, k, o + (rows - 1 - k) step] of
+    the copy u of v reversed along j and o, read as a view with constant,
+    positive strides: outside j <= o <= j + m_k, which no block reads, it
+    reads other entries of u.
     """
-    a, rows = v.shape[0] - 1, v.shape[1]
-    return v * v.take(_weight_index(rows, a, step)) * ancs.T[:, :, None]
+    a, (rows, width), item = v.shape[0] - 1, v.shape[1:], v.itemsize
+    # the view is the copy's only holder: freed after the product
+    w = v * np.ndarray(v.shape, float, v[::-1, :, ::-1].copy(),
+                       (rows - 1) * step * item,
+                       (rows * width * item, (width - step) * item, item))
+    return w * ancs.T[:, :, None]
 
 
 def _live(ancs: np.ndarray) -> list[list[int]]:
@@ -438,24 +429,36 @@ def run_scheme_double(n_photons: int, phis=None,
     return _run_chain(ts, _double_table(phis))
 
 
-# A few entries: one channel reads one cutoff, and at c = 64 an entry alone
-# is 17 MB.
-@lru_cache(maxsize=4)
-def _transfer_index(c: int) -> np.ndarray:
-    """Flat positions in v of the two factors of every transfer entry.
+def _transfer_table(v: np.ndarray, k: int) -> np.ndarray:
+    """Per-mode transfer table a[j, j', d + k, x, s] of one channel block.
 
     With ancilla kets j and j' in ket and bra, a splitter and the trace of
-    its ancilla mode send |s><s - d| of its signal mode to sum_n v[j, x, n]
-    v[j', x', n] |x><x'|, x = s + j - n and x' = x - d - j + j', with v the
-    ``_splitter_entries`` at cutoff c.  Entry [f, j, j', d + c, x, s] is
-    the position in v of factor f, or of a zero appended to v past its end.
+    its ancilla mode send |s><s - d| of its signal mode, s <= k and
+    |d| <= k, to sum_n v[j, x, n] v[j', x', n] |x><x'|, x = s + j - n and
+    x' = x - d - j + j', with ``v`` the splitter's (2, c + 1, c + 1)
+    ``_splitter_entries`` at a cutoff c above k; entry [j, j', d + k, x, s]
+    is that product.  The entries it reads are copied once into a zeroed
+    buffer that also spans every negative n and every x' below 0 or above
+    c, and the second factor is a view with constant strides over it.  The
+    first factor is another view of the same buffer, the second's slice
+    j' = j, d = 0.  Where the second factor is a padding zero the product
+    may be -0.0, where an index gather of both factors would give +0.0.
+    No output bit depends on that sign as long as each sum of the
+    channel's matrix products starts from +0, as numpy's own matmul loop
+    and the gemm of OpenBLAS 0.3.31 were seen to do; a BLAS that started a
+    sum from its first product could keep a -0.0 where every term is zero.
     """
-    j, jp, d, x, s = np.ogrid[:2, :2, -c:c + 1, :c + 1, :c]
-    n, xp = s + j - x, x - d - j + jp
-    inside = (n >= 0) & (xp >= 0) & (xp <= c)
-    return np.array([np.where(inside, (i * (c + 1) + o) * (c + 1) + n,
-                              2 * (c + 1) ** 2)
-                     for i, o in ((j, x), (jp, xp))], dtype=np.int32)
+    top = min(v.shape[1] - 1, 2 * k + 2)
+    pad = np.zeros((2, 3 * k + 4, 2 * k + 3))  # [j, x' + k + 1, n + k + 1]
+    pad[:, k + 1:k + 2 + top, k + 1:] = v[:, :top + 1, :k + 2]
+    sj, sx, sn = pad.strides
+    at = (k + 1) * (sx + sn)  # j = j' = x = s = 0, d = 0
+    second = np.ndarray((2, 2, 2 * k + 1, k + 2, k + 1), float, pad,
+                        at + k * sx, (sn - sx, sj + sx, -sx, sx - sn, sn))
+    first = np.ndarray((2, 1, 1, k + 2, k + 1), float, pad,
+                       at, (sj + sn, 0, 0, sx - sn, sn))
+    # in C order, the layout the channel's batched products read
+    return np.multiply(first, second, order="C")
 
 
 def _channel_block(r: np.ndarray, v: np.ndarray,
@@ -463,24 +466,23 @@ def _channel_block(r: np.ndarray, v: np.ndarray,
     """One unconditioned block on rho stored by offset; returns it swapped.
 
     ``r[d + k, s, t] = <s, t| rho |s - d, t + d>`` for a rho of at most k
-    photons, block-diagonal in photon number; ``v`` is the block's flat
-    ``_splitter_entries`` at a cutoff c above k plus the zero that
-    ``_transfer_index(c)`` points at, and ``w[j, j'] = anc[j] anc[j']*``
-    for the ancilla kets |j, 1 - j>.  With modes c and d traced out,
-    U (x) U on (a, c) and (b, d) is sum_{j, j'} w[j, j'] A_jj' (x) B_jj',
-    which takes input offset d to d + j - j' alone.  On offset d, A_jj' is
-    a[j, j', d] and B_jj' is A_jj' with j -> 1 - j: a reversed along
-    (j, j', d).  The second product, B (A r)^T, writes each term straight
-    to its output offset through a view with shifted strides over one
-    zeroed buffer, and one product with the four weights sums the terms.
-    That leaves the result in (t, s) order: it is returned as
+    photons, block-diagonal in photon number; ``v`` is the block's
+    (2, c + 1, c + 1) ``_splitter_entries`` at a cutoff c above k, and
+    ``w[j, j'] = anc[j] anc[j']*`` for the ancilla kets |j, 1 - j>.  With
+    modes c and d traced out, U (x) U on (a, c) and (b, d) is
+    sum_{j, j'} w[j, j'] A_jj' (x) B_jj', which takes input offset d to
+    d + j - j' alone.  On offset d, A_jj' is a[j, j', d] of
+    ``_transfer_table`` and B_jj' is A_jj' with j -> 1 - j: a reversed
+    along (j, j', d).  The second product, B (A r)^T, writes each term
+    straight to its output offset through a view with shifted strides over
+    one zeroed buffer, and one product with the four weights sums the
+    terms.  That leaves the result in (t, s) order: it is returned as
     ``out[d + k + 1, t, s] = <s, t| rho' |s - d, t + d>``, which read with
     its offset axis reversed is rho' of the mode-swapped signal, whose
     ancilla kets are reversed, w[::-1, ::-1].
     """
-    k, c = r.shape[1] - 1, math.isqrt(v.size // 2) - 1
-    index = _transfer_index(c)[:, :, :, c - k:c + k + 1, :k + 2, :k + 1]
-    a = np.multiply(*v.take(index))
+    k = r.shape[1] - 1
+    a = _transfer_table(v, k)
     # each product is a real matmul, a real table on the left of a complex
     # array's float view
     ar = (a @ r.view(float)).view(complex).swapaxes(-1, -2).copy()
@@ -522,20 +524,18 @@ def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:
     with the offset axis reversed and its ancilla kets reversed, and the
     sector blocks are gathered from the last output through
     ``_sector_index``, which swaps the modes back when N is odd.  Every
-    block reads its splitter entries from one padded table at cutoff N:
-    entries with o + n <= k + 1 do not depend on it.
+    block reads its splitter entries from one table of the whole chain at
+    cutoff N: entries with o + n <= k + 1 do not depend on it.
     """
     angles, ts = _single_blocks(factors, transmittances)
     n = len(angles)
     v = _splitter_entries(n, *_mixing(ts), 1)
-    table = np.zeros((n, v.size // n + 1))
-    table[:, :-1] = v.swapaxes(0, 1).reshape(n, -1)
     anc = _single_table(angles)
     anc[1::2] = anc[1::2, ::-1]
     w = anc[:, :, None] * anc[:, None].conj()
     r = np.ones((1, 1, 1), dtype=complex)
     for k in range(n):
-        r = _channel_block(r[::-1], table[k], w[k])
+        r = _channel_block(r[::-1], v[:, k], w[k])
     dst, src = _sector_index(n)
     blocks = np.zeros((n + 1,) * 3, dtype=complex)
     blocks.ravel()[dst] = r.ravel()[src]

@@ -393,8 +393,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-# Largest N whose NOON yields ``yield-table`` simulates, the table's own cap.
-_SIM_N_MAX = 24
+# Largest N ``yield-table`` accepts; it simulates the NOON yields of every row.
+_YIELD_N_MAX = 24
 
 
 def _adjudicate_double_reading(simulated: dict[int, float]) -> str:
@@ -435,19 +435,19 @@ def _adjudicate_double_reading(simulated: dict[int, float]) -> str:
 
 def _cmd_yield_table(args) -> int:
     n_max = args.n_max
-    if not 1 <= n_max <= 24:
-        raise InputError("n_max must lie in 1..24")
+    if not 1 <= n_max <= _YIELD_N_MAX:
+        raise InputError(f"n_max must lie in 1..{_YIELD_N_MAX}")
     rows = yield_table(n_max)
     sim_single: dict[int, float] = {}
     sim_double: dict[int, float] = {}
-    for n in range(1, min(n_max, _SIM_N_MAX) + 1):
+    for n in range(1, n_max + 1):
         sim_single[n] = run_scheme(noon_factor_angles(n)).total_yield
         if n % 2 == 0:
             sim_double[n] = run_scheme_double(n).total_yield
     lines = [
         f"# closed-form and simulated heralding yields for "
         f"(|N,0>+|0,N>)/sqrt(2) targets, N = 1..{n_max}",
-        f"# simulated columns cover N <= {min(n_max, _SIM_N_MAX)}; "
+        f"# simulated columns cover N <= {n_max}; "
         "empty cells mean not simulated or not applicable",
         f"# {_adjudicate_double_reading(sim_double)}",
         "N,p_single,p_single_simulated,p_stirling,p_double_factorial_form,"
@@ -458,7 +458,7 @@ def _cmd_yield_table(args) -> int:
         cells = [
             str(n),
             _f(row.p_single),
-            _f(sim_single[n]) if n in sim_single else "",
+            _f(sim_single[n]),
             _f(row.p_stirling),
             _f(row.p_double) if row.p_double is not None else "",
             _f(row.p_double_linear) if row.p_double_linear is not None else "",
@@ -639,7 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
         "yield-table",
         help="emit closed-form and simulated yields as CSV",
     )
-    p.add_argument("n_max", type=int, help="largest photon number (1..24)")
+    p.add_argument("n_max", type=int,
+                   help=f"largest photon number (1..{_YIELD_N_MAX})")
     _add_out(p)
     p.set_defaults(func=_cmd_yield_table)
 

@@ -362,12 +362,6 @@ def noon_state(n: int) -> TwoModeState:
     return basis_state(n, n, 0) * inv + basis_state(n, 0, n) * inv
 
 
-def basis_state4(cutoff: int, na: int, nb: int, nc: int, nd: int) -> FourModeState:
-    amps = np.zeros(dim4(cutoff), dtype=complex)
-    amps[_ket_index(4, cutoff, (na, nb, nc, nd))] = 1.0
-    return FourModeState(cutoff, amps)
-
-
 # perfbench/tracing.py wraps this name; no pathent code calls it.
 def tensor(ab: TwoModeState, cd: TwoModeState) -> FourModeState:
     """Embed ab (x) cd into a four-mode state at cutoff ab.cutoff + cd.cutoff."""

@@ -12,7 +12,6 @@ from pathent.blocks import (
     SchemeResult,
     _mixing,
     _single_blocks,
-    _transfer_index,
 )
 from pathent.factorize import TargetSpec, _wrap_angle
 from pathent.cli import _random_eigenstate as random_eigenstate
@@ -261,18 +260,46 @@ def reference_run_chain(params, ancs):
     return SchemeResult(_sector_state(x), tuple(probs), math.prod(probs), False)
 
 
+def reference_transfer_table(v, k):
+    """``blocks._transfer_table`` gathered through an index, built afresh.
+
+    Entry [f, j, j', d + k, x, s] of the index is the flat position of
+    factor f, v[j, x, n] or v[j', x', n] with n = s + j - x and
+    x' = x - d - j + j', or of a zero appended past the end of ``v``
+    when n < 0, x' < 0 or x' > c.
+    """
+    c = v.shape[1] - 1
+    j, jp, d, x, s = np.ogrid[:2, :2, -k:k + 1, :k + 2, :k + 1]
+    n, xp = s + j - x, x - d - j + jp
+    inside = (n >= 0) & (xp >= 0) & (xp <= c)
+    index = [np.where(inside, (i * (c + 1) + o) * (c + 1) + n, v.size)
+             for i, o in ((j, x), (jp, xp))]
+    return np.multiply(*np.append(v, 0.0).take(index))
+
+
+def reference_block_weights(v, ancs, step):
+    """``blocks._block_weights`` with its second factor gathered by index.
+
+    The index holds the position of v[a - j, k, a + k step - o], clipped
+    into the row outside j <= o <= j + k step, which no block reads.
+    """
+    a, rows, width = v.shape[0] - 1, v.shape[1], v.shape[2]
+    j, k, o = np.ogrid[:a + 1, :rows, :width]
+    n = np.clip(a + k * step - o, 0, width - 1)
+    return v * v.take(((a - j) * rows + k) * width + n) * ancs.T[:, :, None]
+
+
 def reference_channel_block(r, v, w):
     """One unconditioned block on rho by offset, each term added on its own.
 
-    The same per-mode transfer tables and products as
-    ``pathent.blocks._channel_block``, but each ancilla term (j, j') is
-    scaled by its weight and added into a zeroed output at offset
-    d + j - j' with a transposing write, so the result keeps rho's own
-    (s, t) order and modes: ``r[d + k, s, t] = <s, t| rho |s - d, t + d>``.
+    The same per-mode transfer products as ``pathent.blocks._channel_block``,
+    with the table from ``reference_transfer_table``, but each ancilla
+    term (j, j') is scaled by its weight and added into a zeroed output at
+    offset d + j - j' with a transposing write, so the result keeps rho's
+    own (s, t) order and modes: ``r[d + k, s, t] = <s, t| rho |s - d, t + d>``.
     """
-    k, c = r.shape[1] - 1, math.isqrt(v.size // 2) - 1
-    index = _transfer_index(c)[:, :, :, c - k:c + k + 1, :k + 2, :k + 1]
-    a = np.multiply(*v.take(index))
+    k = r.shape[1] - 1
+    a = reference_transfer_table(v, k)
     ar = (a @ r.view(float)).view(complex).swapaxes(-1, -2).copy()
     t = (a[::-1, ::-1, ::-1] @ ar.view(float)).view(complex)
     t *= w[:, :, None, None, None]
@@ -296,7 +323,7 @@ def reference_channel_sectors(factors, transmittances=None):
     anc = reference_single_table(angles)
     r = np.ones((1, 1, 1), dtype=complex)
     for k in range(n):
-        r = reference_channel_block(r, np.append(v[:, k], 0.0),
+        r = reference_channel_block(r, v[:, k],
                                     np.outer(anc[k], anc[k].conj()))
     i, j = np.ogrid[:n + 1, :n + 1]
     return [r[i[:m + 1] - j[:, :m + 1] + n, i[:m + 1], m - i[:m + 1]]

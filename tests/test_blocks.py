@@ -11,15 +11,16 @@ import pytest
 import pathent
 from pathent.blocks import (
     BlockParams,
+    _block_weights,
     _channel_block,
     _double_coeffs,
     _double_table,
+    _mixing,
     _single_coeffs,
     _single_table,
     _sector_index,
     _splitter_entries,
-    _transfer_index,
-    _weight_index,
+    _transfer_table,
     amplitude_factor_double,
     amplitude_factor_single,
     ancilla_double,
@@ -61,12 +62,14 @@ from helpers import (
     random_two_mode_state,
     reference_block_double,
     reference_block_single,
+    reference_block_weights,
     reference_chain,
     reference_channel_sectors,
     reference_double_table,
     reference_run_chain,
     reference_single_table,
     reference_splitter_entries,
+    reference_transfer_table,
     rel_err,
     sector_eigh,
 )
@@ -524,11 +527,62 @@ def test_channel_block_matches_ket_by_ket_route(transmittance):
         v = _splitter_entries(cutoff, *params.cos_sin, 1)
         # returned in (t, s) order: the mode-swapped state's by offset,
         # with its offset axis reversed
-        got = _channel_block(_by_offset(rho), np.append(v, 0.0),
+        got = _channel_block(_by_offset(rho), v,
                              amps[:, None] * amps.conj()).swapaxes(1, 2)
         assert got.shape == want.shape
         assert np.abs(got - want).max() < 1e-14
         assert abs(got[k + 1].sum() - rho.trace()) < 1e-12
+
+
+@pytest.mark.parametrize("size", [1, 2, 9, 17])
+def test_strided_views_read_what_the_index_gathers_read(size, monkeypatch):
+    # The channel's transfer table and the block weights' second factor
+    # are strided views; here against the index gathers they replace.
+    rng = np.random.default_rng(90 + size)
+    ts = [1.0, 0.8, float(rng.uniform(0.05, 1.0))]
+    for t in ts:
+        for cutoff in (size + 1, size + 4):
+            v = _splitter_entries(cutoff, *_mixing([t]), 1)[:, 0]
+            got = _transfer_table(v, size)
+            want = reference_transfer_table(v, size)
+            # The same values; where a factor reads a padding zero, the
+            # product may be -0.0 where the gather has +0.0 * +0.0, and
+            # nowhere else do the bytes differ.
+            assert got.shape == want.shape and np.array_equal(got, want)
+            sign = np.signbit(got) != np.signbit(want)
+            assert not got[sign].any() and not np.signbit(want[sign]).any()
+    # With a matmul that starts each sum from +0, as numpy's and OpenBLAS's
+    # do, no product reads that sign: whole channels, every block at a
+    # cutoff above its own, give the same bytes through either table.
+    fs = factorize_target(random_target(rng, size))
+    schedules = (None, list(rng.uniform(0.05, 1.0, size)), [1.0] * size)
+    got = [run_scheme_unconditional(fs, ts).blocks.tobytes()
+           for ts in schedules]
+    monkeypatch.setattr(pathent.blocks, "_transfer_table",
+                        reference_transfer_table)
+    assert got == [run_scheme_unconditional(fs, ts).blocks.tobytes()
+                   for ts in schedules]
+    # The weights, byte for byte where a block reads them, j <= o <= j + m:
+    # the chains' tables (a = 1 and 2, T = 1 in the first row) and the
+    # public blocks' repeated row at T = 1 and below it.
+    thetas = rng.uniform(0.0, 1.5, size).tolist()
+    phis = rng.uniform(-math.pi, math.pi, size).tolist()
+    ts = [1.0] + rng.uniform(0.05, 1.0, size - 1).tolist()
+    cases = []
+    for a, ancs in ((1, _single_table(list(zip(thetas, phis)))),
+                    (2, _double_table(phis))):
+        v = _splitter_entries(size * a, *_mixing(ts), a, 0)[..., 0]
+        cases.append((v, ancs, a))
+        for t in (1.0, ts[-1]):
+            v = _splitter_entries(size - 1 + a, *_mixing([t]), a, 0)[..., 0]
+            cases.append((v.repeat(size, axis=1), ancs[:1], 1))
+    for v, ancs, step in cases:
+        j, k, o = np.ogrid[:v.shape[0], :v.shape[1], :v.shape[2]]
+        read = (j <= o) & (o <= j + k * step)
+        got = _block_weights(v, ancs, step)
+        want = reference_block_weights(v, ancs, step)
+        assert got.shape == want.shape
+        assert got[read].tobytes() == want[read].tobytes(), (v.shape, step)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -703,9 +757,9 @@ def test_chain_matches_public_block_route_noon(n, t):
 
 def test_chain_builds_one_table_and_no_simplex(monkeypatch):
     # The chains keep the coefficients of one sector: no public block, no
-    # basis table, one splitter table and one cached weight index per chain
-    # and one embedding at the end.
-    # The unconditioned channel builds no basis table either.
+    # basis table, one splitter table per chain and one embedding at the
+    # end.  The unconditioned channel builds no basis table either, and
+    # one splitter table for all its blocks.
     calls = {"entries": 0, "embed": 0}
 
     def entries(*args):
@@ -723,47 +777,37 @@ def test_chain_builds_one_table_and_no_simplex(monkeypatch):
     monkeypatch.setattr(pathent.blocks, "_sector_state", embed)
     monkeypatch.setattr(pathent.blocks, "_herald", refuse)
     monkeypatch.setattr(pathent.fock, "_basis", refuse)
-    _weight_index.cache_clear()
     for run in (lambda: run_scheme(noon_factor_angles(16)),
                 lambda: run_scheme_double(16)):
         for _ in range(2):
             calls.update(entries=0, embed=0)
             assert not run().impossible
             assert calls == {"entries": 1, "embed": 1}
-    # one weight index per (blocks, ancilla photons), built once, in a
-    # bounded cache
-    info = _weight_index.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
-    assert info.maxsize is not None
-    assert _weight_index(16, 1, 1).dtype == np.int32
     calls.update(entries=0)
     run_scheme_unconditional(noon_factor_angles(6)).validate()
     assert calls["entries"] == 1
 
 
 def test_channel_index_caches_stay_bounded():
-    # Channels at twelve photon numbers fill each N-keyed index cache to its
-    # fixed size and no further.  Each N is built once; a channel's blocks,
-    # and repeated channels at one N, read it from the cache.
-    for cache in (_transfer_index, _sector_index):
-        cache.cache_clear()
+    # Channels at twelve photon numbers fill the N-keyed sector index cache
+    # to its fixed size and no further; repeated channels at one N read it
+    # from the cache.
+    _sector_index.cache_clear()
     for n in range(1, 13):
         run_scheme_unconditional(noon_factor_angles(n))
-    for cache in (_transfer_index, _sector_index):
-        info = cache.cache_info()
-        assert info.maxsize is not None and info.maxsize <= 8
-        assert info.currsize == info.maxsize and info.misses == 12
+    info = _sector_index.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 8
+    assert info.currsize == info.maxsize and info.misses == 12
     for _ in range(3):
         run_scheme_unconditional(noon_factor_angles(9))
-    assert _transfer_index.cache_info().misses <= 13
+    assert _sector_index.cache_info().misses == 12
 
 
 def test_chain_memory_at_the_simulate_cap():
-    # The weights of all 64 blocks, their index and the splitter table are
-    # alive together: near 0.46 MB here.
+    # The weights of all 64 blocks, the splitter table and its reversed
+    # copy are alive together: near 0.4 MB here.
     for run in (lambda: run_scheme(noon_factor_angles(64)),
                 lambda: run_scheme_double(64)):
-        _weight_index.cache_clear()
         tracemalloc.start()
         try:
             run()

@@ -15,6 +15,7 @@ from pathent.fock import (
     CutoffOverflowError,
     FourModeState,
     _basis,
+    _ket_index,
     _mix,
     _pair_blocks,
     _pair_unitary,
@@ -26,7 +27,6 @@ from pathent.fock import (
     apply_creation,
     apply_linear_factor,
     basis_state,
-    basis_state4,
     beam_splitter,
     beam_splitter_pair_exact,
     beam_splitter_pair_oracle,
@@ -57,6 +57,13 @@ from helpers import (
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _ket4(cutoff, *ket):
+    """The four-mode basis ket |n_a, n_b, n_c, n_d> at ``cutoff``."""
+    amps = np.zeros(dim4(cutoff), dtype=complex)
+    amps[_ket_index(4, cutoff, ket)] = 1.0
+    return FourModeState(cutoff, amps)
 
 
 def test_vacuum_definition():
@@ -111,9 +118,9 @@ def test_basis_is_sector_major_at_every_cutoff(modes):
     (basis_state(2, 2, 0), (1,)),
     (basis_state(2, 2, 0), (1, 0, 0, 0)),
     (basis_state(2, 2, 0), (2, 1)),
-    (basis_state4(1, 0, 0, 0, 1), (0, 0, 0, -1)),
-    (basis_state4(1, 0, 0, 0, 1), (0, 0, 1)),
-    (basis_state4(1, 0, 0, 0, 1), (1, 0, 0, 1)),
+    (_ket4(1, 0, 0, 0, 1), (0, 0, 0, -1)),
+    (_ket4(1, 0, 0, 0, 1), (0, 0, 1)),
+    (_ket4(1, 0, 0, 0, 1), (1, 0, 0, 1)),
     (basis_state(2, 2, 0), (0.5, 0)),
     (basis_state(2, 2, 0), (1.5, 0.5)),
 ])
@@ -328,13 +335,13 @@ def test_pair_splitter_identity_at_zero():
 
 def test_pair_splitter_single_photon_blocks():
     k = 0.61
-    out = beam_splitter_pair_exact(basis_state4(1, 1, 0, 0, 0), k)
+    out = beam_splitter_pair_exact(_ket4(1, 1, 0, 0, 0), k)
     np.testing.assert_allclose(out.amplitude(1, 0, 0, 0), math.cos(k))
     np.testing.assert_allclose(out.amplitude(0, 0, 1, 0), -math.sin(k))
-    out = beam_splitter_pair_exact(basis_state4(1, 0, 0, 1, 0), k)
+    out = beam_splitter_pair_exact(_ket4(1, 0, 0, 1, 0), k)
     np.testing.assert_allclose(out.amplitude(1, 0, 0, 0), math.sin(k))
     np.testing.assert_allclose(out.amplitude(0, 0, 1, 0), math.cos(k))
-    out = beam_splitter_pair_exact(basis_state4(1, 0, 1, 0, 0), k)
+    out = beam_splitter_pair_exact(_ket4(1, 0, 1, 0, 0), k)
     np.testing.assert_allclose(out.amplitude(0, 1, 0, 0), math.cos(k))
     np.testing.assert_allclose(out.amplitude(0, 0, 0, 1), -math.sin(k))
 
@@ -355,23 +362,23 @@ def test_pair_splitter_unitarity_and_number_conservation(kappa):
 
 
 def test_pair_splitter_full_swap():
-    out = beam_splitter_pair_exact(basis_state4(3, 1, 1, 0, 1), math.pi / 2.0)
+    out = beam_splitter_pair_exact(_ket4(3, 1, 1, 0, 1), math.pi / 2.0)
     # a†b† -> (-c†)(-d†), picking up (-1)^(n_a+n_b)
     np.testing.assert_allclose(out.amplitude(0, 1, 1, 1), 1.0, atol=1e-12)
     np.testing.assert_allclose(out.norm_sq(), 1.0, atol=1e-12)
 
-    out = beam_splitter_pair_exact(basis_state4(2, 1, 0, 1, 0), math.pi / 2.0)
+    out = beam_splitter_pair_exact(_ket4(2, 1, 0, 1, 0), math.pi / 2.0)
     np.testing.assert_allclose(out.amplitude(1, 0, 1, 0), -1.0, atol=1e-12)
 
     # the opposite angle inverts the swap exactly
     back = beam_splitter_pair_exact(out, -math.pi / 2.0)
     np.testing.assert_allclose(
-        back.amps, basis_state4(2, 1, 0, 1, 0).amps, atol=1e-12
+        back.amps, _ket4(2, 1, 0, 1, 0).amps, atol=1e-12
     )
 
 
 def test_pair_splitter_oracle_swaps_populations():
-    out = beam_splitter_pair_oracle(basis_state4(2, 1, 1, 0, 0), math.pi / 2.0)
+    out = beam_splitter_pair_oracle(_ket4(2, 1, 1, 0, 0), math.pi / 2.0)
     np.testing.assert_allclose(abs(out.amplitude(0, 0, 1, 1)), 1.0, atol=1e-9)
 
 
@@ -578,7 +585,7 @@ print(json.dumps([tracemalloc.get_traced_memory()[1], sorted(modes),
 
 def test_pair_unitary_cache_stays_bounded():
     # One entry per cutoff: fresh angles add none.
-    s = basis_state4(3, 1, 0, 1, 0)
+    s = _ket4(3, 1, 0, 1, 0)
     beam_splitter_pair_oracle(s, 0.5)
     before = _pair_unitary.cache_info().currsize
     for i in range(40):
@@ -603,11 +610,11 @@ print(code, loaded, 'scipy.linalg' in sys.modules)
 
 
 def test_project_vacuum_cases():
-    reduced, p = project_outcome_cd(basis_state4(1, 1, 0, 0, 0), 0, 0)
+    reduced, p = project_outcome_cd(_ket4(1, 1, 0, 0, 0), 0, 0)
     assert p == 1.0
     np.testing.assert_allclose(reduced.amplitude(1, 0), 1.0)
 
-    reduced, p = project_outcome_cd(basis_state4(1, 0, 0, 1, 0), 0, 0)
+    reduced, p = project_outcome_cd(_ket4(1, 0, 0, 1, 0), 0, 0)
     assert p == 0.0
     assert reduced.norm_sq() == 0.0
 
@@ -616,8 +623,8 @@ def test_project_vacuum_linearity():
     alpha, beta = 0.6, 0.8j
     s = FourModeState(
         1,
-        alpha * basis_state4(1, 1, 0, 0, 0).amps
-        + beta * basis_state4(1, 0, 0, 1, 0).amps,
+        alpha * _ket4(1, 1, 0, 0, 0).amps
+        + beta * _ket4(1, 0, 0, 1, 0).amps,
     )
     reduced, p = project_outcome_cd(s, 0, 0)
     np.testing.assert_allclose(p, abs(alpha) ** 2)
