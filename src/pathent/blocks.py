@@ -122,13 +122,18 @@ def _double_table(phis) -> np.ndarray:
 
 
 def _single_coeffs(theta: float, phi: float) -> np.ndarray:
-    """Amplitudes of |0,1> and |1,0> in the one-photon ancilla."""
-    return _single_table([(theta, phi)])[0]
+    """Amplitudes of |0,1> and |1,0> in the one-photon ancilla.
+
+    One row of ``_single_table``, bit for bit, built on its own: the
+    table's fixed cost pays off only from about nine factors on.
+    """
+    return np.array((-np.exp(1j * phi) * math.sin(theta), math.cos(theta)))
 
 
 def _double_coeffs(phi: float) -> np.ndarray:
-    """Amplitudes of |0,2>, |1,1> and |2,0> in the two-photon ancilla."""
-    return _double_table([phi])[0]
+    """Amplitudes of |0,2>, |1,1> and |2,0> in the two-photon ancilla,
+    one row of ``_double_table``, bit for bit, built on its own."""
+    return np.array((-np.exp(2j * phi) * math.sqrt(0.5), 0.0, math.sqrt(0.5)))
 
 
 def ancilla_single(theta: float, phi: float) -> TwoModeState:
@@ -224,7 +229,8 @@ def _block_weights(v: np.ndarray, ancs: np.ndarray, step: int) -> np.ndarray:
 
 def _live(ancs: np.ndarray) -> list[list[int]]:
     """Per row of ancilla amplitudes, the kets j with a nonzero amplitude."""
-    return [[j for j, c in enumerate(row) if c] for row in ancs.tolist()]
+    return [[j for j, c in enumerate(row) if c]
+            for row in (ancs != 0).tolist()]
 
 
 def _herald_step(y: np.ndarray, x: np.ndarray, w: np.ndarray,

@@ -138,18 +138,33 @@ def _monomial_scales(n: int) -> tuple[tuple[float, ...], np.ndarray | None]:
     return tuple(roots), shifts
 
 
+def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k c[..., k] z^k at every z, for each row of c.
+
+    The steps of ``np.polynomial.polynomial.polyval``, so each row gets
+    its bits: Horner's rule from c[..., -1] + 0 z.
+    """
+    v = c[..., -1:] + z * 0
+    for k in range(c.shape[-1] - 2, -1, -1):
+        v = c[..., k:k + 1] + v * z
+    return v
+
+
 def _polish_roots(d: np.ndarray, z: np.ndarray) -> np.ndarray:
     """One Newton step on every root z of p(z) = sum_k d_k z^k.
 
     A root takes its step only where that lowers |p|; a root with
-    p'(z) = 0 stays as it is.
+    p'(z) = 0 stays as it is.  p and p' are one stacked Horner loop.  p'
+    is padded with a zero leading coefficient, which keeps its bits: its
+    first real step adds a zero to m d_m, as ``polyval`` adds 0 z.
     """
-    poly = np.polynomial.polynomial
-    p = poly.polyval(z, d)
-    dp = poly.polyval(z, poly.polyder(d))
+    c = np.zeros((2, d.size), dtype=complex)
+    c[0] = d
+    np.multiply(d[1:], np.arange(1.0, d.size), out=c[1, :-1])
+    p, dp = _horner(c, z)
     flat = dp == 0
     z_new = z - p / np.where(flat, 1.0, dp)
-    better = ~flat & (np.abs(poly.polyval(z_new, d)) < np.abs(p))
+    better = ~flat & (np.abs(_horner(d, z_new)) < np.abs(p))
     return np.where(better, z_new, z)
 
 

@@ -131,6 +131,24 @@ def reference_pair_oracle(s, kappa):
     return out
 
 
+def padded_pair_oracle(s, kappa):
+    """The dense-exponential oracle block by block, each block alone and
+    zero-padded to the next square from 4: the byte-for-byte reference for
+    ``beam_splitter_pair_oracle``, which stacks the blocks of one square."""
+    out = np.zeros_like(s.amps)
+    for idx, lam, vec in _pair_eigh(s.cutoff):
+        n = idx.size
+        rung = max(math.isqrt(n - 1) + 1, 2) ** 2
+        v = np.zeros((rung, rung), dtype=complex)
+        v[:n, :n] = vec
+        w = np.zeros(rung)
+        w[:n] = lam
+        x = np.zeros(rung, dtype=complex)
+        x[:n] = s.amps[idx]
+        out[idx] = (v @ (np.exp(-1j * kappa * w) * (v.conj().T @ x)))[:n]
+    return out
+
+
 def oracle_outcomes(signal, ancilla, kappa):
     """One block by the textbook route: out[n_c, n_d] is the signal left
     when the ancilla modes (c, d) read (n_c, n_d), unnormalized.
@@ -471,3 +489,15 @@ def reference_render(value, indent=""):
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def reference_polish_roots(d, z):
+    """One Newton step on every root, p and p' from ``polyval`` and
+    ``polyder``: the route ``factorize._polish_roots`` replaces."""
+    poly = np.polynomial.polynomial
+    p = poly.polyval(z, d)
+    dp = poly.polyval(z, poly.polyder(d))
+    flat = dp == 0
+    z_new = z - p / np.where(flat, 1.0, dp)
+    better = ~flat & (np.abs(poly.polyval(z_new, d)) < np.abs(p))
+    return np.where(better, z_new, z)

@@ -941,3 +941,17 @@ def test_ancilla_tables_are_the_reference_byte_for_byte():
                 == reference_single_table(angles).tobytes()), size
         assert (_double_table(phi.tolist()).tobytes()
                 == reference_double_table(phi.tolist()).tobytes()), size
+
+
+def test_one_row_ancillas_are_the_table_rows_byte_for_byte():
+    # One factor builds its row alone, without the table's fixed cost, and
+    # keeps the table's bits, at theta = 0 and pi/2 and phi = 0 and +-pi too.
+    rng = np.random.default_rng(53)
+    thetas = [0.0, math.pi / 2] + rng.uniform(0.0, math.pi / 2, 30).tolist()
+    phis = [0.0, math.pi, -math.pi] + rng.uniform(-math.pi, math.pi, 30).tolist()
+    for phi in phis:
+        for theta in thetas:
+            assert (_single_coeffs(theta, phi).tobytes()
+                    == _single_table([(theta, phi)])[0].tobytes()), (theta, phi)
+        assert (_double_coeffs(phi).tobytes()
+                == _double_table([phi])[0].tobytes()), phi

@@ -32,7 +32,7 @@ from pathent.fock import (
     zero_state,
 )
 from helpers import (assert_angle_multisets_close, random_target,
-                     reference_monomial_coeffs)
+                     reference_monomial_coeffs, reference_polish_roots)
 
 
 def test_target_spec_normalizes():
@@ -322,6 +322,22 @@ def _root_finder_angles(d):
     return sorted((math.atan(abs(z)),
                    _wrap_angle(cmath.phase(z)) if z != 0 else 0.0)
                   for z in map(complex, roots))
+
+
+def test_polish_is_the_polyval_route_byte_for_byte():
+    # p and p' in one stacked Horner loop give polyval's bits, for real,
+    # complex and sparse coefficients from 1e-300 to 1e50 in scale.
+    rng = np.random.default_rng(19)
+    with np.errstate(all="ignore"):
+        for n in [2, 3, 5, 8, 13, 21, 32, 64, 120, 200]:
+            for scale in (1.0, 1e50, 1e-50, 1e-300):
+                d = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+                for coeffs in (d, d.real + 0j, np.where(np.arange(n + 1) % 2,
+                                                         0.0, d) + d[-1]):
+                    coeffs = coeffs * scale
+                    z = np.roots(coeffs[::-1])
+                    assert (_polish_roots(coeffs, z).tobytes()
+                            == reference_polish_roots(coeffs, z).tobytes()), n
 
 
 @pytest.mark.parametrize("n", [2, 4, 17, 32, 64])
