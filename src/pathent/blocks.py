@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -485,7 +484,9 @@ def _channel_block(r: np.ndarray, v: np.ndarray,
     terms.  That leaves the result in (t, s) order: it is returned as
     ``out[d + k + 1, t, s] = <s, t| rho' |s - d, t + d>``, which read with
     its offset axis reversed is rho' of the mode-swapped signal, whose
-    ancilla kets are reversed, w[::-1, ::-1].
+    ancilla kets are reversed, w[::-1, ::-1].  The output is C-contiguous,
+    so the chain reads the last one's sector blocks through one view with
+    constant strides over its buffer.
     """
     k = r.shape[1] - 1
     a = _transfer_table(v, k)
@@ -502,21 +503,6 @@ def _channel_block(r: np.ndarray, v: np.ndarray,
     return out.reshape(2 * k + 3, k + 2, k + 2)
 
 
-@lru_cache(maxsize=4)
-def _sector_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions of rho's sector blocks in the stack and in ``out``.
-
-    ``out`` is the last of the n blocks' ``_channel_block`` outputs.  The
-    block on sector m has entry [i, j] = <i, m - i| rho |j, m - j>.  rho
-    by offset is ``out[::-1]`` after an even number of blocks and
-    ``out.swapaxes(1, 2)``, the modes swapped back, after an odd number.
-    """
-    tri = np.tri(n + 1, dtype=bool)  # [m, i]: i <= m
-    m, i, j = np.nonzero(tri[:, :, None] & tri[:, None])
-    d, s, t = (i - j + n, m - i, i) if n % 2 else (j - i + n, i, m - i)
-    return (m * (n + 1) + i) * (n + 1) + j, (d * (n + 1) + s) * (n + 1) + t
-
-
 def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:
     """Run the chained scheme keeping every ancilla outcome.
 
@@ -527,11 +513,17 @@ def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:
 
     rho is kept by offset, as ``_channel_block`` takes it.  Each block
     returns the mode-swapped state, so every other block reads its input
-    with the offset axis reversed and its ancilla kets reversed, and the
-    sector blocks are gathered from the last output through
-    ``_sector_index``, which swaps the modes back when N is odd.  Every
+    with the offset axis reversed and its ancilla kets reversed.  Every
     block reads its splitter entries from one table of the whole chain at
-    cutoff N: entries with o + n <= k + 1 do not depend on it.
+    cutoff N: entries with o + n <= k + 1 do not depend on it.  The last
+    output r is rho by offset read as ``r[::-1]`` when N is even and as
+    ``r.swapaxes(1, 2)``, the modes swapped back, when N is odd.  Entry
+    [m, i, j] of the sector-block stack, <i, m - i| rho |j, m - j>, is
+    then r[d, s, t] with (d, s, t) = (i - j + N, m - i, i) for odd N and
+    (j - i + N, i, m - i) for even N, affine in (m, i, j), so one view
+    with constant strides over r reads the stack.  Outside the corners,
+    i > m or j > m, it reads other entries of r, which ``from_sectors``
+    drops.
     """
     angles, ts = _single_blocks(factors, transmittances)
     n = len(angles)
@@ -542,7 +534,7 @@ def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:
     r = np.ones((1, 1, 1), dtype=complex)
     for k in range(n):
         r = _channel_block(r[::-1], v[:, k], w[k])
-    dst, src = _sector_index(n)
-    blocks = np.zeros((n + 1,) * 3, dtype=complex)
-    blocks.ravel()[dst] = r.ravel()[src]
-    return TwoModeDensity.from_sectors(blocks)
+    s0, s1, s2 = r.strides
+    strides = (s1, s0 - s1 + s2, -s0) if n % 2 else (s2, s1 - s0 - s2, s0)
+    return TwoModeDensity.from_sectors(
+        np.ndarray((n + 1,) * 3, complex, r, n * s0, strides))

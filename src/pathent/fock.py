@@ -24,10 +24,11 @@ states, one per column.  The heralded blocks do not call either;
 ``blocks`` reads their few entries of U, and their ancillas, from closed
 forms.  The four-mode pair of splitters on (a, c) and (b, d) is U (x) U:
 ``beam_splitter_pair_exact`` lays the amplitudes out as a matrix
-X[(n_a, n_c), (n_b, n_d)] over the two-mode simplex, places the stack on
-the diagonal of a real U through one cached index and returns U X U^T, two
-real products on the complex arrays' float views; ``_split_cd`` maps the
-amplitudes to ancilla outcomes (n_c, n_d) and signal kets.  A density
+X[(n_a, n_c), (n_b, n_d)] over the two-mode simplex and places the stack on
+the diagonal of a real U, both through one cached layout per cutoff, and
+returns U X U^T, two real products on the complex arrays' float views;
+``_split_cd`` maps the amplitudes to ancilla outcomes (n_c, n_d) and
+signal kets.  A density
 matrix is held as the stack of its photon-number sector blocks: the
 splitters conserve photon number and the detectors count it, so no rho
 pathent builds or reads has coherence between sectors.
@@ -213,8 +214,9 @@ class TwoModeDensity:
     held without coherence between photon-number sectors: the
     (cutoff + 1)^3 stack ``blocks`` has the block on sector m,
     <i, m - i| rho |j, m - j>, in its corner ``blocks[m, :m + 1, :m + 1]``
-    and zeros outside those corners.  ``from_sectors(blocks)`` takes the
-    stack; ``TwoModeDensity(cutoff, mat)`` gathers it from a dense
+    and +0 outside those corners.  ``from_sectors(blocks)`` takes the
+    corners of a stack and drops everything outside them;
+    ``TwoModeDensity(cutoff, mat)`` gathers the stack from a dense
     dim2 x dim2 matrix and rejects any nonzero entry between two sectors,
     naming it.  ``mat`` and ``sector`` build a dense matrix from the
     blocks on each call.
@@ -241,6 +243,13 @@ class TwoModeDensity:
 
     @classmethod
     def from_sectors(cls, blocks) -> "TwoModeDensity":
+        """rho from a cube whose corner [m, :m + 1, :m + 1] is block m.
+
+        The corners are copied into a new stack and every entry outside
+        them is dropped, +0 in the stack, so ``validate`` judges only the
+        entries that ``block``, ``mat``, ``trace`` and ``sector_weight``
+        read.
+        """
         blocks = np.asarray(blocks, dtype=complex)
         if blocks.ndim != 3 or blocks.shape != (len(blocks),) * 3:
             raise ValueError(f"expected a cube of sector blocks, got "
@@ -248,21 +257,23 @@ class TwoModeDensity:
         if len(blocks) == 0:
             raise ValueError("cutoff must be non-negative")
         rho = cls.__new__(cls)
-        rho.cutoff, rho.blocks = len(blocks) - 1, blocks
+        rho.cutoff = len(blocks) - 1
+        rho.blocks = np.zeros(blocks.shape, dtype=complex)
+        tri = _in_block(rho.cutoff)
+        np.copyto(rho.blocks, blocks, where=tri[:, :, None] & tri[:, None])
         return rho
 
     @classmethod
     def from_state(cls, s: TwoModeState) -> "TwoModeDensity":
-        """|s><s| by its sector blocks, one outer product per sector.
+        """|s><s| by its sector blocks, the outer product of every sector.
 
-        Coherences between photon-number sectors are dropped; no pathent
-        reading uses them.
+        Row m of ``x`` holds sector m's coefficients, so x[m, i] x[m, j]*
+        is block m's entry [i, j].  Coherences between photon-number
+        sectors are dropped; no pathent reading uses them.
         """
-        blocks = np.zeros((s.cutoff + 1,) * 3, dtype=complex)
-        for m in range(s.cutoff + 1):
-            x = s.amps[_sector(m)]
-            blocks[m, :m + 1, :m + 1] = np.outer(x, x.conj())
-        return cls.from_sectors(blocks)
+        x = np.zeros((s.cutoff + 1,) * 2, dtype=complex)
+        x[_in_block(s.cutoff)] = s.amps
+        return cls.from_sectors(x[:, :, None] * x[:, None].conj())
 
     @property
     def mat(self) -> np.ndarray:
@@ -593,16 +604,15 @@ def beam_splitter_pair_exact(s: FourModeState, kappa: float) -> FourModeState:
     The pair is U (x) U, with U the two-mode splitter as a matrix over the
     two-mode simplex; X[(n_a, n_c), (n_b, n_d)] holds the amplitudes.  U is
     block-diagonal in photon number: the ``_sector_blocks`` stack is placed
-    on its diagonal through one cached index, ``_block_index``.  U is real,
-    so U X U^T is two real products on complex float views, U X and then
-    U (U X)^T, read back transposed.  U conserves photon number, so X
-    keeps its p + q <= cutoff support.
+    on its diagonal, and the amplitudes in X, through one cached layout,
+    ``_pair_layout``.  U is real, so U X U^T is two real products on
+    complex float views, U X and then U (U X)^T, read back transposed.
+    U conserves photon number, so X keeps its p + q <= cutoff support.
     """
     if not math.isfinite(kappa):
         raise ValueError(f"kappa must be finite, got {kappa}")
-    rows, cols = _pair_layout(s.cutoff)
+    rows, cols, dst, src = _pair_layout(s.cutoff)
     d = dim2(s.cutoff)
-    dst, src = _block_index(s.cutoff)
     u = np.zeros((d, d))
     u.ravel()[dst] = _sector_blocks(s.cutoff, kappa).take(src)
     x = np.zeros((d, d), dtype=complex)
@@ -613,29 +623,26 @@ def beam_splitter_pair_exact(s: FourModeState, kappa: float) -> FourModeState:
 
 
 @lru_cache(maxsize=16)
-def _block_index(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions of the sector blocks in U and in their stack.
+def _pair_layout(cutoff: int) -> tuple:
+    """(rows, cols, dst, src): the places of a four-mode state and of U.
 
-    One int32 pair per in-block entry, sum_n (n + 1)^2 of them: 0.75 MB at
-    cutoff 64.
+    ``rows`` and ``cols`` place each four-mode ket in
+    X[(n_a, n_c), (n_b, n_d)]; ``dst`` and ``src`` are the flat positions
+    of the sector blocks in U and in their stack, one int32 pair per
+    in-block entry, sum_n (n + 1)^2 of them: 0.75 MB at cutoff 64.
     """
+    (na, nb, nc, nd), _ = _basis(4, cutoff)
+    table = _basis(2, cutoff)[1]
     tri = _in_block(cutoff)
     n, i, j = np.nonzero(tri[:, :, None] & tri[:, None])
     first = n * (n + 1) // 2  # sector n starts at dim2(n - 1)
     dst = (first + i) * dim2(cutoff) + first + j
     src = (n * (cutoff + 1) + i) * (cutoff + 1) + j
-    index = dst.astype(np.int32), src.astype(np.int32)
-    for part in index:
+    layout = (table[na, nc], table[nb, nd], dst.astype(np.int32),
+              src.astype(np.int32))
+    for part in layout:
         part.setflags(write=False)  # shared by every caller of the cache
-    return index
-
-
-@lru_cache(maxsize=16)
-def _pair_layout(cutoff: int) -> tuple:
-    """(rows, cols) of each four-mode ket in X[(n_a, n_c), (n_b, n_d)]."""
-    (na, nb, nc, nd), _ = _basis(4, cutoff)
-    table = _basis(2, cutoff)[1]
-    return table[na, nc], table[nb, nd]
+    return layout
 
 
 def _pair_blocks(cutoff: int) -> tuple:

@@ -348,6 +348,20 @@ def reference_channel_sectors(factors, transmittances=None):
             for m in range(n + 1)]
 
 
+def reference_sector_index(n):
+    """Flat positions of rho's sector blocks in the stack and in ``r``.
+
+    ``r`` is the last of the n blocks' ``_channel_block`` outputs.  The
+    block on sector m has entry [i, j] = <i, m - i| rho |j, m - j>.  rho
+    by offset is ``r[::-1]`` after an even number of blocks and
+    ``r.swapaxes(1, 2)``, the modes swapped back, after an odd number.
+    """
+    tri = np.tri(n + 1, dtype=bool)  # [m, i]: i <= m
+    m, i, j = np.nonzero(tri[:, :, None] & tri[:, None])
+    d, s, t = (i - j + n, m - i, i) if n % 2 else (j - i + n, i, m - i)
+    return (m * (n + 1) + i) * (n + 1) + j, (d * (n + 1) + s) * (n + 1) + t
+
+
 def reference_chain(run_block, block_args):
     """Chain ``run_block(state, *args)`` from vacuum, one whole state per block.
 

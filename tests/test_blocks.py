@@ -18,7 +18,6 @@ from pathent.blocks import (
     _mixing,
     _single_coeffs,
     _single_table,
-    _sector_index,
     _splitter_entries,
     _transfer_table,
     amplitude_factor_double,
@@ -67,6 +66,7 @@ from helpers import (
     reference_channel_sectors,
     reference_double_table,
     reference_run_chain,
+    reference_sector_index,
     reference_single_table,
     reference_splitter_entries,
     reference_transfer_table,
@@ -788,19 +788,56 @@ def test_chain_builds_one_table_and_no_simplex(monkeypatch):
     assert calls["entries"] == 1
 
 
-def test_channel_index_caches_stay_bounded():
-    # Channels at twelve photon numbers fill the N-keyed sector index cache
-    # to its fixed size and no further; repeated channels at one N read it
-    # from the cache.
-    _sector_index.cache_clear()
-    for n in range(1, 13):
-        run_scheme_unconditional(noon_factor_angles(n))
-    info = _sector_index.cache_info()
-    assert info.maxsize is not None and info.maxsize <= 8
-    assert info.currsize == info.maxsize and info.misses == 12
-    for _ in range(3):
-        run_scheme_unconditional(noon_factor_angles(9))
-    assert _sector_index.cache_info().misses == 12
+def test_repeated_channels_retain_no_memory():
+    # The first channel at N = 9 may fill caches; the ten after it keep no
+    # array alive once they return.  One rho stack at N = 9 is 16 kB; the
+    # traced total still drifts by tens of bytes a call, all of it inside
+    # numpy's cumprod, with no growth of the process's RSS.
+    angles = noon_factor_angles(9)
+    tracemalloc.start()
+    try:
+        run_scheme_unconditional(angles)
+        first = tracemalloc.get_traced_memory()[0]
+        for _ in range(10):
+            run_scheme_unconditional(angles)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held - first < 8e3
+
+
+@pytest.mark.parametrize("n", list(range(1, 14)) + [17, 24, 32])
+def test_sector_view_reads_the_index_gather(n, monkeypatch):
+    # The strided view over the last channel output holds, in every
+    # sector corner, the entries the index gather reference_sector_index
+    # reads, byte for byte, and every byte it can reach lies inside that
+    # output; from_sectors keeps the corners and writes +0 elsewhere.
+    seen = []
+    block, keep = pathent.blocks._channel_block, TwoModeDensity.from_sectors
+
+    def channel_block(*args):
+        seen.append(block(*args))
+        return seen[-1]
+
+    def from_sectors(blocks):
+        seen.append(blocks)
+        return keep(blocks)
+
+    monkeypatch.setattr(pathent.blocks, "_channel_block", channel_block)
+    monkeypatch.setattr(TwoModeDensity, "from_sectors", from_sectors)
+    rng = np.random.default_rng(160 + n)
+    rho = run_scheme_unconditional(factorize_target(random_target(rng, n)),
+                                   list(rng.uniform(0.05, 1.0, size=n)))
+    r, view = seen[-2:]
+    assert len(seen) == n + 1 and r.shape == (2 * n + 1, n + 1, n + 1)
+    lo, hi = np.lib.array_utils.byte_bounds(view)
+    r_lo, r_hi = np.lib.array_utils.byte_bounds(r)
+    assert r_lo <= lo and hi <= r_hi
+    dst, src = reference_sector_index(n)
+    want = np.zeros((n + 1,) * 3, dtype=complex)
+    want.ravel()[dst] = r.ravel()[src]
+    assert view.reshape(-1)[dst].tobytes() == r.ravel()[src].tobytes()
+    assert rho.blocks.tobytes() == want.tobytes()
 
 
 def test_chain_memory_at_the_simulate_cap():

@@ -829,6 +829,25 @@ def test_density_rejects_a_negative_cutoff():
         TwoModeDensity.from_sectors(np.zeros((2, 3, 3)))
 
 
+def test_from_sectors_drops_entries_outside_the_corners():
+    # Entries outside the sector corners are no part of rho: no reading
+    # uses them, and validate once judged them anyway, a -5.0 at [0, 1, 1]
+    # as a negative eigenvalue and a 3.0 at [1, 1, 2] as not Hermitian.
+    want = TwoModeDensity.from_state(noon_state(2))
+    for at, value in (((0, 1, 1), -5.0), ((1, 1, 2), 3.0),
+                      ((1, 2, 0), math.nan)):
+        blocks = want.blocks.copy()
+        blocks[at] = value
+        rho = TwoModeDensity.from_sectors(blocks)
+        assert rho.blocks.tobytes() == want.blocks.tobytes()
+        rho.validate()
+    blocks = want.blocks.copy()
+    blocks[2, 1, 1] = math.nan
+    with pytest.raises(ValueError, match=r"^density matrix sector 2 "
+                                         r"entry \[1, 1\] is not finite$"):
+        TwoModeDensity.from_sectors(blocks).validate()
+
+
 def test_density_sector_weights():
     rho = TwoModeDensity.from_state(noon_state(2))
     assert abs(rho.sector_weight(2) - 1.0) < 1e-12
