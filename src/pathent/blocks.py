@@ -32,7 +32,7 @@ from .fock import (
     dim2,
     zero_state,
 )
-from .yields import optimal_schedule
+from .yields import optimal_schedule, qk_squared
 
 
 # Largest ancilla angle theta a block accepts: pi/2 and a rounding margin.
@@ -292,6 +292,8 @@ def amplitude_factor_single(k: int, transmittance: float) -> float:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not 0.0 <= transmittance <= 1.0:
+        raise ValueError("transmittance outside [0, 1]")
     return (1.0 - transmittance) ** ((k - 1) / 2.0) * math.sqrt(transmittance)
 
 
@@ -300,11 +302,9 @@ def amplitude_factor_double(k: int, transmittance: float) -> float:
 
     On a 2(k-1)-photon input the dark branch equals
     r_k (a†^2 - e^{2i phi} b†^2) applied to it, with
-    r_k = (1 - T)^{k-1} T / 2.
+    r_k = (1 - T)^{k-1} T / 2 = q_k^2 / 2.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return 0.5 * (1.0 - transmittance) ** (k - 1) * transmittance
+    return 0.5 * qk_squared(transmittance, k)
 
 
 def apply_double_factor(state: TwoModeState, phi: float) -> TwoModeState:

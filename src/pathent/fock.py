@@ -14,25 +14,20 @@ number, a tensor product at the sum of its factors' cutoffs, and only
 a creation or annihilation operator or a step of the absorber a + b, is
 ``_ladder``: a weighted shift of one sector's coefficients into the
 neighbouring sector, applied sector by sector.
-The public splitters share one core, ``_sector_blocks``, which builds the
-two-mode splitter U's block on each photon-number sector into one
-(cutoff + 1)^3 stack, the same layout as a density matrix's blocks.  Each
-step of its recursion is one multiply into a buffer of four shifted planes
-and three adds in the recursion's own order, so the blocks keep the bits
-of a sector-by-sector build.  ``_mix`` applies the blocks to a stack of
-states, one per column.  The heralded blocks do not call either;
+The two-mode splitter U is exponentiated on each photon-number sector from
+one eigendecomposition per cutoff, ``_sector_eigh``: ``beam_splitter``
+applies it as two batched real products and never forms U, and
+``_sector_blocks`` builds U's blocks into one (cutoff + 1)^3 stack, the
+layout of a density matrix's blocks.  The heralded blocks call neither;
 ``blocks`` reads their few entries of U, and their ancillas, from closed
 forms.  The four-mode pair of splitters on (a, c) and (b, d) is U (x) U:
-``beam_splitter_pair_exact`` lays the amplitudes out as a matrix
-X[(n_a, n_c), (n_b, n_d)] over the two-mode simplex and places the stack on
-the diagonal of a real U, both through one cached layout per cutoff, and
-returns U X U^T, two real products on the complex arrays' float views;
+``beam_splitter_pair_exact`` places the stack on the diagonal of a real U
+and returns U X U^T, X[(n_a, n_c), (n_b, n_d)] holding the amplitudes;
 ``_split_cd`` maps the amplitudes to ancilla outcomes (n_c, n_d) and
-signal kets.  A density
-matrix is held as the stack of its photon-number sector blocks: the
-splitters conserve photon number and the detectors count it, so no rho
-pathent builds or reads has coherence between sectors.
-The dense-exponential oracle shares only ``_basis`` with that core.  Its
+signal kets.  A density matrix is held as the stack of its photon-number
+sector blocks: the splitters conserve photon number and the detectors
+count it, so no rho pathent builds or reads has coherence between sectors.
+The dense-exponential oracle shares only ``_basis`` with the splitters.  Its
 generator G conserves n_a + n_c and n_b + n_d, so the oracle builds it,
 with its own hop loop, as one dense complex block per conserved pair.
 Each block is exponentiated from the eigendecomposition of the Hermitian
@@ -404,6 +399,11 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
+def _finite(name: str, angle: float) -> None:
+    if not math.isfinite(angle):
+        raise ValueError(f"{name} must be finite, got {angle}")
+
+
 def _ladder(x: np.ndarray, mode: str, step: int) -> np.ndarray:
     """a or b (step -1), or a† or b† (step 1), on one sector's coefficients.
 
@@ -448,6 +448,8 @@ def apply_annihilation(s: TwoModeState, mode: str) -> TwoModeState:
 
 def apply_linear_factor(s: TwoModeState, theta: float, phi: float) -> TwoModeState:
     """Apply the photon-adding factor cos(theta) a† - e^{i phi} sin(theta) b†."""
+    _finite("theta", theta)
+    _finite("phi", phi)
     ca = apply_creation(s, "a")
     cb = apply_creation(s, "b")
     coeff_b = -np.exp(1j * phi) * math.sin(theta)
@@ -457,6 +459,7 @@ def apply_linear_factor(s: TwoModeState, theta: float, phi: float) -> TwoModeSta
 def phase_shift(s: TwoModeState, phi: float, mode: str = "b") -> TwoModeState:
     """Apply the phase shifter exp(i phi n_mode)."""
     _check_mode(mode)
+    _finite("phi", phi)
     (na, nb), _ = _basis(2, s.cutoff)
     n = na if mode == "a" else nb
     return TwoModeState(s.cutoff, s.amps * np.exp(1j * phi * n))
@@ -500,102 +503,73 @@ def is_photon_number_eigenstate(s: TwoModeState) -> int | None:
 # beam splitters
 
 
-@lru_cache(maxsize=16)
-def _step_roots(cutoff: int) -> np.ndarray:
-    """Ladder weights of every step of ``_sector_blocks``, flat by step.
+@lru_cache(maxsize=8)
+def _sector_eigh(cutoff: int) -> tuple:
+    """(lam, vec, phase): the splitter's generator diagonalized per sector.
 
-    Step n, 1 <= n <= cutoff, holds four n x n planes over rows i and
-    columns j, sqrt(i + 1) or sqrt(n - i) times sqrt(j + 1) or sqrt(n - j):
-        [[sqrt((i + 1)(j + 1)), sqrt((i + 1)(n - j))],
-         [sqrt((n - i)(j + 1)), sqrt((n - i)(n - j))]],
-    flattened at [:, :, (n - 1) n (2n - 1) / 6:][:, :, :n^2].  Each entry
-    is one root of an integer product, so kappa = 0 gives the identity bit
-    for bit.  4 sum_n n^2 floats: 2.9 MB at cutoff 64.
+    On sector n, G = a†b - ab† is tridiagonal over the kets |i, n - i>,
+    G[i + 1, i] = -G[i, i + 1] = sqrt((i + 1)(n - i)).  With D = diag(i^i),
+    ``phase``, H_n = D^dagger (iG) D is real symmetric, with that
+    off-diagonal and the integer spectrum n - 2l, so U = exp(kappa G) =
+    D W e^{-i kappa Lambda} W^T D^dagger.  One batched ``eigh`` takes every
+    H_n, padded with cutoff + 1 on the diagonal, above its spectrum:
+    ``vec[n]`` holds W in its corner [:n + 1, :n + 1] and +0 around it,
+    ``lam[n]`` the eigenvalues rounded to integers.  2.2 MB at cutoff 64.
     """
-    k = np.arange(cutoff + 1.0)
-    root = np.sqrt(np.outer(k, k))
-    steps = [np.zeros((2, 2, 0))]
-    for n in range(1, cutoff + 1):
-        up, down = slice(1, n + 1), slice(n, 0, -1)
-        steps.append(np.array([[root[up, up], root[up, down]],
-                               [root[down, up], root[down, down]]])
-                     .reshape(2, 2, -1))
-    roots = np.concatenate(steps, axis=2)
-    roots.setflags(write=False)  # shared by every caller of the cache
-    return roots
+    n, i, j = np.ogrid[:cutoff + 1, :cutoff + 1, :cutoff + 1]
+    pad = np.where((i == j) & (i > n), cutoff + 1.0, 0.0)
+    # eigh reads the lower triangle: the hops sqrt(i (n - j)) at i = j + 1
+    hop = np.where(i == j + 1, np.sqrt(i * np.maximum(n - j, 0.0)), 0.0)
+    lam, vec = np.linalg.eigh(hop + pad)
+    vec = np.where((i <= n) & (j <= n), vec, 0.0)
+    phase = np.array([1, 1j, -1, -1j])[np.arange(cutoff + 1) % 4]
+    parts = (np.rint(lam), vec, phase)
+    for part in parts:
+        part.setflags(write=False)  # shared by every caller of the cache
+    return parts
+
+
+def _sector_exp(cutoff: int, kappa: float) -> tuple:
+    """``_sector_eigh``'s vec and phase, and e^{-i kappa Lambda} at kappa
+    reduced to [-pi, pi] by atan2(sin kappa, cos kappa): U is 2 pi-periodic
+    in kappa."""
+    _finite("kappa", kappa)
+    lam, vec, phase = _sector_eigh(cutoff)
+    kappa = math.atan2(math.sin(kappa), math.cos(kappa))
+    return vec, phase, np.exp(-1j * kappa * lam)
 
 
 def _sector_blocks(cutoff: int, kappa: float) -> np.ndarray:
     """U's block on every photon-number sector, as a (cutoff + 1)^3 stack.
 
     ``stack[n, :n + 1, :n + 1]`` is U's block on sector n,
-    <i, n - i| U |j, n - j>, with zeros around it.  U maps a† to
-    A† = c a† - s b† and b† to B† = s a† + c b† (c = cos kappa,
-    s = sin kappa), so block n comes from block n - 1, all columns at once,
-    by the balanced recursion (p = n - l)
-        n U|p, l> = sqrt(p) A† U|p - 1, l> + sqrt(l) B† U|p, l - 1>,
-    accurate at any angle and photon number; the one-sided one is not.
-    Column j of block n is thus four weighted copies of block n - 1: c a†
-    and -s b† of its column j - 1, s a† and c b† of its column j, where a†
-    moves a row down.  One multiply by the ``_step_roots`` of c and s
-    writes the four through a view with shifted strides over one buffer of
-    four planes, the subtracted term pre-negated.  Summed in the
-    recursion's own order, ((c a† - s b†) + s a†) + c b†, and divided by n,
-    they are block n, bit for bit as the recursion built one sector at a
-    time.
+    <i, n - i| U |j, n - j>, with +0 around it: U[j, k] = Re(i^(j - k) Y),
+    Y = W e^{-i kappa Lambda} W^T one batched real product.
     """
-    c, s = math.cos(kappa), math.sin(kappa)
-    w = _step_roots(cutoff) * np.array([[c, s], [-s, c]])[:, :, None]
-    stack = np.zeros((cutoff + 1,) * 3)
-    stack[0, 0, 0] = 1.0
-    # Term (x, y), a† (x = 0) or b† (x = 1) of column j - 1 (y = 0) or j
-    # (y = 1), lands 1 - x rows and 1 - y columns on, in plane (x, y).  Each
-    # step overwrites what the step before wrote.  Where a term does not
-    # reach, its plane holds -0.0, which adds as nothing, and the first
-    # plane holds 0.0, where the recursion starts its sums: the planes add
-    # up to block n and the zeros around it, signed zeros included.
-    buf = np.full((2, 2, cutoff + 1, cutoff + 1), -0.0)
-    buf[0, 0] = 0.0
-    s0, s1, s2, s3 = buf.strides
-    terms = np.ndarray((2, 2, cutoff, cutoff), float, buf, s2 + s3,
-                       (s0 - s2, s1 - s3, s2, s3))
-    start = 0
-    for n in range(1, cutoff + 1):
-        np.multiply(w[:, :, start:start + n * n].reshape(2, 2, n, n),
-                    stack[n - 1, :n, :n], out=terms[:, :, :n, :n])
-        start += n * n
-        block = stack[n]
-        np.add(buf[0, 0], buf[1, 0], out=block)
-        block += buf[0, 1]
-        block += buf[1, 1]
-        block /= n
-    return stack
-
-
-def _mix(amps: np.ndarray, cutoff: int, kappa: float) -> np.ndarray:
-    """Beam splitter of angle kappa on two-mode amplitudes at ``cutoff``.
-
-    One contraction per sector with its block of the ``_sector_blocks``
-    stack, and no dense U, so each stacked column comes out bit-identical
-    to a single-state call.  The contraction runs over n_b ascending, on a
-    contiguous copy of the block read backwards, ``block[::-1, ::-1]``:
-    ``np.einsum`` sums in an order that follows its operands' layout.
-    """
-    if not math.isfinite(kappa):
-        raise ValueError(f"kappa must be finite, got {kappa}")
-    out = np.empty_like(amps)
-    blocks = _sector_blocks(cutoff, kappa)
-    for n in range(cutoff + 1):
-        kets = _sector(n)
-        q = blocks[n, n::-1, n::-1].copy()
-        x = amps[kets][::-1].copy()
-        out[kets] = np.einsum("il,l...->i...", q, x)[::-1]
-    return out
+    vec, phase, rot = _sector_exp(cutoff, kappa)
+    # [n, l, k] = e^{-i kappa lam_l} W[k, l], complex-contiguous for the view
+    t = np.multiply(vec.transpose(0, 2, 1), rot[:, :, None], order="C")
+    y = (vec @ t.view(float)).view(complex)
+    # + 0.0 turns the -0.0 a zero product may leave outside the corners into +0
+    return (y * np.outer(phase, phase.conj())).real + 0.0
 
 
 def beam_splitter(s: TwoModeState, kappa: float) -> TwoModeState:
-    """Mix the two modes: |1,0> -> cos(kappa)|1,0> - sin(kappa)|0,1>."""
-    return TwoModeState(s.cutoff, _mix(s.amps, s.cutoff, kappa))
+    """Mix the two modes: |1,0> -> cos(kappa)|1,0> - sin(kappa)|0,1>.
+
+    Sector n's amplitudes, row n of a zero-padded matrix, go through
+    D W e^{-i kappa Lambda} W^T D^dagger as two batched real products on
+    complex float views; U is never formed.
+    """
+    vec, phase, rot = _sector_exp(s.cutoff, kappa)
+    tri = _in_block(s.cutoff)
+    x = np.zeros(rot.shape + (1,), dtype=complex)
+    x[tri, 0] = s.amps
+    x *= phase.conj()[:, None]
+    z = (vec.transpose(0, 2, 1) @ x.view(float)).view(complex)
+    z *= rot[:, :, None]
+    y = (vec @ z.view(float)).view(complex)
+    return TwoModeState(s.cutoff, (y[:, :, 0] * phase)[tri])
 
 
 def beam_splitter_pair_exact(s: FourModeState, kappa: float) -> FourModeState:
@@ -609,8 +583,6 @@ def beam_splitter_pair_exact(s: FourModeState, kappa: float) -> FourModeState:
     complex float views, U X and then U (U X)^T, read back transposed.
     U conserves photon number, so X keeps its p + q <= cutoff support.
     """
-    if not math.isfinite(kappa):
-        raise ValueError(f"kappa must be finite, got {kappa}")
     rows, cols, dst, src = _pair_layout(s.cutoff)
     d = dim2(s.cutoff)
     u = np.zeros((d, d))

@@ -58,7 +58,8 @@ def reference_sector_blocks(cutoff, kappa):
     """Yield q[r, l] = <n - r, r| U |n - l, l>, U's block on sector n.
 
     The balanced recursion one sector at a time, each term added into a
-    fresh zeroed block in turn: the reference for ``fock._sector_blocks``.
+    fresh zeroed block in turn: the test-side reference that the blocks
+    of ``fock._sector_blocks``, from eigenpairs, are held to.
     U maps a† to A† = c a† - s b† and b† to B† = s a† + c b† (c = cos kappa,
     s = sin kappa), so block n comes from block n - 1, all columns at once,
     by the balanced recursion (p = n - l)
@@ -84,7 +85,7 @@ def reference_sector_blocks(cutoff, kappa):
 
 def reference_mix(amps, cutoff, kappa):
     """The two-mode splitter, one contraction per ``reference_sector_blocks``
-    block: the reference for ``fock._mix``."""
+    block: the reference for ``fock.beam_splitter``."""
     out = np.empty_like(amps)
     for n, q in enumerate(reference_sector_blocks(cutoff, kappa)):
         # q runs over n_b ascending, the sector slice over n_a ascending
@@ -100,8 +101,8 @@ def reference_pair_exact(s, kappa):
     U gets each ``reference_sector_blocks`` block reversed on both axes on
     its diagonal, one sector slice at a time, X[(n_a, n_c), (n_b, n_d)]
     holds the amplitudes, and both products are complex: a reference that
-    shares neither the recursion, nor the assembly of U, nor the real
-    products with ``beam_splitter_pair_exact``.
+    shares neither the blocks, nor the assembly of U, nor the real products
+    with ``beam_splitter_pair_exact``.
     """
     (na, nb, nc, nd), _ = _basis(4, s.cutoff)
     table = _basis(2, s.cutoff)[1]

@@ -182,7 +182,7 @@ def test_criterion_06_beam_splitter_routes_agree():
             worst = max(worst, float(np.abs(fast.amps - slow.amps).max()))
     _criterion(
         6,
-        "sector-recursion and matrix-exponential beam splitter routes "
+        "per-sector and dense matrix-exponential beam splitter routes "
         f"agree on {trials * len(kappas)} random four-mode states",
         worst <= 1e-9,
         f"worst amplitude deviation {worst:.2e}",

@@ -135,9 +135,9 @@ def test_ancillas_are_exactly_their_closed_forms(phi):
 
 def test_blocks_run_no_public_splitter(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the two-mode sector recursion ran")
+        raise AssertionError("the two-mode sector exponential ran")
 
-    monkeypatch.setattr(pathent.fock, "_mix", refuse)
+    monkeypatch.setattr(pathent.fock, "_sector_eigh", refuse)
     monkeypatch.setattr(pathent.fock, "_sector_blocks", refuse)
     assert not run_scheme(noon_factor_angles(4)).impossible
     assert not run_scheme_double(4).impossible
@@ -254,8 +254,13 @@ def test_amplitude_factor_values():
     np.testing.assert_allclose(amplitude_factor_single(2, 0.5), 0.5)
     np.testing.assert_allclose(amplitude_factor_double(1, 1.0), 0.5)
     assert amplitude_factor_single(2, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        amplitude_factor_single(0, 0.5)
+    assert amplitude_factor_single(3, 0.0) == 0.0
+    for factor in (amplitude_factor_single, amplitude_factor_double):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            factor(0, 0.5)
+        for t in (-0.1, 1.5, 2.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"transmittance outside \[0, 1\]"):
+                factor(2, t)
 
 
 def test_scheme_noon2():

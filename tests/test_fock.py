@@ -16,7 +16,6 @@ from pathent.fock import (
     FourModeState,
     _basis,
     _ket_index,
-    _mix,
     _pair_blocks,
     _pair_unitary,
     _sector,
@@ -400,20 +399,24 @@ def test_pair_splitter_routes_agree(kappa):
         slow = beam_splitter_pair_oracle(s, kappa)
         assert np.abs(fast.amps - slow.amps).max() < 1e-9
 
-    # a stack of states, one per column, gives each column's 1-D result
-    states = [random_two_mode_state(rng, 6) for _ in range(3)]
-    stacked = _mix(np.stack([t.amps for t in states], axis=1), 6, kappa)
-    for i, t in enumerate(states):
-        assert np.array_equal(stacked[:, i], beam_splitter(t, kappa).amps)
+    # the two-mode splitter's two products agree with the stack of blocks
+    # that the fast pair places in U, both from ``_sector_eigh``
+    blocks = _sector_blocks(6, kappa)
+    for t in [random_two_mode_state(rng, 6) for _ in range(3)]:
+        out = beam_splitter(t, kappa).amps
+        for n in range(7):
+            want = blocks[n, :n + 1, :n + 1] @ t.amps[_sector(n)]
+            assert np.abs(out[_sector(n)] - want).max() < 2e-15, n
 
 
 @pytest.mark.parametrize("kappa", MIX_KAPPAS + [
     1e-9, math.pi / 2 - math.ulp(math.pi / 2), -0.7, 0.7 + 4 * math.pi])
 def test_pair_routes_match_their_dense_copies_bit_for_bit(kappa):
-    # The pair splitter from its stack of sector blocks with real products
-    # reproduces the route that placed the per-sector recursion's blocks in
-    # U one by one.  The oracle, with one exponential and the blocks of one
-    # padded size stacked, reproduces the route that exponentiates each
+    # The fast pair from the eigenpairs of each sector holds within 2e-15
+    # (2.6e-16 measured) of the route that places the balanced recursion's
+    # blocks in U one by one and multiplies in complex arithmetic.  The
+    # oracle, with one exponential and the blocks of one padded size
+    # stacked, reproduces bit for bit the route that exponentiates each
     # block alone, padded the same way.  Padding lengthens each dot
     # product, so against the unpadded blocks the oracle holds to 1e-15
     # (1.1e-16 measured), not bit for bit.
@@ -421,8 +424,9 @@ def test_pair_routes_match_their_dense_copies_bit_for_bit(kappa):
     for cutoff in range(11):
         for _ in range(2):
             s = random_four_mode_state(rng, cutoff)
-            assert (beam_splitter_pair_exact(s, kappa).amps.tobytes()
-                    == reference_pair_exact(s, kappa).tobytes()), cutoff
+            assert np.abs(beam_splitter_pair_exact(s, kappa).amps
+                          - reference_pair_exact(s, kappa)).max() <= 2e-15, \
+                cutoff
             oracle = beam_splitter_pair_oracle(s, kappa).amps
             assert oracle.tobytes() == padded_pair_oracle(s, kappa).tobytes(), \
                 cutoff
@@ -448,28 +452,38 @@ def test_pair_oracle_keeps_a_non_finite_amplitude_in_its_block(cutoff):
 
 @pytest.mark.parametrize("kappa", MIX_KAPPAS + [0.7 + 4 * math.pi])
 def test_sector_blocks_are_the_recursion_byte_for_byte(kappa):
-    # The stack from the strided buffer holds each block of the per-sector
-    # recursion reversed on both axes, and zeros, with their signs, around.
-    for cutoff in range(17):
-        want = np.zeros((cutoff + 1,) * 3)
-        for n, q in enumerate(reference_sector_blocks(cutoff, kappa)):
-            want[n, :n + 1, :n + 1] = q[::-1, ::-1]
-        assert _sector_blocks(cutoff, kappa).tobytes() == want.tobytes(), cutoff
+    # The stack from the eigenpairs holds each block of the per-sector
+    # balanced recursion, reversed on both axes, within 2e-14 (9.4e-15
+    # measured at cutoff 128), and +0 around the blocks.  Every sector up
+    # to 128 is covered by the largest cutoff; the smaller ones check the
+    # stack's shape and its padding.
+    want = np.zeros((129,) * 3)
+    for n, q in enumerate(reference_sector_blocks(128, kappa)):
+        want[n, :n + 1, :n + 1] = q[::-1, ::-1]
+    for cutoff in list(range(17)) + [25, 26, 64, 128]:
+        got = _sector_blocks(cutoff, kappa)
+        tri = np.tri(cutoff + 1, dtype=bool)
+        corners = tri[:, :, None] & tri[:, None]
+        assert got.shape == (cutoff + 1,) * 3
+        assert np.abs(got - want[:cutoff + 1, :cutoff + 1, :cutoff + 1])[
+            corners].max() <= 2e-14, cutoff
+        outside = got[~corners]
+        assert not outside.any() and not np.signbit(outside).any(), cutoff
 
 
 @pytest.mark.parametrize("kappa", MIX_KAPPAS + [0.7 + 4 * math.pi])
 def test_mix_is_the_reference_byte_for_byte(kappa):
-    # One state, a stack of three, and real amplitudes, whose contraction
-    # sums in an order that follows the block's layout.
+    # beam_splitter against the balanced recursion's blocks, on complex and
+    # real amplitudes normalized to 1: within 4e-15 (6.7e-16 measured).
     rng = np.random.default_rng(41)
     for cutoff in range(17):
         d = dim2(cutoff)
         one = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        stacked = (rng.standard_normal((d, 3))
-                   + 1j * rng.standard_normal((d, 3)))
-        for amps in (one, stacked, one.real.copy()):
-            assert (_mix(amps, cutoff, kappa).tobytes()
-                    == reference_mix(amps, cutoff, kappa).tobytes()), cutoff
+        one /= np.linalg.norm(one)
+        for amps in (one, one.real.copy()):
+            got = beam_splitter(TwoModeState(cutoff, amps), kappa).amps
+            assert np.abs(got - reference_mix(amps, cutoff, kappa)).max() \
+                <= 4e-15, cutoff
 
 
 @pytest.mark.parametrize("kappa", MIX_KAPPAS)
@@ -491,6 +505,18 @@ def test_splitters_reject_non_finite_angles(kappa):
                          (beam_splitter_pair_oracle, four)):
         with pytest.raises(ValueError, match="kappa must be finite"):
             split(state, kappa)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_phase_and_factor_reject_non_finite_angles(angle):
+    s = random_two_mode_state(np.random.default_rng(7), 3)
+    for mode in ("a", "b"):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            phase_shift(s, angle, mode)
+    with pytest.raises(ValueError, match="theta must be finite"):
+        apply_linear_factor(vacuum(1), angle, 0.0)
+    with pytest.raises(ValueError, match="phi must be finite"):
+        apply_linear_factor(vacuum(1), 0.3, angle)
 
 
 @pytest.mark.parametrize("cutoff", range(9))
