@@ -26,7 +26,7 @@ from .factorize import FactorSet, _wrap_angle
 from .fock import (
     TwoModeDensity,
     TwoModeState,
-    _sector,
+    _in_block,
     _sector_state,
     apply_creation,
     dim2,
@@ -204,7 +204,7 @@ def _splitter_entries(cutoff: int, c, s, j_max: int,
 
 
 def _block_weights(v: np.ndarray, ancs: np.ndarray, step: int) -> np.ndarray:
-    """Dark-branch weights w[j, k, o] of every row of a splitter table.
+    """Dark-branch weights w[k, j, o] of every row of a splitter table.
 
     ``v[j, k, p]`` is the splitter entry U[(p, 0), (p - j, j)] of row k and
     ``ancs[k, j]`` the amplitude of its ancilla ket |j, a - j> (one row
@@ -212,41 +212,33 @@ def _block_weights(v: np.ndarray, ancs: np.ndarray, step: int) -> np.ndarray:
     ancilla detectors dark, |i, m - i> (x) |j, a - j> goes to
     |i + j, m + a - i - j> with amplitude
         U[(i + j, 0), (i, j)] * U[(m + a - i - j, 0), (m - i, a - j)] * anc[j],
-    which is w[j, k, i + j] for input sector m = m_k = k step.  The second
+    which is w[k, j, i + j] for input sector m = m_k = k step.  The second
     factor, v[a - j, k, a + m_k - o], is u[j, k, o + (rows - 1 - k) step] of
     the copy u of v reversed along j and o, read as a view with constant,
     positive strides: outside j <= o <= j + m_k, which no block reads, it
-    reads other entries of u.
+    reads other entries of u, all finite.  The weights come block-major and
+    C-ordered, so block k reads its (a + 1, width) slice in place.
     """
     a, (rows, width), item = v.shape[0] - 1, v.shape[1:], v.itemsize
     # the view is the copy's only holder: freed after the product
-    w = v * np.ndarray(v.shape, float, v[::-1, :, ::-1].copy(),
-                       (rows - 1) * step * item,
-                       (rows * width * item, (width - step) * item, item))
-    return w * ancs.T[:, :, None]
+    w = np.multiply(v.transpose(1, 0, 2), np.ndarray(
+        (rows, a + 1, width), float, v[::-1, :, ::-1].copy(),
+        (rows - 1) * step * item,
+        ((width - step) * item, rows * width * item, item)), order="C")
+    return w * ancs[:, :, None]
 
 
-def _live(ancs: np.ndarray) -> list[list[int]]:
-    """Per row of ancilla amplitudes, the kets j with a nonzero amplitude."""
-    return [[j for j, c in enumerate(row) if c]
-            for row in (ancs != 0).tolist()]
+def _shifted(pad: np.ndarray, a: int) -> np.ndarray:
+    """View x[..., j, o] = pad[..., a + o - j] of zero-padded coefficients.
 
-
-def _herald_step(y: np.ndarray, x: np.ndarray, w: np.ndarray,
-                 live) -> np.ndarray:
-    """Dark branch of one block: y = sum_j w[j, j:j + m + 1] x, shifted by j.
-
-    ``x`` holds the m + 1 coefficients of input sector m, ``w`` one row of
-    ``_block_weights`` and ``live`` the ancilla kets j with a nonzero
-    amplitude; ``y`` receives the m + a + 1 coefficients of sector m + a.
-    The shift is one-to-one for each ancilla ket: one multiply-accumulate
-    per live ket.
+    ``pad`` holds a zeros, then the coefficients x_0, x_1, ... of a sector
+    and zeros up to its last axis's end; row j of the view is x shifted by
+    j, x_{o - j}, and reads +0 wherever o - j is outside the sector.
     """
-    m = len(x) - 1
-    y.fill(0.0)
-    for j in live:
-        y[j:j + m + 1] += w[j, j:j + m + 1] * x
-    return y
+    *lead, size = pad.shape
+    *outer, item = pad.strides
+    return np.ndarray((*lead, a + 1, size - a), pad.dtype, pad, a * item,
+                      (*outer, -item, item))
 
 
 def _herald(state: TwoModeState, anc: np.ndarray,
@@ -254,21 +246,22 @@ def _herald(state: TwoModeState, anc: np.ndarray,
     """Mix signal (x) ancilla on the splitter pair; keep the dark branch.
 
     ``anc`` holds the ancilla's sector coefficients.  A photon-number
-    sector never mixes with another, so each populated sector m of
-    ``state`` goes through ``_herald_step`` on its own, with row m of the
-    block weights of one splitter repeated for every input sector, and
-    fills the slice of output sector m + a: the kernel the chains run.
+    sector never mixes with another: input sector m goes to output sector
+    m + a alone, y_o = sum_j w[m, j, o] x_{o - j}, with w the block weights
+    of one splitter repeated for every input sector.  Row m of one
+    zero-padded buffer holds sector m, so every sector is one row of a
+    single product with the buffer's ``_shifted`` view and of one sum over
+    j from +0: the step the chains run.
     """
     a, rows = len(anc) - 1, state.cutoff + 1
     cutoff = state.cutoff + a
     v = _splitter_entries(cutoff, *params.cos_sin, a, 0)[..., 0]
     w = _block_weights(v[:, None].repeat(rows, axis=1), anc[None], 1)
-    live = _live(anc[None])[0]
+    pad = np.zeros((rows, a + cutoff + 1), dtype=complex)
+    pad[:, a:a + rows][_in_block(state.cutoff)] = state.amps
+    y = np.add.reduce(w * _shifted(pad, a), axis=1, initial=0.0)
     dark = np.zeros(dim2(cutoff), dtype=complex)
-    for m in range(rows):
-        x = state.amps[_sector(m)]
-        if x.any():
-            _herald_step(dark[_sector(m + a)], x, w[:, m], live)
+    dark[dim2(a - 1):] = y[np.tri(rows, cutoff + 1, a, dtype=bool)]
     out = TwoModeState(cutoff, dark)
     return BlockOutcome(out, out.norm_sq())
 
@@ -362,26 +355,30 @@ def _run_chain(ts, ancs: np.ndarray) -> SchemeResult:
     ``ts`` holds the checked transmittance of each block and row k of
     ``ancs`` the coefficients of block k's a-photon ancilla.  After k
     blocks the state is the k a + 1 coefficients of one photon-number
-    sector, and it is kept as just that vector.  Everything a block needs
-    is set up once per chain, before the loop: the weights of every block
-    from one splitter table (``_block_weights``, row k for input sector
-    k a) and the live ancilla kets of every block (``_live``).  Each block
-    is then one ``_herald_step`` into one of two preallocated buffers, its
-    probability the squared norm of the vector, and an in-place
-    renormalization.  The result is embedded at cutoff N once, at the end.
+    sector, kept zero-padded in one of two buffers, each read through one
+    fixed ``_shifted`` view.  The weights of every block come from one
+    splitter table before the loop (``_block_weights``, row k for input
+    sector k a).  Block k is one product of its weights with the view of
+    one buffer and one sum over the ancilla kets, from +0, into the other:
+    entries past the sector multiply padding zeros and stay +0.  Its
+    probability is the squared norm of the sector slice, followed by an
+    in-place renormalization.  The result is embedded at cutoff N once.
     Owns the short-circuit to an ``impossible`` result.
     """
     n_blocks, a = ancs.shape[0], ancs.shape[1] - 1
     n_photons = a * n_blocks
     v = _splitter_entries(n_photons, *_mixing(ts), a, 0)[..., 0]
     w = _block_weights(v, ancs, a)
-    bufs = np.empty((2, n_photons + 1), dtype=complex)
-    x = bufs[0, :1]
-    x[0] = 1.0
+    bufs = np.zeros((2, a + n_photons + 1), dtype=complex)
+    bufs[0, a] = 1.0
+    views = _shifted(bufs, a)
+    prod = np.empty(views.shape[1:], dtype=complex)
     probs: list[float] = []
-    for k, live in enumerate(_live(ancs)):
-        x = _herald_step(bufs[(k + 1) % 2, :(k + 1) * a + 1], x, w[:, k],
-                         live)
+    for k in range(n_blocks):
+        np.multiply(w[k], views[k % 2], out=prod)
+        y = np.add.reduce(prod, axis=0, initial=0.0,
+                          out=bufs[(k + 1) % 2, a:])
+        x = y[:(k + 1) * a + 1]
         probs.append(float(np.vdot(x, x).real))
         if probs[-1] == 0.0:
             probs.extend([0.0] * (n_blocks - k - 1))

@@ -31,6 +31,7 @@ import numpy as np
 
 from .blocks import (
     BlockParams,
+    _splitter_entries,
     amplitude_factor_single,
     noon_double_phases,
     run_block_single,
@@ -51,6 +52,7 @@ from .factorize import (
 from .fock import (
     TwoModeState,
     _basis,
+    _sector_blocks,
     apply_linear_factor,
     beam_splitter_pair_exact,
     beam_splitter_pair_oracle,
@@ -75,8 +77,8 @@ from .yields import (
 # loaded 2-vCPU x86-64 host ``simulate`` at N = 64 takes about 0.20 s of
 # wall time as a fresh process, of which 0.18 s is interpreter start and
 # imports, and 32 MB peak RSS; in-process a call on a seeded random target
-# takes about 5.9 ms, of which the chain is 0.7 ms.  A NOON call takes about
-# 1.5 ms: its two-term polynomial is factored in closed form, without the
+# takes about 4.6 ms, of which the chain is 0.45 ms.  A NOON call takes about
+# 1.3 ms: its two-term polynomial is factored in closed form, without the
 # 64 x 64 eigenproblem.  The bound stays at 64 until the factors are applied
 # in a well-conditioned order: in sorted order the partial products grow and
 # cancel, and NOON targets already print spurious kets near 1e-10 at N = 64.
@@ -531,6 +533,44 @@ def _oracle_section(name: str, trials: int, max_dev: float,
     return section
 
 
+# The fixed grid of the splitter-entries section: the smallest cutoffs, where
+# rows j <= 2 outgrow the table, oracle-check's largest --cutoff, and the
+# largest chains that yield-table and simulate run.
+_ENTRY_CUTOFFS = (1, 2, 10, _YIELD_N_MAX, _SIMULATE_N_MAX)
+_ENTRY_KAPPAS = _ORACLE_KAPPAS + (1.5,)
+
+
+def _entries_section() -> dict:
+    """Rows j <= 2 of the chains' splitter table against the per-sector
+    exponential, at every cutoff and angle of the fixed grid.
+
+    ``_splitter_entries`` builds every column, with c and s passed as
+    arrays, one entry per angle, as the chains pass them.  Its entry
+    v[j, o, n] = <o, n| U |o + n - j, j> is entry [o, o + n - j] of block
+    o + n of ``_sector_blocks``, and 0 where o + n is above the cutoff or
+    below j.
+    """
+    worst = None
+    for cutoff in _ENTRY_CUTOFFS:
+        v = _splitter_entries(cutoff, np.cos(_ENTRY_KAPPAS),
+                              np.sin(_ENTRY_KAPPAS), 2)
+        o, n = np.ogrid[:cutoff + 1, :cutoff + 1]
+        m = np.minimum(o + n, cutoff)  # clipped: the mask drops the rest
+        for kappa, rows in zip(_ENTRY_KAPPAS, v.swapaxes(0, 1)):
+            stack = _sector_blocks(cutoff, kappa)
+            for j, row in enumerate(rows):
+                want = np.where((o + n <= cutoff) & (m >= j),
+                                stack[m, o, np.maximum(m - j, 0)], 0.0)
+                worst = _worst(worst, np.abs(row - want).ravel(), cutoff,
+                               kappa, j)
+    dev, cutoff, kappa, j, i = worst
+    return _oracle_section(
+        "splitter_entries_vs_sector_exponential",
+        len(_ENTRY_CUTOFFS) * len(_ENTRY_KAPPAS), dev,
+        {"cutoff": cutoff, "kappa": kappa, "j": j,
+         "ket": list(divmod(i, cutoff + 1))})
+
+
 def _cmd_oracle_check(args) -> int:
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
@@ -577,7 +617,7 @@ def _cmd_oracle_check(args) -> int:
         {"trial": trial, "k": k, "transmittance": float(t),
          "ket": [int(n[i]) for n in _basis(2, k)[0]]})
 
-    sections = [pair_section, block_section]
+    sections = [pair_section, block_section, _entries_section()]
     all_pass = all(section["pass"] for section in sections)
     report = {
         "command": "oracle-check",
@@ -662,7 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1,
                    help="random seed (default: 1)")
     p.add_argument("--trials", type=int, default=100,
-                   help="random instances per section (default: 100)")
+                   help="random instances per randomized section "
+                        "(default: 100)")
     p.add_argument("--cutoff", type=int, default=8,
                    help="total-photon cutoff for random states (default: 8)")
     p.add_argument("--perturb", type=float, default=0.0, metavar="EPS",

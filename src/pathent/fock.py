@@ -251,11 +251,17 @@ class TwoModeDensity:
                              f"{blocks.shape}")
         if len(blocks) == 0:
             raise ValueError("cutoff must be non-negative")
+        return cls._holding(np.array(blocks, order="C"))
+
+    @classmethod
+    def _holding(cls, stack: np.ndarray) -> "TwoModeDensity":
+        """rho held in ``stack`` itself, a complex cube of sector blocks,
+        with +0 written over every entry outside the corners."""
         rho = cls.__new__(cls)
-        rho.cutoff = len(blocks) - 1
-        rho.blocks = np.zeros(blocks.shape, dtype=complex)
+        rho.cutoff = len(stack) - 1
         tri = _in_block(rho.cutoff)
-        np.copyto(rho.blocks, blocks, where=tri[:, :, None] & tri[:, None])
+        np.copyto(stack, 0.0, where=~(tri[:, :, None] & tri[:, None]))
+        rho.blocks = stack
         return rho
 
     @classmethod
@@ -264,11 +270,12 @@ class TwoModeDensity:
 
         Row m of ``x`` holds sector m's coefficients, so x[m, i] x[m, j]*
         is block m's entry [i, j].  Coherences between photon-number
-        sectors are dropped; no pathent reading uses them.
+        sectors are dropped; no pathent reading uses them.  The product is
+        built for rho alone, so rho holds it without a copy.
         """
         x = np.zeros((s.cutoff + 1,) * 2, dtype=complex)
         x[_in_block(s.cutoff)] = s.amps
-        return cls.from_sectors(x[:, :, None] * x[:, None].conj())
+        return cls._holding(x[:, :, None] * x[:, None].conj())
 
     @property
     def mat(self) -> np.ndarray:

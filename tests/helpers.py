@@ -299,13 +299,15 @@ def reference_transfer_table(v, k):
 def reference_block_weights(v, ancs, step):
     """``blocks._block_weights`` with its second factor gathered by index.
 
-    The index holds the position of v[a - j, k, a + k step - o], clipped
-    into the row outside j <= o <= j + k step, which no block reads.
+    Block-major, w[k, j, o], as the chains read it.  The index holds the
+    position of v[a - j, k, a + k step - o], clipped into the row outside
+    j <= o <= j + k step, which no block reads.
     """
     a, rows, width = v.shape[0] - 1, v.shape[1], v.shape[2]
-    j, k, o = np.ogrid[:a + 1, :rows, :width]
+    k, j, o = np.ogrid[:rows, :a + 1, :width]
     n = np.clip(a + k * step - o, 0, width - 1)
-    return v * v.take(((a - j) * rows + k) * width + n) * ancs.T[:, :, None]
+    return (v.transpose(1, 0, 2) * v.take(((a - j) * rows + k) * width + n)
+            * ancs[:, :, None])
 
 
 def reference_channel_block(r, v, w):

@@ -582,7 +582,7 @@ def test_strided_views_read_what_the_index_gathers_read(size, monkeypatch):
             v = _splitter_entries(size - 1 + a, *_mixing([t]), a, 0)[..., 0]
             cases.append((v.repeat(size, axis=1), ancs[:1], 1))
     for v, ancs, step in cases:
-        j, k, o = np.ogrid[:v.shape[0], :v.shape[1], :v.shape[2]]
+        k, j, o = np.ogrid[:v.shape[1], :v.shape[0], :v.shape[2]]
         read = (j <= o) & (o <= j + k * step)
         got = _block_weights(v, ancs, step)
         want = reference_block_weights(v, ancs, step)
@@ -860,9 +860,9 @@ def test_chain_memory_at_the_simulate_cap():
 
 
 def _assert_bit_identical(got, want):
-    # array_equal takes -0.0 == 0.0: signed zeros may differ
+    # the bytes, so signed zeros count too
     assert got.final_state.cutoff == want.final_state.cutoff
-    assert np.array_equal(got.final_state.amps, want.final_state.amps)
+    assert got.final_state.amps.tobytes() == want.final_state.amps.tobytes()
     assert got.block_probs == want.block_probs
     assert got.total_yield == want.total_yield
     assert got.impossible == want.impossible
@@ -922,11 +922,11 @@ def test_public_blocks_match_the_sector_loop_reference_bit_for_bit():
                 params = BlockParams(theta, phi, t)
                 got = run_block_single(s, params)
                 want = reference_block_single(s, params)
-                assert np.array_equal(got.state.amps, want.state.amps)
+                assert got.state.amps.tobytes() == want.state.amps.tobytes()
                 assert got.probability == want.probability
             got = run_block_double(s, phi, t)
             want = reference_block_double(s, phi, t)
-            assert np.array_equal(got.state.amps, want.state.amps)
+            assert got.state.amps.tobytes() == want.state.amps.tobytes()
             assert got.probability == want.probability
 
 

@@ -687,6 +687,7 @@ def test_oracle_check_passes(capsys):
     assert names == [
         "beam_splitter_pair_vs_matrix_exponential",
         "block_vs_closed_form_amplitude",
+        "splitter_entries_vs_sector_exponential",
     ]
     for section in report["sections"]:
         assert section["pass"] is True
@@ -702,9 +703,10 @@ def test_oracle_check_detects_perturbation(capsys):
     )
     assert code == 2
     assert report["status"] == "fail"
-    bs, block = report["sections"]
+    bs, block, entries = report["sections"]
     assert bs["pass"] is False and bs["max_deviation"] > 1e-9
     assert block["pass"] is True and "worst" not in block
+    assert entries["pass"] is True and "worst" not in entries
     worst = bs["worst"]
     assert worst["trial"] in range(3) and worst["kappa"] in report["kappas"]
     ket = worst["ket"]
@@ -768,7 +770,7 @@ def test_oracle_check_fails_a_nan_deviation(monkeypatch, capsys):
 
     report = json.loads(out, parse_constant=reject)
     assert code == 2 and report["status"] == "fail"
-    bs, block = report["sections"]
+    bs, block, _ = report["sections"]
     assert bs["pass"] is False and bs["max_deviation"] is None
     # the first NaN is the one located
     assert bs["worst"] == {"trial": 0, "kappa": report["kappas"][0],
@@ -805,7 +807,7 @@ def test_oracle_check_locates_the_largest_block_deviation(monkeypatch, capsys):
     code, report = run_json(
         capsys, ["oracle-check", "--trials", "6", "--cutoff", "3"])
     assert code == 2 and report["status"] == "fail"
-    bs, block = report["sections"]
+    bs, block, _ = report["sections"]
     assert bs["pass"] is True and "worst" not in bs
     assert block["pass"] is False and 9e-7 < block["max_deviation"] < 2e-6
     k, t = calls[2]
@@ -827,13 +829,54 @@ def test_oracle_check_fails_a_nan_block_deviation(monkeypatch, capsys):
 
     report = json.loads(out, parse_constant=reject)
     assert code == 2 and report["status"] == "fail"
-    bs, block = report["sections"]
+    bs, block, _ = report["sections"]
     assert bs["pass"] is True
     assert block["pass"] is False and block["max_deviation"] is None
     # the first NaN is the one located
     k, t = calls[1]
     assert block["worst"] == {"trial": 1, "k": k, "transmittance": t,
                               "ket": [0, 0]}
+
+
+def _spiked_entries(monkeypatch, spikes):
+    """Route oracle-check's splitter tables through one that adds
+    ``size`` at [j, angle index, o, n] for each (cutoff, j, angle index,
+    (o, n)): size entry of ``spikes``."""
+    entries = cli._splitter_entries
+
+    def spiked(cutoff, c, s, j_max):
+        v = entries(cutoff, c, s, j_max)
+        for (at, j, i, ket), size in spikes.items():
+            if at == cutoff:
+                v[(j, i) + ket] += size
+        return v
+
+    monkeypatch.setattr(cli, "_splitter_entries", spiked)
+
+
+def test_oracle_check_locates_the_largest_entry_deviation(monkeypatch,
+                                                          capsys):
+    # Two entries are off; the larger is located, on any --cutoff.
+    _spiked_entries(monkeypatch, {(24, 2, 1, (3, 20)): 1e-6,
+                                  (64, 0, 3, (0, 0)): 1e-7})
+    code, report = run_json(
+        capsys, ["oracle-check", "--trials", "1", "--cutoff", "2"])
+    assert code == 2 and report["status"] == "fail"
+    bs, block, entries = report["sections"]
+    assert bs["pass"] is True and block["pass"] is True
+    assert entries["pass"] is False
+    assert 9e-7 < entries["max_deviation"] < 2e-6
+    assert entries["worst"] == {"cutoff": 24, "kappa": report["kappas"][1],
+                                "j": 2, "ket": [3, 20]}
+
+
+def test_oracle_check_fails_entries_outside_the_table(monkeypatch, capsys):
+    # An entry the table must leave at 0, o + n above the cutoff, counts.
+    _spiked_entries(monkeypatch, {(10, 1, 0, (6, 7)): 1e-3})
+    code, report = run_json(capsys, ["oracle-check", "--trials", "1"])
+    assert code == 2
+    assert report["sections"][2]["worst"] == {
+        "cutoff": 10, "kappa": report["kappas"][0], "j": 1, "ket": [6, 7]}
 
 
 def test_oracle_check_deterministic(capsys):

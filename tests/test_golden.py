@@ -1,10 +1,29 @@
 """Byte-exact CLI reports, pinned by the SHA-256 of their stdout.
 
 A refactor of the numerics must leave every printed digit unchanged.  The
-last hash re-recorded is ``oracle_check``'s, when the two-mode splitter's
-sector blocks, which the fast pair places in U, began to come from one
-eigendecomposition per sector instead of the balanced recursion.
-Old -> new:
+last hash re-recorded is ``oracle_check``'s, when ``oracle-check`` gained
+the section ``splitter_entries_vs_sector_exponential``, which compares
+rows j <= 2 of the chains' splitter table with the per-sector exponential
+at cutoffs up to 64.  Old -> new:
+
+    oracle_check            9011c62ebf78... -> 1a3e01574121...
+        a third section appended, max_deviation 6.2554128543723664e-15;
+        the other two sections print the same bytes
+
+In the same change the heralded chains and the public blocks began to run
+each block as one product of the weights with a shifted view of
+zero-padded coefficients and one sum over the ancilla kets, instead of one
+multiply-accumulate per live ancilla ket.  That left every ``simulate``
+and ``yield-table`` hash unchanged: each output sum starts at +0 and adds
+the same products in the same order, and the extra terms, products with a
+padding zero or a zero ancilla amplitude, are +-0 and leave it as it is.
+``simulate_real4`` was added then, recorded before that step: its report
+prints exact-zero imaginary parts.
+
+Before that, the last hash re-recorded was ``oracle_check``'s, when the
+two-mode splitter's sector blocks, which the fast pair places in U, began
+to come from one eigendecomposition per sector instead of the balanced
+recursion.  Old -> new:
 
     oracle_check            6a08e1d0622a... -> 9011c62ebf78...
         the pair section's max_deviation only, 5.6067808515458017e-16 ->
@@ -175,6 +194,11 @@ TARGET32 = [[((7 * k) % 11 - 5) / 10, ((5 * k) % 13 - 6) / 10]
             for k in range(33)]
 
 
+# A real four-photon target with two trailing zeros; simulate re-normalizes
+# it (norm sqrt(14)) and prints exact-zero imaginary parts.
+REAL4 = [[1, 0], [-3, 0], [2, 0], [0, 0], [0, 0]]
+
+
 def _noon(n):
     coeffs = [[0.0, 0.0] for _ in range(n + 1)]
     coeffs[0][0] = coeffs[n][0] = 1.0 / math.sqrt(2.0)
@@ -191,7 +215,7 @@ GOLDEN = {
     "factorize_target6": (["factorize", "{target6}"],
         "96c2b2e8b8086f487fb713c6aeb39b8794260e4e115f2020081410ffed068198"),
     "oracle_check": (["oracle-check", "--trials", "5"],
-        "9011c62ebf78624e3165e8852d3073f68fd47f1e204eaf4995dfee1d36421f4d"),
+        "1a3e0157412103aa78bc50bc475a0d8e10da2af81a8a8cca72e6c4d8c4ef21a0"),
     "yield_table_8": (["yield-table", "8"],
         "01eab9788413d9853001ae96b7f8f7c054ffec9c60dd3a57c2ac7a07d7e9c8fe"),
     "fringe_4_16": (["fringe", "4", "16"],
@@ -202,6 +226,8 @@ GOLDEN = {
         "777eebd0c195feb15c926dc1bdafba4918127ca2a9efbcc284220267b2689de1"),
     "simulate_target32": (["simulate", "{target32}"],
         "f5af0b7d120ab117c80a6308df188ebfc3ea6dc2c8fb88a2b8b7924a01e70323"),
+    "simulate_real4": (["simulate", "{real4}"],
+        "c5ee0b0921e7f77f80e3a43ce6f8b4c7b452d48aa209d86dcb95f4d03b3ceea3"),
 }
 
 
@@ -209,7 +235,8 @@ GOLDEN = {
 def test_cli_stdout_is_byte_identical(name, tmp_path, capsys):
     files = {}
     for key, coeffs in (("noon8", _noon(8)), ("target6", TARGET6),
-                        ("noon32", _noon(32)), ("target32", TARGET32)):
+                        ("noon32", _noon(32)), ("target32", TARGET32),
+                        ("real4", REAL4)):
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps({"N": len(coeffs) - 1, "coeffs": coeffs}))
         files[key] = str(path)
