@@ -28,11 +28,10 @@ from .fock import (
     TwoModeState,
     _in_block,
     _sector_state,
-    apply_creation,
     dim2,
     zero_state,
 )
-from .yields import optimal_schedule, qk_squared
+from .yields import _photon_number, optimal_schedule, qk_squared
 
 
 # Largest ancilla angle theta a block accepts: pi/2 and a rounding margin.
@@ -139,8 +138,10 @@ def ancilla_single(theta: float, phi: float) -> TwoModeState:
     """One ancilla photon in cos(theta)|1,0> - e^{i phi} sin(theta)|0,1>.
 
     Written down from its closed form, the amplitudes the photon-adding
-    factor cos(theta) a† - e^{i phi} sin(theta) b† puts on vacuum.
+    factor cos(theta) a† - e^{i phi} sin(theta) b† puts on vacuum, once
+    the angles pass the one check every block passes (``_blocks``).
     """
+    ((theta, phi),), _ = _blocks([(theta, phi)])
     return _sector_state(_single_coeffs(theta, phi))
 
 
@@ -148,8 +149,10 @@ def ancilla_double(phi: float) -> TwoModeState:
     """Two-photon ancilla (|2,0> - e^{2i phi}|0,2>)/sqrt(2), |1,1> exactly 0.
 
     Physically |1,1> bunched on a balanced beam splitter, then phase-shifted
-    in the second mode; written down here from that closed form.
+    in the second mode; written down here from that closed form, once phi
+    passes every block's check at theta = pi/4 (``_blocks``).
     """
+    ((_, phi),), _ = _blocks([(math.pi / 4.0, phi)])
     return _sector_state(_double_coeffs(phi))
 
 
@@ -272,8 +275,8 @@ def run_block_single(state: TwoModeState, params: BlockParams) -> BlockOutcome:
 
 def run_block_double(state: TwoModeState, phi: float,
                      transmittance: float) -> BlockOutcome:
-    return _herald(state, _double_coeffs(phi),
-                   BlockParams(math.pi / 4.0, phi, transmittance))
+    params = BlockParams(math.pi / 4.0, phi, transmittance)
+    return _herald(state, _double_coeffs(phi), params)
 
 
 def amplitude_factor_single(k: int, transmittance: float) -> float:
@@ -281,12 +284,9 @@ def amplitude_factor_single(k: int, transmittance: float) -> float:
 
     Block k acts on a (k-1)-photon state; the dark-ancilla branch equals
     q_k times the factor applied to the input, with
-    q_k = (1 - T)^{(k-1)/2} sqrt(T).
+    q_k = (1 - T)^{(k-1)/2} sqrt(T).  k and T pass ``qk_squared``'s checks.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0.0 <= transmittance <= 1.0:
-        raise ValueError("transmittance outside [0, 1]")
+    qk_squared(transmittance, k)
     return (1.0 - transmittance) ** ((k - 1) / 2.0) * math.sqrt(transmittance)
 
 
@@ -300,46 +300,27 @@ def amplitude_factor_double(k: int, transmittance: float) -> float:
     return 0.5 * qk_squared(transmittance, k)
 
 
-def apply_double_factor(state: TwoModeState, phi: float) -> TwoModeState:
-    """Apply a†^2 - e^{2i phi} b†^2, the conjugate factor pair at theta=pi/4."""
-    aa = apply_creation(apply_creation(state, "a"), "a")
-    bb = apply_creation(apply_creation(state, "b"), "b")
-    return TwoModeState(state.cutoff,
-                        aa.amps - np.exp(2j * phi) * bb.amps)
+def _blocks(factors, transmittances=None):
+    """Checked (theta, phi) floats and schedule of a chain of blocks.
 
-
-def _schedule(n_blocks: int, transmittances) -> list[float]:
-    if transmittances is None:
-        return optimal_schedule(n_blocks)
-    ts = [float(t) for t in transmittances]
-    if len(ts) != n_blocks:
-        raise ValueError(
-            f"need {n_blocks} transmittances, got {len(ts)}"
-        )
-    return ts
-
-
-def _check_blocks(angles, ts) -> None:
-    """Raise the BlockParams error of the first block out of range.
-
-    Each (theta, phi) and T is checked as plain floats; a BlockParams is
-    built only for a block that fails, to raise its error.
+    ``factors`` is a FactorSet or an iterable of (theta, phi) pairs, at
+    least one; ``transmittances``, one per block, defaults to T_k = 1/k.
+    Every block is checked here, as plain floats; a BlockParams is built
+    only for the first block out of range, to raise its error.
     """
-    for (theta, phi), t in zip(angles, ts):
-        if not (0.0 <= theta <= _THETA_MAX and math.isfinite(phi)
-                and 0.0 < t <= 1.0):
-            BlockParams(theta, phi, t)
-
-
-def _single_blocks(factors, transmittances):
-    """Checked (theta, phi) pairs and schedule of a single-photon chain."""
     if isinstance(factors, FactorSet):
         factors = factors.factors
     angles = [(float(t), float(p)) for t, p in factors]
     if not angles:
         raise ValueError("need at least one factor")
-    ts = _schedule(len(angles), transmittances)
-    _check_blocks(angles, ts)
+    ts = (optimal_schedule(len(angles)) if transmittances is None
+          else [float(t) for t in transmittances])
+    if len(ts) != len(angles):
+        raise ValueError(f"need {len(angles)} transmittances, got {len(ts)}")
+    for (theta, phi), t in zip(angles, ts):
+        if not (0.0 <= theta <= _THETA_MAX and math.isfinite(phi)
+                and 0.0 < t <= 1.0):
+            BlockParams(theta, phi, t)
     return angles, ts
 
 
@@ -392,10 +373,10 @@ def run_scheme(factors, transmittances=None) -> SchemeResult:
 
     ``factors`` is a FactorSet or an iterable of (theta, phi) pairs;
     ``transmittances`` defaults to the yield-optimal schedule T_k = 1/k.
-    A block with zero heralding probability short-circuits to an
-    ``impossible`` result.
+    Every block passes one check (``_blocks``) before the first runs; one
+    with zero heralding probability short-circuits to ``impossible``.
     """
-    angles, ts = _single_blocks(factors, transmittances)
+    angles, ts = _blocks(factors, transmittances)
     return _run_chain(ts, _single_table(angles))
 
 
@@ -405,10 +386,8 @@ def noon_double_phases(n_photons: int) -> list[float]:
     The n factor phases of the NOON target are the odd multiples of pi/n;
     they split into conjugate pairs (phi, phi + pi), one pair per block.
     """
-    if n_photons < 2 or n_photons % 2 != 0:
-        raise ValueError("doubled scheme needs an even photon number >= 2")
     return [_wrap_angle((2 * k + 1) * math.pi / n_photons)
-            for k in range(n_photons // 2)]
+            for k in range(_photon_number(n_photons, doubled=True) // 2)]
 
 
 def run_scheme_double(n_photons: int, phis=None,
@@ -416,19 +395,17 @@ def run_scheme_double(n_photons: int, phis=None,
     """Chain doubled blocks, two photons per heralding event.
 
     Defaults target the n-photon NOON state.  ``phis`` (one per block) and
-    ``transmittances`` (default T_k = 1/k) may be overridden.
+    ``transmittances`` (default T_k = 1/k) may be overridden.  Every block,
+    as (pi/4, phi), passes ``run_scheme``'s check before the first runs.
     """
-    if n_photons < 2 or n_photons % 2 != 0:
-        raise ValueError("doubled scheme needs an even photon number >= 2")
-    half = n_photons // 2
+    half = _photon_number(n_photons, doubled=True) // 2
     if phis is None:
         phis = noon_double_phases(n_photons)
-    phis = [float(p) for p in phis]
-    if len(phis) != half:
-        raise ValueError(f"need {half} phases, got {len(phis)}")
-    ts = _schedule(half, transmittances)
-    _check_blocks([(math.pi / 4.0, p) for p in phis], ts)
-    return _run_chain(ts, _double_table(phis))
+    angles = [(math.pi / 4.0, float(p)) for p in phis]
+    if len(angles) != half:
+        raise ValueError(f"need {half} phases, got {len(angles)}")
+    angles, ts = _blocks(angles, transmittances)
+    return _run_chain(ts, _double_table([phi for _, phi in angles]))
 
 
 def _transfer_table(v: np.ndarray, k: int) -> np.ndarray:
@@ -507,6 +484,7 @@ def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:
     ``TwoModeDensity.from_sectors``: the heralded generation branch sits
     in the top photon-number sector with weight equal to the scheme yield,
     all failed branches hold fewer photons, and no sectors are coherent.
+    Every block passes ``run_scheme``'s check before the first runs.
 
     rho is kept by offset, as ``_channel_block`` takes it.  Each block
     returns the mode-swapped state, so every other block reads its input
@@ -522,7 +500,7 @@ def run_scheme_unconditional(factors, transmittances=None) -> TwoModeDensity:
     i > m or j > m, it reads other entries of r, which ``from_sectors``
     drops.
     """
-    angles, ts = _single_blocks(factors, transmittances)
+    angles, ts = _blocks(factors, transmittances)
     n = len(angles)
     v = _splitter_entries(n, *_mixing(ts), 1)
     anc = _single_table(angles)

@@ -12,6 +12,15 @@ import math
 from dataclasses import dataclass
 
 
+def _photon_number(n_photons: int, doubled: bool = False) -> int:
+    """n_photons, checked: at least 1, or even and at least 2 if doubled."""
+    if doubled and (n_photons < 2 or n_photons % 2 != 0):
+        raise ValueError("doubled scheme needs an even photon number >= 2")
+    if n_photons < 1:
+        raise ValueError("n_photons must be >= 1")
+    return n_photons
+
+
 def qk_squared(transmittance: float, k: int) -> float:
     """Success probability of block k at the given transmittance."""
     if k < 1:
@@ -30,8 +39,7 @@ def optimal_transmittance(k: int) -> float:
 
 def yield_generic(normalization: float, n_photons: int) -> float:
     """Total yield A N^{-N} for a target with factor normalization A."""
-    if n_photons < 1:
-        raise ValueError("n_photons must be >= 1")
+    _photon_number(n_photons)
     if not 0.0 < normalization < math.inf:
         raise ValueError(
             f"normalization must be positive and finite, got {normalization}")
@@ -45,9 +53,7 @@ def yield_noon_single(n_photons: int) -> float:
     A N^{-N} specialized.  Python's int / int division is correctly rounded
     at any size, so the ratio is exact to the last bit with no overflow.
     """
-    n = n_photons
-    if n < 1:
-        raise ValueError("n_photons must be >= 1")
+    n = _photon_number(n_photons)
     return math.factorial(n - 1) / (2 * n) ** (n - 1)
 
 
@@ -59,9 +65,7 @@ def yield_noon_double(n_photons: int) -> float:
     for the rejected alternative).  One int / int division, correctly
     rounded at any N, so it does not inherit the single yield's underflow.
     """
-    n = n_photons
-    if n < 2 or n % 2 != 0:
-        raise ValueError("doubled scheme needs an even photon number >= 2")
+    n = _photon_number(n_photons, doubled=True)
     return 2 * math.factorial(n - 1) / n ** (n - 1)
 
 
@@ -71,9 +75,7 @@ def yield_noon_double_linear(n_photons: int) -> float:
     Kept for the audit table: it disagrees with the simulated doubled
     scheme for every even N >= 4 (e.g. 3/32 instead of 3/16 at N = 4).
     """
-    n = n_photons
-    if n < 2 or n % 2 != 0:
-        raise ValueError("doubled scheme needs an even photon number >= 2")
+    n = _photon_number(n_photons, doubled=True)
     return 2.0 * (n - 1) * float(n) ** (1 - n)
 
 
@@ -84,9 +86,7 @@ def yield_stirling(n_photons: int) -> float:
     without its factor 1 + 1/(12N) + 1/(288N^2) + ..., so it reads about
     1/(12N) low: 1.0e-2 relative at N = 8, 3.5e-3 at N = 24.
     """
-    n = n_photons
-    if n < 1:
-        raise ValueError("n_photons must be >= 1")
+    n = _photon_number(n_photons)
     return 2.0 * math.sqrt(2.0 * math.pi * n) * (2.0 * math.e) ** (-n)
 
 

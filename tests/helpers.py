@@ -10,8 +10,8 @@ from pathent.blocks import (
     BlockOutcome,
     BlockParams,
     SchemeResult,
+    _blocks,
     _mixing,
-    _single_blocks,
 )
 from pathent.factorize import TargetSpec, _wrap_angle
 from pathent.cli import _random_eigenstate as random_eigenstate
@@ -23,6 +23,7 @@ from pathent.fock import (
     _pair_blocks,
     _sector,
     _sector_state,
+    apply_creation,
     beam_splitter_pair_oracle,
     dim2,
     vacuum,
@@ -215,6 +216,13 @@ def reference_double_table(phis):
                      for phi in phis])
 
 
+def apply_double_factor(state, phi):
+    """Apply a†^2 - e^{2i phi} b†^2, the conjugate factor pair at theta=pi/4."""
+    aa = apply_creation(apply_creation(state, "a"), "a")
+    bb = apply_creation(apply_creation(state, "b"), "b")
+    return TwoModeState(state.cutoff, aa.amps - np.exp(2j * phi) * bb.amps)
+
+
 def reference_herald_sector(x, v, anc):
     """Dark branch of one block on the coefficients ``x`` of sector m.
 
@@ -338,7 +346,7 @@ def reference_channel_sectors(factors, transmittances=None):
     Returns rho's sector blocks as a list, block m read from the by-offset
     array as r[i - j + N, i, m - i] one sector at a time.
     """
-    angles, ts = _single_blocks(factors, transmittances)
+    angles, ts = _blocks(factors, transmittances)
     n = len(angles)
     v = reference_splitter_entries(n, *_mixing(ts), 1)
     anc = reference_single_table(angles)
@@ -445,9 +453,6 @@ def assert_angle_multisets_close(got, expected, tol=1e-7):
 
 def rel_err(value, reference):
     return abs(value - reference) / abs(reference)
-
-
-TAU = 2.0 * math.pi
 
 
 def reference_monomial_coeffs(target):

@@ -24,7 +24,6 @@ from pathent.blocks import (
     amplitude_factor_single,
     ancilla_double,
     ancilla_single,
-    apply_double_factor,
     noon_double_phases,
     run_block_double,
     run_block_single,
@@ -55,6 +54,7 @@ from pathent.fock import (
 from pathent.yields import optimal_schedule, qk_squared, yield_generic
 from helpers import (
     MIX_KAPPAS,
+    apply_double_factor,
     oracle_outcomes,
     random_eigenstate,
     random_target,
@@ -322,16 +322,29 @@ def test_scheme_impossible_conditioning():
 
 
 def test_scheme_input_validation():
-    with pytest.raises(ValueError):
-        run_scheme([])
-    with pytest.raises(ValueError):
-        run_scheme(noon_factor_angles(3), [0.5, 0.5])
+    # the first failing check names itself: photon number, phase count,
+    # factor count, then schedule length
+    for run, message in [
+        (lambda: run_scheme([]), "need at least one factor"),
+        (lambda: run_scheme_unconditional([], []), "need at least one factor"),
+        (lambda: run_scheme(noon_factor_angles(3), [0.5, 0.5]),
+         "need 3 transmittances, got 2"),
+        (lambda: run_scheme_double(0, []),
+         "doubled scheme needs an even photon number >= 2"),
+        (lambda: run_scheme_double(4, [], []), "need 2 phases, got 0"),
+        (lambda: run_scheme_double(4, [0.1, math.nan], [0.5]),
+         "need 2 transmittances, got 1"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            run()
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("theta,phi,t,message", [
     (-0.1, 0.1, 0.5, "theta -0.1 outside [0, pi/2]"),
     (2.0, 0.1, 0.5, "theta 2.0 outside [0, pi/2]"),
     (0.3, math.nan, 0.5, "phi nan is not finite"),
+    (0.3, -math.inf, 0.5, "phi -inf is not finite"),
     (0.3, 0.1, 0.0, "transmittance 0.0 outside (0, 1]"),
     (0.3, 0.1, 1.5, "transmittance 1.5 outside (0, 1]"),
     (0.3, 0.1, math.nan, "transmittance nan outside (0, 1]"),
@@ -340,16 +353,24 @@ def test_chains_reject_a_block_with_its_block_params_error(theta, phi, t,
                                                            message):
     # The chains check each block's floats and build a BlockParams only to
     # raise for the first block out of range; a later bad block is not
-    # reached.
+    # reached.  The ancilla builders and the public blocks raise the same
+    # error for the one block they take; the ancillas have no splitter.
     factors = [(0.2, 0.1), (theta, phi), (0.4, -0.3), (3.0, math.inf)]
     ts = [0.5, t, 0.25, 2.0]
-    for run in (run_scheme, run_scheme_unconditional):
-        with pytest.raises(ValueError) as info:
-            run(factors, ts)
-        assert str(info.value) == message
+    runs = [lambda: run_scheme(factors, ts),
+            lambda: run_scheme_unconditional(factors, ts),
+            lambda: run_block_single(vacuum(0), BlockParams(theta, phi, t))]
+    if t == 0.5:
+        runs.append(lambda: ancilla_single(theta, phi))
     if theta == 0.3:  # the doubled blocks fix theta at pi/4
+        runs.append(lambda: run_scheme_double(8, [0.1, phi, -0.3, math.inf],
+                                              ts))
+        runs.append(lambda: run_block_double(vacuum(0), phi, t))
+        if t == 0.5:
+            runs.append(lambda: ancilla_double(phi))
+    for run in runs:
         with pytest.raises(ValueError) as info:
-            run_scheme_double(8, [0.1, phi, -0.3, math.inf], ts)
+            run()
         assert str(info.value) == message
 
 
