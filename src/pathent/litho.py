@@ -7,7 +7,10 @@ state oscillates as 1 + cos(N phi), N times finer than a classical fringe.
 
 Every rate lowers sector by sector: on sector m >= N, (a + b)^N is N
 steps of ``fock._ladder``, landing on sector m - N; lower sectors are dark.
-A density matrix's rate lowers the identity of sector m once per (N, m).
+A density matrix's rate lowers the identity of sector m once per (N, m),
+into the cached block E_m.  The fringe reuses E_m: at sample p of P, ket
+n_b takes the phasor e^{2 pi i q / P} with q = (n_b p) mod P reduced exactly
+as an integer, so one product per sector gives every sample's rate.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fock import TwoModeDensity, TwoModeState, _ladder, _sector
+from .yields import _at_least
 
 # Non-DC Fourier weight below this fraction of the DC weight counts as flat.
 _FLAT_TOL = 1e-9
@@ -33,8 +37,7 @@ def _lower(x: np.ndarray, n_absorb: int) -> np.ndarray:
 
 def absorption_rate_pure(state: TwoModeState, n_absorb: int) -> float:
     """<state| e†^N e^N |state> / N! for a pure (unit-norm) state."""
-    if n_absorb < 1:
-        raise ValueError("n_absorb must be >= 1")
+    n_absorb = _at_least("n_absorb", n_absorb, 1)
     lowered = (_lower(state.amps[_sector(m)], n_absorb)
                for m in range(n_absorb, state.cutoff + 1))
     rate = sum(np.vdot(v, v).real for v in lowered)
@@ -56,8 +59,7 @@ def absorption_rate_mixed(rho: TwoModeDensity, n_absorb: int) -> float:
     over m >= N, with rho_mm read as ``rho.block(m)``: no dense matrix
     is built.
     """
-    if n_absorb < 1:
-        raise ValueError("n_absorb must be >= 1")
+    n_absorb = _at_least("n_absorb", n_absorb, 1)
     blocks = ((_absorber(n_absorb, m), rho.block(m))
               for m in range(n_absorb, rho.cutoff + 1))
     rate = sum(np.vdot(e, e @ r).real for e, r in blocks)
@@ -75,20 +77,24 @@ class FringeSweep:
 
 def fringe_sweep(state: TwoModeState, n_absorb: int,
                  n_points: int) -> FringeSweep:
-    """Scan a mode-b phase shift and record the N-photon absorption rate."""
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
-    if n_absorb < 1:
-        raise ValueError("n_absorb must be >= 1")
-    phases = 2.0 * math.pi * np.arange(n_points) / n_points
+    """Scan a mode-b phase shift and record the N-photon absorption rate.
+
+    Sample p shifts mode b by phases[p] = 2 pi p / P, and ket n_b by the
+    exactly reduced e^{2 pi i ((n_b p) mod P) / P}, not by a rounded
+    n_b phases[p]; sector m adds the column norms of E_m diag(x_m) times
+    the gathered phasors.
+    """
+    n_points = _at_least("n_points", n_points, 2)
+    n_absorb = _at_least("n_absorb", n_absorb, 1)
+    p = np.arange(n_points)
+    phases = 2.0 * math.pi * p / n_points
+    phasors = np.exp(1j * phases)
     rates = np.zeros(n_points)
     for m in range(n_absorb, state.cutoff + 1):
         nb = np.arange(m, -1, -1)  # n_b of the kets |i, m - i>
-        shifted = (state.amps[_sector(m), None]
-                   * np.exp(1j * phases * nb[:, None]))
-        lowered = _lower(shifted, n_absorb)
-        # a vdot per contiguous column keeps the bits of a single-state call
-        rates += [np.vdot(c, c).real for c in lowered.T.copy()]
+        u = _absorber(n_absorb, m) * state.amps[_sector(m)]
+        y = u @ phasors[nb[:, None] * p % n_points]
+        rates += (y.real ** 2 + y.imag ** 2).sum(axis=0)
     return FringeSweep(n_absorb, phases, rates / math.factorial(n_absorb))
 
 

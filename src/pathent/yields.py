@@ -9,16 +9,39 @@ normalization constant A is produced with probability A N^{-N}.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 
+def _integer(name: str, value: int) -> int:
+    """value as an int; a bool, a float or another non-integer is refused.
+
+    ``operator.index`` turns a numpy integer, whose arithmetic would wrap
+    on overflow, into an int.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _at_least(name: str, value: int, least: int) -> int:
+    """value as an int, checked to be an integer >= least."""
+    value = _integer(name, value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
+
+
 def _photon_number(n_photons: int, doubled: bool = False) -> int:
-    """n_photons, checked: at least 1, or even and at least 2 if doubled."""
-    if doubled and (n_photons < 2 or n_photons % 2 != 0):
+    """n_photons as an int, checked: an integer of at least 1, or even and
+    at least 2 if doubled."""
+    n = _integer("n_photons", n_photons)
+    if doubled and (n < 2 or n % 2 != 0):
         raise ValueError("doubled scheme needs an even photon number >= 2")
-    if n_photons < 1:
-        raise ValueError("n_photons must be >= 1")
-    return n_photons
+    return _at_least("n_photons", n, 1)
 
 
 def qk_squared(transmittance: float, k: int) -> float:
@@ -39,11 +62,11 @@ def optimal_transmittance(k: int) -> float:
 
 def yield_generic(normalization: float, n_photons: int) -> float:
     """Total yield A N^{-N} for a target with factor normalization A."""
-    _photon_number(n_photons)
+    n = _photon_number(n_photons)
     if not 0.0 < normalization < math.inf:
         raise ValueError(
             f"normalization must be positive and finite, got {normalization}")
-    return normalization * float(n_photons) ** (-n_photons)
+    return normalization * float(n) ** (-n)
 
 
 def yield_noon_single(n_photons: int) -> float:

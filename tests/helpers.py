@@ -5,6 +5,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+import pytest
 
 from pathent.blocks import (
     BlockOutcome,
@@ -415,6 +416,41 @@ def reference_lower(amps, cutoff, n_absorb):
         amps = (reference_shift(amps, cutoff, (-1, 0))
                 + reference_shift(amps, cutoff, (0, -1)))
     return amps
+
+
+# The long-double reference rounds no finer than the float64 code it checks
+# where np.longdouble is float64 itself (Windows, and macOS on arm64).
+needs_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="np.longdouble has no extended precision on this platform")
+
+
+def reference_fringe(state, n_absorb, n_points):
+    """The fringe's rates in np.longdouble, at exactly reduced phases.
+
+    Sample p of P shifts ket |i, m - i> by the angle 2 pi q / P with
+    q = ((m - i) p) mod P reduced as an integer, and lowers it by the
+    binomial expansion (a + b)^N = sum_s C(N, s) a^s b^{N-s}, each weight
+    C(N, s) sqrt(i!/(i-s)! (m-i)!/(m-i-N+s)!) a long-double square root of
+    an exact integer.  The amplitudes are the state's float64 ones.
+    """
+    ld = np.longdouble
+    tau = 8 * np.arctan(ld(1))
+    p = np.arange(n_points)
+    rates = np.zeros(n_points, dtype=ld)
+    for m in range(n_absorb, state.cutoff + 1):
+        x = state.amps[_sector(m)].astype(np.clongdouble)
+        q = np.arange(m, -1, -1)[:, None] * p % n_points
+        angle = tau * q.astype(ld) / n_points
+        shifted = x[:, None] * (np.cos(angle) + 1j * np.sin(angle))
+        lowered = np.zeros((m - n_absorb + 1, n_points), dtype=np.clongdouble)
+        for i in range(m + 1):
+            for s in range(max(0, n_absorb - (m - i)), min(i, n_absorb) + 1):
+                w = (math.comb(n_absorb, s) ** 2 * math.perm(i, s)
+                     * math.perm(m - i, n_absorb - s))
+                lowered[i - s] += np.sqrt(ld(w)) * shifted[i]
+        rates += (lowered.real ** 2 + lowered.imag ** 2).sum(axis=0)
+    return rates / math.factorial(n_absorb)
 
 
 def absorption_rate_dense(cutoff, mat, n_absorb):

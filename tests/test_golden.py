@@ -1,10 +1,25 @@
 """Byte-exact CLI reports, pinned by the SHA-256 of their stdout.
 
 A refactor of the numerics must leave every printed digit unchanged.  The
-last hash re-recorded is ``oracle_check``'s, when ``oracle-check`` gained
-the section ``splitter_entries_vs_sector_exponential``, which compares
-rows j <= 2 of the chains' splitter table with the per-sector exponential
-at cutoffs up to 64.  Old -> new:
+last hash re-recorded is ``fringe_4_16``'s, when ``fringe_sweep`` began to
+shift ket n_b at sample p of P by the phasor of the exactly reduced integer
+(n_b p) mod P, and to sum each sector as one product with the cached
+absorber block, instead of lowering e^{i n_b phi} of the rounded phase
+phi = 2 pi p / P and taking one vdot per sample.  Old -> new:
+
+    fringe_4_16             8cf0644fbd2f... -> d1eb175efe25...
+        the rates only, e.g. at phi = 3 pi / 4 6.7489190219783581e-32 ->
+        7.4987989133092867e-33; the largest deviation from
+        1 + cos(2 pi (4p mod 16) / 16) falls from 2.6e-15 to 2.2e-16
+
+Every other report kept its hash: ``simulate``, ``factorize``,
+``yield-table`` and ``oracle-check`` never call ``fringe_sweep``.
+
+Before that, the last hash re-recorded was ``oracle_check``'s, when
+``oracle-check`` gained the section
+``splitter_entries_vs_sector_exponential``, which compares rows j <= 2 of
+the chains' splitter table with the per-sector exponential at cutoffs up
+to 64.  Old -> new:
 
     oracle_check            9011c62ebf78... -> 1a3e01574121...
         a third section appended, max_deviation 6.2554128543723664e-15;
@@ -219,7 +234,7 @@ GOLDEN = {
     "yield_table_8": (["yield-table", "8"],
         "01eab9788413d9853001ae96b7f8f7c054ffec9c60dd3a57c2ac7a07d7e9c8fe"),
     "fringe_4_16": (["fringe", "4", "16"],
-        "8cf0644fbd2f2d0d6874c4f14ccf9a3f96646c8996566116bdde42e73cdf35b0"),
+        "d1eb175efe25eb2109b1ca919f9b3f5541685620881ec71cd2f9c715f1a51f54"),
     "simulate_noon32": (["simulate", "{noon32}"],
         "4263cf0b9fbe51b6afb1b11da03e47f21b14c360e397a09f6a0eda325d71e55e"),
     "simulate_noon32_double": (["simulate", "{noon32}", "--double"],

@@ -24,7 +24,9 @@ from pathent.litho import (
 from pathent.yields import yield_noon_single
 from helpers import (
     absorption_rate_dense,
+    needs_long_double,
     random_two_mode_state,
+    reference_fringe,
     reference_lower,
 )
 
@@ -65,6 +67,23 @@ def test_pure_rate_and_fringe_reject_an_absorber_order_below_one(
         fringe_sweep(state, n_absorb, 16)
 
 
+@pytest.mark.parametrize("order,points", [(2.0, 16.0), (True, True),
+                                          ("2", "16")], ids=repr)
+def test_rates_and_fringe_reject_a_non_integer_order_or_point_count(
+        order, points):
+    # the fringe reduces n_b p modulo the point count as an integer
+    state = noon_state(2)
+    rho = TwoModeDensity.from_state(state)
+    for run, name, bad in [
+            (lambda: absorption_rate_pure(state, order), "n_absorb", order),
+            (lambda: absorption_rate_mixed(rho, order), "n_absorb", order),
+            (lambda: fringe_sweep(state, order, 16), "n_absorb", order),
+            (lambda: fringe_sweep(state, 2, points), "n_points", points)]:
+        with pytest.raises(ValueError) as info:
+            run()
+        assert str(info.value) == f"{name} must be an integer, got {bad!r}"
+
+
 def _reference_rate(amps, cutoff, n):
     v = reference_lower(amps, cutoff, n)
     return np.vdot(v, v).real / math.factorial(n)
@@ -72,19 +91,28 @@ def _reference_rate(amps, cutoff, n):
 
 @pytest.mark.parametrize("cutoff", range(9))
 def test_rates_match_the_whole_simplex_lowering(cutoff):
-    # Sector by sector, the rates sum their sectors' norms separately, so
-    # they agree with one norm of the whole lowered simplex to rounding.
+    # Sector by sector, the rate sums its sectors' norms separately, so it
+    # agrees with one norm of the whole lowered simplex to rounding.
     rng = np.random.default_rng(600 + cutoff)
     state = random_two_mode_state(rng, cutoff)
     for n in range(1, cutoff + 2):
         want = _reference_rate(state.amps, cutoff, n)
         got = absorption_rate_pure(state, n)
         assert abs(got - want) <= 1e-15 * want
-        sweep = fringe_sweep(state, n, 9)
-        for phi, got in zip(sweep.phases, sweep.rates):
-            shifted = phase_shift(state, float(phi), mode="b")
-            want = _reference_rate(shifted.amps, cutoff, n)
-            assert abs(got - want) <= 1e-15 * want
+
+
+@needs_long_double
+@pytest.mark.parametrize("cutoff", range(9))
+def test_fringe_rates_match_the_long_double_reference(cutoff):
+    # The states of the test above, every absorber order up to one past
+    # the cutoff (an exactly dark fringe), relative to each sample's rate.
+    rng = np.random.default_rng(600 + cutoff)
+    state = random_two_mode_state(rng, cutoff)
+    for n in range(1, cutoff + 2):
+        for points, tol in ((9, 2.2e-15), (64, 4e-15)):
+            got = fringe_sweep(state, n, points).rates
+            want = reference_fringe(state, n, points)
+            assert np.all(np.abs(got - want) <= tol * want)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -208,13 +236,16 @@ def test_balanced_single_photon_oscillates_once():
     assert dominant_fringe_frequency(sweep) == 1
 
 
+@needs_long_double
 @pytest.mark.parametrize("n", range(1, 9))
-def test_fringe_sweep_matches_per_phase_rates_bit_for_bit(n):
-    state = random_two_mode_state(np.random.default_rng(n), 8)
-    sweep = fringe_sweep(state, n, 33)
-    per_phase = [absorption_rate_pure(phase_shift(state, float(phi), mode="b"), n)
-                 for phi in sweep.phases]
-    assert np.array_equal(sweep.rates, per_phase)
+def test_noon_fringe_matches_the_exactly_reduced_reference(n):
+    # 1 + cos(2 pi (n p mod P) / P) at every sample; multiplying the
+    # rounded phase 2 pi p / P by n is off by up to 9.4e-15 on these grids
+    state = noon_state(n)
+    for points in (2, 3, 8, 9, 16, 17, 33, 64, 1000, 4099, 65536):
+        got = fringe_sweep(state, n, points).rates
+        want = reference_fringe(state, n, points)
+        assert np.max(np.abs(got - want)) <= 2e-15
 
 
 def test_fringe_sweep_validation():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from pathent.blocks import run_scheme, run_scheme_double
-from pathent.factorize import factorize_target, noon_factor_angles
+from pathent.blocks import noon_double_phases
+from pathent.factorize import TargetSpec, factorize_target, noon_factor_angles
 from pathent.yields import (
     YieldRow,
     optimal_schedule,
@@ -206,6 +207,27 @@ def test_yield_table_structure():
         else:
             assert r.p_double is None
             assert r.double_over_single is None
+
+
+@pytest.mark.parametrize("bad", [2.0, 4.0, 3.5, np.float64(4.0), True, False,
+                                 "4", None], ids=repr)
+def test_every_photon_number_entry_point_refuses_a_non_integer(bad):
+    # A float or bool N is refused before any rule on its value, so a
+    # doubled entry point names it too, not the even-N rule.
+    for run in (yield_noon_single, yield_noon_double, yield_noon_double_linear,
+                yield_stirling, lambda n: yield_generic(1.0, n),
+                noon_double_phases, lambda n: run_scheme_double(n, [0.1]),
+                lambda n: TargetSpec(n, [1.0, 0.0, 0.0])):
+        with pytest.raises(ValueError) as info:
+            run(bad)
+        assert str(info.value) == f"n_photons must be an integer, got {bad!r}"
+
+
+def test_numpy_integer_photon_numbers_are_integers():
+    for n in (np.int64(4), np.uint8(4)):
+        assert yield_noon_single(n) == yield_noon_single(4)
+        assert yield_noon_double_linear(n) == yield_noon_double_linear(4)
+        assert TargetSpec(n, [1.0] * 5) == TargetSpec(4, [1.0] * 5)
 
 
 def test_yield_table_validation():
