@@ -101,6 +101,7 @@ def _single_table(angles) -> np.ndarray:
     """Row k: amplitudes of |0,1> and |1,0> in the ancilla of factor k.
 
     sin and cos are taken per factor, e^{i phi} of every factor at once.
+    A single block, and ``ancilla_single``, read row 0 of a one-row table.
     """
     table = np.empty((len(angles), 2), dtype=complex)
     phis = np.array([phi for _, phi in angles], dtype=float)
@@ -119,41 +120,28 @@ def _double_table(phis) -> np.ndarray:
     return table
 
 
-def _single_coeffs(theta: float, phi: float) -> np.ndarray:
-    """Amplitudes of |0,1> and |1,0> in the one-photon ancilla.
-
-    One row of ``_single_table``, bit for bit, built on its own: the
-    table's fixed cost pays off only from about nine factors on.
-    """
-    return np.array((-np.exp(1j * phi) * math.sin(theta), math.cos(theta)))
-
-
-def _double_coeffs(phi: float) -> np.ndarray:
-    """Amplitudes of |0,2>, |1,1> and |2,0> in the two-photon ancilla,
-    one row of ``_double_table``, bit for bit, built on its own."""
-    return np.array((-np.exp(2j * phi) * math.sqrt(0.5), 0.0, math.sqrt(0.5)))
-
-
 def ancilla_single(theta: float, phi: float) -> TwoModeState:
     """One ancilla photon in cos(theta)|1,0> - e^{i phi} sin(theta)|0,1>.
 
     Written down from its closed form, the amplitudes the photon-adding
-    factor cos(theta) a† - e^{i phi} sin(theta) b† puts on vacuum, once
-    the angles pass the one check every block passes (``_blocks``).
+    factor cos(theta) a† - e^{i phi} sin(theta) b† puts on vacuum: row 0
+    of ``_single_table``, once the angles pass the one check every block
+    passes (``_blocks``).
     """
-    ((theta, phi),), _ = _blocks([(theta, phi)])
-    return _sector_state(_single_coeffs(theta, phi))
+    angles, _ = _blocks([(theta, phi)])
+    return _sector_state(_single_table(angles)[0])
 
 
 def ancilla_double(phi: float) -> TwoModeState:
     """Two-photon ancilla (|2,0> - e^{2i phi}|0,2>)/sqrt(2), |1,1> exactly 0.
 
     Physically |1,1> bunched on a balanced beam splitter, then phase-shifted
-    in the second mode; written down here from that closed form, once phi
-    passes every block's check at theta = pi/4 (``_blocks``).
+    in the second mode; written down here from that closed form as row 0 of
+    ``_double_table``, once phi passes every block's check at
+    theta = pi/4 (``_blocks``).
     """
     ((_, phi),), _ = _blocks([(math.pi / 4.0, phi)])
-    return _sector_state(_double_coeffs(phi))
+    return _sector_state(_double_table([phi])[0])
 
 
 def _splitter_entries(cutoff: int, c, s, j_max: int,
@@ -270,13 +258,14 @@ def _herald(state: TwoModeState, anc: np.ndarray,
 
 
 def run_block_single(state: TwoModeState, params: BlockParams) -> BlockOutcome:
-    return _herald(state, _single_coeffs(params.theta, params.phi), params)
+    anc = _single_table([(params.theta, params.phi)])[0]
+    return _herald(state, anc, params)
 
 
 def run_block_double(state: TwoModeState, phi: float,
                      transmittance: float) -> BlockOutcome:
     params = BlockParams(math.pi / 4.0, phi, transmittance)
-    return _herald(state, _double_coeffs(phi), params)
+    return _herald(state, _double_table([phi])[0], params)
 
 
 def amplitude_factor_single(k: int, transmittance: float) -> float:

@@ -108,31 +108,22 @@ def _number(x: float) -> str:
 _quote = json.encoder.encode_basestring_ascii  # json.dumps of a str
 _CONTAINERS = (dict, list, tuple)
 
-# Leaf writers keyed by exact type; subclasses and numpy scalars take the
-# isinstance chain in ``_leaf``.
-_LEAF_WRITERS = {
-    type(None): lambda v: "null",
-    bool: lambda v: "true" if v else "false",
-    int: str,
-    float: _number,
-    complex: lambda v: f"[{_number(v.real)}, {_number(v.imag)}]",
-    str: _quote,
-}
-
 
 def _leaf(value) -> str | None:
     """The JSON text of a scalar report value; None for a dict, list, tuple."""
-    writer = _LEAF_WRITERS.get(type(value))
-    if writer is not None:
-        return writer(value)
     if isinstance(value, _CONTAINERS):
         return None
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return _number(float(value))
     if isinstance(value, (complex, np.complexfloating)):
-        return _LEAF_WRITERS[complex](complex(value))
+        value = complex(value)
+        return f"[{_number(value.real)}, {_number(value.imag)}]"
     if isinstance(value, str):
         return _quote(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")

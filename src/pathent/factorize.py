@@ -19,7 +19,7 @@ import numpy as np
 
 from .fock import (TwoModeState, _sector, _sector_state, inner_product,
                    is_photon_number_eigenstate)
-from .yields import _photon_number
+from .yields import _at_least, _photon_number
 
 
 def _wrap_angle(x: float) -> float:
@@ -204,10 +204,15 @@ def find_factor_angles(d) -> list[tuple[float, float]]:
     z^{m-lo} = -d_lo/d_m, with no eigenproblem and no polish.  The branch
     has no tolerance: only coefficients that are exactly zero count as
     absent.  Any other polynomial goes to ``np.roots`` and one Newton step.
+    A non-finite d_k is refused before either branch.
     """
     d = np.asarray(list(d), dtype=complex)
     if d.ndim != 1 or d.size < 2:
         raise ValueError("need at least two monomial coefficients")
+    finite = np.isfinite(d)
+    if not finite.all():
+        raise ValueError(
+            f"monomial coefficient d_{int(np.argmin(finite))} is not finite")
     nonzero = np.flatnonzero(d)
     if nonzero.size == 0:
         raise ValueError("coefficient vector is zero")
@@ -258,15 +263,25 @@ def apply_factors(angles) -> TwoModeState:
     return _sector_state(x)
 
 
+def _finite_angles(name: str, angles) -> list:
+    """``angles`` as a list, each (theta, phi) checked to be finite."""
+    angles = list(angles)
+    for k, (theta, phi) in enumerate(angles):
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise ValueError(f"{name}[{k}] = ({theta}, {phi}) is not finite")
+    return angles
+
+
 def normalization(angles,
                   target: TargetSpec | None = None) -> tuple[float, complex]:
     """Squared norm of the raw factor product, and its phase against a target.
 
     Returns (N, g) where N = |product|^2 and g is unimodular with
     product / (sqrt(N) g) matching the target's phase; g = 1 when no target
-    is given.
+    is given.  A factor with a non-finite angle is refused.
     """
-    return _product_normalization(apply_factors(angles), target)
+    return _product_normalization(
+        apply_factors(_finite_angles("angles", angles)), target)
 
 
 def _product_normalization(raw: TwoModeState,
@@ -300,8 +315,11 @@ def _factorize(target: TargetSpec) -> tuple[FactorSet, TwoModeState]:
 
 
 def reconstruct(fs: FactorSet) -> TwoModeState:
-    """Normalized, phase-aligned state produced by a factor set."""
-    return _aligned(apply_factors(fs.factors), fs)
+    """Normalized, phase-aligned state produced by a factor set.
+
+    A factor with a non-finite angle is refused.
+    """
+    return _aligned(apply_factors(_finite_angles("factors", fs.factors)), fs)
 
 
 def _aligned(raw: TwoModeState, fs: FactorSet) -> TwoModeState:
@@ -331,14 +349,14 @@ def noon_factor_angles(n: int) -> list[tuple[float, float]]:
     odd 2n-th roots of unity, all on the unit circle.  The list is the one
     ``find_factor_angles`` gives for a NOON target, bit for bit.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _at_least("n", n, 1)
     d = np.zeros(n + 1)
     d[0] = d[n] = 1.0
     return find_factor_angles(d)
 
 
 def noon_target(n: int) -> TargetSpec:
+    n = _photon_number(n)
     coeffs = [0.0] * (n + 1)
     coeffs[0] = 1.0
     coeffs[n] = 1.0

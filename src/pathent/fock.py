@@ -50,6 +50,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .yields import _at_least
+
+
 class CutoffOverflowError(ValueError):
     """A ladder operation would push amplitude past the stored cutoff."""
 
@@ -369,8 +372,7 @@ def _sector_state(coeffs) -> TwoModeState:
 
 def noon_state(n: int) -> TwoModeState:
     """The maximally path-entangled state (|n,0> + |0,n>)/sqrt(2), cutoff n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _at_least("n", n, 1)
     coeffs = np.zeros(n + 1, dtype=complex)
     coeffs[[0, n]] = 1.0 / math.sqrt(2.0)
     return _sector_state(coeffs)
@@ -705,8 +707,7 @@ def beam_splitter_pair_oracle(s: FourModeState, kappa: float) -> FourModeState:
     lengthens each dot product, so the result may differ in the last bits
     from one unpadded exponential per block.
     """
-    if not math.isfinite(kappa):
-        raise ValueError(f"kappa must be finite, got {kappa}")
+    _finite("kappa", kappa)
     pos, lam, stacks = _pair_unitary(s.cutoff)
     x = np.zeros(lam.size, dtype=complex)
     x[pos] = s.amps

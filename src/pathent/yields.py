@@ -46,8 +46,7 @@ def _photon_number(n_photons: int, doubled: bool = False) -> int:
 
 def qk_squared(transmittance: float, k: int) -> float:
     """Success probability of block k at the given transmittance."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _at_least("k", k, 1)
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError("transmittance outside [0, 1]")
     return transmittance * (1.0 - transmittance) ** (k - 1)
@@ -55,9 +54,7 @@ def qk_squared(transmittance: float, k: int) -> float:
 
 def optimal_transmittance(k: int) -> float:
     """The transmittance maximizing qk_squared for block k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return 1.0 / k
+    return 1.0 / _at_least("k", k, 1)
 
 
 def yield_generic(normalization: float, n_photons: int) -> float:
@@ -132,10 +129,8 @@ class YieldRow:
 
 def yield_table(n_max: int) -> list[YieldRow]:
     """Closed-form yields for N = 1..n_max; doubled columns on even N only."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     rows = []
-    for n in range(1, n_max + 1):
+    for n in range(1, _at_least("n_max", n_max, 1) + 1):
         even = n % 2 == 0
         rows.append(
             YieldRow(
@@ -151,6 +146,4 @@ def yield_table(n_max: int) -> list[YieldRow]:
 
 def optimal_schedule(n_blocks: int) -> list[float]:
     """The yield-optimal transmittance schedule 1, 1/2, ..., 1/n."""
-    if n_blocks < 1:
-        raise ValueError("n_blocks must be >= 1")
-    return [optimal_transmittance(k) for k in range(1, n_blocks + 1)]
+    return [1.0 / k for k in range(1, _at_least("n_blocks", n_blocks, 1) + 1)]

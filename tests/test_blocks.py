@@ -13,10 +13,8 @@ from pathent.blocks import (
     BlockParams,
     _block_weights,
     _channel_block,
-    _double_coeffs,
     _double_table,
     _mixing,
-    _single_coeffs,
     _single_table,
     _splitter_entries,
     _transfer_table,
@@ -917,12 +915,12 @@ def test_chain_matches_the_sector_loop_reference_bit_for_bit(double):
                     got = run_scheme_double(n, factors, ts)
                     params = [BlockParams(math.pi / 4.0, phi, t)
                               for phi, t in zip(factors, t_k)]
-                    ancs = [_double_coeffs(phi) for phi in factors]
+                    ancs = _double_table(factors)
                 else:
                     got = run_scheme(factors, ts)
                     params = [BlockParams(theta, phi, t)
                               for (theta, phi), t in zip(factors, t_k)]
-                    ancs = [_single_coeffs(p.theta, p.phi) for p in params]
+                    ancs = _single_table(factors)
                 _assert_bit_identical(got, reference_run_chain(params, ancs))
                 impossible += got.impossible
     assert impossible > 0
@@ -1004,17 +1002,3 @@ def test_ancilla_tables_are_the_reference_byte_for_byte():
                 == reference_single_table(angles).tobytes()), size
         assert (_double_table(phi.tolist()).tobytes()
                 == reference_double_table(phi.tolist()).tobytes()), size
-
-
-def test_one_row_ancillas_are_the_table_rows_byte_for_byte():
-    # One factor builds its row alone, without the table's fixed cost, and
-    # keeps the table's bits, at theta = 0 and pi/2 and phi = 0 and +-pi too.
-    rng = np.random.default_rng(53)
-    thetas = [0.0, math.pi / 2] + rng.uniform(0.0, math.pi / 2, 30).tolist()
-    phis = [0.0, math.pi, -math.pi] + rng.uniform(-math.pi, math.pi, 30).tolist()
-    for phi in phis:
-        for theta in thetas:
-            assert (_single_coeffs(theta, phi).tobytes()
-                    == _single_table([(theta, phi)])[0].tobytes()), (theta, phi)
-        assert (_double_coeffs(phi).tobytes()
-                == _double_table([phi])[0].tobytes()), phi

@@ -218,6 +218,33 @@ def test_all_zero_vector_rejected():
         find_factor_angles([0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("d,k", [
+    ([math.nan, 0.0, 1.0], 0),  # two-term branch: was NaN angles
+    ([1.0, 0.0, math.inf], 2),  # two-term branch: was NaN phases
+    ([1.0, math.nan, 1.0], 1),  # root finder: was the overflow error
+    ([1.0, 2.0, 3.0, complex(0.0, -math.inf)], 3),
+])
+def test_find_factor_angles_refuses_a_non_finite_coefficient(d, k):
+    with pytest.raises(ValueError) as info:
+        find_factor_angles(d)
+    assert str(info.value) == f"monomial coefficient d_{k} is not finite"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_normalization_and_reconstruct_refuse_a_non_finite_angle(bad):
+    # was "factor product's squared norm overflows floats" from
+    # normalization, and NaN amplitudes from reconstruct
+    for angles in ([(0.3, bad)], [(0.3, 0.5), (bad, 0.0)]):
+        k = len(angles) - 1
+        pair = f"({angles[k][0]}, {angles[k][1]})"
+        with pytest.raises(ValueError) as info:
+            normalization(angles)
+        assert str(info.value) == f"angles[{k}] = {pair} is not finite"
+        with pytest.raises(ValueError) as info:
+            reconstruct(FactorSet(tuple(angles), 1.0))
+        assert str(info.value) == f"factors[{k}] = {pair} is not finite"
+
+
 @pytest.mark.parametrize("n,zeros", [(3, 1), (4, 2), (5, 4)])
 def test_degree_deficiency_gives_infinite_roots(n, zeros):
     coeffs = [0.0] * (n + 1)

@@ -4,9 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pathent.blocks import run_scheme, run_scheme_double
+from pathent.blocks import (amplitude_factor_double, amplitude_factor_single,
+                            run_scheme, run_scheme_double)
 from pathent.blocks import noon_double_phases
-from pathent.factorize import TargetSpec, factorize_target, noon_factor_angles
+from pathent.factorize import (TargetSpec, factorize_target,
+                               noon_factor_angles, noon_target)
+from pathent.fock import noon_state
 from pathent.yields import (
     YieldRow,
     optimal_schedule,
@@ -217,10 +220,33 @@ def test_every_photon_number_entry_point_refuses_a_non_integer(bad):
     for run in (yield_noon_single, yield_noon_double, yield_noon_double_linear,
                 yield_stirling, lambda n: yield_generic(1.0, n),
                 noon_double_phases, lambda n: run_scheme_double(n, [0.1]),
-                lambda n: TargetSpec(n, [1.0, 0.0, 0.0])):
+                lambda n: TargetSpec(n, [1.0, 0.0, 0.0]), noon_target):
         with pytest.raises(ValueError) as info:
             run(bad)
         assert str(info.value) == f"n_photons must be an integer, got {bad!r}"
+
+
+@pytest.mark.parametrize("name,run", [
+    ("k", lambda k: qk_squared(0.5, k)),
+    ("k", optimal_transmittance),
+    ("k", lambda k: amplitude_factor_single(k, 0.5)),
+    ("k", lambda k: amplitude_factor_double(k, 0.5)),
+    ("n_blocks", optimal_schedule),
+    ("n_max", yield_table),
+    ("n", noon_state),
+    ("n", noon_factor_angles),
+], ids=["qk_squared", "optimal_transmittance", "amplitude_factor_single",
+        "amplitude_factor_double", "optimal_schedule", "yield_table",
+        "noon_state", "noon_factor_angles"])
+def test_every_count_entry_point_refuses_a_non_integer(name, run):
+    # qk_squared(0.5, 2.5) returned 0.177 and optimal_schedule(True) [1.0]
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(ValueError) as info:
+            run(bad)
+        assert str(info.value) == f"{name} must be an integer, got {bad!r}"
+    with pytest.raises(ValueError) as info:
+        run(0)
+    assert str(info.value) == f"{name} must be >= 1"
 
 
 def test_numpy_integer_photon_numbers_are_integers():
