@@ -3,7 +3,7 @@
 Subcommands: ``factorize`` (target file -> factor angles), ``simulate``
 (target file -> full scheme run report), ``yield-table`` (closed-form and
 simulated yields as CSV), ``fringe`` (phase sweep of the N-photon
-absorption rate as CSV), and ``oracle-check`` (randomized agreement checks
+absorption rate as CSV), and ``oracle-check`` (agreement checks
 between independent computation routes).
 
 Conventions shared by all commands:
@@ -54,11 +54,8 @@ from .fock import (
     _basis,
     _sector_blocks,
     apply_linear_factor,
-    beam_splitter_pair_exact,
-    beam_splitter_pair_oracle,
-    dim4,
-    FourModeState,
     _sector_state,
+    inner_product,
     noon_state,
     overlap_fidelity,
     with_cutoff,
@@ -84,7 +81,6 @@ from .yields import (
 # cancel, and NOON targets already print spurious kets near 1e-10 at N = 64.
 _SIMULATE_N_MAX = 64
 _ORACLE_TOL = 1e-9
-_ORACLE_KAPPAS = (0.1, 0.7, 1.3)
 _NORM_WARN_TOL = 1e-6
 
 
@@ -293,10 +289,41 @@ def _echo_target(target: TargetSpec) -> dict:
 # commands
 
 
+def _worst(worst: tuple | None, dev: np.ndarray, *where) -> tuple:
+    """(deviation, *where, ket index) of the larger of ``worst`` and dev's
+    largest entry; the first NaN outranks every number and then stays."""
+    i = int(np.argmax(dev))  # the first NaN, if there is one
+    if worst is None or (not dev[i] <= worst[0] and not math.isnan(worst[0])):
+        return (float(dev[i]), *where, i)
+    return worst
+
+
+# The fields with which ``simulate`` and ``factorize`` check their own state.
+_CHECK_FIELDS = ("max_amplitude_deviation", "ket", "tolerance", "status")
+
+
+def _self_check(state: TwoModeState, reference: TwoModeState) -> dict:
+    """The largest amplitude deviation of ``state`` from ``reference`` once
+    the global phase is aligned, the [n_a, n_b] ket where it sits, the
+    tolerance and the status, which is "fail" above it or on a NaN."""
+    overlap = complex(inner_product(reference, state))
+    unphase = overlap.conjugate() / abs(overlap) if overlap else 1.0
+    dev, i = _worst(None, np.abs(state.amps * unphase - reference.amps))
+    return dict(zip(_CHECK_FIELDS, (
+        dev, [int(n[i]) for n in _basis(2, state.cutoff)[0]], _ORACLE_TOL,
+        "pass" if dev <= _ORACLE_TOL else "fail")))
+
+
+def _write_checked(report: dict, out_path: str | None) -> int:
+    """Write a report that holds a ``status``; exit code 2 if it failed."""
+    _write_output(_render(report) + "\n", out_path)
+    return 2 if report["status"] == "fail" else 0
+
+
 def _cmd_factorize(args) -> int:
     target = _load_target(args.target)
     fs, raw = _factorize(target)
-    fidelity = overlap_fidelity(_aligned(raw, fs), state_of_target(target))
+    state, target_state = _aligned(raw, fs), state_of_target(target)
     report = {
         "command": "factorize",
         "target": _echo_target(target),
@@ -305,10 +332,10 @@ def _cmd_factorize(args) -> int:
         ],
         "normalization": fs.normalization,
         "global_phase": complex(fs.global_phase),
-        "round_trip_fidelity": fidelity,
+        "round_trip_fidelity": overlap_fidelity(state, target_state),
+        **_self_check(state, target_state),
     }
-    _write_output(_render(report) + "\n", args.out)
-    return 0
+    return _write_checked(report, args.out)
 
 
 def _parse_schedule(text: str, n_blocks: int) -> list[float]:
@@ -353,6 +380,7 @@ def _cmd_simulate(args) -> int:
                 "(|N,0>+|0,N>)/sqrt(2) targets"
             )
         schedule = _parse_schedule(args.schedule, n // 2)
+        reference = noon_state(n)
         phis = noon_double_phases(n)
         result = run_scheme_double(n, phis, schedule)
         angles = [(math.pi / 4.0, p) for phi in phis
@@ -360,13 +388,16 @@ def _cmd_simulate(args) -> int:
     else:
         angles = find_factor_angles(monomial_coeffs(target))
         schedule = _parse_schedule(args.schedule, n)
+        reference = target_state
         result = run_scheme(angles, schedule)
     if result.impossible:
         fidelity = None
         final_entries: list[dict] = []
+        check = dict.fromkeys(_CHECK_FIELDS)
     else:
         fidelity = overlap_fidelity(result.final_state, target_state)
         final_entries = _state_entries(result.final_state)
+        check = _self_check(result.final_state, reference)
     report = {
         "command": "simulate",
         "target": _echo_target(target),
@@ -381,9 +412,9 @@ def _cmd_simulate(args) -> int:
         "impossible": result.impossible,
         "final_state": final_entries,
         "fidelity_vs_target": fidelity,
+        **check,
     }
-    _write_output(_render(report) + "\n", args.out)
-    return 0
+    return _write_checked(report, args.out)
 
 
 # Largest N ``yield-table`` accepts; it simulates the NOON yields of every row.
@@ -494,25 +525,10 @@ def _cmd_fringe(args) -> int:
     return 0
 
 
-def _random_four_mode_state(rng: np.random.Generator,
-                            cutoff: int) -> FourModeState:
-    v = rng.standard_normal(dim4(cutoff)) + 1j * rng.standard_normal(dim4(cutoff))
-    return FourModeState(cutoff, v / np.linalg.norm(v))
-
-
 def _random_eigenstate(rng: np.random.Generator, total: int) -> TwoModeState:
     """Normalized state with every populated ket at the given total."""
     v = rng.standard_normal(total + 1) + 1j * rng.standard_normal(total + 1)
     return _sector_state(v / np.linalg.norm(v))
-
-
-def _worst(worst: tuple | None, dev: np.ndarray, *where) -> tuple:
-    """(deviation, *where, ket index) of the larger of ``worst`` and dev's
-    largest entry; the first NaN outranks every number and then stays."""
-    i = int(np.argmax(dev))  # the first NaN, if there is one
-    if worst is None or (not dev[i] <= worst[0] and not math.isnan(worst[0])):
-        return (float(dev[i]), *where, i)
-    return worst
 
 
 def _oracle_section(name: str, trials: int, max_dev: float,
@@ -526,10 +542,10 @@ def _oracle_section(name: str, trials: int, max_dev: float,
 
 
 # The fixed grid of the splitter-entries section: the smallest cutoffs, where
-# rows j <= 2 outgrow the table, oracle-check's largest --cutoff, and the
-# largest chains that yield-table and simulate run.
+# rows j <= 2 outgrow the table, a middle one, and the largest chains that
+# yield-table and simulate run.
 _ENTRY_CUTOFFS = (1, 2, 10, _YIELD_N_MAX, _SIMULATE_N_MAX)
-_ENTRY_KAPPAS = _ORACLE_KAPPAS + (1.5,)
+_ENTRY_KAPPAS = (0.1, 0.7, 1.3, 1.5)
 
 
 def _entries_section() -> dict:
@@ -568,26 +584,7 @@ def _cmd_oracle_check(args) -> int:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
     if args.trials < 1:
         raise InputError("--trials must be >= 1")
-    if not 1 <= args.cutoff <= 10:
-        raise InputError("--cutoff must lie in 1..10")
-    if not math.isfinite(args.perturb):
-        raise InputError(f"--perturb must be finite, got {args.perturb}")
     rng = np.random.default_rng(args.seed)
-
-    pair_worst = None
-    for trial in range(args.trials):
-        state = _random_four_mode_state(rng, args.cutoff)
-        for kappa in _ORACLE_KAPPAS:
-            fast = beam_splitter_pair_exact(state, kappa + args.perturb)
-            slow = beam_splitter_pair_oracle(state, kappa)
-            pair_worst = _worst(pair_worst, np.abs(fast.amps - slow.amps),
-                                trial, kappa)
-    bs_max, trial, kappa, i = pair_worst
-    pair_section = _oracle_section(
-        "beam_splitter_pair_vs_matrix_exponential",
-        args.trials * len(_ORACLE_KAPPAS), bs_max,
-        {"trial": trial, "kappa": kappa,
-         "ket": [int(n[i]) for n in _basis(4, args.cutoff)[0]]})
 
     block_worst = None
     for trial in range(args.trials):
@@ -609,21 +606,18 @@ def _cmd_oracle_check(args) -> int:
         {"trial": trial, "k": k, "transmittance": float(t),
          "ket": [int(n[i]) for n in _basis(2, k)[0]]})
 
-    sections = [pair_section, block_section, _entries_section()]
+    sections = [block_section, _entries_section()]
     all_pass = all(section["pass"] for section in sections)
     report = {
         "command": "oracle-check",
         "seed": args.seed,
         "trials": args.trials,
-        "cutoff": args.cutoff,
-        "kappas": list(_ORACLE_KAPPAS),
-        "perturb": args.perturb,
+        "kappas": list(_ENTRY_KAPPAS),
         "tolerance": _ORACLE_TOL,
         "sections": sections,
         "status": "pass" if all_pass else "fail",
     }
-    _write_output(_render(report) + "\n", args.out)
-    return 0 if all_pass else 2
+    return _write_checked(report, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -694,15 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1,
                    help="random seed (default: 1)")
     p.add_argument("--trials", type=int, default=100,
-                   help="random instances per randomized section "
+                   help="random blocks checked against their closed form "
                         "(default: 100)")
-    p.add_argument("--cutoff", type=int, default=8,
-                   help="total-photon cutoff for random states (default: 8)")
-    p.add_argument("--perturb", type=float, default=0.0, metavar="EPS",
-                   help="test hook: offset the mixing angle in the fast "
-                        "route only, forcing a mismatch; a failing section "
-                        "names the trial, angle and [n_a, n_b, n_c, n_d] "
-                        "ket of its largest deviation")
     _add_out(p)
     p.set_defaults(func=_cmd_oracle_check)
 

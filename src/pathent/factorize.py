@@ -83,12 +83,25 @@ class FactorSet:
     ``normalization`` is the squared norm of the raw factor product on
     vacuum; ``global_phase`` is the unimodular number by which the phase-
     aligned reconstruction must divide the raw product, so that
-    raw / (sqrt(normalization) * global_phase) reproduces the target.
+    raw / (sqrt(normalization) * global_phase) reproduces the target.  A
+    normalization that is not finite and positive, or a global phase that
+    is not finite or whose modulus is more than 1e-12 off 1, is refused.
     """
 
     factors: tuple[tuple[float, float], ...]
     normalization: float
     global_phase: complex = 1.0
+
+    def __post_init__(self):
+        n_sq, g = self.normalization, complex(self.global_phase)
+        if not (math.isfinite(n_sq) and n_sq > 0.0):
+            raise ValueError(
+                f"normalization must be finite and positive, got {n_sq}")
+        if not cmath.isfinite(g):
+            raise ValueError(f"global_phase must be finite, got {g}")
+        # a phase printed to 17 digits comes back within an ulp or two of 1
+        if abs(abs(g) - 1.0) > 1e-12:
+            raise ValueError(f"global_phase must have modulus 1, got {g}")
 
     @property
     def n_photons(self) -> int:

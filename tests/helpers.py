@@ -16,7 +16,6 @@ from pathent.blocks import (
 )
 from pathent.factorize import TargetSpec, _wrap_angle
 from pathent.cli import _random_eigenstate as random_eigenstate
-from pathent.cli import _random_four_mode_state as random_four_mode_state
 from pathent.fock import (
     FourModeState,
     TwoModeState,
@@ -27,6 +26,7 @@ from pathent.fock import (
     apply_creation,
     beam_splitter_pair_oracle,
     dim2,
+    dim4,
     vacuum,
     with_cutoff,
     zero_state,
@@ -38,6 +38,12 @@ from pathent.fock import (
 MIX_KAPPAS = [0.0, 0.1, 0.7, math.pi / 4 + 1e-6, 1.3,
               math.pi / 2 - 3 * math.ulp(math.pi / 2), math.pi / 2,
               -math.pi / 2, -1.0, 2.5, 3.0]
+
+
+def random_four_mode_state(rng, cutoff):
+    """Normalized four-mode state with a Gaussian amplitude on every ket."""
+    v = rng.standard_normal(dim4(cutoff)) + 1j * rng.standard_normal(dim4(cutoff))
+    return FourModeState(cutoff, v / np.linalg.norm(v))
 
 
 @lru_cache(maxsize=None)

@@ -245,6 +245,37 @@ def test_normalization_and_reconstruct_refuse_a_non_finite_angle(bad):
         assert str(info.value) == f"factors[{k}] = {pair} is not finite"
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("normalization", math.nan, "normalization must be finite and positive, got nan"),
+    ("normalization", math.inf, "normalization must be finite and positive, got inf"),
+    ("normalization", 0.0, "normalization must be finite and positive, got 0.0"),
+    ("normalization", -1.0, "normalization must be finite and positive, got -1.0"),
+    ("global_phase", complex(math.inf, 0.0), "global_phase must be finite, got (inf+0j)"),
+    ("global_phase", 0, "global_phase must have modulus 1, got 0j"),
+    ("global_phase", 2, "global_phase must have modulus 1, got (2+0j)"),
+])
+def test_factor_set_refuses_a_bad_normalization_or_phase(field, value,
+                                                         message):
+    # reconstruct once gave NaN or inf amplitudes for each of these, and a
+    # bare "math domain error" for the negative normalization
+    fields = {"normalization": 1.0, "global_phase": 1.0, field: value}
+    with pytest.raises(ValueError) as info:
+        FactorSet(((0.1, 0.2),), **fields)
+    assert str(info.value) == message
+
+
+def test_factor_set_takes_back_its_printed_phase():
+    # factorize prints the phase to 17 digits; read back, its modulus is
+    # within an ulp or two of 1, and the factor set rebuilds the target
+    target = random_target(np.random.default_rng(17), 12)
+    fs = factorize_target(target)
+    g = complex(float(format(fs.global_phase.real, ".17g")),
+                float(format(fs.global_phase.imag, ".17g")))
+    printed = FactorSet(fs.factors, fs.normalization, g)
+    assert np.abs(reconstruct(printed).amps
+                  - state_of_target(target).amps).max() < 1e-13
+
+
 @pytest.mark.parametrize("n,zeros", [(3, 1), (4, 2), (5, 4)])
 def test_degree_deficiency_gives_infinite_roots(n, zeros):
     coeffs = [0.0] * (n + 1)

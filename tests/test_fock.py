@@ -562,8 +562,9 @@ def test_pair_oracle_matches_full_dense_exponential(kappa):
 
 
 def test_pair_oracle_matches_blockwise_expm_at_the_largest_cli_cutoff():
-    # oracle-check accepts cutoffs up to 10; scipy's expm of each block is
-    # a third route, independent of the oracle's eigendecomposition.
+    # Cutoff 10, the top of the 0..10 range the pair splitter is tested
+    # over; scipy's expm of each block is a third route, independent of the
+    # oracle's eigendecomposition.
     cutoff = 10
     s = random_four_mode_state(np.random.default_rng(43), cutoff)
     for kappa in MIX_KAPPAS:
@@ -651,8 +652,7 @@ def test_pair_unitary_cache_stays_bounded():
 
 
 def test_importing_the_cli_leaves_scipy_linalg_unloaded():
-    # Neither importing the CLI nor running the oracle via oracle-check
-    # loads scipy.linalg.
+    # Neither importing the CLI nor running oracle-check loads scipy.linalg.
     src = os.path.dirname(os.path.dirname(pathent.__file__))
     code = """
 import os, sys, pathent.cli
@@ -718,6 +718,15 @@ def test_density_validate_rejects_nonhermitian():
                                          r"0 and 1$"):
         TwoModeDensity(1, mat)
     mat[0, 1], mat[1, 2] = 0.0, 1.0
+    with pytest.raises(ValueError, match="^density matrix is not Hermitian$"):
+        TwoModeDensity(1, mat).validate()
+
+
+def test_density_validate_rejects_a_small_hermitian_defect():
+    # A PSD block of sector 1 whose coherence is 1e-6 off its conjugate:
+    # far above validate's 1e-12 tolerance, far below 1e-3.
+    mat = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    mat[1, 2], mat[2, 1] = 0.1, 0.1 + 1e-6
     with pytest.raises(ValueError, match="^density matrix is not Hermitian$"):
         TwoModeDensity(1, mat).validate()
 

@@ -1,11 +1,36 @@
 """Byte-exact CLI reports, pinned by the SHA-256 of their stdout.
 
 A refactor of the numerics must leave every printed digit unchanged.  The
-last hash re-recorded is ``fringe_4_16``'s, when ``fringe_sweep`` began to
-shift ket n_b at sample p of P by the phasor of the exactly reduced integer
-(n_b p) mod P, and to sum each sector as one product with the cached
-absorber block, instead of lowering e^{i n_b phi} of the rounded phase
-phi = 2 pi p / P and taking one vdot per sample.  Old -> new:
+last hashes re-recorded are the nine below, when ``oracle-check`` lost its
+four-mode pair section, with ``--cutoff`` and ``--perturb``, and
+``simulate`` and ``factorize`` began to check their own state: each report
+gained ``max_amplitude_deviation`` (after phase alignment), its ``ket``,
+``tolerance`` and ``status``.  Old -> new:
+
+    oracle_check            1a3e01574121... -> d99e3d6225d0...
+        the fields cutoff and perturb and the pair section gone, kappas
+        the four angles of the entries section; the block section draws
+        its trials first, so its max_deviation is 5.9285935503344339e-17
+        -> 1.6711069443220836e-16, and the entries section is unchanged
+    factorize_target6       96c2b2e8b808... -> c4dd853f2fcf...
+    simulate_noon32         4263cf0b9fbe... -> ff0ad955f3a5...
+    simulate_noon32_double  777eebd0c195... -> d55cf61cbc91...
+    simulate_noon8          3b5493764aab... -> 01b241a4bf0a...
+    simulate_noon8_double   076672f106fb... -> 2870fa56bf43...
+    simulate_real4          c5ee0b0921e7... -> a790bea60903...
+    simulate_target32       f5af0b7d120a... -> 7972c23f956b...
+    simulate_target6        cda7370abd83... -> 02d46b1400f4...
+        the four added lines only, and the comma they put after the
+        fidelity line; every other byte is the same
+
+``yield_table_8`` and ``fringe_4_16`` kept their hashes.
+
+Before that, the last hash re-recorded was ``fringe_4_16``'s, when
+``fringe_sweep`` began to shift ket n_b at sample p of P by the phasor of
+the exactly reduced integer (n_b p) mod P, and to sum each sector as one
+product with the cached absorber block, instead of lowering
+e^{i n_b phi} of the rounded phase phi = 2 pi p / P and taking one vdot
+per sample.  Old -> new:
 
     fringe_4_16             8cf0644fbd2f... -> d1eb175efe25...
         the rates only, e.g. at phi = 3 pi / 4 6.7489190219783581e-32 ->
@@ -222,27 +247,27 @@ def _noon(n):
 
 GOLDEN = {
     "simulate_noon8": (["simulate", "{noon8}"],
-        "3b5493764aabac3cf08a2747585423cb7a7fdb68fac0856e3b7bfd69c5a1a04f"),
+        "01b241a4bf0a7eb00cbfe36e200fec9a5d1094fc72e5c750b0044662164e30c1"),
     "simulate_noon8_double": (["simulate", "{noon8}", "--double"],
-        "076672f106fbcfdc4ee1bd23bbd2b6f28597611f5dc4ab43c1887b6620122d80"),
+        "2870fa56bf430b777e343e1be4b2eb2fd79d254eb4e673a73b94e2940406c79a"),
     "simulate_target6": (["simulate", "{target6}"],
-        "cda7370abd83ced7e465403bc35952f79538a77040d3beb56cb796905bf70374"),
+        "02d46b1400f467badc367f485bbae6d3c0925157d8ede6c4bf2f15e79234d486"),
     "factorize_target6": (["factorize", "{target6}"],
-        "96c2b2e8b8086f487fb713c6aeb39b8794260e4e115f2020081410ffed068198"),
+        "c4dd853f2fcfecedddb1dc8905ea9cc8221c8aa16a3701f298f04c299b0b7d70"),
     "oracle_check": (["oracle-check", "--trials", "5"],
-        "1a3e0157412103aa78bc50bc475a0d8e10da2af81a8a8cca72e6c4d8c4ef21a0"),
+        "d99e3d6225d0505a7c6fc8edb201f6df5f0daf8982b9748b142d267e6afd5c87"),
     "yield_table_8": (["yield-table", "8"],
         "01eab9788413d9853001ae96b7f8f7c054ffec9c60dd3a57c2ac7a07d7e9c8fe"),
     "fringe_4_16": (["fringe", "4", "16"],
         "d1eb175efe25eb2109b1ca919f9b3f5541685620881ec71cd2f9c715f1a51f54"),
     "simulate_noon32": (["simulate", "{noon32}"],
-        "4263cf0b9fbe51b6afb1b11da03e47f21b14c360e397a09f6a0eda325d71e55e"),
+        "ff0ad955f3a532fd11d7f7ebe0fdbf70ccd18e8cda3740dac63adb764a1ec11d"),
     "simulate_noon32_double": (["simulate", "{noon32}", "--double"],
-        "777eebd0c195feb15c926dc1bdafba4918127ca2a9efbcc284220267b2689de1"),
+        "d55cf61cbc91676f0e00337f5e101e4e0bae41e76ee582f1a8cbe8c952e61a36"),
     "simulate_target32": (["simulate", "{target32}"],
-        "f5af0b7d120ab117c80a6308df188ebfc3ea6dc2c8fb88a2b8b7924a01e70323"),
+        "7972c23f956b88b13726d91e233017faa6ff45ce060540353bda23c89fac166a"),
     "simulate_real4": (["simulate", "{real4}"],
-        "c5ee0b0921e7f77f80e3a43ce6f8b4c7b452d48aa209d86dcb95f4d03b3ceea3"),
+        "a790bea6090305241171c8b18a0eebb1839f5ab7738b63ebc7dc0e6506bf633a"),
 }
 
 
