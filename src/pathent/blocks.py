@@ -329,11 +329,13 @@ def _run_chain(ts, ancs: np.ndarray) -> SchemeResult:
     fixed ``_shifted`` view.  The weights of every block come from one
     splitter table before the loop (``_block_weights``, row k for input
     sector k a).  Block k is one product of its weights with the view of
-    one buffer and one sum over the ancilla kets, from +0, into the other:
-    entries past the sector multiply padding zeros and stay +0.  Its
-    probability is the squared norm of the sector slice, followed by an
-    in-place renormalization.  The result is embedded at cutoff N once.
-    Owns the short-circuit to an ``impossible`` result.
+    one buffer, into a product buffer whose a + 1 rows, one per ancilla
+    ket, are views taken before the loop, and those rows added with
+    ``np.add`` into the other buffer: entries past the sector multiply
+    padding zeros and add to +-0.  Its probability is the squared norm of
+    the sector slice, followed by an in-place renormalization.  The result
+    is embedded at cutoff N once.  Owns the short-circuit to an
+    ``impossible`` result.
     """
     n_blocks, a = ancs.shape[0], ancs.shape[1] - 1
     n_photons = a * n_blocks
@@ -341,13 +343,15 @@ def _run_chain(ts, ancs: np.ndarray) -> SchemeResult:
     w = _block_weights(v, ancs, a)
     bufs = np.zeros((2, a + n_photons + 1), dtype=complex)
     bufs[0, a] = 1.0
-    views = _shifted(bufs, a)
-    prod = np.empty(views.shape[1:], dtype=complex)
+    views, outs = list(_shifted(bufs, a)), list(bufs[:, a:])
+    prod = np.empty(views[0].shape, dtype=complex)
+    first, *rest = prod
     probs: list[float] = []
     for k in range(n_blocks):
         np.multiply(w[k], views[k % 2], out=prod)
-        y = np.add.reduce(prod, axis=0, initial=0.0,
-                          out=bufs[(k + 1) % 2, a:])
+        y = np.add(first, rest[0], out=outs[(k + 1) % 2])
+        for row in rest[1:]:
+            y += row
         x = y[:(k + 1) * a + 1]
         probs.append(float(np.vdot(x, x).real))
         if probs[-1] == 0.0:

@@ -47,17 +47,16 @@ from .factorize import (
     find_factor_angles,
     monomial_coeffs,
     noon_factor_angles,
-    state_of_target,
 )
 from .fock import (
     TwoModeState,
     _basis,
+    _fidelity,
+    _sector,
     _sector_blocks,
     apply_linear_factor,
     _sector_state,
-    inner_product,
     noon_state,
-    overlap_fidelity,
     with_cutoff,
 )
 from .litho import dominant_fringe_frequency, fringe_sweep
@@ -71,12 +70,13 @@ from .yields import (
 # Largest target photon number ``simulate`` accepts.  The heralded chain
 # keeps only the N + 1 coefficients of one photon-number sector and reads
 # one table of closed-form splitter entries, so its cost is small: on a
-# loaded 2-vCPU x86-64 host ``simulate`` at N = 64 takes about 0.20 s of
-# wall time as a fresh process, of which 0.18 s is interpreter start and
-# imports, and 32 MB peak RSS; in-process a call on a seeded random target
-# takes about 4.6 ms, of which the chain is 0.45 ms.  A NOON call takes about
-# 1.3 ms: its two-term polynomial is factored in closed form, without the
-# 64 x 64 eigenproblem.  The bound stays at 64 until the factors are applied
+# loaded 2-vCPU x86-64 host ``simulate`` at N = 64 takes about 0.2 s of
+# wall time as a fresh process, most of it interpreter start and imports,
+# and 32 MB peak RSS; in-process a call on a seeded random target takes
+# about 5.1 ms, of which the 64 x 64 companion eigenproblem is about 3 ms,
+# the root polish 0.15 ms and the chain 0.53 ms.  A NOON call takes about
+# 1.5 ms: its two-term polynomial is factored in closed form, without the
+# eigenproblem.  The bound stays at 64 until the factors are applied
 # in a well-conditioned order: in sorted order the partial products grow and
 # cancel, and NOON targets already print spurious kets near 1e-10 at N = 64.
 _SIMULATE_N_MAX = 64
@@ -244,7 +244,7 @@ def _load_target(path: str) -> TargetSpec:
             "re-normalizing",
             file=sys.stderr,
         )
-    return TargetSpec(n, vec.tolist())
+    return TargetSpec._of_norm(vec, norm)
 
 
 def _parse_pairs(raw: list) -> np.ndarray | None:
@@ -302,15 +302,16 @@ def _worst(worst: tuple | None, dev: np.ndarray, *where) -> tuple:
 _CHECK_FIELDS = ("max_amplitude_deviation", "ket", "tolerance", "status")
 
 
-def _self_check(state: TwoModeState, reference: TwoModeState) -> dict:
-    """The largest amplitude deviation of ``state`` from ``reference`` once
-    the global phase is aligned, the [n_a, n_b] ket where it sits, the
-    tolerance and the status, which is "fail" above it or on a NaN."""
-    overlap = complex(inner_product(reference, state))
+def _self_check(state: np.ndarray, reference: np.ndarray) -> dict:
+    """The largest amplitude deviation of the N-photon sector coefficients
+    ``state`` from ``reference`` once the global phase is aligned, the
+    [n_a, n_b] ket where it sits, the tolerance and the status, which is
+    "fail" above it or on a NaN."""
+    overlap = complex(np.vdot(reference, state))
     unphase = overlap.conjugate() / abs(overlap) if overlap else 1.0
-    dev, i = _worst(None, np.abs(state.amps * unphase - reference.amps))
+    dev, i = _worst(None, np.abs(state * unphase - reference))
     return dict(zip(_CHECK_FIELDS, (
-        dev, [int(n[i]) for n in _basis(2, state.cutoff)[0]], _ORACLE_TOL,
+        dev, [i, state.size - 1 - i], _ORACLE_TOL,
         "pass" if dev <= _ORACLE_TOL else "fail")))
 
 
@@ -323,7 +324,8 @@ def _write_checked(report: dict, out_path: str | None) -> int:
 def _cmd_factorize(args) -> int:
     target = _load_target(args.target)
     fs, raw = _factorize(target)
-    state, target_state = _aligned(raw, fs), state_of_target(target)
+    state = _aligned(raw, fs).amps[_sector(target.n_photons)]
+    coeffs = np.array(target.coeffs)
     report = {
         "command": "factorize",
         "target": _echo_target(target),
@@ -332,8 +334,8 @@ def _cmd_factorize(args) -> int:
         ],
         "normalization": fs.normalization,
         "global_phase": complex(fs.global_phase),
-        "round_trip_fidelity": overlap_fidelity(state, target_state),
-        **_self_check(state, target_state),
+        "round_trip_fidelity": _fidelity(state, coeffs),
+        **_self_check(state, coeffs),
     }
     return _write_checked(report, args.out)
 
@@ -357,11 +359,12 @@ def _parse_schedule(text: str, n_blocks: int) -> list[float]:
     return ts
 
 
-def _state_entries(state: TwoModeState) -> list[dict]:
-    return [
-        {"ket": [na, nb], "amplitude": amp}
-        for na, nb, amp in state.nonzero_amplitudes()
-    ]
+def _state_entries(state: np.ndarray) -> list[dict]:
+    """The kets of N-photon sector coefficients above 1e-12 in modulus, as
+    ``TwoModeState.nonzero_amplitudes`` lists them."""
+    n = state.size - 1
+    return [{"ket": [i, n - i], "amplitude": complex(state[i])}
+            for i in np.flatnonzero(np.abs(state) > 1e-12).tolist()]
 
 
 def _cmd_simulate(args) -> int:
@@ -370,17 +373,17 @@ def _cmd_simulate(args) -> int:
     if n > _SIMULATE_N_MAX:
         raise InputError(f"target file: field 'N' must be at most "
                          f"{_SIMULATE_N_MAX} for simulate, got {n}")
-    target_state = state_of_target(target)
+    coeffs = np.array(target.coeffs)
     if args.double:
         if n % 2 != 0:
             raise InputError("--double requires an even photon number")
-        if overlap_fidelity(target_state, noon_state(n)) < 1.0 - 1e-6:
+        reference = noon_state(n).amps[_sector(n)]
+        if _fidelity(coeffs, reference) < 1.0 - 1e-6:
             raise InputError(
                 "--double supports only maximally path-entangled "
                 "(|N,0>+|0,N>)/sqrt(2) targets"
             )
         schedule = _parse_schedule(args.schedule, n // 2)
-        reference = noon_state(n)
         phis = noon_double_phases(n)
         result = run_scheme_double(n, phis, schedule)
         angles = [(math.pi / 4.0, p) for phi in phis
@@ -388,16 +391,17 @@ def _cmd_simulate(args) -> int:
     else:
         angles = find_factor_angles(monomial_coeffs(target))
         schedule = _parse_schedule(args.schedule, n)
-        reference = target_state
+        reference = coeffs
         result = run_scheme(angles, schedule)
     if result.impossible:
         fidelity = None
         final_entries: list[dict] = []
         check = dict.fromkeys(_CHECK_FIELDS)
     else:
-        fidelity = overlap_fidelity(result.final_state, target_state)
-        final_entries = _state_entries(result.final_state)
-        check = _self_check(result.final_state, reference)
+        state = result.final_state.amps[_sector(n)]
+        fidelity = _fidelity(state, coeffs)
+        final_entries = _state_entries(state)
+        check = _self_check(state, reference)
     report = {
         "command": "simulate",
         "target": _echo_target(target),

@@ -65,15 +65,24 @@ class TargetSpec:
         if not finite.all():
             raise ValueError(
                 f"coefficient coeffs[{int(np.argmin(finite))}] is not finite")
-        norm = _coeff_norm(vec)
+        self._normalize(vec, _coeff_norm(vec))
+
+    @classmethod
+    def _of_norm(cls, vec: np.ndarray, norm: float) -> "TargetSpec":
+        """The target of N + 1 finite coefficients ``vec`` whose norm
+        ``norm`` = ``_coeff_norm(vec)`` the caller has already taken."""
+        target = cls.__new__(cls)
+        target._normalize(vec, norm)
+        return target
+
+    def _normalize(self, vec: np.ndarray, norm: float) -> None:
         if norm == 0.0:
             raise ValueError("coefficient vector is zero")
         # complex division by a subnormal norm overflows and gives NaN
         if math.isinf(norm) or norm < np.finfo(float).tiny:
             raise ValueError("coefficient norm is outside the float range")
-        vec = vec / norm
-        object.__setattr__(self, "n_photons", n_photons)
-        object.__setattr__(self, "coeffs", tuple(vec.tolist()))
+        object.__setattr__(self, "n_photons", vec.size - 1)
+        object.__setattr__(self, "coeffs", tuple((vec / norm).tolist()))
 
 
 @dataclass(frozen=True)
@@ -151,33 +160,80 @@ def _monomial_scales(n: int) -> tuple[tuple[float, ...], np.ndarray | None]:
     return tuple(roots), shifts
 
 
-def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_k c[..., k] z^k at every z, for each row of c.
+# Highest power of a block of the polish: at N <= 64 the values of p and p'
+# are one product with the table of running powers z^0 .. z^N.
+_POWERS = 64
 
-    The steps of ``np.polynomial.polynomial.polyval``, so each row gets
-    its bits: Horner's rule from c[..., -1] + 0 z.
+
+def _values(c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_k c[r, k] u^k for each row r of c at every |u| <= 1.
+
+    The sum runs in blocks of b <= ``_POWERS`` + 1 coefficients: one table
+    of running powers u^0 .. u^b and one matrix product of every block
+    with it, the blocks then summed with the running powers (u^b)^j as
+    weights.  No power exceeds 1 in modulus, so nothing overflows, and the
+    number of numpy calls does not depend on the degree.
     """
-    v = c[..., -1:] + z * 0
-    for k in range(c.shape[-1] - 2, -1, -1):
-        v = c[..., k:k + 1] + v * z
-    return v
+    rows, size = c.shape
+    b = min(size, _POWERS + 1)
+    blocks = -(-size // b)
+    powers = np.empty((b + 1, u.size), dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = u
+    np.multiply.accumulate(powers, axis=0, out=powers)
+    if blocks == 1:
+        return c @ powers[:b]
+    padded = np.zeros((rows, blocks * b), dtype=complex)
+    padded[:, :size] = c
+    v = (padded.reshape(rows * blocks, b) @ powers[:b]).reshape(
+        rows, blocks, u.size)
+    steps = np.empty((blocks, u.size), dtype=complex)
+    steps[0] = 1.0
+    steps[1:] = powers[b]
+    np.multiply.accumulate(steps, axis=0, out=steps)
+    return (v * steps).sum(axis=1)
 
 
 def _polish_roots(d: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """One Newton step on every root z of p(z) = sum_k d_k z^k.
+    """One Newton step on every root z of p(z) = sum_k d_k z^k, d_N != 0.
 
-    A root takes its step only where that lowers |p|; a root with
-    p'(z) = 0 stays as it is.  p and p' are one stacked Horner loop.  p'
-    is padded with a zero leading coefficient, which keeps its bits: its
-    first real step adds a zero to m d_m, as ``polyval`` adds 0 z.
+    A root with |z| <= 1 steps in z on p; a root with |z| > 1 steps in
+    w = 1/z on the reversed polynomial q(w) = w^N p(1/w) = sum_k d_{N-k} w^k.
+    Either way no power exceeds 1 in modulus (``_values``), so nothing
+    overflows at any N.  The new point is evaluated in the variable of its
+    own modulus, and the step is taken only where it lowers |p|.  Both
+    polynomials give |p(z)| / max(1, |z|)^N, so the old and new values are
+    compared after multiplying one side by the ratio of the two maxima to
+    the power N, the smaller over the larger: a factor of at most 1.  A
+    root whose derivative is 0, or whose step would be longer than 4 in
+    its own variable, stays as it is.
     """
-    c = np.zeros((2, d.size), dtype=complex)
+    n = d.size - 1
+    k = np.arange(1.0, n + 1)
+    # rows p and p' in z, then q and q' in w
+    c = np.zeros((4, n + 1), dtype=complex)
     c[0] = d
-    np.multiply(d[1:], np.arange(1.0, d.size), out=c[1, :-1])
-    p, dp = _horner(c, z)
-    flat = dp == 0
-    z_new = z - p / np.where(flat, 1.0, dp)
-    better = ~flat & (np.abs(_horner(d, z_new)) < np.abs(p))
+    c[2] = d[::-1]
+    np.multiply(c[::2, 1:], k, out=c[1::2, :-1])
+    # the variable of each root and its scale 1 / max(1, |z|)
+    out = np.abs(z) > 1.0
+    u = np.divide(1.0, z, out=z.astype(complex), where=out)
+    g = np.where(out, np.abs(u), 1.0)
+    v = _values(c, u)
+    p, dp = np.where(out, v[2:], v[:2])
+    ok = 0.25 * np.abs(p) < np.abs(dp)
+    u_new = u - np.divide(p, dp, out=np.zeros_like(u), where=ok)
+    cross = np.abs(u_new) > 1.0
+    np.divide(1.0, u_new, out=u_new, where=cross)
+    out_new = out ^ cross
+    g_new = np.where(out_new, np.abs(u_new), 1.0)
+    v = _values(c[::2], u_new)
+    p_new = np.where(out_new, v[1], v[0])
+    r = np.minimum(g, g_new) / np.maximum(g, g_new)
+    r **= n
+    a, b = np.abs(p_new), np.abs(p)
+    better = ok & np.where(g_new >= g, a * r < b, a < b * r)
+    z_new = np.divide(1.0, u_new, out=u_new.copy(), where=better & out_new)
     return np.where(better, z_new, z)
 
 
@@ -204,6 +260,16 @@ def _binomial_root_angles(d_lo: complex, d_m: complex,
     return [(theta, _wrap_angle((t + 2 * k) * math.pi / q)) for k in range(q)]
 
 
+def _companion_roots(row: np.ndarray, zeros: int) -> np.ndarray:
+    """The eigenvalues of the companion matrix with first row ``row``, then
+    ``zeros`` roots at 0: what ``np.roots`` returns for the polynomial that
+    its first row and trailing zero coefficients describe."""
+    companion = np.eye(row.size, k=-1, dtype=complex)
+    companion[0] = row
+    return np.concatenate([np.linalg.eigvals(companion),
+                           np.zeros(zeros, dtype=complex)])
+
+
 def find_factor_angles(d) -> list[tuple[float, float]]:
     """Factor angles (theta_k, phi_k) from monomial coefficients d_0..d_N.
 
@@ -216,8 +282,12 @@ def find_factor_angles(d) -> list[tuple[float, float]]:
     factored in closed form: lo roots at z = 0 and the m - lo roots of
     z^{m-lo} = -d_lo/d_m, with no eigenproblem and no polish.  The branch
     has no tolerance: only coefficients that are exactly zero count as
-    absent.  Any other polynomial goes to ``np.roots`` and one Newton step.
-    A non-finite d_k is refused before either branch.
+    absent.  Any other polynomial is factored as ``np.roots`` does it, from
+    the companion matrix of d_lo..d_m, whose first row is the ratios
+    -d_k / d_m that the overflow check takes (the same matrix, so the same
+    roots bit for bit), with the lo roots at 0 appended; then every root
+    takes one Newton step of ``_polish_roots``.  A non-finite d_k is
+    refused before either branch.
     """
     d = np.asarray(list(d), dtype=complex)
     if d.ndim != 1 or d.size < 2:
@@ -237,15 +307,16 @@ def find_factor_angles(d) -> list[tuple[float, float]]:
             angles += _binomial_root_angles(complex(d[lo]), complex(d[m]),
                                             m - lo)
     else:
-        # np.roots divides by the leading coefficient d_m; past the float
-        # range that leaves infs or NaNs in its companion matrix
+        # the companion matrix that np.roots builds for d_lo..d_m: its
+        # first row is -d_{m-1}/d_m .. -d_lo/d_m, and past the float range
+        # those ratios are infs or NaNs
         with np.errstate(over="ignore", invalid="ignore"):
-            ratios = d[:m] / d[m]
+            ratios = -d[lo:m] / d[m]
         if not np.isfinite(ratios).all():
             raise ValueError(
                 f"leading monomial coefficient d_{m} is too small: "
                 f"d_k / d_{m} overflows floats at N = {n}")
-        roots = _polish_roots(d[: m + 1], np.roots(d[: m + 1][::-1]))
+        roots = _polish_roots(d[:m + 1], _companion_roots(ratios[::-1], lo))
         angles = []
         for z in map(complex, roots):
             theta = math.atan(abs(z))

@@ -565,3 +565,17 @@ def reference_polish_roots(d, z):
     z_new = z - p / np.where(flat, 1.0, dp)
     better = ~flat & (np.abs(poly.polyval(z_new, d)) < np.abs(p))
     return np.where(better, z_new, z)
+
+
+def reference_abs_polynomial(d, z):
+    """|p(z)| of p(z) = sum_k d_k z^k and its rounding scale
+    sum_k |d_k| |z|^k, both by Horner's rule in np.longdouble, whose range
+    holds every value the polish tests reach."""
+    z = np.asarray(z, dtype=np.clongdouble)
+    size = np.abs(z)
+    p = np.zeros(z.shape, dtype=np.clongdouble)
+    scale = np.zeros(z.shape, dtype=np.longdouble)
+    for c in np.asarray(d, dtype=np.clongdouble)[::-1]:
+        p = p * z + c
+        scale = scale * size + abs(c)
+    return np.abs(p), scale

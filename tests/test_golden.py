@@ -1,11 +1,38 @@
 """Byte-exact CLI reports, pinned by the SHA-256 of their stdout.
 
 A refactor of the numerics must leave every printed digit unchanged.  The
-last hashes re-recorded are the nine below, when ``oracle-check`` lost its
-four-mode pair section, with ``--cutoff`` and ``--perturb``, and
-``simulate`` and ``factorize`` began to check their own state: each report
-gained ``max_amplitude_deviation`` (after phase alignment), its ``ket``,
-``tolerance`` and ``status``.  Old -> new:
+last hashes re-recorded are the three below, when the root finder's Newton
+polish began to evaluate p and p' from blocks of running powers in z, or
+in w = 1/z on the reversed polynomial for |z| > 1, instead of Horner's
+rule in z (which overflowed past |z|^N ~ 1e308).  Old -> new, with the
+largest change of a printed float (relative over values >= 1e-12, and
+absolute over every printed float, both without the self-check's own
+deviation):
+
+    factorize_target6       c4dd853f2fcf... -> 20780c6e6ae2...
+        3.1e-16 relative, 7.1e-15 absolute (normalization); the factor
+        thetas move by an ulp, max_amplitude_deviation 2.79e-16 -> 3.34e-16
+    simulate_target6        02d46b1400f4... -> 9459bb5de267...
+        2.2e-15 relative (a final amplitude), 1.1e-16 absolute (a theta);
+        max_amplitude_deviation is the same 3.38e-16, now first reached at
+        ket [1, 5] instead of [6, 0]
+    simulate_target32       7972c23f956b... -> 37e2f4ab3408...
+        2.0e-14 relative, 6.2e-16 absolute (the small part of a final
+        amplitude); max_amplitude_deviation 7.62e-16 at [16, 16] ->
+        7.01e-16 at [15, 17]
+
+The same change runs each heralded block's sum over the ancilla kets as
+``np.add`` into the output buffer and reads the fidelity, the self-check and
+the printed kets from the N + 1 coefficients of the final sector, not the
+whole simplex.  Those parts left every hash as it was: every NOON, doubled,
+``simulate_real4``, ``yield_table_8``, ``fringe_4_16`` and ``oracle_check``
+report kept its bytes.
+
+Before that, the last hashes re-recorded were the nine below, when
+``oracle-check`` lost its four-mode pair section, with ``--cutoff`` and
+``--perturb``, and ``simulate`` and ``factorize`` began to check their own
+state: each report gained ``max_amplitude_deviation`` (after phase
+alignment), its ``ket``, ``tolerance`` and ``status``.  Old -> new:
 
     oracle_check            1a3e01574121... -> d99e3d6225d0...
         the fields cutoff and perturb and the pair section gone, kappas
@@ -251,9 +278,9 @@ GOLDEN = {
     "simulate_noon8_double": (["simulate", "{noon8}", "--double"],
         "2870fa56bf430b777e343e1be4b2eb2fd79d254eb4e673a73b94e2940406c79a"),
     "simulate_target6": (["simulate", "{target6}"],
-        "02d46b1400f467badc367f485bbae6d3c0925157d8ede6c4bf2f15e79234d486"),
+        "9459bb5de267cec9d3d461c0021587ebc9eb5ddaa3bbe9b9f95736dbdc03d10a"),
     "factorize_target6": (["factorize", "{target6}"],
-        "c4dd853f2fcfecedddb1dc8905ea9cc8221c8aa16a3701f298f04c299b0b7d70"),
+        "20780c6e6ae20d7a623285479cd36f85f3dbdd17025aeb22c914720e5ab4a84c"),
     "oracle_check": (["oracle-check", "--trials", "5"],
         "d99e3d6225d0505a7c6fc8edb201f6df5f0daf8982b9748b142d267e6afd5c87"),
     "yield_table_8": (["yield-table", "8"],
@@ -265,7 +292,7 @@ GOLDEN = {
     "simulate_noon32_double": (["simulate", "{noon32}", "--double"],
         "d55cf61cbc91676f0e00337f5e101e4e0bae41e76ee582f1a8cbe8c952e61a36"),
     "simulate_target32": (["simulate", "{target32}"],
-        "7972c23f956b88b13726d91e233017faa6ff45ce060540353bda23c89fac166a"),
+        "37e2f4ab3408993efcf9d0b6d3e416ffe2d0201f0380c80a73161857e28ef66f"),
     "simulate_real4": (["simulate", "{real4}"],
         "a790bea6090305241171c8b18a0eebb1839f5ab7738b63ebc7dc0e6506bf633a"),
 }

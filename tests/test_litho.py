@@ -25,6 +25,7 @@ from pathent.yields import yield_noon_single
 from helpers import (
     absorption_rate_dense,
     needs_long_double,
+    random_target,
     random_two_mode_state,
     reference_fringe,
     reference_lower,
@@ -258,3 +259,29 @@ def test_fringe_sweep_validation():
 def test_dominant_frequency_of_constant_is_zero():
     sweep = FringeSweep(1, tuple(np.linspace(0, 6, 8)), (1.0,) * 8)
     assert dominant_fringe_frequency(sweep) == 0
+
+
+@pytest.mark.parametrize("n", [3, 8, 16, 32])
+def test_exposure_is_a_product_of_one_photon_fringes(n):
+    # The heralded yield at T_k = 1/k times the N-photon rate of the chain's
+    # state is E(phi) = N! N^-N prod_k |cos theta_k - e^{i(phi_k + phi)}
+    # sin theta_k|^2, a closed form of the factors alone (ROADMAP item
+    # 21(a)): an oracle of the chain that shares none of its code.  With the
+    # conjugate phase e^{i(phi_k - phi)} the product is 0.47-0.92 off, so
+    # the sign convention is pinned too.
+    fs = factorize_target(random_target(np.random.default_rng(3), n))
+    result = run_scheme(fs)
+    sweep = fringe_sweep(result.final_state, n, 64)
+    exposure = result.total_yield * sweep.rates
+    theta, phi = np.array(fs.factors).T
+    scale = math.factorial(n) / n ** n
+
+    def product(sign):
+        shifted = np.exp(1j * (phi[:, None] + sign * sweep.phases))
+        return scale * np.prod(np.abs(np.cos(theta)[:, None]
+                                      - shifted * np.sin(theta)[:, None])
+                               ** 2, axis=0)
+
+    top = exposure.max()
+    assert np.abs(exposure - product(1)).max() <= 1e-12 * top
+    assert np.abs(exposure - product(-1)).max() >= 0.4 * top
