@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factorize import FactorSet, _wrap_angle
+from .factorize import FactorSet, _single_table, _wrap_angle
 from .fock import (
     TwoModeDensity,
     TwoModeState,
@@ -64,15 +64,6 @@ class BlockParams:
     def kappa(self) -> float:
         return math.asin(math.sqrt(self.transmittance))
 
-    @property
-    def cos_sin(self) -> tuple[float, float]:
-        """cos and sin of the mixing angle, sqrt(1 - T) and sqrt(T).
-
-        Taken from T itself, so T = 1 gives the exact swap, cos = 0.
-        """
-        t = self.transmittance
-        return math.sqrt(1.0 - t), math.sqrt(t)
-
 
 @dataclass(frozen=True, eq=False)
 class BlockOutcome:
@@ -97,19 +88,6 @@ class SchemeResult:
     impossible: bool = False
 
 
-def _single_table(angles) -> np.ndarray:
-    """Row k: amplitudes of |0,1> and |1,0> in the ancilla of factor k.
-
-    sin and cos are taken per factor, e^{i phi} of every factor at once.
-    A single block, and ``ancilla_single``, read row 0 of a one-row table.
-    """
-    table = np.empty((len(angles), 2), dtype=complex)
-    phis = np.array([phi for _, phi in angles], dtype=float)
-    table[:, 0] = -np.exp(1j * phis) * [math.sin(t) for t, _ in angles]
-    table[:, 1] = [math.cos(t) for t, _ in angles]
-    return table
-
-
 def _double_table(phis) -> np.ndarray:
     """Row k: amplitudes of |0,2>, |1,1> and |2,0> in doubled block k."""
     phis = np.array(phis, dtype=float)
@@ -125,8 +103,8 @@ def ancilla_single(theta: float, phi: float) -> TwoModeState:
 
     Written down from its closed form, the amplitudes the photon-adding
     factor cos(theta) a† - e^{i phi} sin(theta) b† puts on vacuum: row 0
-    of ``_single_table``, once the angles pass the one check every block
-    passes (``_blocks``).
+    of ``factorize._single_table``, once the angles pass the one check
+    every block passes (``_blocks``).
     """
     angles, _ = _blocks([(theta, phi)])
     return _sector_state(_single_table(angles)[0])
@@ -246,8 +224,8 @@ def _herald(state: TwoModeState, anc: np.ndarray,
     """
     a, rows = len(anc) - 1, state.cutoff + 1
     cutoff = state.cutoff + a
-    v = _splitter_entries(cutoff, *params.cos_sin, a, 0)[..., 0]
-    w = _block_weights(v[:, None].repeat(rows, axis=1), anc[None], 1)
+    v = _splitter_entries(cutoff, *_mixing([params.transmittance]), a, 0)
+    w = _block_weights(v[..., 0].repeat(rows, axis=1), anc[None], 1)
     pad = np.zeros((rows, a + cutoff + 1), dtype=complex)
     pad[:, a:a + rows][_in_block(state.cutoff)] = state.amps
     y = np.add.reduce(w * _shifted(pad, a), axis=1, initial=0.0)
@@ -314,7 +292,10 @@ def _blocks(factors, transmittances=None):
 
 
 def _mixing(ts) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of the mixing angles of the blocks, as BlockParams.cos_sin."""
+    """cos and sin of the mixing angles of the blocks, sqrt(1 - T) and sqrt(T).
+
+    Taken from T itself, so T = 1 gives the exact swap, cos = 0.
+    """
     t = np.asarray(ts, dtype=float)
     return np.sqrt(1.0 - t), np.sqrt(t)
 

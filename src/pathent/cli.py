@@ -76,9 +76,11 @@ from .yields import (
 # about 5.1 ms, of which the 64 x 64 companion eigenproblem is about 3 ms,
 # the root polish 0.15 ms and the chain 0.53 ms.  A NOON call takes about
 # 1.5 ms: its two-term polynomial is factored in closed form, without the
-# eigenproblem.  The bound stays at 64 until the factors are applied
-# in a well-conditioned order: in sorted order the partial products grow and
-# cancel, and NOON targets already print spurious kets near 1e-10 at N = 64.
+# eigenproblem.  The Leja order of the factors adds about 0.1 ms to a
+# random target at N = 64 and nothing to NOON, whose order is cached.  The
+# bound stays at 64 until a larger one is set from a measurement of time
+# and memory, with the yield carried where it underflows: NOON yields,
+# e^{-1.69 N}, reach 0 beyond N of about 440.
 _SIMULATE_N_MAX = 64
 _ORACLE_TOL = 1e-9
 _NORM_WARN_TOL = 1e-6
@@ -244,7 +246,7 @@ def _load_target(path: str) -> TargetSpec:
             "re-normalizing",
             file=sys.stderr,
         )
-    return TargetSpec._of_norm(vec, norm)
+    return TargetSpec(n, vec)
 
 
 def _parse_pairs(raw: list) -> np.ndarray | None:

@@ -55,7 +55,7 @@ class TargetSpec:
 
     def __init__(self, n_photons: int, coeffs):
         n_photons = _photon_number(n_photons)
-        vec = np.asarray(list(coeffs), dtype=complex)
+        vec = np.asarray(coeffs, dtype=complex)
         if vec.shape != (n_photons + 1,):
             raise ValueError(
                 f"need {n_photons + 1} coefficients for {n_photons} photons, "
@@ -65,23 +65,13 @@ class TargetSpec:
         if not finite.all():
             raise ValueError(
                 f"coefficient coeffs[{int(np.argmin(finite))}] is not finite")
-        self._normalize(vec, _coeff_norm(vec))
-
-    @classmethod
-    def _of_norm(cls, vec: np.ndarray, norm: float) -> "TargetSpec":
-        """The target of N + 1 finite coefficients ``vec`` whose norm
-        ``norm`` = ``_coeff_norm(vec)`` the caller has already taken."""
-        target = cls.__new__(cls)
-        target._normalize(vec, norm)
-        return target
-
-    def _normalize(self, vec: np.ndarray, norm: float) -> None:
+        norm = _coeff_norm(vec)
         if norm == 0.0:
             raise ValueError("coefficient vector is zero")
         # complex division by a subnormal norm overflows and gives NaN
         if math.isinf(norm) or norm < np.finfo(float).tiny:
             raise ValueError("coefficient norm is outside the float range")
-        object.__setattr__(self, "n_photons", vec.size - 1)
+        object.__setattr__(self, "n_photons", n_photons)
         object.__setattr__(self, "coeffs", tuple((vec / norm).tolist()))
 
 
@@ -124,15 +114,15 @@ def monomial_coeffs(target: TargetSpec) -> np.ndarray:
     2e bits for its square root, and the quotient scaled by 2^-e.  The
     square roots and shifts of every k depend on n alone and are computed
     once per n (``_monomial_scales``); each c_k is then divided by its
-    square root as a Python complex, and only the shifted k are rescaled.
+    square root as a Python complex and scaled by its power of two, which
+    is exact, and a no-op for the unshifted k.
     A target whose every d_k underflows to 0 is rejected with a ValueError.
     """
     n = target.n_photons
     roots, shifts = _monomial_scales(n)
     d = np.array([c / r for c, r in zip(target.coeffs, roots)], dtype=complex)
-    if shifts is not None:
-        d.real = np.ldexp(d.real, shifts)
-        d.imag = np.ldexp(d.imag, shifts)
+    d.real = np.ldexp(d.real, shifts)
+    d.imag = np.ldexp(d.imag, shifts)
     if not d.any():
         raise ValueError(
             f"every d_k = c_k / sqrt(k! (N - k)!) underflows to 0 at N = {n}")
@@ -140,8 +130,8 @@ def monomial_coeffs(target: TargetSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _monomial_scales(n: int) -> tuple[tuple[float, ...], np.ndarray | None]:
-    """sqrt(k! (n - k)! >> 2 e_k) and -e_k for k = 0..n; None for no shift.
+def _monomial_scales(n: int) -> tuple[tuple[float, ...], np.ndarray]:
+    """sqrt(k! (n - k)! >> 2 e_k) and -e_k for k = 0..n.
 
     e_k = 0 while k! (n - k)! fits in a float, which holds up to n = 170.
     """
@@ -153,8 +143,6 @@ def _monomial_scales(n: int) -> tuple[tuple[float, ...], np.ndarray | None]:
         e = max(f.bit_length() - 1022, 0) // 2
         roots.append(math.sqrt(f >> 2 * e))
         shifts.append(-e)
-    if not any(shifts):
-        return tuple(roots), None
     shifts = np.array(shifts)
     shifts.setflags(write=False)  # shared by every caller of the cache
     return tuple(roots), shifts
@@ -270,19 +258,79 @@ def _companion_roots(row: np.ndarray, zeros: int) -> np.ndarray:
                            np.zeros(zeros, dtype=complex)])
 
 
+def _leja_order(z: np.ndarray) -> list[int]:
+    """Indices of the points z in greedy Leja order.
+
+    The first point has the largest modulus; each next one maximizes the
+    sum of log-distances to the points already taken (Reichel, "Newton
+    interpolation at Leja points", BIT 30, 332 (1990)).  A modulus or
+    distance below 1e-300 counts as 1e-300, so repeated points take no
+    log of 0 and rank by how many of their copies are taken.  Every log is
+    rounded to a whole number of units 2^-30, so the sums are exact and
+    equal scores, such as those of points placed symmetrically, tie
+    exactly; a tie goes to the lowest index, the first that ``argmax`` finds.
+    """
+    dist = np.subtract.outer(z.real, z.real)
+    np.hypot(dist, np.subtract.outer(z.imag, z.imag), out=dist)
+    logs = _log_units(dist)
+    logs.flat[::z.size + 1] = -np.inf  # a point taken is never taken again
+    i = int(_log_units(np.abs(z)).argmax())
+    order, score = [i], logs[i].copy()
+    for _ in range(1, z.size):
+        i = int(score.argmax())
+        order.append(i)
+        score += logs[i]
+    return order
+
+
+def _log_units(x: np.ndarray) -> np.ndarray:
+    """log(max(x, 1e-300)) rounded to whole units of 2^-30, in those units,
+    written over ``x``: up to 12,000 such terms sum exactly."""
+    np.maximum(x, 1e-300, out=x)
+    np.log(x, out=x)
+    x *= 2.0 ** 30
+    return np.rint(x, out=x)
+
+
+def _leja(angles: list) -> list:
+    """Finite factors sorted by (theta, phi), put in the Leja order of
+    their roots z = tan(theta) e^{i phi}."""
+    theta, phi = np.array(angles).T
+    return [angles[i] for i in _leja_order(np.tan(theta) * np.exp(1j * phi))]
+
+
+@lru_cache(maxsize=32)
+def _two_term_order(lo: int, q: int) -> tuple[int, ...]:
+    """The Leja order of lo zeros and then q equally spaced points on a
+    circle in counterclockwise order, the finite roots of d_lo z^lo + d_m z^m
+    sorted by (theta, phi).  Rotating the circle changes no distance, and
+    scaling it by r adds j log r to every score, the zeros' too, once j of
+    its points are taken; a zero taken puts the other zeros at the 1e-300
+    floor, below every point.  So the order depends on lo and q alone and
+    is taken once, on the unit circle."""
+    z = np.zeros(lo + q, dtype=complex)
+    z[lo:] = np.exp(2j * np.pi * np.arange(q) / q)
+    return tuple(_leja_order(z))
+
+
 def find_factor_angles(d) -> list[tuple[float, float]]:
     """Factor angles (theta_k, phi_k) from monomial coefficients d_0..d_N.
 
     Finite roots z of sum_k d_k z^k give theta = arctan|z|, phi = arg z;
     each exactly-zero leading coefficient contributes one pure-b† factor
-    (pi/2, 0), appended after the finite factors.  Finite factors are
-    sorted by (theta, phi) so equal inputs give equal lists.
+    (pi/2, 0), appended after the finite factors.  The finite factors come
+    in the greedy Leja order of their roots tan(theta) e^{i phi}, ties
+    going to the earlier in (theta, phi) order (``_leja_order``), so equal
+    inputs give equal lists and the partial products of the factors, in
+    the list's order, stay near the scale of the final state: in sorted
+    order NOON's grew and cancelled, 0.67 off in amplitude at N = 170.
 
     A two-term polynomial d_lo z^lo + d_m z^m (NOON targets among them) is
     factored in closed form: lo roots at z = 0 and the m - lo roots of
-    z^{m-lo} = -d_lo/d_m, with no eigenproblem and no polish.  The branch
-    has no tolerance: only coefficients that are exactly zero count as
-    absent.  Any other polynomial is factored as ``np.roots`` does it, from
+    z^{m-lo} = -d_lo/d_m, with no eigenproblem and no polish, in the order
+    ``_two_term_order`` keeps for (lo, m - lo).  The branch has no
+    tolerance: only coefficients that are exactly zero count as absent.
+    Any other polynomial is factored as ``np.roots`` does it, from
     the companion matrix of d_lo..d_m, whose first row is the ratios
     -d_k / d_m that the overflow check takes (the same matrix, so the same
     roots bit for bit), with the lo roots at 0 appended; then every root
@@ -304,8 +352,9 @@ def find_factor_angles(d) -> list[tuple[float, float]]:
     if nonzero.size <= 2:
         angles = [(0.0, 0.0)] * lo
         if m > lo:
-            angles += _binomial_root_angles(complex(d[lo]), complex(d[m]),
-                                            m - lo)
+            angles += sorted(_binomial_root_angles(complex(d[lo]),
+                                                   complex(d[m]), m - lo))
+            angles = [angles[i] for i in _two_term_order(lo, m - lo)]
     else:
         # the companion matrix that np.roots builds for d_lo..d_m: its
         # first row is -d_{m-1}/d_m .. -d_lo/d_m, and past the float range
@@ -322,9 +371,23 @@ def find_factor_angles(d) -> list[tuple[float, float]]:
             theta = math.atan(abs(z))
             phi = _wrap_angle(cmath.phase(z)) if z != 0 else 0.0
             angles.append((theta, phi))
-    angles.sort()
+        angles = _leja(sorted(angles))
     angles.extend([(math.pi / 2.0, 0.0)] * (n - m))
     return angles
+
+
+def _single_table(angles) -> np.ndarray:
+    """Row k: amplitudes of |0,1> and |1,0> in factor k on vacuum.
+
+    The coefficients of b† and a† in cos(theta) a† - e^{i phi} sin(theta) b†:
+    sin and cos are taken per factor, e^{i phi} of every factor at once.
+    ``apply_factors`` and the heralded blocks' ancillas read its rows.
+    """
+    table = np.empty((len(angles), 2), dtype=complex)
+    phis = np.array([phi for _, phi in angles], dtype=float)
+    table[:, 0] = -np.exp(1j * phis) * [math.sin(t) for t, _ in angles]
+    table[:, 1] = [math.cos(t) for t, _ in angles]
+    return table
 
 
 def apply_factors(angles) -> TwoModeState:
@@ -332,17 +395,17 @@ def apply_factors(angles) -> TwoModeState:
 
     After k factors the product is sum_j x_j |j, k - j>, one photon-number
     sector, so it is run on those k + 1 coefficients alone.  The factor
-    cos(theta) a† - e^{i phi} sin(theta) b† maps them to the k + 2
-        y_j = cos(theta) sqrt(j) x_{j-1} - e^{i phi} sin(theta) sqrt(k+1-j) x_j,
+    with row (b, a) of ``_single_table`` maps them to the k + 2
+        y_j = a sqrt(j) x_{j-1} + b sqrt(k+1-j) x_j,
     and the result is embedded at cutoff N once, at the end.
     """
-    angles = list(angles)
-    sqrt_n = np.sqrt(np.arange(len(angles) + 1.0))
+    table = _single_table(list(angles)).tolist()
+    sqrt_n = np.sqrt(np.arange(len(table) + 1.0))
     x = np.ones(1, dtype=complex)
-    for k, (theta, phi) in enumerate(angles, start=1):
+    for k, (b, a) in enumerate(table, start=1):
         y = np.zeros(k + 1, dtype=complex)
-        y[1:] = math.cos(theta) * (x * sqrt_n[1:k + 1])
-        y[:-1] += -np.exp(1j * phi) * math.sin(theta) * (x * sqrt_n[k:0:-1])
+        y[1:] = a * (x * sqrt_n[1:k + 1])
+        y[:-1] += b * (x * sqrt_n[k:0:-1])
         x = y
     return _sector_state(x)
 
@@ -370,9 +433,9 @@ def normalization(angles,
 
 def _product_normalization(raw: TwoModeState,
                            target: TargetSpec | None) -> tuple[float, complex]:
+    # n_sq is never 0: it is the permanent of the factors' Gram matrix,
+    # whose diagonal is all ones, so at least 1 (Marcus's inequality)
     n_sq = raw.norm_sq()
-    if n_sq == 0.0:
-        raise ValueError("factor product annihilates the vacuum")
     if not math.isfinite(n_sq):
         raise ValueError("factor product's squared norm overflows floats")
     g = 1.0 + 0.0j
@@ -431,7 +494,8 @@ def noon_factor_angles(n: int) -> list[tuple[float, float]]:
 
     The generating polynomial is (z^n + 1)/sqrt(2 n!), whose roots are the n
     odd 2n-th roots of unity, all on the unit circle.  The list is the one
-    ``find_factor_angles`` gives for a NOON target, bit for bit.
+    ``find_factor_angles`` gives for a NOON target, bit for bit, in Leja
+    order: for n = 2^k the phases sorted, read in bit-reversed order.
     """
     n = _at_least("n", n, 1)
     d = np.zeros(n + 1)

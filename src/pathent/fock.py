@@ -155,12 +155,6 @@ class TwoModeState(_FockState):
 
     _modes = 2
 
-    def normalized(self) -> "TwoModeState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return TwoModeState(self.cutoff, self.amps / n)
-
     def nonzero_amplitudes(self):
         """(n_a, n_b, amplitude) of |amplitude| > 1e-12 by n_a + n_b, n_a."""
         (na, nb), _ = _basis(2, self.cutoff)

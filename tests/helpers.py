@@ -251,7 +251,8 @@ def reference_herald(state, anc, params):
     """The heralded block as ``reference_herald_sector`` on every sector."""
     a = len(anc) - 1
     cutoff = state.cutoff + a
-    v = reference_splitter_entries(cutoff, *params.cos_sin, a, 0)[..., 0]
+    v = reference_splitter_entries(cutoff, *_mixing(params.transmittance), a,
+                                   0)[..., 0]
     dark = np.zeros(dim2(cutoff), dtype=complex)
     for m in range(state.cutoff + 1):
         x = state.amps[_sector(m)]
@@ -280,8 +281,8 @@ def reference_run_chain(params, ancs):
     """
     a = len(ancs[0]) - 1
     n_photons = a * len(ancs)
-    cos_sin = np.array([p.cos_sin for p in params]).T
-    v = reference_splitter_entries(n_photons, *cos_sin, a, 0)[..., 0]
+    ts = [p.transmittance for p in params]
+    v = reference_splitter_entries(n_photons, *_mixing(ts), a, 0)[..., 0]
     x = np.ones(1, dtype=complex)
     probs = []
     for k, anc in enumerate(ancs):
@@ -513,6 +514,30 @@ def reference_monomial_coeffs(target):
         x = c / math.sqrt(f >> 2 * e)
         d[k] = complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e))
     return d
+
+
+def reference_leja_order(z):
+    """Greedy Leja order of the complex points z, one point at a time.
+
+    Start at the largest modulus, then take the point whose sum of
+    log-distances to the points taken is largest; each log is of the
+    distance or 1e-300, whichever is larger, rounded to whole units of
+    2^-30 as Python ints, so sums are exact and ties go to the lowest
+    index: the rule ``factorize._leja_order`` states, in plain loops.
+    """
+    def units(x):
+        return round(math.log(max(x, 1e-300)) * 2 ** 30)
+
+    z = [complex(p) for p in z]
+    start = [units(abs(p)) for p in z]
+    order = [start.index(max(start))]
+    score = [0] * len(z)
+    while len(order) < len(z):
+        for i, p in enumerate(z):
+            score[i] += units(abs(p - z[order[-1]]))
+        left = [i for i in range(len(z)) if i not in order]
+        order.append(max(left, key=lambda i: (score[i], -i)))
+    return order
 
 
 def _reference_number(x):

@@ -15,7 +15,6 @@ from pathent.blocks import (
     _channel_block,
     _double_table,
     _mixing,
-    _single_table,
     _splitter_entries,
     _transfer_table,
     amplitude_factor_double,
@@ -30,6 +29,8 @@ from pathent.blocks import (
     run_scheme_unconditional,
 )
 from pathent.factorize import (
+    TargetSpec,
+    _single_table,
     factorize_target,
     noon_factor_angles,
     noon_target,
@@ -38,6 +39,7 @@ from pathent.factorize import (
 from pathent.fock import (
     TwoModeDensity,
     _basis,
+    _sector,
     _sector_state,
     apply_linear_factor,
     basis_state,
@@ -49,7 +51,8 @@ from pathent.fock import (
     with_cutoff,
     zero_state,
 )
-from pathent.yields import optimal_schedule, qk_squared, yield_generic
+from pathent.yields import (optimal_schedule, qk_squared, yield_generic,
+                            yield_noon_single)
 from helpers import (
     MIX_KAPPAS,
     apply_double_factor,
@@ -548,7 +551,7 @@ def test_channel_block_matches_ket_by_ket_route(transmittance):
     rho.validate()
     want = _by_offset(_reference_block(rho, params))
     for cutoff in (k + 1, k + 4):
-        v = _splitter_entries(cutoff, *params.cos_sin, 1)
+        v = _splitter_entries(cutoff, *_mixing(params.transmittance), 1)
         # returned in (t, s) order: the mode-swapped state's by offset,
         # with its offset axis reversed
         got = _channel_block(_by_offset(rho), v,
@@ -678,6 +681,39 @@ def test_unconditional_density_at_n24():
     y = run_scheme(fs).total_yield
     assert abs(rho.sector_weight(24) - y) <= 1e-9 * y
     assert abs(rho.trace() - 1.0) < 1e-12
+
+
+def test_channel_top_sector_is_the_noon_yield_at_n_40():
+    # In Leja order 8.9e-15 (relative) off the closed form.  The sorted
+    # order was 1.6e-10 off, inside the 1e-9 gate, so the bound here is
+    # 1e-12, which it fails.
+    rho = run_scheme_unconditional(noon_factor_angles(40))
+    y = yield_noon_single(40)
+    assert abs(rho.sector_weight(40) - y) <= 1e-12 * y
+
+
+def _aligned_deviation(state, target):
+    """max |state - target| over the N-photon kets once the global phase
+    of ``state`` is aligned to ``target``'s."""
+    got, want = state.amps[_sector(target.n_photons)], np.array(target.coeffs)
+    overlap = np.vdot(want, got)
+    return np.abs(got * (abs(overlap) / overlap) - want).max()
+
+
+def test_chain_makes_three_term_and_random_targets_within_1e_13():
+    # Targets with nonzero c_0, c_{N/2} and c_N, whose roots sit near one
+    # circle (4.1e-12 off at N = 64 in the sorted order, at most 1.6e-15
+    # in Leja order), and seeded random targets (at most 1.5e-15 either
+    # way).
+    rng = np.random.default_rng(64)
+    targets = []
+    for n in (16, 32, 48, 63, 64):
+        c = np.zeros(n + 1, dtype=complex)
+        c[[0, n // 2, n]] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        targets += [TargetSpec(n, c), random_target(rng, n)]
+    for target in targets:
+        state = run_scheme(factorize_target(target)).final_state
+        assert _aligned_deviation(state, target) <= 1e-13, target.n_photons
 
 
 @pytest.mark.parametrize("transmittance", [1.0, 0.8, 0.2])
@@ -960,7 +996,7 @@ def test_batched_splitter_entries_match_one_row_builds(cutoff, j_max):
         width = cutoff + 1 if n_max is None else 1
         assert v.shape == (j_max + 1, len(ts), cutoff + 1, width)
         for k, t in enumerate(ts):
-            row = BlockParams(0.0, 0.0, float(t)).cos_sin
+            row = _mixing(float(t))
             one = _splitter_entries(cutoff, *row, j_max, n_max)
             assert v[:, k].tobytes() == one.tobytes(), (t, n_max)
             one = _splitter_entries(cutoff, [row[0]], [row[1]], j_max, n_max)

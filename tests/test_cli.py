@@ -13,10 +13,9 @@ import pytest
 from pathent import cli
 from pathent.blocks import BlockOutcome, run_scheme
 from pathent.factorize import (FactorSet, TargetSpec, factorize_target,
-                               noon_factor_angles, reconstruct,
-                               state_of_target)
-from pathent.fock import TwoModeState, _ket_index, overlap_fidelity
-from pathent.yields import yield_generic
+                               noon_factor_angles, reconstruct)
+from pathent.fock import TwoModeState, _fidelity, _ket_index, _sector
+from pathent.yields import yield_generic, yield_noon_double_linear
 from helpers import reference_render
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -569,10 +568,11 @@ def test_a_repeated_root_fails_its_own_check(command, n, low, high, tmp_path,
 
 
 def test_noon_at_the_simulate_cap_passes_its_own_check(tmp_path, capsys):
-    # 2.2e-10: the sorted factor order cancels (ROADMAP item 1), within 1e-9
+    # 4.2e-15 in Leja order; 2.2e-10 in the sorted order, whose partial
+    # products grew and cancelled
     code, report = run_json(capsys, ["simulate", noon_file(tmp_path, 64)])
     assert code == 0 and report["status"] == "pass"
-    assert 1e-10 < report["max_amplitude_deviation"] < 1e-9
+    assert report["max_amplitude_deviation"] <= 1e-13
     target = np.zeros(65)
     target[[0, 64]] = SQ2
     dev, ket = _deviation_of_report(report, target)
@@ -580,12 +580,24 @@ def test_noon_at_the_simulate_cap_passes_its_own_check(tmp_path, capsys):
     assert abs(report["max_amplitude_deviation"] - dev) <= 1e-15
 
 
-def test_factorize_fails_its_own_check_on_noon_170(tmp_path, capsys):
-    # the round trip of the 170 sorted NOON factors cancels to 1 - F = 0.94
-    code, report = run_json(capsys, ["factorize", noon_file(tmp_path, 170)])
-    assert code == 2 and report["status"] == "fail"
-    assert 0.6 < report["max_amplitude_deviation"] < 0.7
-    assert report["round_trip_fidelity"] < 0.1
+@pytest.mark.parametrize("n", [48, 64])
+def test_simulate_prints_only_the_two_noon_kets(n, tmp_path, capsys):
+    # The sorted order printed 22 and 47 kets above 1e-12 at N = 48 and 64
+    code, report = run_json(capsys, ["simulate", noon_file(tmp_path, n)])
+    assert code == 0
+    assert [e["ket"] for e in report["final_state"]] == [[0, n], [n, 0]]
+    for entry in report["final_state"]:
+        assert abs(abs(complex(*entry["amplitude"])) - SQ2) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [128, 170])
+def test_factorize_passes_its_own_check_on_noon(n, tmp_path, capsys):
+    # In Leja order the NOON round trip is within 1e-14 (9.3e-15 at 170);
+    # the sorted order was 2.5e-4 and 0.67 off, 1 - F = 4.6e-7 and 0.94
+    code, report = run_json(capsys, ["factorize", noon_file(tmp_path, n)])
+    assert code == 0 and report["status"] == "pass"
+    assert report["max_amplitude_deviation"] <= 1e-13
+    assert report["round_trip_fidelity"] >= 1.0 - 1e-12
 
 
 def test_simulate_double_checks_against_the_noon_target(tmp_path, capsys):
@@ -722,6 +734,15 @@ def test_yield_table_adjudication_edge_cases(capsys):
     assert "confirmed_reading=ambiguous" in capsys.readouterr().out
     cli.main(["yield-table", "4"])
     assert "confirmed_reading=factorial" in capsys.readouterr().out
+
+
+def test_adjudication_names_the_linear_reading_and_none():
+    # Simulated yields the chain never gives: the linear formula's own
+    # value at N = 4, and one that matches neither formula
+    linear = cli._adjudicate_double_reading({4: yield_noon_double_linear(4)})
+    assert linear.startswith("confirmed_reading=linear; ")
+    assert cli._adjudicate_double_reading({4: 0.5}) == (
+        "confirmed_reading=none; no candidate formula matches simulation")
 
 
 def test_fringe_output(capsys):
@@ -997,8 +1018,9 @@ print(int(dev <= 1e-9), tracemalloc.get_traced_memory()[1])
 def test_factorize_beyond_the_float_range_of_the_factorials(kind, n, tmp_path):
     # k! (n - k)! leaves the float range from n = 171 on.  Each run prints
     # a report, or one error line with exit code 1; never a traceback.  The
-    # NOON round trip at 171 is 0.67 off in amplitude, and says so.
-    expected = {("noon", 171): 2, ("generic", 200): 0, ("noon", 200): 1}
+    # NOON round trip at 171 passes its own check in Leja order (it was
+    # 0.67 off in amplitude in the sorted order, and said so with exit 2).
+    expected = {("noon", 171): 0, ("generic", 200): 0, ("noon", 200): 1}
     if kind == "noon":
         path = noon_file(tmp_path, n)
     else:
@@ -1059,12 +1081,13 @@ def test_factorize_names_a_leading_coefficient_too_small_to_divide_by(n,
 def test_factorize_reports_the_round_trip_of_its_own_product(tmp_path,
                                                              capsys):
     # The report reads the product factorize_target built; the fidelity is
-    # that of reconstruct on the printed factor set, to the bit.
+    # that of reconstruct on the printed factor set, to the bit, both taken
+    # over the N + 1 coefficients of the target's sector.
     rng = np.random.default_rng(24)
     v = rng.standard_normal(25) + 1j * rng.standard_normal(25)
     path = write_target(tmp_path, 24, v / np.linalg.norm(v))
     code, report = run_json(capsys, ["factorize", path])
     target = cli._load_target(path)
     fs = factorize_target(target)
-    want = overlap_fidelity(reconstruct(fs), state_of_target(target))
+    want = _fidelity(reconstruct(fs).amps[_sector(24)], np.array(target.coeffs))
     assert code == 0 and report["round_trip_fidelity"] == want

@@ -11,6 +11,8 @@ import pytest
 from pathent.factorize import (
     FactorSet,
     TargetSpec,
+    _leja,
+    _leja_order,
     _monomial_scales,
     _polish_roots,
     _wrap_angle,
@@ -35,7 +37,8 @@ from pathent.fock import (
 )
 from helpers import (assert_angle_multisets_close, needs_long_double,
                      random_target, reference_abs_polynomial,
-                     reference_monomial_coeffs, reference_polish_roots)
+                     reference_leja_order, reference_monomial_coeffs,
+                     reference_polish_roots)
 
 
 def test_target_spec_normalizes():
@@ -223,6 +226,13 @@ def test_all_zero_vector_rejected():
         find_factor_angles([0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("d", [[1.0], [], [[1.0, 2.0], [3.0, 4.0]]])
+def test_find_factor_angles_needs_two_coefficients(d):
+    with pytest.raises(ValueError,
+                       match="^need at least two monomial coefficients$"):
+        find_factor_angles(d)
+
+
 @pytest.mark.parametrize("d,k", [
     ([math.nan, 0.0, 1.0], 0),  # two-term branch: was NaN angles
     ([1.0, 0.0, math.inf], 2),  # two-term branch: was NaN phases
@@ -289,6 +299,33 @@ def test_degree_deficiency_gives_infinite_roots(n, zeros):
     angles = find_factor_angles(monomial_coeffs(TargetSpec(n, coeffs)))
     assert len(angles) == n
     assert sum(1 for th, ph in angles if th == math.pi / 2) == zeros
+
+
+def test_normalization_refuses_a_target_orthogonal_to_the_product():
+    # a† |0> = |1, 0> against the target |0, 1>
+    with pytest.raises(ValueError,
+                       match="^factor product is orthogonal to the target$"):
+        normalization([(0.0, 0.0)], TargetSpec(1, [1.0, 0.0]))
+
+
+def test_normalization_names_a_squared_norm_past_the_float_range():
+    # NOON's product has squared norm 2 N! / 2^N, 1e315 at N = 200
+    with pytest.raises(ValueError, match="^factor product's squared norm "
+                                         "overflows floats$"):
+        normalization(noon_factor_angles(200))
+
+
+def test_factor_product_norm_is_at_least_one():
+    # ||prod_k f_k |0>||^2 is the permanent of the Gram matrix of the
+    # factors' unit mode vectors (cos theta, -e^{i phi} sin theta), which
+    # is positive semidefinite with unit diagonal, so by Marcus's
+    # inequality at least 1: no finite angles annihilate the vacuum.
+    rng = np.random.default_rng(33)
+    for n in range(1, 40):
+        angles = list(zip(rng.uniform(0.0, math.pi / 2, n),
+                          rng.uniform(-math.pi, math.pi, n)))
+        angles[:n // 3] = [angles[0]] * (n // 3)  # repeated factors too
+        assert normalization(angles)[0] >= 1.0 - 1e-12
 
 
 def test_normalization_single_photon():
@@ -487,7 +524,8 @@ def test_root_finder_memory_at_n_256():
 def test_root_finder_is_the_np_roots_route_list_for_list(lo):
     # find_factor_angles builds np.roots' companion matrix from the ratios
     # its overflow check takes, and appends the lo roots at 0 itself: the
-    # same roots bit for bit, so the same list as np.roots and the polish.
+    # same roots bit for bit, so the same list as np.roots and the polish,
+    # put in Leja order.
     # Dense and sparse middles (signed zeros in the companion row), and 0,
     # 1 or 4 vanishing top coefficients, the theta = pi/2 factors.
     rng = np.random.default_rng(40 + lo)
@@ -505,7 +543,7 @@ def test_root_finder_is_the_np_roots_route_list_for_list(lo):
                 sparse = np.where(keep, d, 0.0)
                 if np.count_nonzero(sparse) < 3:
                     continue
-                want = (_root_finder_angles(sparse[:m + 1])
+                want = (_leja(_root_finder_angles(sparse[:m + 1]))
                         + [(math.pi / 2, 0.0)] * top)
                 assert find_factor_angles(sparse) == want, (n, top)
 
@@ -531,7 +569,10 @@ def test_two_term_closed_form_matches_root_finder():
             d[m] = (10.0 ** rng.uniform(-3.0, 3.0)
                     * np.exp(2j * math.pi * rng.uniform()))
             angles = find_factor_angles(d)
-            assert angles[:lo] == [(0.0, 0.0)] * lo
+            # the order cached per (lo, m - lo) is the greedy one on these
+            # roots, and the lo roots at 0 come last
+            assert angles == _leja(sorted(angles))
+            assert angles[m - lo:] == [(0.0, 0.0)] * lo
             assert_angle_multisets_close(angles, _root_finder_angles(d),
                                          tol=1e-12)
 
@@ -540,8 +581,45 @@ def test_two_term_closed_form_matches_root_finder():
 def test_noon_target_factors_are_the_closed_form_bit_for_bit(n):
     angles = noon_factor_angles(n)
     assert find_factor_angles(monomial_coeffs(noon_target(n))) == angles
-    assert angles == sorted(
-        (math.pi / 4, _wrap_angle((2 * k + 1) * math.pi / n)) for k in range(n))
+    assert angles == _leja(sorted(
+        (math.pi / 4, _wrap_angle((2 * k + 1) * math.pi / n)) for k in range(n)))
+
+
+@pytest.mark.parametrize("bits", range(8))
+def test_leja_order_of_2_to_the_k_noon_roots_is_bit_reversal(bits):
+    # The odd 2N-th roots of unity in sorted order are N points equally
+    # spaced on the circle; for N = 2^k their Leja order from the first is
+    # the bit-reversal (van der Corput) order of the sort positions.
+    n = 2 ** bits
+    got = noon_factor_angles(n)
+    by_phi = sorted(got)
+    reversal = [int(format(i, f"0{bits}b")[::-1] or "0", 2) for i in range(n)]
+    assert got == [by_phi[i] for i in reversal]
+
+
+def test_leja_order_is_the_reference_greedy():
+    # Random clouds of 2 to 64 points, with repeated points and zeros, and
+    # the factor roots of random targets, against the plain-loop greedy.
+    rng = np.random.default_rng(31)
+    for size in range(2, 65):
+        z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        z *= 10.0 ** rng.uniform(-3.0, 3.0, size)
+        z[rng.uniform(size=size) < 0.2] = 0.0
+        copies = rng.integers(0, size, size // 4 + 1)
+        z[copies[1:]] = z[copies[0]]
+        assert _leja_order(z) == reference_leja_order(z), size
+    for n in (3, 9, 32, 64):
+        angles = find_factor_angles(monomial_coeffs(random_target(rng, n)))
+        z = [math.tan(t) * cmath.exp(1j * p) for t, p in sorted(angles)]
+        assert angles == [sorted(angles)[i] for i in reference_leja_order(z)]
+
+
+def test_leja_order_of_repeated_points_takes_no_log_of_zero():
+    # Every warning is an error here; the copies of a point rank by how
+    # many of them are taken.
+    z = np.array([1.0, 1.0, 1.0, -1.0, -1.0, 0.0, 0.0, 0.0])
+    assert _leja_order(z) == [0, 3, 5, 1, 4, 6, 2, 7]
+    assert _leja_order(np.zeros(4)) == [0, 1, 2, 3]
 
 
 def test_two_term_closed_form_outside_the_float_range():

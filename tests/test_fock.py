@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -862,6 +863,41 @@ def test_density_rejects_a_negative_cutoff():
         TwoModeDensity.from_sectors(np.zeros((0, 0, 0)))
     with pytest.raises(ValueError, match="cube"):
         TwoModeDensity.from_sectors(np.zeros((2, 3, 3)))
+
+
+def test_density_rejects_a_matrix_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"^expected 3x3 matrix, got \(2, 2\)$"):
+        TwoModeDensity(1, np.eye(2))
+
+
+@pytest.mark.parametrize("scale,trace", [(2.0, "6.0"), (-1.0, "-3.0")])
+def test_density_validate_rejects_a_trace_outside_0_1(scale, trace):
+    # Finite and Hermitian, so the trace is the first check to fail
+    rho = TwoModeDensity(1, scale * np.eye(3))
+    with pytest.raises(ValueError, match=rf"^trace {trace} outside \[0, 1\]$"):
+        rho.validate()
+
+
+def test_states_reject_a_negative_cutoff_and_a_wrong_amplitude_count():
+    with pytest.raises(ValueError, match="^cutoff must be non-negative$"):
+        TwoModeState(-1, np.zeros(0))
+    with pytest.raises(ValueError, match=r"^expected 3 amplitudes for cutoff "
+                                         r"1, got shape \(2,\)$"):
+        TwoModeState(1, np.zeros(2))
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub],
+                         ids=["add", "sub"])
+def test_state_sums_reject_other_types_and_cutoffs(op):
+    with pytest.raises(TypeError):
+        op(vacuum(1), 1.0)
+    with pytest.raises(ValueError, match="^cutoff mismatch$"):
+        op(vacuum(1), vacuum(2))
+
+
+def test_overlap_fidelity_rejects_a_cutoff_mismatch():
+    with pytest.raises(ValueError, match="^cutoff mismatch$"):
+        overlap_fidelity(vacuum(1), vacuum(2))
 
 
 def test_from_sectors_drops_entries_outside_the_corners():

@@ -1,7 +1,45 @@
 """Byte-exact CLI reports, pinned by the SHA-256 of their stdout.
 
 A refactor of the numerics must leave every printed digit unchanged.  The
-last hashes re-recorded are the three below, when the root finder's Newton
+last hashes re-recorded are the seven below, when ``find_factor_angles``
+began to return the finite factors in greedy Leja order of their roots
+instead of sorted by (theta, phi); ``noon_factor_angles``, ``simulate``,
+``factorize`` and ``yield-table`` take that order.  Every report prints the
+same multiset of factors; the chain applies them in the new order, so each
+block's probability is that of another factor, and the sums round anew.
+Old -> new:
+
+    factorize_target6       20780c6e6ae2... -> 4b260a268b88...
+        the factor rows reordered; normalization 22.914987812333763 ->
+        22.91498781233377, max_amplitude_deviation 3.34e-16 -> 3.38e-16
+    simulate_noon8          01b241a4bf0a... -> d96b77478605...
+        factors and block probabilities reordered; total_yield
+        1.8775463104248047e-05 -> 1.877546310424805e-05, the two kets'
+        amplitudes move by 4.1e-17, max_amplitude_deviation 5.67e-16 ->
+        5.71e-16
+    simulate_noon32         ff0ad955f3a5... -> e5ccc8ddc488...
+        max_amplitude_deviation 9.21e-14 at [13, 19] -> 1.69e-15 at
+        [0, 32]: the sorted order's partial products grew and cancelled;
+        total_yield moves by 1.9e-15 (relative)
+    simulate_real4          a790bea60903... -> 44326d7843b3...
+        max_amplitude_deviation 1.11e-16 at [2, 2] -> 8.0e-17 at [3, 1];
+        total_yield moves by 3.9e-16 (relative)
+    simulate_target6        9459bb5de267... -> e75832566e97...
+        fidelity_vs_target 1 -> 0.9999999999999999, max_amplitude_deviation
+        3.38e-16 at [1, 5] -> 3.33e-16 at [6, 0]
+    simulate_target32       37e2f4ab3408... -> 176573b87b27...
+        max_amplitude_deviation 7.01e-16 at [15, 17] -> 4.32e-16 at
+        [18, 14]; final amplitudes move by at most 6.9e-16
+    yield_table_8           01eab9788413... -> d06218f4e98d...
+        the p_single_simulated cells of N = 4 to 8 move, by at most
+        7.2e-16 (relative)
+
+The doubled reports, ``fringe_4_16`` and ``oracle_check`` kept their
+hashes: the doubled chain pairs its own phases, and neither ``fringe`` nor
+``oracle-check`` factors a target.
+
+Before that, the last hashes re-recorded were the three below, when the
+root finder's Newton
 polish began to evaluate p and p' from blocks of running powers in z, or
 in w = 1/z on the reversed polynomial for |z| > 1, instead of Horner's
 rule in z (which overflowed past |z|^N ~ 1e308).  Old -> new, with the
@@ -274,27 +312,27 @@ def _noon(n):
 
 GOLDEN = {
     "simulate_noon8": (["simulate", "{noon8}"],
-        "01b241a4bf0a7eb00cbfe36e200fec9a5d1094fc72e5c750b0044662164e30c1"),
+        "d96b77478605b2aa7b494b9a4d48e117f79b6e49d47893ed677f77872400e160"),
     "simulate_noon8_double": (["simulate", "{noon8}", "--double"],
         "2870fa56bf430b777e343e1be4b2eb2fd79d254eb4e673a73b94e2940406c79a"),
     "simulate_target6": (["simulate", "{target6}"],
-        "9459bb5de267cec9d3d461c0021587ebc9eb5ddaa3bbe9b9f95736dbdc03d10a"),
+        "e75832566e9780e060e16d1c0cfe3e0596986048239244307d0e9f6c936ac172"),
     "factorize_target6": (["factorize", "{target6}"],
-        "20780c6e6ae20d7a623285479cd36f85f3dbdd17025aeb22c914720e5ab4a84c"),
+        "4b260a268b88a53de8a3fc9a217f3a904269bd36e43aff8d3d0d600c7e402c78"),
     "oracle_check": (["oracle-check", "--trials", "5"],
         "d99e3d6225d0505a7c6fc8edb201f6df5f0daf8982b9748b142d267e6afd5c87"),
     "yield_table_8": (["yield-table", "8"],
-        "01eab9788413d9853001ae96b7f8f7c054ffec9c60dd3a57c2ac7a07d7e9c8fe"),
+        "d06218f4e98dfd3bff72984eb6727efe3f18745437ba4754c04713d44c8e5352"),
     "fringe_4_16": (["fringe", "4", "16"],
         "d1eb175efe25eb2109b1ca919f9b3f5541685620881ec71cd2f9c715f1a51f54"),
     "simulate_noon32": (["simulate", "{noon32}"],
-        "ff0ad955f3a532fd11d7f7ebe0fdbf70ccd18e8cda3740dac63adb764a1ec11d"),
+        "e5ccc8ddc488c652cfa668c722e432cb93c81b1c8764e560ce021bd3078685d6"),
     "simulate_noon32_double": (["simulate", "{noon32}", "--double"],
         "d55cf61cbc91676f0e00337f5e101e4e0bae41e76ee582f1a8cbe8c952e61a36"),
     "simulate_target32": (["simulate", "{target32}"],
-        "37e2f4ab3408993efcf9d0b6d3e416ffe2d0201f0380c80a73161857e28ef66f"),
+        "176573b87b274778cea59790fad864caf1718f4a130d4e15525bd6684d4829b7"),
     "simulate_real4": (["simulate", "{real4}"],
-        "a790bea6090305241171c8b18a0eebb1839f5ab7738b63ebc7dc0e6506bf633a"),
+        "44326d7843b38d79c3d55c82c1864b1f092d6c963f1c0d738e791a680e90517e"),
 }
 
 

@@ -261,6 +261,12 @@ def test_dominant_frequency_of_constant_is_zero():
     assert dominant_fringe_frequency(sweep) == 0
 
 
+def test_dominant_frequency_of_one_sample_is_zero():
+    # one sample has only the constant Fourier component
+    sweep = FringeSweep(1, np.zeros(1), np.array([0.7]))
+    assert dominant_fringe_frequency(sweep) == 0
+
+
 @pytest.mark.parametrize("n", [3, 8, 16, 32])
 def test_exposure_is_a_product_of_one_photon_fringes(n):
     # The heralded yield at T_k = 1/k times the N-photon rate of the chain's
