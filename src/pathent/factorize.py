@@ -2,15 +2,16 @@
 
 Any state sum_k c_k |k, N-k> is, up to normalization, a product of N
 operators of the form cos(theta) a† - e^{i phi} sin(theta) b† acting on
-vacuum.  Writing d_k = c_k / sqrt(k! (N-k)!), the ratios e^{i phi} tan(theta)
-are the roots of the polynomial sum_k d_k z^k; vanishing leading d's push
-the corresponding roots to infinity, which is the pure b†-adding factor
-theta = pi/2, phi = 0.
+vacuum.  Writing d_k = c_k / sqrt(k! (N-k)!), up to one constant factor
+(``monomial_coeffs``), the ratios e^{i phi} tan(theta) are the roots of the
+polynomial sum_k d_k z^k; vanishing leading d's push the corresponding
+roots to infinity, which is the pure b†-adding factor theta = pi/2, phi = 0.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -79,21 +80,29 @@ class TargetSpec:
 class FactorSet:
     """Angles (theta_k, phi_k) of the factor product, plus bookkeeping.
 
-    ``normalization`` is the squared norm of the raw factor product on
-    vacuum; ``global_phase`` is the unimodular number by which the phase-
-    aligned reconstruction must divide the raw product, so that
-    raw / (sqrt(normalization) * global_phase) reproduces the target.  A
-    normalization that is not finite and positive, or a global phase that
-    is not finite or whose modulus is more than 1e-12 off 1, is refused.
+    ``normalization`` is the squared norm A of the raw factor product on
+    vacuum, inf once A leaves the float range, and ``log10_normalization``
+    is log10 A, taken from ``normalization`` when not given.
+    ``global_phase`` is the unimodular number by which the phase-aligned
+    reconstruction must divide the raw product, so that
+    raw / (sqrt(A) * global_phase) reproduces the target.  A normalization
+    that is not finite and positive (or inf with a finite log), or a global
+    phase that is not finite or whose modulus is more than 1e-12 off 1, is
+    refused.
     """
 
     factors: tuple[tuple[float, float], ...]
     normalization: float
     global_phase: complex = 1.0
+    log10_normalization: float | None = None
 
     def __post_init__(self):
         n_sq, g = self.normalization, complex(self.global_phase)
-        if not (math.isfinite(n_sq) and n_sq > 0.0):
+        log10 = self.log10_normalization
+        if log10 is None and 0.0 < n_sq < math.inf:
+            log10 = math.log10(n_sq)
+            object.__setattr__(self, "log10_normalization", log10)
+        if not (n_sq > 0.0 and log10 is not None and math.isfinite(log10)):
             raise ValueError(
                 f"normalization must be finite and positive, got {n_sq}")
         if not cmath.isfinite(g):
@@ -108,44 +117,28 @@ class FactorSet:
 
 
 def monomial_coeffs(target: TargetSpec) -> np.ndarray:
-    """d_k = c_k / sqrt(k! (n - k)!), the generating-polynomial coefficients.
-
-    A product k! (n - k)! past the float range is shifted right by an even
-    2e bits for its square root, and the quotient scaled by 2^-e.  The
-    square roots and shifts of every k depend on n alone and are computed
-    once per n (``_monomial_scales``); each c_k is then divided by its
-    square root as a Python complex and scaled by its power of two, which
-    is exact, and a no-op for the unshifted k.
-    A target whose every d_k underflows to 0 is rejected with a ValueError.
+    """d_k = c_k sqrt(C(n, k) / C(n, n // 2)), the generating-polynomial
+    coefficients: c_k / sqrt(k! (n - k)!) times a constant, which moves no
+    root.  Each scale is one correctly rounded division of exact integers,
+    at most 1 and a normal float up to n = 1027, and is cached per n.  A
+    target whose every d_k underflows to 0 is rejected with a ValueError.
     """
     n = target.n_photons
-    roots, shifts = _monomial_scales(n)
-    d = np.array([c / r for c, r in zip(target.coeffs, roots)], dtype=complex)
-    d.real = np.ldexp(d.real, shifts)
-    d.imag = np.ldexp(d.imag, shifts)
+    d = np.array(target.coeffs) * _binomial_scales(n)
     if not d.any():
-        raise ValueError(
-            f"every d_k = c_k / sqrt(k! (N - k)!) underflows to 0 at N = {n}")
+        raise ValueError(f"every d_k = c_k sqrt(C(N, k) / C(N, N // 2)) "
+                         f"underflows to 0 at N = {n}")
     return d
 
 
 @lru_cache(maxsize=32)
-def _monomial_scales(n: int) -> tuple[tuple[float, ...], np.ndarray]:
-    """sqrt(k! (n - k)! >> 2 e_k) and -e_k for k = 0..n.
-
-    e_k = 0 while k! (n - k)! fits in a float, which holds up to n = 170.
-    """
-    roots, shifts = [], []
-    f = math.factorial(n)
-    for k in range(n + 1):
-        if k:
-            f = f * k // (n - k + 1)  # k! (n - k)!, exactly
-        e = max(f.bit_length() - 1022, 0) // 2
-        roots.append(math.sqrt(f >> 2 * e))
-        shifts.append(-e)
-    shifts = np.array(shifts)
-    shifts.setflags(write=False)  # shared by every caller of the cache
-    return tuple(roots), shifts
+def _binomial_scales(n: int) -> np.ndarray:
+    mid = math.comb(n, n // 2)
+    combs = itertools.accumulate(range(n), lambda c, k: c * (n - k) // (k + 1),
+                                 initial=1)  # C(n, k), exactly
+    scales = np.sqrt([c / mid for c in combs])
+    scales.setflags(write=False)  # shared by every caller of the cache
+    return scales
 
 
 # Highest power of a block of the polish: at N <= 64 the values of p and p'
@@ -390,24 +383,34 @@ def _single_table(angles) -> np.ndarray:
     return table
 
 
-def apply_factors(angles) -> TwoModeState:
-    """Raw factor product on vacuum at cutoff len(angles), unnormalized.
+def apply_factors(angles) -> tuple[TwoModeState, int]:
+    """Raw factor product on vacuum at cutoff len(angles), unnormalized, as
+    (state, e): the product is state * 2^e.
 
     After k factors the product is sum_j x_j |j, k - j>, one photon-number
     sector, so it is run on those k + 1 coefficients alone.  The factor
     with row (b, a) of ``_single_table`` maps them to the k + 2
         y_j = a sqrt(j) x_{j-1} + b sqrt(k+1-j) x_j,
-    and the result is embedded at cutoff N once, at the end.
+    and the result is embedded at cutoff N once, at the end.  Every 16
+    factors, a largest |x_j| above 2^256 is brought below 1 by an exact
+    power of two, whose exponent e carries.  A factor grows the largest
+    |x_j| by at most sqrt(2 (k + 1)), so nothing overflows between checks,
+    and |x|^2 <= k!, so a product of at most 98 factors is never rescaled.
     """
     table = _single_table(list(angles)).tolist()
     sqrt_n = np.sqrt(np.arange(len(table) + 1.0))
-    x = np.ones(1, dtype=complex)
+    x, e = np.ones(1, dtype=complex), 0
     for k, (b, a) in enumerate(table, start=1):
         y = np.zeros(k + 1, dtype=complex)
         y[1:] = a * (x * sqrt_n[1:k + 1])
         y[:-1] += b * (x * sqrt_n[k:0:-1])
         x = y
-    return _sector_state(x)
+        if k % 16 == 0:
+            shift = math.frexp(np.abs(x).max())[1]
+            if shift > 256:
+                x *= 2.0 ** -shift
+                e += shift
+    return _sector_state(x), e
 
 
 def _finite_angles(name: str, angles) -> list:
@@ -425,19 +428,28 @@ def normalization(angles,
 
     Returns (N, g) where N = |product|^2 and g is unimodular with
     product / (sqrt(N) g) matching the target's phase; g = 1 when no target
-    is given.  A factor with a non-finite angle is refused.
+    is given.  A factor with a non-finite angle is refused, and so is an N
+    past the float range.
     """
-    return _product_normalization(
-        apply_factors(_finite_angles("angles", angles)), target)
+    n_sq, _, g = _product_normalization(
+        *apply_factors(_finite_angles("angles", angles)), target)
+    if n_sq == math.inf:
+        raise ValueError("factor product's squared norm overflows floats")
+    return n_sq, g
 
 
-def _product_normalization(raw: TwoModeState,
-                           target: TargetSpec | None) -> tuple[float, complex]:
-    # n_sq is never 0: it is the permanent of the factors' Gram matrix,
+def _product_normalization(raw: TwoModeState, e: int,
+                           target: TargetSpec | None
+                           ) -> tuple[float, float, complex]:
+    """A = |raw 2^e|^2, inf past the float range, log10 A and the phase g."""
+    # A is never 0: it is the permanent of the factors' Gram matrix,
     # whose diagonal is all ones, so at least 1 (Marcus's inequality)
     n_sq = raw.norm_sq()
-    if not math.isfinite(n_sq):
-        raise ValueError("factor product's squared norm overflows floats")
+    log10 = math.log10(n_sq) + 2 * e * math.log10(2.0)
+    try:
+        n_sq = math.ldexp(n_sq, 2 * e)
+    except OverflowError:
+        n_sq = math.inf
     g = 1.0 + 0.0j
     if target is not None:
         t = state_of_target(target)
@@ -445,7 +457,7 @@ def _product_normalization(raw: TwoModeState,
         if abs(ov) == 0.0:
             raise ValueError("factor product is orthogonal to the target")
         g = ov / abs(ov)
-    return n_sq, g
+    return n_sq, log10, g
 
 
 def factorize_target(target: TargetSpec) -> FactorSet:
@@ -454,24 +466,27 @@ def factorize_target(target: TargetSpec) -> FactorSet:
 
 
 def _factorize(target: TargetSpec) -> tuple[FactorSet, TwoModeState]:
-    """``factorize_target``, and the raw factor product it is read from."""
+    """``factorize_target``, and the raw factor product it is read from,
+    scaled by a power of two."""
     angles = find_factor_angles(monomial_coeffs(target))
-    raw = apply_factors(angles)
-    n_sq, g = _product_normalization(raw, target)
-    return FactorSet(tuple(angles), n_sq, g), raw
+    raw, e = apply_factors(angles)
+    n_sq, log10, g = _product_normalization(raw, e, target)
+    return FactorSet(tuple(angles), n_sq, g, log10), raw
 
 
 def reconstruct(fs: FactorSet) -> TwoModeState:
     """Normalized, phase-aligned state produced by a factor set.
 
-    A factor with a non-finite angle is refused.
+    The product is divided by its own norm and ``fs.global_phase``.  A
+    factor with a non-finite angle is refused.
     """
-    return _aligned(apply_factors(_finite_angles("factors", fs.factors)), fs)
+    raw, _ = apply_factors(_finite_angles("factors", fs.factors))
+    return _aligned(raw, fs.global_phase)
 
 
-def _aligned(raw: TwoModeState, fs: FactorSet) -> TwoModeState:
-    """The raw factor product of ``fs``, normalized and phase-aligned."""
-    return raw / (math.sqrt(fs.normalization) * fs.global_phase)
+def _aligned(raw: TwoModeState, g: complex) -> TwoModeState:
+    """A factor product, normalized and divided by the phase g."""
+    return raw / (math.sqrt(raw.norm_sq()) * g)
 
 
 def state_of_target(target: TargetSpec) -> TwoModeState:

@@ -499,21 +499,16 @@ def rel_err(value, reference):
 
 
 def reference_monomial_coeffs(target):
-    """d_k = c_k / sqrt(k! (n - k)!), one k at a time.
+    """d_k = c_k sqrt(C(n, k) / C(n, n // 2)), one k at a time.
 
-    A product k! (n - k)! past the float range is shifted right by 2e bits
-    for its square root, and each part of the quotient scaled by 2^-e with
-    ``math.ldexp``: the loop ``monomial_coeffs`` replaces.
+    Each ratio is one division of the exact integers of ``math.comb``, its
+    square root a Python float, and d_k the Python complex product of c_k
+    with it.
     """
     n = target.n_photons
-    factorials = [math.factorial(k) for k in range(n + 1)]
-    d = np.empty(n + 1, dtype=complex)
-    for k, c in enumerate(target.coeffs):
-        f = factorials[k] * factorials[n - k]
-        e = max(f.bit_length() - 1022, 0) // 2
-        x = c / math.sqrt(f >> 2 * e)
-        d[k] = complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e))
-    return d
+    mid = math.comb(n, n // 2)
+    return np.array([c * math.sqrt(math.comb(n, k) / mid)
+                     for k, c in enumerate(target.coeffs)], dtype=complex)
 
 
 def reference_leja_order(z):

@@ -13,7 +13,8 @@ import pytest
 from pathent import cli
 from pathent.blocks import BlockOutcome, run_scheme
 from pathent.factorize import (FactorSet, TargetSpec, factorize_target,
-                               noon_factor_angles, reconstruct)
+                               monomial_coeffs, noon_factor_angles,
+                               noon_target, reconstruct)
 from pathent.fock import TwoModeState, _fidelity, _ket_index, _sector
 from pathent.yields import yield_generic, yield_noon_double_linear
 from helpers import reference_render
@@ -539,9 +540,11 @@ def _deviation_of_report(report, target):
         for entry in report["final_state"]:
             got[entry["ket"][0]] = complex(*entry["amplitude"])
     else:
+        # a null normalization is an A past the float range
         fs = FactorSet(tuple((f["theta"], f["phi"]) for f in report["factors"]),
-                       report["normalization"],
-                       complex(*report["global_phase"]))
+                       report["normalization"] or math.inf,
+                       complex(*report["global_phase"]),
+                       report["log10_normalization"])
         state = reconstruct(fs)
         got = np.array([state.amplitude(k, n - k) for k in range(n + 1)])
     overlap = np.vdot(target, got)
@@ -551,11 +554,11 @@ def _deviation_of_report(report, target):
 
 
 @pytest.mark.parametrize("command", ["simulate", "factorize"])
-@pytest.mark.parametrize("n,low,high", [(16, 5e-4, 2e-3), (32, 4e-3, 1e-2)])
+@pytest.mark.parametrize("n,low,high", [(16, 5e-5, 3e-4), (32, 2e-3, 8e-3)])
 def test_a_repeated_root_fails_its_own_check(command, n, low, high, tmp_path,
                                               capsys):
     # np.roots splits the n-fold root of (a† + b†)^n into a cluster, so the
-    # printed state is 9.6e-4 (n = 16) and 8.0e-3 (n = 32) off the target
+    # printed state is 1.1e-4 (n = 16) and 3.4e-3 (n = 32) off the target
     # (ROADMAP item 6); the report says so, names the ket and exits 2.
     code, report = run_json(capsys, [command, binomial_file(tmp_path, n)])
     assert code == 2 and report["status"] == "fail"
@@ -590,14 +593,19 @@ def test_simulate_prints_only_the_two_noon_kets(n, tmp_path, capsys):
         assert abs(abs(complex(*entry["amplitude"])) - SQ2) <= 1e-13
 
 
-@pytest.mark.parametrize("n", [128, 170])
+@pytest.mark.parametrize("n", [128, 170, 256, 512])
 def test_factorize_passes_its_own_check_on_noon(n, tmp_path, capsys):
-    # In Leja order the NOON round trip is within 1e-14 (9.3e-15 at 170);
-    # the sorted order was 2.5e-4 and 0.67 off, 1 - F = 4.6e-7 and 0.94
+    # In Leja order the NOON round trip is within 1e-13 (9.3e-15 at 170,
+    # 3.1e-14 at 512); the sorted order was 2.5e-4 and 0.67 off at 128
+    # and 170, 1 - F = 4.6e-7 and 0.94.  A = 2^(1-N) N! leaves the float
+    # range at N = 197: normalization prints null, its log stays.
     code, report = run_json(capsys, ["factorize", noon_file(tmp_path, n)])
     assert code == 0 and report["status"] == "pass"
     assert report["max_amplitude_deviation"] <= 1e-13
     assert report["round_trip_fidelity"] >= 1.0 - 1e-12
+    log10 = ((1 - n) * math.log(2.0) + math.lgamma(n + 1)) / math.log(10.0)
+    assert abs(report["log10_normalization"] - log10) <= 1e-12 * log10
+    assert (report["normalization"] is None) == (n >= 256)
 
 
 def test_simulate_double_checks_against_the_noon_target(tmp_path, capsys):
@@ -1019,8 +1027,10 @@ def test_factorize_beyond_the_float_range_of_the_factorials(kind, n, tmp_path):
     # k! (n - k)! leaves the float range from n = 171 on.  Each run prints
     # a report, or one error line with exit code 1; never a traceback.  The
     # NOON round trip at 171 passes its own check in Leja order (it was
-    # 0.67 off in amplitude in the sorted order, and said so with exit 2).
-    expected = {("noon", 171): 0, ("generic", 200): 0, ("noon", 200): 1}
+    # 0.67 off in amplitude in the sorted order, and said so with exit 2),
+    # and NOON at 200, whose A = 2^-199 200! is past the float range, prints
+    # its report with a null normalization (it exited 1 when A overflowed).
+    expected = {("noon", 171): 0, ("generic", 200): 0, ("noon", 200): 0}
     if kind == "noon":
         path = noon_file(tmp_path, n)
     else:
@@ -1053,29 +1063,63 @@ def test_factorize_a_target_whose_roots_reach_481(tmp_path, capsys):
     assert report["round_trip_fidelity"] >= 1.0 - 1e-9
 
 
-def test_factorize_names_the_underflow_of_every_monomial_coefficient(tmp_path):
-    # At NOON N = 400 both d_k = c_k / sqrt(k! (N - k)!) underflow to 0.
-    proc = _run_python("-m", "pathent", "factorize", noon_file(tmp_path, 400))
-    assert proc.returncode == 1 and proc.stdout == b""
-    assert proc.stderr == (b"error: every d_k = c_k / sqrt(k! (N - k)!) "
-                           b"underflows to 0 at N = 400\n")
+def test_factorize_names_the_underflow_of_every_monomial_coefficient():
+    # NOON's d_0 = d_N = 2^-1/2 sqrt(1 / C(N, N // 2)) are normal floats up
+    # to N = 1027 (with c_k / sqrt(k! (N - k)!) both underflowed at
+    # N = 400) and are 0 at N = 2200.  factorize refuses N > 1024 first, so
+    # the raise is reached in-process.
+    with pytest.raises(ValueError) as info:
+        monomial_coeffs(noon_target(2200))
+    assert str(info.value) == ("every d_k = c_k sqrt(C(N, k) / C(N, N // 2)) "
+                               "underflows to 0 at N = 2200")
 
 
 @pytest.mark.parametrize("n", [300, 330])
 def test_factorize_names_a_leading_coefficient_too_small_to_divide_by(n,
                                                                       tmp_path):
-    # Seeded random targets whose leading nonzero d_m is so small that
-    # d_k / d_m overflows: one error line that names the cause, with no
-    # numpy warning before it.
+    # Seeded random targets with c_N near 1e-272, so that d_N, below
+    # 1e-315, is subnormal and d_k / d_N overflows: one error line that
+    # names the cause, with no numpy warning before it.  (With
+    # c_k / sqrt(k! (N - k)!) the plain seeded targets failed so at
+    # N = 300; they now pass.)
     rng = np.random.default_rng(n)
     v = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-    path = write_target(tmp_path, n, v / np.linalg.norm(v))
-    proc = _run_python("-m", "pathent", "factorize", path)
+    v[n] = 1e-270
+    v /= np.linalg.norm(v)
+    proc = _run_python("-m", "pathent", "factorize", write_target(tmp_path, n, v))
     assert proc.returncode == 1 and proc.stdout == b""
-    assert proc.stderr.startswith(b"error: leading monomial coefficient d_")
-    assert b"is too small" in proc.stderr
+    assert proc.stderr == (f"error: leading monomial coefficient d_{n} is too "
+                           f"small: d_k / d_{n} overflows floats at N = {n}\n"
+                           ).encode()
     assert proc.stderr.count(b"\n") == 1, proc.stderr
     assert b"Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_factorize_round_trips_random_targets_past_the_float_range(n,
+                                                                   tmp_path,
+                                                                   capsys):
+    # Seeded random targets (8.7e-16 off at N = 512): every warning is an
+    # error here, A is past the float range and its log is printed
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    v /= np.linalg.norm(v)
+    code, report = run_json(capsys, ["factorize", write_target(tmp_path, n, v)])
+    assert code == 0 and report["status"] == "pass"
+    assert report["max_amplitude_deviation"] <= 1e-12
+    assert report["normalization"] is None
+    assert report["log10_normalization"] > 308.0
+    dev, ket = _deviation_of_report(report, v)
+    assert report["ket"] == ket
+    assert abs(report["max_amplitude_deviation"] - dev) <= 1e-15
+
+
+def test_factorize_refuses_1025_photons(tmp_path, capsys):
+    # the bound stated literally, so raising _FACTORIZE_N_MAX fails here
+    assert cli.main(["factorize", noon_file(tmp_path, 1025)]) == 1
+    assert capsys.readouterr().err == ("error: target file: field 'N' must "
+                                       "be at most 1024 for factorize, got "
+                                       "1025\n")
 
 
 def test_factorize_reports_the_round_trip_of_its_own_product(tmp_path,

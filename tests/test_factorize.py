@@ -11,9 +11,9 @@ import pytest
 from pathent.factorize import (
     FactorSet,
     TargetSpec,
+    _binomial_scales,
     _leja,
     _leja_order,
-    _monomial_scales,
     _polish_roots,
     _wrap_angle,
     apply_factors,
@@ -88,67 +88,60 @@ def test_monomial_coeffs_values():
     d = monomial_coeffs(TargetSpec(2, [1.0, 0.0, 0.0]))
     np.testing.assert_allclose(d[0], 1.0 / math.sqrt(2.0))
 
+    # c_k sqrt(C(4, k) / C(4, 2)): c / sqrt(k! (4 - k)!) times sqrt(4)
     d = monomial_coeffs(noon_target(4))
-    expected = 1.0 / (math.sqrt(2.0) * math.sqrt(24.0))
+    expected = 1.0 / (math.sqrt(2.0) * math.sqrt(6.0))
     np.testing.assert_allclose(d[0], expected)
     np.testing.assert_allclose(d[4], expected)
     np.testing.assert_allclose(d[1:4], 0.0, atol=1e-16)
 
 
 def test_monomial_coeffs_keep_their_bits_within_the_float_range():
-    # Up to n = 170 every k! (n - k)! fits in a float: the plain quotient,
-    # signed zeros included.
+    # Up to n = 1027 every scale sqrt(C(n, k) / C(n, n // 2)) is a normal
+    # float: the plain product of c_k with it, signed zeros included.
     rng = np.random.default_rng(170)
-    targets = [random_target(rng, n) for n in (1, 7, 64, 170)]
+    targets = [random_target(rng, n) for n in (1, 7, 64, 170, 1024, 1027)]
     targets.append(TargetSpec(3, [complex(-0.0, 0.5), complex(0.5, -0.0),
                                   0.0, -1.0]))
     for target in targets:
-        n = target.n_photons
-        want = np.array(
-            [c / math.sqrt(math.factorial(k) * math.factorial(n - k))
-             for k, c in enumerate(target.coeffs)], dtype=complex)
+        want = reference_monomial_coeffs(target)
         assert monomial_coeffs(target).tobytes() == want.tobytes()
 
 
 def test_monomial_coeffs_match_the_per_k_loop_bit_for_bit():
-    # The scales cached per N against the loop that computes every k on its
-    # own, at N = 1..400: through the shifted range N >= 171 and past the
-    # N where every d_k of a random target underflows.  Coefficients hold
+    # The scales cached per N against the loop that takes every ratio of
+    # math.comb's integers on its own, at N = 1..400 and at the edge of
+    # the normal range, N = 1027 and 1028, and past it.  Coefficients hold
     # exact and signed zeros; bytes are compared, so sign bits count.
     rng = np.random.default_rng(400)
-    shifted_signed_zeros = underflowed = 0
-    for n in range(1, 401):
+    signed_zeros = 0
+    for n in [*range(1, 401), 1027, 1028, 1100]:
         v = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
         v[rng.random(n + 1) < 0.2] = 0.0
         v.real[rng.random(n + 1) < 0.2] = -0.0
         v.imag[rng.random(n + 1) < 0.2] = -0.0
         target = TargetSpec(n, v)
         want = reference_monomial_coeffs(target)
-        if not want.any():
-            underflowed += 1
-            with pytest.raises(ValueError, match="underflows to 0"):
-                monomial_coeffs(target)
-            continue
         assert monomial_coeffs(target).tobytes() == want.tobytes(), n
         parts = want.view(float)
-        if n >= 171:
-            shifted_signed_zeros += np.count_nonzero(
-                (parts == 0.0) & np.signbit(parts))
-    assert shifted_signed_zeros > 0 and underflowed > 0
-    assert _monomial_scales.cache_info().maxsize is not None
-    with pytest.raises(ValueError, match="underflows to 0 at N = 400"):
-        monomial_coeffs(noon_target(400))
+        signed_zeros += np.count_nonzero((parts == 0.0) & np.signbit(parts))
+    assert signed_zeros > 0
+    assert _binomial_scales.cache_info().maxsize is not None
 
 
-@pytest.mark.parametrize("n", [171, 200, 300])
+@pytest.mark.parametrize("n", [171, 200, 300, 1027])
 def test_monomial_coeffs_beyond_the_float_range(n):
-    # d_k^2 k! (n - k)! = c_k^2 in exact rational arithmetic, to a few ulps.
+    # k! (n - k)! leaves the float range from n = 171 on; the scales do not:
+    # d_k^2 C(n, n // 2) = c_k^2 C(n, k) in exact rational arithmetic, to
+    # a few ulps, with every d_k / c_k a normal float at most 1.
     target = TargetSpec(n, [1.0] * (n + 1))
     c = Fraction(target.coeffs[0].real)
+    mid = math.comb(n, n // 2)
     for k, d in enumerate(monomial_coeffs(target)):
         assert d.imag == 0.0 and d.real > 0.0
-        f = math.factorial(k) * math.factorial(n - k)
-        assert abs(float(Fraction(d.real) ** 2 * f / c ** 2) - 1.0) < 1e-15
+        assert np.finfo(float).tiny <= d.real / float(c) <= 1.0
+        ratio = Fraction(d.real) ** 2 * mid / (c ** 2 * math.comb(n, k))
+        assert abs(float(ratio) - 1.0) < 1e-15
 
 
 @pytest.mark.parametrize("theta,phi,scale", [
@@ -279,6 +272,29 @@ def test_factor_set_refuses_a_bad_normalization_or_phase(field, value,
     assert str(info.value) == message
 
 
+def test_factor_set_carries_a_normalization_past_the_float_range():
+    # inf stands for an A past the float range only next to a finite log
+    fs = FactorSet(((0.1, 0.2),), 4.0)
+    assert fs.log10_normalization == math.log10(4.0)
+    big = FactorSet(((0.1, 0.2),), math.inf, 1.0, 400.0)
+    assert big.normalization == math.inf and big.log10_normalization == 400.0
+    for log10 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^normalization must be finite"):
+            FactorSet(((0.1, 0.2),), math.inf, 1.0, log10)
+
+
+@pytest.mark.parametrize("n,rescaled", [(98, False), (112, True)])
+def test_apply_factors_rescales_only_past_98_factors(n, rescaled):
+    # a†^n |0> = sqrt(n!) |n, 0>: |x|^2 <= k! stays below 2^512 up to
+    # k = 98, and the first check past it, at k = 112, rescales; the
+    # amplitude times 2^e is sqrt(n!) all the same
+    raw, e = apply_factors([(0.0, 0.0)] * n)
+    amp = raw.amplitude(n, 0)
+    assert (e > 0) == rescaled and amp.imag == 0.0
+    log2 = math.log2(amp.real) + e
+    assert abs(log2 - math.lgamma(n + 1) / (2 * math.log(2.0))) < 1e-13 * log2
+
+
 def test_factor_set_takes_back_its_printed_phase():
     # factorize prints the phase to 17 digits; read back, its modulus is
     # within an ulp or two of 1, and the factor set rebuilds the target
@@ -354,7 +370,8 @@ def test_normalization_equals_raw_norm():
     for n in (2, 4, 6):
         t = random_target(rng, n)
         fs = factorize_target(t)
-        raw = apply_factors(fs.factors)
+        raw, e = apply_factors(fs.factors)
+        assert e == 0
         assert abs(raw.norm_sq() - fs.normalization) < 1e-9 * fs.normalization
 
 
@@ -370,8 +387,8 @@ def test_apply_factors_matches_the_simplex_ladder(n):
     want = vacuum(n)
     for theta, phi in angles:
         want = apply_linear_factor(want, theta, phi)
-    got = apply_factors(angles)
-    assert got.cutoff == n
+    got, e = apply_factors(angles)
+    assert got.cutoff == n and e == 0
     assert np.abs(got.amps - want.amps).max() <= 1e-13 * np.abs(want.amps).max()
 
 
@@ -647,7 +664,7 @@ def test_noon4_phases():
 @pytest.mark.parametrize("n", range(2, 7))
 def test_noon_angles_reconstruct_noon_state(n):
     n_sq, _ = normalization(noon_factor_angles(n))
-    raw = apply_factors(noon_factor_angles(n))
+    raw, _ = apply_factors(noon_factor_angles(n))
     fid = overlap_fidelity(raw, noon_state(n))
     assert fid >= 1.0 - 1e-9
     assert abs(raw.norm_sq() - n_sq) < 1e-12 * n_sq
@@ -668,7 +685,7 @@ def test_angle_roundtrip_on_separated_factors():
                 break
         angles = list(zip(thetas, phis))
         n_sq, _ = normalization(angles)
-        state = apply_factors(angles) / math.sqrt(n_sq)
+        state = apply_factors(angles)[0] / math.sqrt(n_sq)
         recovered = find_factor_angles(monomial_coeffs(target_of_state(state)))
         assert_angle_multisets_close(recovered, angles, tol=1e-7)
 

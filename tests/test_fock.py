@@ -452,7 +452,7 @@ def test_pair_oracle_keeps_a_non_finite_amplitude_in_its_block(cutoff):
 
 
 @pytest.mark.parametrize("kappa", MIX_KAPPAS + [0.7 + 4 * math.pi])
-def test_sector_blocks_are_the_recursion_byte_for_byte(kappa):
+def test_sector_blocks_are_the_recursion_within_2e_14(kappa):
     # The stack from the eigenpairs holds each block of the per-sector
     # balanced recursion, reversed on both axes, within 2e-14 (9.4e-15
     # measured at cutoff 128), and +0 around the blocks.  Every sector up
@@ -473,7 +473,7 @@ def test_sector_blocks_are_the_recursion_byte_for_byte(kappa):
 
 
 @pytest.mark.parametrize("kappa", MIX_KAPPAS + [0.7 + 4 * math.pi])
-def test_mix_is_the_reference_byte_for_byte(kappa):
+def test_mix_is_the_reference_within_4e_15(kappa):
     # beam_splitter against the balanced recursion's blocks, on complex and
     # real amplitudes normalized to 1: within 4e-15 (6.7e-16 measured).
     rng = np.random.default_rng(41)

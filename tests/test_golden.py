@@ -1,10 +1,46 @@
 """Byte-exact CLI reports, pinned by the SHA-256 of their stdout.
 
 A refactor of the numerics must leave every printed digit unchanged.  The
-last hashes re-recorded are the seven below, when ``find_factor_angles``
-began to return the finite factors in greedy Leja order of their roots
-instead of sorted by (theta, phi); ``noon_factor_angles``, ``simulate``,
-``factorize`` and ``yield-table`` take that order.  Every report prints the
+last hashes re-recorded are the four below, when ``monomial_coeffs`` began
+to scale each c_k by sqrt(C(N, k) / C(N, N // 2)) instead of dividing it by
+sqrt(k! (N - k)!).  The two differ by the constant sqrt(N! / C(N, N // 2)),
+so the roots are the same in exact arithmetic, but the ratios -d_k / d_N of
+the companion matrix round anew.  A NOON target keeps d_0 / d_N = 1
+exactly and is factored in closed form, and the doubled chain,
+``yield-table``, ``fringe`` and ``oracle-check`` do not scale a target, so
+every other report kept its bytes.  Old -> new, with the largest change of
+a printed float (relative over values >= 1e-12, and absolute over every
+printed float, both without the self-check's own deviation):
+
+    factorize_target6       4b260a268b88... -> f2067b71e303...
+        1.8e-15 relative, 8.9e-16 absolute (a phi); normalization
+        unchanged; max_amplitude_deviation 3.38e-16 at [6, 0] -> 2.79e-16
+        at [2, 4]
+    simulate_real4          44326d7843b3... -> 628e94de25d6...
+        1.4e-16 relative, 2.8e-17 absolute (a theta); total_yield and
+        max_amplitude_deviation unchanged
+    simulate_target32       176573b87b27... -> d986140e6b9d...
+        1.2e-14 relative (the small part of a final amplitude), 8.9e-16
+        absolute (a phi); total_yield moves by 4.8e-16 (relative),
+        max_amplitude_deviation 4.32e-16 at [18, 14] -> 4.72e-16 at [31, 1]
+    simulate_target6        e75832566e97... -> f0a71b5e3055...
+        2.3e-14 relative (a final amplitude), 8.9e-16 absolute (a phi);
+        fidelity_vs_target 0.9999999999999999 -> 1, max_amplitude_deviation
+        3.33e-16 at [6, 0] -> 2.99e-16 at [2, 4]
+
+In the same change the factorize report gained ``log10_normalization``
+after ``normalization``, which prints null once A leaves the float range;
+``apply_factors`` rescales its coefficients only past 98 factors, so no
+other byte moved:
+
+    factorize_target6       f2067b71e303... -> 2cfc778c12d3...
+        the added line "log10_normalization": 1.3601196305950931 only
+
+Before that, the last hashes re-recorded were the seven below, when
+``find_factor_angles`` began to return the finite factors in greedy Leja
+order of their roots instead of sorted by (theta, phi);
+``noon_factor_angles``, ``simulate``, ``factorize`` and ``yield-table``
+take that order.  Every report prints the
 same multiset of factors; the chain applies them in the new order, so each
 block's probability is that of another factor, and the sums round anew.
 Old -> new:
@@ -316,9 +352,9 @@ GOLDEN = {
     "simulate_noon8_double": (["simulate", "{noon8}", "--double"],
         "2870fa56bf430b777e343e1be4b2eb2fd79d254eb4e673a73b94e2940406c79a"),
     "simulate_target6": (["simulate", "{target6}"],
-        "e75832566e9780e060e16d1c0cfe3e0596986048239244307d0e9f6c936ac172"),
+        "f0a71b5e30556ef681c18a8c614e60f2f0de8ab59a9ee7a83a1fdec08d2c8922"),
     "factorize_target6": (["factorize", "{target6}"],
-        "4b260a268b88a53de8a3fc9a217f3a904269bd36e43aff8d3d0d600c7e402c78"),
+        "2cfc778c12d38a3e9261898b8ef2e40dbf146278c7d19551f7e969694ab69a9d"),
     "oracle_check": (["oracle-check", "--trials", "5"],
         "d99e3d6225d0505a7c6fc8edb201f6df5f0daf8982b9748b142d267e6afd5c87"),
     "yield_table_8": (["yield-table", "8"],
@@ -330,9 +366,9 @@ GOLDEN = {
     "simulate_noon32_double": (["simulate", "{noon32}", "--double"],
         "d55cf61cbc91676f0e00337f5e101e4e0bae41e76ee582f1a8cbe8c952e61a36"),
     "simulate_target32": (["simulate", "{target32}"],
-        "176573b87b274778cea59790fad864caf1718f4a130d4e15525bd6684d4829b7"),
+        "d986140e6b9df611b70755d87910593b2fd4a7942a4406f2566ea3330ae87fdc"),
     "simulate_real4": (["simulate", "{real4}"],
-        "44326d7843b38d79c3d55c82c1864b1f092d6c963f1c0d738e791a680e90517e"),
+        "628e94de25d6509cd51521f5d40aa849c612db07e3a0eb612407d85ccc4178c3"),
 }
 
 
